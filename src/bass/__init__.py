@@ -49,7 +49,6 @@ from .graph import (
 from .mixing import (
     EpsilonSearch,
     SpectralObjective,
-    fixed_weight_matrix,
     optimize_epsilon,
 )
 from .moments import (
@@ -59,7 +58,6 @@ from .moments import (
     expected_laplacian_gram,
     monte_carlo_gram_from_sampler,
     monte_carlo_moments,
-    same_subset_indicator,
     subset_probs_from_node_probs,
 )
 from .objectives import (
@@ -73,7 +71,6 @@ from .partition import (
     CollisionFreePartition,
     dump_partition,
     greedy_partition,
-    parse_partition,
     validate_partition,
 )
 from .scheduling import (

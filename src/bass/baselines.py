@@ -95,6 +95,12 @@ class MatchaPolicy:
     def with_epsilon(self, epsilon: float) -> "MatchaPolicy":
         return dataclasses.replace(self, epsilon=float(epsilon))
 
+    def expected_laplacian(self) -> np.ndarray:
+        """Exact E[L~] = sum_k p_k L(M_k): a round's adjacency is the sum of
+        its active matchings' adjacencies, the matchings being edge-disjoint."""
+        e_adj = sum(p * adj for p, adj in zip(self.match_probs, self._match_adj))
+        return np.diag(e_adj.sum(axis=1)) - e_adj
+
     def sample_round(self, rng: np.random.Generator) -> RoundActivation:
         """Draw one round; consumes exactly r uniforms in matching order.
 

@@ -7,16 +7,19 @@ import sys
 
 import numpy as np
 
-from .baselines import matching_decomposition
+from .baselines import dump_matchings, matching_decomposition
 from .experiment import (
+    _CONFIG_TYPES,
     ExperimentConfig,
-    PolicySpec,
+    _convert,
+    _policy_specs,
     build_policy,
     load_config,
     run_experiment,
 )
 from .moments import (
     enumerated_moments,
+    expected_laplacian,
     expected_laplacian_gram,
     monte_carlo_moments,
 )
@@ -24,25 +27,58 @@ from .partition import dump_partition, greedy_partition
 from .scheduling import node_probabilities
 from .topologies import make_topology
 
+# The config keys that pick one policy; moments-check and optimize-eps take
+# only these.
+_POLICY_KEYS = ("topology", "policies", "budget", "budget_frac", "min_subset_prob")
 
-def _add_policy_flags(parser):
-    parser.add_argument("--topology", default="two-stars(4,4)",
-                        help="preset like two-stars(4,4) / ring(6) / er(10,0.3,7), or a file path")
-    parser.add_argument("--policy", default="bass",
-                        help="comma list of bass|uniform|full|matcha")
-    parser.add_argument("--budget", type=float, default=None,
-                        help="target expected transmission slots per round")
-    parser.add_argument("--budget-frac", type=float, default=None,
-                        help="budget as a fraction of the subsets (or matchings)")
-    parser.add_argument("--min-subset-prob", type=float, default=0.0,
-                        help="probability floor redistributed to every subset")
-    parser.add_argument("--epsilon", default="auto",
-                        help="mixing step size, or 'auto' to optimize it")
-    parser.add_argument("--seed", type=int, default=0)
+_HELP = {
+    "topology": "preset like two-stars(4,4) / ring(6) / er(10,0.3,7), or a file path",
+    "policies": "comma list of bass|uniform|full|matcha",
+    "budget": "target expected transmission slots per round",
+    "budget_frac": "budget as a fraction of the subsets (or matchings)",
+    "budget_sweep": "comma list of budget fractions, one curve each",
+    "seeds": "comma list of run seeds",
+    "epsilon": "mixing step size, or 'auto' to optimize it",
+    "min_subset_prob": "probability floor redistributed to every subset",
+}
 
 
-def _parse_epsilon(value):
-    return "auto" if value == "auto" else float(value)
+def _config_type(key):
+    def convert(raw):
+        return _convert(key, raw)
+
+    convert.__name__ = key  # names the key in argparse's "invalid value" error
+    return convert
+
+
+def _add_config_flags(parser, keys):
+    """One flag per config key. A flag left off the command line sets nothing,
+    so the config file or the ExperimentConfig default applies."""
+    for key in keys:
+        flag = "--policy" if key == "policies" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=_config_type(key),
+                            default=argparse.SUPPRESS, help=_HELP.get(key))
+
+
+def _config(args, **fixed) -> ExperimentConfig:
+    """The config file, if given, with every command-line flag merged over it."""
+    values = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
+    values.update(fixed)
+    if getattr(args, "config", None) is not None:
+        return load_config(args.config, values)
+    return ExperimentConfig(**values)
+
+
+def _single_policy(args, **fixed):
+    cfg = _config(args, **fixed)
+    topology = make_topology(cfg.topology)
+    partition = greedy_partition(topology)
+    specs = _policy_specs(cfg, partition, matching_decomposition(topology))
+    if len(specs) != 1:
+        raise ValueError(
+            f"give exactly one policy and budget, got {', '.join(s.label for s in specs)}"
+        )
+    return cfg, topology, partition, specs[0]
 
 
 def _build_parser():
@@ -52,91 +88,31 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a training experiment")
-    _add_policy_flags(run)
-    run.add_argument("--config", default=None, help="flat key = value config file")
-    run.add_argument("--budget-sweep", default=None,
-                     help="comma list of budget fractions, one curve each")
-    run.add_argument("--rounds", type=int, default=None)
-    run.add_argument("--seeds", default=None, help="comma list of run seeds")
-    run.add_argument("--objective", choices=["quadratic", "logistic"], default=None)
-    run.add_argument("--lr", type=float, default=None)
-    run.add_argument("--lr-decay", type=float, default=None)
-    run.add_argument("--batch-size", type=int, default=None)
-    run.add_argument("--dim", type=int, default=None)
-    run.add_argument("--out-dir", default=None)
+    # allow_abbrev=False: a prefix such as --seed must not stand for --seeds.
+    run = sub.add_parser("run", help="run a training experiment", allow_abbrev=False)
+    run.add_argument("--config", default=None,
+                     help="flat key = value config file; flags given here override it")
+    _add_config_flags(run, _CONFIG_TYPES)
 
-    mom = sub.add_parser("moments-check",
+    mom = sub.add_parser("moments-check", allow_abbrev=False,
                          help="closed-form moments vs Monte Carlo (and enumeration)")
-    _add_policy_flags(mom)
+    _add_config_flags(mom, _POLICY_KEYS)
     mom.add_argument("--samples", type=int, default=100_000)
+    mom.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
     part = sub.add_parser("partition-dump", help="print the collision-free subsets")
     part.add_argument("--topology", default="two-stars(4,4)")
     part.add_argument("--matchings", action="store_true",
                       help="dump the matching decomposition instead")
 
-    opt = sub.add_parser("optimize-eps", help="optimize the mixing step size")
-    _add_policy_flags(opt)
-    opt.add_argument("--tol", type=float, default=1e-6)
+    opt = sub.add_parser("optimize-eps", allow_abbrev=False,
+                         help="optimize the mixing step size")
+    _add_config_flags(opt, _POLICY_KEYS)
     return parser
 
 
-def _single_policy_spec(args, partition, md) -> PolicySpec:
-    kind = args.policy.split(",")[0].strip()
-    frac = args.budget_frac
-    budget = args.budget
-    if frac is None and budget is None:
-        frac = 0.5
-    if kind == "full":
-        return PolicySpec("full", "full", float(partition.q), None)
-    if frac is not None:
-        slots = 2.0 * md.r * frac if kind == "matcha" else partition.q * frac
-        return PolicySpec(f"{kind}@{frac:g}", kind, slots, frac)
-    return PolicySpec(f"{kind}@B{budget:g}", kind, float(budget), None)
-
-
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.topology != "two-stars(4,4)" or args.config is None:
-        overrides["topology"] = args.topology
-    if args.policy != "bass" or args.config is None:
-        overrides["policies"] = tuple(
-            tok.strip() for tok in args.policy.split(",") if tok.strip()
-        )
-    for key, value in [
-        ("budget", args.budget),
-        ("budget_frac", args.budget_frac),
-        ("rounds", args.rounds),
-        ("objective", args.objective),
-        ("lr", args.lr),
-        ("lr_decay", args.lr_decay),
-        ("batch_size", args.batch_size),
-        ("dim", args.dim),
-        ("out_dir", args.out_dir),
-    ]:
-        if value is not None:
-            overrides[key] = value
-    if args.budget_sweep is not None:
-        overrides["budget_sweep"] = tuple(
-            float(tok) for tok in args.budget_sweep.split(",") if tok.strip()
-        )
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(
-            int(tok) for tok in args.seeds.split(",") if tok.strip()
-        )
-    elif args.seed:
-        overrides["seeds"] = (args.seed,)
-    if args.epsilon != "auto":
-        overrides["epsilon"] = float(args.epsilon)
-    if args.min_subset_prob:
-        overrides["min_subset_prob"] = args.min_subset_prob
-
-    if args.config is not None:
-        cfg = load_config(args.config, overrides)
-    else:
-        cfg = ExperimentConfig(**overrides)
-    result = run_experiment(cfg)
+    result = run_experiment(_config(args))
     for line in result.report:
         print(line)
     total = sum(len(files) for files in result.run_files.values())
@@ -145,25 +121,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_moments_check(args) -> int:
-    topology = make_topology(args.topology)
-    partition = greedy_partition(topology)
-    md = matching_decomposition(topology)
-    spec = _single_policy_spec(args, partition, md)
+    # The moments do not depend on epsilon, so its search is skipped.
+    cfg, topology, partition, spec = _single_policy(args, epsilon=0.0)
     if spec.kind == "matcha":
         print("moments-check covers subset policies; matcha has no closed form")
         return 2
-    cfg = ExperimentConfig(
-        topology=args.topology,
-        policies=(spec.kind,),
-        min_subset_prob=args.min_subset_prob,
-        epsilon=0.0,
-    )
     policy, _ = build_policy(spec, topology, partition, cfg)
     node_p = node_probabilities(policy.subset_probs, partition)
     closed = expected_laplacian_gram(topology, partition, node_p)
     rng = np.random.default_rng(args.seed)
     mc = monte_carlo_moments(topology, partition, node_p, args.samples, rng)
-    print(f"policy {spec.label} on {args.topology}: q={partition.q}, "
+    print(f"policy {spec.label} on {cfg.topology}: q={partition.q}, "
           f"samples={args.samples}")
     print(f"max |closed - MC| E[L~]      : {np.abs(closed.e_laplacian - mc.e_laplacian).max():.3e}")
     print(f"max |closed - MC| E[L~^T L~] : {np.abs(closed.e_gram - mc.e_gram).max():.3e}")
@@ -177,8 +145,6 @@ def _cmd_moments_check(args) -> int:
 def _cmd_partition_dump(args) -> int:
     topology = make_topology(args.topology)
     if args.matchings:
-        from .baselines import dump_matchings
-
         sys.stdout.write(dump_matchings(matching_decomposition(topology)))
     else:
         sys.stdout.write(dump_partition(greedy_partition(topology)))
@@ -186,33 +152,17 @@ def _cmd_partition_dump(args) -> int:
 
 
 def _cmd_optimize_eps(args) -> int:
-    topology = make_topology(args.topology)
-    partition = greedy_partition(topology)
-    md = matching_decomposition(topology)
-    spec = _single_policy_spec(args, partition, md)
-    cfg = ExperimentConfig(
-        topology=args.topology,
-        policies=(spec.kind,),
-        min_subset_prob=args.min_subset_prob,
-        epsilon="auto",
-    )
+    cfg, topology, partition, spec = _single_policy(args)
     policy, search = build_policy(spec, topology, partition, cfg)
-    if search is None:  # epsilon was fixed on the command line
-        print(f"epsilon fixed at {policy.epsilon}")
-        return 0
-    print(f"policy {spec.label} on {args.topology}")
+    print(f"policy {spec.label} on {cfg.topology}")
     print(f"eps_star = {search.epsilon:.8g}")
     print(f"s_star   = {search.value:.8g}  (largest eigenvalue of E[W^2] - J)")
     if search.degenerate:
         print("warning: E[L~] = 0, no expected communication; eps set to 0")
     # Secondary diagnostic: contraction of the mean mixing matrix.
     if spec.kind == "matcha":
-        from .baselines import matcha_spectral_moments
-
-        e_lap, _ = matcha_spectral_moments(policy, 20_000, np.random.default_rng(args.seed))
+        e_lap = policy.expected_laplacian()
     else:
-        from .moments import expected_laplacian
-
         node_p = node_probabilities(policy.subset_probs, partition)
         e_lap = expected_laplacian(topology, partition, node_p)
     n = topology.n

@@ -71,6 +71,12 @@ class ExperimentConfig:
     eps_mc_samples: int = 100_000
 
     def __post_init__(self):
+        if not self.policies:
+            raise ValueError("give at least one policy")
+        if not self.seeds:
+            raise ValueError("give at least one seed")
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
         for kind in self.policies:
             if kind not in POLICY_KINDS:
                 raise ValueError(f"unknown policy {kind!r}; choose from {POLICY_KINDS}")

@@ -14,11 +14,10 @@ finds the global optimum without any SDP machinery.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .graph import Topology
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -112,6 +111,7 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-6) -> Epsilon
     edge, the bracket is doubled (up to four times) before accepting a
     boundary solution. A degenerate result (eps = 0, value = 1) is returned
     when E[L~] vanishes, i.e. no link is ever activated bidirectionally.
+    Otherwise a result with value >= 1 warns: no step size contracts.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -132,16 +132,13 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-6) -> Epsilon
         hi *= 2.0
     else:
         eps, val = _golden_min(objective.value, 0.0, hi, width)
+    # A node that never mixes keeps an eigenvalue of exactly 1; the margin
+    # absorbs eigensolver rounding.
+    if val >= 1.0 - 1e-12:
+        warnings.warn(
+            f"s* = {val:.6g} >= 1: no step size contracts the expected consensus "
+            "error, since some nodes never exchange (e.g. zero-probability "
+            "subsets); raise min_subset_prob above 0"
+        )
     return EpsilonSearch(epsilon=eps, value=val, bracket_hi=hi)
 
-
-def fixed_weight_matrix(t: Topology, eps: float) -> np.ndarray:
-    """Equal-weight mixing matrix I - eps * L for a fixed topology.
-
-    Rows sum to one and off-diagonal support matches the edge set; spectral
-    sanity (rho(W - J) < 1) is the caller's concern via the objective.
-    """
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return np.eye(t.n) - eps * t.laplacian()

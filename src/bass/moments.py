@@ -39,11 +39,6 @@ class MomentSet:
     e_adj2: np.ndarray
 
 
-def same_subset_indicator(partition: CollisionFreePartition, i: int, j: int) -> int:
-    """1 if nodes i and j broadcast together (including i == j), else 0."""
-    return int(partition.subset_of[i] == partition.subset_of[j])
-
-
 def _phi_matrix(partition: CollisionFreePartition) -> np.ndarray:
     owner = partition.owner_array
     return (owner[:, None] == owner[None, :]).astype(float)

@@ -112,12 +112,3 @@ def dump_partition(partition: CollisionFreePartition) -> str:
     """One line per subset, space-separated node indices."""
     return "\n".join(" ".join(str(v) for v in s) for s in partition.subsets) + "\n"
 
-
-def parse_partition(text: str) -> CollisionFreePartition:
-    """Inverse of :func:`dump_partition`."""
-    subsets = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            subsets.append([int(tok) for tok in line.split()])
-    return CollisionFreePartition(subsets)

@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(budget=2.0, budget_frac=0.5)
 
+    @pytest.mark.parametrize("bad", [dict(seeds=()), dict(policies=()), dict(rounds=-1)])
+    def test_empty_or_negative_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
     def test_parse_config_text(self):
         text = """
         # comment

@@ -5,10 +5,11 @@ from bass import (
     SpectralObjective,
     Topology,
     expected_laplacian_gram,
-    fixed_weight_matrix,
+    full_comm_policy,
     greedy_partition,
     node_probabilities,
     optimize_epsilon,
+    sample_round,
 )
 
 from .test_graph import p3, random_connected
@@ -140,6 +141,13 @@ class TestOptimizeEpsilon:
             values.append(optimize_epsilon(SpectralObjective.from_moments(ms)).value)
         if not all(a >= b - 1e-9 for a, b in zip(values, values[1:])):
             print(f"note: contraction factor not monotone in activation: {values}")
+
+
+def fixed_weight_matrix(t, eps):
+    """A full-communication round: the fixed equal-weight matrix I - eps * L."""
+    part = greedy_partition(t)
+    policy = full_comm_policy(part, epsilon=eps)
+    return sample_round(policy, part, t, np.random.default_rng(0)).mixing_matrix
 
 
 class TestFixedWeightMatrix:

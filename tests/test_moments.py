@@ -10,7 +10,6 @@ from bass import (
     greedy_partition,
     monte_carlo_moments,
     node_probabilities,
-    same_subset_indicator,
     subset_probs_from_node_probs,
 )
 
@@ -80,14 +79,6 @@ def reduced_product_moments(t, part, node_probs):
                 adj_deg[i, j] += prob(i, j, m) * adj[i, j] * adj[j, m]
                 adj2[i, j] += prob(i, j, m) * adj[i, m] * adj[m, j]
     return e_lap, deg2 - deg_adj - adj_deg + adj2
-
-
-class TestSameSubsetIndicator:
-    def test_values(self):
-        _, part = ring6_setup()
-        assert same_subset_indicator(part, 0, 3) == 1
-        assert same_subset_indicator(part, 0, 1) == 0
-        assert same_subset_indicator(part, 2, 2) == 1
 
 
 class TestExpectedLaplacian:

@@ -6,7 +6,6 @@ from bass import (
     Topology,
     dump_partition,
     greedy_partition,
-    parse_partition,
     validate_partition,
 )
 
@@ -109,4 +108,5 @@ class TestDumpFormat:
         p = greedy_partition(ring6())
         text = dump_partition(p)
         assert text == "0 3\n1 4\n2 5\n"
-        assert parse_partition(text).subsets == p.subsets
+        parsed = [[int(tok) for tok in line.split()] for line in text.splitlines()]
+        assert CollisionFreePartition(parsed) == p
