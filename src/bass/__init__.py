@@ -54,7 +54,6 @@ from .mixing import (
 from .moments import (
     MomentSet,
     enumerated_moments,
-    expected_laplacian,
     expected_laplacian_gram,
     monte_carlo_gram_from_sampler,
     monte_carlo_moments,

@@ -17,12 +17,7 @@ from .experiment import (
     load_config,
     run_experiment,
 )
-from .moments import (
-    enumerated_moments,
-    expected_laplacian,
-    expected_laplacian_gram,
-    monte_carlo_moments,
-)
+from .moments import enumerated_moments, expected_laplacian_gram, monte_carlo_moments
 from .partition import dump_partition, greedy_partition
 from .scheduling import node_probabilities
 from .topologies import make_topology
@@ -164,7 +159,7 @@ def _cmd_optimize_eps(args) -> int:
         e_lap = policy.expected_laplacian()
     else:
         node_p = node_probabilities(policy.subset_probs, partition)
-        e_lap = expected_laplacian(topology, partition, node_p)
+        e_lap = expected_laplacian_gram(topology, partition, node_p).e_laplacian
     n = topology.n
     mean_w = np.eye(n) - search.epsilon * e_lap
     gap_matrix = mean_w - np.full((n, n), 1.0 / n)

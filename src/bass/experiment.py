@@ -26,6 +26,7 @@ from .moments import expected_laplacian_gram
 from .objectives import LogisticObjective, QuadraticObjective, make_blobs, shard_data
 from .partition import CollisionFreePartition, greedy_partition
 from .scheduling import (
+    BUDGET_TOL,
     SchedulingPolicy,
     node_probabilities,
     solve_probabilities,
@@ -84,6 +85,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.budget is not None and self.budget_frac is not None:
             raise ValueError("give either budget or budget_frac, not both")
+        if self.budget is not None and self.budget <= 0:
+            raise ValueError(f"budget must be positive, got {self.budget}")
+        for frac in (self.budget_frac, *(self.budget_sweep or ())):
+            if frac is not None and not 0 < frac <= 1:
+                raise ValueError(f"budget fractions must lie in (0, 1], got {frac}")
+        if not 0 <= self.min_subset_prob <= 1:
+            raise ValueError(f"min_subset_prob must lie in [0, 1], got {self.min_subset_prob}")
 
 
 _CONFIG_TYPES = {
@@ -301,20 +309,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     topology = make_topology(cfg.topology)
     partition = greedy_partition(topology)
     md = matching_decomposition(topology)
+    specs = _policy_specs(cfg, partition, md)
+    # Every policy is built before any output, so an infeasible budget fails
+    # without leaving partial results behind.
+    built = [build_policy(spec, topology, partition, cfg) for spec in specs]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = ExperimentResult()
-    specs = _policy_specs(cfg, partition, md)
-    for spec in specs:
-        policy, search = build_policy(spec, topology, partition, cfg)
+    for spec, (policy, search) in zip(specs, built):
         eps_note = f"epsilon={policy.epsilon:.6g}"
         if search is not None:
             eps_note += f" (objective {search.value:.6g}"
             if search.degenerate:
                 eps_note += ", degenerate: no expected communication"
             eps_note += ")"
-        result.report.append(f"{spec.label}: budget {spec.budget_slots:g} slots, {eps_note}")
+        achieved = policy.expected_slots if spec.kind == "matcha" else policy.achieved_budget
+        budget_note = f"budget {spec.budget_slots:g} slots"
+        if abs(achieved - spec.budget_slots) > BUDGET_TOL:
+            budget_note += f", achieved {achieved:g} slots"
+        result.report.append(f"{spec.label}: {budget_note}, {eps_note}")
         result.run_files[spec.label] = {}
         result.logs[spec.label] = {}
         for seed in cfg.seeds:

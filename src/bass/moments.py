@@ -1,13 +1,15 @@
 """First and second activation moments of the effective Laplacian.
 
 Under subset sampling, node activations are Bernoulli variables that are
-perfectly correlated inside a subset and independent across subsets. Joint
-moments of activation indicators therefore collapse to products of chained
-max terms: E[n_i n_j] = p_i * max(phi(i,j), p_j) and
-E[n_i n_j n_m] = p_i * max(phi(i,j), p_j) * max(phi(i,m), phi(j,m), p_m),
-where phi is the same-subset indicator. Everything here is a closed-form
-consequence of those two identities; the enumeration and Monte Carlo routes
-exist to validate them against the actual sampling path.
+perfectly correlated inside a subset and independent across subsets, so a
+joint moment E[n_u n_v ...] is the product of the activation probabilities
+of the distinct subsets the nodes touch. A round's effective adjacency is
+A~_ka = A_ka n_k n_a and its degree d_k = sum_a A~_ka, so every entry of
+E[L~] and of the four Gram constituents is a sum of neighbour-triple weights
+w_k(a, b) = E[n_k n_a n_b] over a node k and two of its neighbours a, b
+(a = b allowed). One pass over those triples costs O(sum_k deg_k^2) time and
+O(n^2) memory for the dense results. The enumeration and Monte Carlo routes
+exist to validate the closed form against the actual sampling path.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import numpy as np
 from .graph import Topology
 from .partition import CollisionFreePartition
 from .scheduling import effective_topology
+
+# Monte Carlo rounds per vectorized block are capped so that one block x n
+# array stays under this many elements (8 MB of float64).
+_MC_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,11 +43,6 @@ class MomentSet:
     e_deg_adj: np.ndarray
     e_adj_deg: np.ndarray
     e_adj2: np.ndarray
-
-
-def _phi_matrix(partition: CollisionFreePartition) -> np.ndarray:
-    owner = partition.owner_array
-    return (owner[:, None] == owner[None, :]).astype(float)
 
 
 def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
@@ -64,57 +65,19 @@ def subset_probs_from_node_probs(
     return np.array([p[s[0]] for s in partition.subsets])
 
 
-def expected_laplacian(
-    topology: Topology, partition: CollisionFreePartition, node_probs
-) -> np.ndarray:
-    """Closed-form E[L~] under independent subset activation.
+def _joint(p: np.ndarray, owner: np.ndarray, *nodes) -> np.ndarray:
+    """E[n_u n_v ...] for broadcastable node-index arrays.
 
-    Off-diagonal entries are -p_i * max(phi(i,j), p_j) * A_ij; the diagonal
-    carries the matching row sums, so E[L~] u = 0 exactly.
+    Each node contributes its probability unless an earlier node lies in the
+    same subset, whose indicator it then repeats.
     """
-    p = _checked_probs(partition, node_probs)
-    adj = topology.adjacency
-    phi = _phi_matrix(partition)
-    pair = p[:, None] * np.maximum(phi, p[None, :])
-    e_adj = pair * adj
-    return np.diag(e_adj.sum(axis=1)) - e_adj
-
-
-def expected_laplacian_gram(
-    topology: Topology, partition: CollisionFreePartition, node_probs
-) -> MomentSet:
-    """Closed-form E[L~^T L~] with its four constituent matrices.
-
-    The triple-index sums run over all nodes; adjacency factors zero out the
-    combinations that cannot occur. O(n^3) time and memory, which is fine at
-    the target network sizes.
-    """
-    p = _checked_probs(partition, node_probs)
-    adj = topology.adjacency
-    phi = _phi_matrix(partition)
-    pair = p[:, None] * np.maximum(phi, p[None, :])
-    pa = pair * adj
-
-    # tri[a, b, c] = max(phi(a, c), phi(b, c), p_c): the third-node factor of
-    # E[n_a n_b n_c] once a and b are already accounted for.
-    tri = np.maximum(np.maximum(phi[:, None, :], phi[None, :, :]), p[None, None, :])
-
-    e_deg2 = np.diag(np.einsum("im,imk,ik->i", pa, tri, adj))
-    e_deg_adj = pa * np.einsum("ijm,im->ij", tri, adj)
-    e_adj_deg = pa * np.einsum("ijm,jm->ij", tri, adj)
-    e_adj2 = pair * np.einsum("ijm,im,mj->ij", tri, adj, adj)
-    # The generic off-diagonal expression already reduces to the correct
-    # diagonal (n_i^2 = n_i makes phi(i, i) = 1 absorb the duplicate index),
-    # and e_deg_adj / e_adj_deg vanish on the diagonal through A_ii = 0.
-    e_gram = e_deg2 - e_deg_adj - e_adj_deg + e_adj2
-    return MomentSet(
-        e_laplacian=expected_laplacian(topology, partition, node_probs),
-        e_gram=e_gram,
-        e_deg2=e_deg2,
-        e_deg_adj=e_deg_adj,
-        e_adj_deg=e_adj_deg,
-        e_adj2=e_adj2,
-    )
+    out = np.ones(np.broadcast_shapes(*(np.shape(v) for v in nodes)))
+    for i, v in enumerate(nodes):
+        fresh = np.ones(out.shape, dtype=bool)
+        for u in nodes[:i]:
+            fresh &= owner[u] != owner[v]
+        out = out * np.where(fresh, p[v], 1.0)
+    return out
 
 
 def _assemble(adj_mean, deg_mean, deg2_mean, deg_adj_mean, adj2_mean) -> MomentSet:
@@ -132,6 +95,30 @@ def _assemble(adj_mean, deg_mean, deg2_mean, deg_adj_mean, adj2_mean) -> MomentS
     )
 
 
+def expected_laplacian_gram(
+    topology: Topology, partition: CollisionFreePartition, node_probs
+) -> MomentSet:
+    """Closed-form E[L~] and E[L~^T L~] with the four Gram constituents.
+
+    For each node k with neighbours a, b the weight w[a, b] = E[n_k n_a n_b]
+    gives E[A~_ka] = w[a, a], E[d_k^2] = sum w, E[d_k A~_kb] = sum_a w[a, b]
+    and k's contribution w[a, b] to E[(A~^2)_ab].
+    """
+    p = _checked_probs(partition, node_probs)
+    owner = partition.owner_array
+    n = topology.n
+    e_adj, e_deg_adj, e_adj2 = np.zeros((3, n, n))
+    e_deg2 = np.zeros(n)
+    for k, nbrs in enumerate(topology.neighbors):
+        a = np.array(nbrs, dtype=int)
+        w = _joint(p, owner, k, a[:, None], a[None, :])
+        e_adj[k, a] = w.diagonal()
+        e_deg2[k] = w.sum()
+        e_deg_adj[k, a] = w.sum(axis=0)
+        e_adj2[np.ix_(a, a)] += w
+    return _assemble(e_adj, e_adj.sum(axis=1), e_deg2, e_deg_adj, e_adj2)
+
+
 def monte_carlo_moments(
     topology: Topology,
     partition: CollisionFreePartition,
@@ -145,8 +132,10 @@ def monte_carlo_moments(
     Consumes the generator exactly like ``scheduling.sample_round``: q
     uniforms per round in subset order (chunked draws fill row-major, so the
     stream is identical value-for-value). Accumulation is vectorized over
-    round blocks; ``chunk=1`` falls back to the literal per-round production
-    path, which the tests pin the vectorized path against.
+    round blocks of at most ``chunk`` rounds, capped so one block x n array
+    stays under ``_MC_BLOCK_ELEMENTS``; ``chunk=1`` falls back to the literal
+    per-round production path, which the tests pin the vectorized path
+    against.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -154,6 +143,7 @@ def monte_carlo_moments(
     owner = partition.owner_array
     adj = topology.adjacency
     n = topology.n
+    chunk = min(chunk, max(1, _MC_BLOCK_ELEMENTS // n))
     s_adj = np.zeros((n, n))
     s_deg = np.zeros(n)
     s_deg2 = np.zeros(n)
@@ -179,10 +169,11 @@ def monte_carlo_moments(
             s_deg += degs.sum(axis=0)
             s_deg2 += (degs * degs).sum(axis=0)
             s_deg_adj += adj * (degs.T @ masks)
-            # third joint moment of masks, T[i, m, j] = sum_s M_si M_sm M_sj
-            pairs = (masks[:, :, None] * masks[:, None, :]).reshape(block, n * n)
-            triples = (masks.T @ pairs).reshape(n, n, n)
-            s_adj2 += np.einsum("imj,im,mj->ij", triples, adj, adj)
+            # (A~^2)_ab counts the middle nodes k adjacent to both a and b
+            # that are active together with them
+            for k, nbrs in enumerate(topology.neighbors):
+                a = list(nbrs)
+                s_adj2[np.ix_(a, a)] += (masks[:, a] * masks[:, [k]]).T @ masks[:, a]
         done += block
     inv = 1.0 / samples
     return _assemble(s_adj * inv, s_deg * inv, s_deg2 * inv, s_deg_adj * inv, s_adj2 * inv)

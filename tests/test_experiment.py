@@ -44,6 +44,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(budget_frac=0.0), dict(budget_frac=1.5), dict(budget_sweep=(0.5, 1.5)),
+        dict(budget=0.0), dict(budget=-2.0),
+        dict(min_subset_prob=-0.1), dict(min_subset_prob=1.1),
+    ])
+    def test_out_of_range_budget_rejected(self, bad):
+        with pytest.raises(ValueError, match="budget|min_subset_prob"):
+            ExperimentConfig(**bad)
+
     def test_parse_config_text(self):
         text = """
         # comment
@@ -150,6 +159,25 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert set(result.run_files) == {"bass@0.4", "bass@0.8"}
         assert any("budget-sweep" in line for line in result.report)
+
+    def test_bad_budget_fails_before_any_output(self, tmp_path):
+        # full is feasible and listed first, yet nothing may be written before
+        # the bass build fails
+        with pytest.raises(ValueError, match="infeasible"):
+            run_experiment(quick_config(tmp_path, policies=("full", "bass"),
+                                        budget_frac=None, budget=99.0))
+        assert not (tmp_path / "out").exists()
+
+    def test_report_states_achieved_budget_on_shortfall(self, tmp_path):
+        # plain bass on two-stars(4,4) gives the zero-betweenness subset
+        # nothing, so 0.5 of the requested 2.5 slots cannot be spent
+        cfg = quick_config(tmp_path, policies=("bass", "matcha", "full"), seeds=(0,), rounds=1)
+        with pytest.warns(UserWarning, match="unattainable"):
+            result = run_experiment(cfg)
+        lines = {line.split(":")[0]: line for line in result.report}
+        assert lines["bass@0.5"].startswith("bass@0.5: budget 2.5 slots, achieved 2 slots, ")
+        assert "achieved" not in lines["matcha@0.5"]
+        assert "achieved" not in lines["full"]
 
     def test_same_seed_same_data_across_policies(self, tmp_path):
         cfg = quick_config(tmp_path, policies=("bass", "full"), seeds=(5,), rounds=3)

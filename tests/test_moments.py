@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from bass import (
     CollisionFreePartition,
     Topology,
     enumerated_moments,
-    expected_laplacian,
     expected_laplacian_gram,
     greedy_partition,
+    make_topology,
     monte_carlo_moments,
     node_probabilities,
     subset_probs_from_node_probs,
@@ -34,6 +36,19 @@ def random_fixture(rng, n_lo=3, n_hi=10):
     part = greedy_partition(t)
     subset_probs = rng.uniform(0.1, 0.9, part.q)
     return t, part, node_probabilities(subset_probs, part)
+
+
+MOMENT_FIELDS = ("e_laplacian", "e_gram", "e_deg2", "e_deg_adj", "e_adj_deg", "e_adj2")
+
+
+def traced_peak_mb(fn, *args):
+    """(result, peak traced allocation in MB) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def reduced_product_moments(t, part, node_probs):
@@ -85,15 +100,17 @@ class TestExpectedLaplacian:
     def test_full_activation_is_exact_laplacian(self):
         t, part = ring6_setup()
         ones = np.ones(t.n)
-        assert np.array_equal(expected_laplacian(t, part, ones), t.laplacian())
+        assert np.array_equal(
+            expected_laplacian_gram(t, part, ones).e_laplacian, t.laplacian()
+        )
 
     def test_k2_half_activation(self):
-        e_lap = expected_laplacian(k2(), k2_split(), [0.5, 0.5])
+        e_lap = expected_laplacian_gram(k2(), k2_split(), [0.5, 0.5]).e_laplacian
         assert np.allclose(e_lap, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_k2_same_subset(self):
         part = CollisionFreePartition([[0, 1]])  # invalid physically, legal input
-        e_lap = expected_laplacian(k2(), part, [0.5, 0.5])
+        e_lap = expected_laplacian_gram(k2(), part, [0.5, 0.5]).e_laplacian
         # perfectly correlated endpoints: the link is on iff the subset is
         assert np.allclose(e_lap, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
@@ -101,7 +118,7 @@ class TestExpectedLaplacian:
         t = Topology(3, [(0, 1), (1, 2)])
         part = greedy_partition(t)
         node_p = node_probabilities([0.7, 0.0, 0.5], part)
-        e_lap = expected_laplacian(t, part, node_p)
+        e_lap = expected_laplacian_gram(t, part, node_p).e_laplacian
         silent = np.flatnonzero(node_p == 0.0)[0]
         assert np.all(e_lap[silent] == 0)
         assert np.all(e_lap[:, silent] == 0)
@@ -110,7 +127,7 @@ class TestExpectedLaplacian:
         rng = np.random.default_rng(53)
         for _ in range(10):
             t, part, node_p = random_fixture(rng)
-            e_lap = expected_laplacian(t, part, node_p)
+            e_lap = expected_laplacian_gram(t, part, node_p).e_laplacian
             assert np.abs(e_lap - e_lap.T).max() < 1e-14
             assert np.abs(e_lap @ np.ones(t.n)).max() < 1e-12
 
@@ -118,7 +135,7 @@ class TestExpectedLaplacian:
         t, part = ring6_setup()
         bad = np.array([0.5, 0.5, 0.5, 0.6, 0.5, 0.5])  # node 3 differs from 0
         with pytest.raises(ValueError):
-            expected_laplacian(t, part, bad)
+            expected_laplacian_gram(t, part, bad)
 
 
 class TestExpectedGram:
@@ -184,6 +201,19 @@ class TestExpectedGram:
             assert np.abs(ms.e_gram - oracle_gram).max() < 1e-12
 
 
+    def test_ring200_matches_enumeration_in_quadratic_memory(self):
+        # a dense n x n x n intermediate alone would take 64 MB here
+        t = make_topology("ring(200)")
+        part = greedy_partition(t)
+        assert part.q <= 20
+        node_p = node_probabilities(np.random.default_rng(83).uniform(0.1, 0.9, part.q), part)
+        ms, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_p)
+        assert peak_mb < 16
+        exact = enumerated_moments(t, part, node_p)
+        for name in MOMENT_FIELDS:
+            assert np.abs(getattr(ms, name) - getattr(exact, name)).max() < 1e-12, name
+
+
 class TestEnumeratedMoments:
     def test_k2_by_hand(self):
         ms = enumerated_moments(k2(), k2_split(), [0.5, 0.5])
@@ -228,10 +258,17 @@ class TestMonteCarloMoments:
             slow = monte_carlo_moments(
                 t, part, node_p, 700, np.random.default_rng(8), chunk=1
             )
-            for name in (
-                "e_laplacian", "e_gram", "e_deg2", "e_deg_adj", "e_adj_deg", "e_adj2",
-            ):
+            for name in MOMENT_FIELDS:
                 assert np.abs(getattr(fast, name) - getattr(slow, name)).max() < 1e-10
+
+    def test_block_memory_is_bounded(self):
+        t = make_topology("ring(60)")
+        part = greedy_partition(t)
+        node_p = node_probabilities([0.3, 0.6, 0.9], part)
+        _, peak_mb = traced_peak_mb(
+            monte_carlo_moments, t, part, node_p, 8192, np.random.default_rng(0)
+        )
+        assert peak_mb < 64
 
     def test_close_to_closed_form(self):
         rng = np.random.default_rng(73)

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bass import (
+    CollisionFreePartition,
+    SchedulingPolicy,
     betweenness_centrality,
     enumerated_moments,
     er_topology,
     expected_laplacian_gram,
     greedy_partition,
     node_probabilities,
+    sample_round,
     solve_probabilities,
     subset_betweenness,
     validate_partition,
@@ -51,9 +54,18 @@ def test_probabilities_bounded_and_on_budget(t, frac, floor_share):
 
 
 @st.composite
+def arbitrary_partitions(draw, n):
+    """Any partition of 0..n-1, including ones that put neighbours together."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return CollisionFreePartition(
+        [[v for v in range(n) if labels[v] == k] for k in sorted(set(labels))]
+    )
+
+
+@st.composite
 def graphs_with_probs(draw):
     t = draw(graphs)
-    part = greedy_partition(t)
+    part = draw(st.one_of(st.just(greedy_partition(t)), arbitrary_partitions(t.n)))
     probs = draw(st.lists(st.floats(0.0, 1.0), min_size=part.q, max_size=part.q))
     return t, part, node_probabilities(probs, part)
 
@@ -66,3 +78,29 @@ def test_closed_form_moments_match_enumeration(case):
     exact = enumerated_moments(t, part, node_p)
     for name in ("e_laplacian", "e_gram", "e_deg2", "e_deg_adj", "e_adj_deg", "e_adj2"):
         assert np.abs(getattr(closed, name) - getattr(exact, name)).max() <= 1e-12, name
+
+
+@PROPERTY
+@given(graphs, st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_sampled_rounds_keep_the_mixing_invariants(t, eps_share, seed):
+    part = greedy_partition(t)
+    rng = np.random.default_rng(seed)
+    epsilon = eps_share / max(1.0, t.degrees.max())
+    probs = rng.uniform(0.0, 1.0, part.q)
+    policy = SchedulingPolicy(probs, probs.sum(), epsilon)
+    adj = t.adjacency
+    ones = np.ones(t.n)
+    for _ in range(5):
+        round_ = sample_round(policy, part, t, rng)
+        w = round_.mixing_matrix
+        assert np.array_equal(w, w.T)
+        assert np.abs(w @ ones - 1.0).max() <= 1e-12
+        assert np.abs(ones @ w - 1.0).max() <= 1e-12
+        for k in np.flatnonzero(round_.active_subsets):
+            # nodes broadcasting in one slot are neither adjacent nor share a
+            # neighbour
+            members = list(part.subsets[k])
+            assert not adj[np.ix_(members, members)].any()
+            common = adj[members] @ adj[:, members]
+            np.fill_diagonal(common, 0.0)
+            assert not common.any()
