@@ -2,11 +2,11 @@
 
 The pipeline: partition a wireless topology into collision-free broadcast
 subsets, schedule the subsets randomly under a slot budget with importance-
-weighted probabilities, build each round's symmetric effective mixing matrix
-from the bidirectionally activated links, optimize the constant mixing step
-size against the closed-form activation moments, and train by decentralized
-SGD, benchmarked per transmission slot against link-matching and
-full-communication baselines.
+weighted probabilities, build each round's symmetric mixing matrix from the
+base links that survive it in both directions, optimize the constant mixing
+step size against the closed-form activation moments, and train by
+decentralized SGD, benchmarked per transmission slot against link-matching
+and full-communication baselines.
 """
 
 from .baselines import (
@@ -55,7 +55,6 @@ from .moments import (
     MomentSet,
     enumerated_moments,
     expected_laplacian_gram,
-    monte_carlo_gram_from_sampler,
     monte_carlo_moments,
     subset_probs_from_node_probs,
 )
@@ -75,7 +74,6 @@ from .partition import (
 from .scheduling import (
     RoundActivation,
     SchedulingPolicy,
-    effective_topology,
     node_probabilities,
     sample_round,
     solve_probabilities,

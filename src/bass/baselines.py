@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Topology
-from .moments import monte_carlo_gram_from_sampler
 from .partition import CollisionFreePartition
 from .scheduling import BUDGET_TOL, RoundActivation, SchedulingPolicy
+
+# Rounds of uniforms drawn at once by the matching Monte Carlo; small blocks
+# keep its transient arrays well under a megabyte.
+_MATCHA_BLOCK = 1024
 
 
 class MatchingDecomposition:
@@ -64,7 +67,12 @@ def dump_matchings(md: MatchingDecomposition) -> str:
 
 @dataclass(frozen=True, eq=False)
 class MatchaPolicy:
-    """Independent per-matching activation with two slots per active matching."""
+    """Independent per-matching activation with two slots per active matching.
+
+    ``edge_matching[e]`` is the matching that holds base edge e (row e of the
+    topology's ``edge_array``); the matchings must cover every base edge
+    exactly once.
+    """
 
     topology: Topology
     matchings: tuple
@@ -76,13 +84,16 @@ class MatchaPolicy:
         probs = np.asarray(self.match_probs, dtype=float).copy()
         probs.setflags(write=False)
         object.__setattr__(self, "match_probs", probs)
-        adjacencies = []
-        for m in self.matchings:
-            adj = np.zeros((self.topology.n, self.topology.n))
-            for i, j in m:
-                adj[i, j] = adj[j, i] = 1.0
-            adjacencies.append(adj)
-        object.__setattr__(self, "_match_adj", tuple(adjacencies))
+        index = {edge: e for e, edge in enumerate(self.topology.edges)}
+        located = sorted(
+            (index.get((min(i, j), max(i, j)), -1), k)
+            for k, m in enumerate(self.matchings) for i, j in m
+        )
+        if [e for e, _ in located] != list(range(len(index))):
+            raise ValueError("the matchings must cover every base edge exactly once")
+        owner = np.array([k for _, k in located], dtype=int)
+        owner.setflags(write=False)
+        object.__setattr__(self, "edge_matching", owner)
 
     @property
     def r(self) -> int:
@@ -96,34 +107,21 @@ class MatchaPolicy:
         return dataclasses.replace(self, epsilon=float(epsilon))
 
     def expected_laplacian(self) -> np.ndarray:
-        """Exact E[L~] = sum_k p_k L(M_k): a round's adjacency is the sum of
-        its active matchings' adjacencies, the matchings being edge-disjoint."""
-        e_adj = sum(p * adj for p, adj in zip(self.match_probs, self._match_adj))
-        return np.diag(e_adj.sum(axis=1)) - e_adj
+        """Exact E[L~] = sum_k p_k L(M_k): each base edge survives with the
+        probability of the one matching that holds it."""
+        return self.topology.laplacian(self.match_probs[self.edge_matching])
 
     def sample_round(self, rng: np.random.Generator) -> RoundActivation:
         """Draw one round; consumes exactly r uniforms in matching order.
 
-        The active graph is the union of active matchings, used
+        An edge survives iff its matching is active, and is used
         bidirectionally, so slots_used counts two per active matching.
         """
         if self.epsilon is None:
             raise ValueError("policy epsilon is not set; run the mixing optimizer first")
         active = rng.random(self.r) < self.match_probs
-        n = self.topology.n
-        adj = np.zeros((n, n))
-        for k in range(self.r):
-            if active[k]:
-                adj += self._match_adj[k]
-        lap = np.diag(adj.sum(axis=1)) - adj
-        mixing = np.eye(n) - self.epsilon * lap
-        return RoundActivation(
-            active_subsets=active,
-            node_mask=(adj.sum(axis=1) > 0).astype(int),
-            effective_adjacency=adj,
-            effective_laplacian=lap,
-            mixing_matrix=mixing,
-            slots_used=int(2 * active.sum()),
+        return RoundActivation.from_edges(
+            self.topology, self.epsilon, active, active[self.edge_matching], 2 * active.sum()
         )
 
 
@@ -156,13 +154,30 @@ def matcha_spectral_moments(
 ):
     """(E[L~], E[L~^T L~]) for the matching policy, by Monte Carlo.
 
-    The closed forms cover node-subset sampling correlation, not edge
-    sampling, so the matching baseline estimates its moments from its own
-    sampling path. Fix epsilon to any value first; the Laplacian draw does
-    not depend on it.
+    Draws the same r uniforms per round, in matching order, as
+    ``MatchaPolicy.sample_round``, in blocks of at most ``_MATCHA_BLOCK``
+    rounds. A round's Laplacian is L~ = sum_k z_k L_k over its active
+    matchings, so the sums over rounds need only the activation counts c_k
+    and the co-activation counts C_kl = sum_s z_sk z_sl:
+    sum_s L~ = sum_k c_k L_k and sum_s L~^2 = sum_k L_k (sum_l C_kl L_l).
+    Every partial sum is an integer below 2^53, hence exact.
     """
-    probe = policy if policy.epsilon is not None else policy.with_epsilon(0.0)
-    return monte_carlo_gram_from_sampler(probe.sample_round, policy.topology.n, samples, rng)
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    counts = np.zeros(policy.r, dtype=np.int64)
+    co_counts = np.zeros((policy.r, policy.r), dtype=np.int64)
+    done = 0
+    while done < samples:
+        block = min(_MATCHA_BLOCK, samples - done)
+        active = (rng.random((block, policy.r)) < policy.match_probs).astype(np.int64)
+        counts += active.sum(axis=0)
+        co_counts += active.T @ active
+        done += block
+    t = policy.topology
+    laps = np.array([t.laplacian(policy.edge_matching == k) for k in range(policy.r)])
+    s_lap = np.tensordot(counts.astype(float), laps, axes=1)
+    s_gram = (laps @ np.tensordot(co_counts.astype(float), laps, axes=1)).sum(axis=0)
+    return s_lap / samples, s_gram / samples
 
 
 def full_comm_policy(partition: CollisionFreePartition, epsilon: float | None = None) -> SchedulingPolicy:

@@ -13,6 +13,7 @@ from .experiment import (
     ExperimentConfig,
     _convert,
     _policy_specs,
+    _unresolved_policy,
     build_policy,
     load_config,
     run_experiment,
@@ -55,17 +56,16 @@ def _add_config_flags(parser, keys):
                             default=argparse.SUPPRESS, help=_HELP.get(key))
 
 
-def _config(args, **fixed) -> ExperimentConfig:
+def _config(args) -> ExperimentConfig:
     """The config file, if given, with every command-line flag merged over it."""
     values = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
-    values.update(fixed)
     if getattr(args, "config", None) is not None:
         return load_config(args.config, values)
     return ExperimentConfig(**values)
 
 
-def _single_policy(args, **fixed):
-    cfg = _config(args, **fixed)
+def _single_policy(args):
+    cfg = _config(args)
     topology = make_topology(cfg.topology)
     partition = greedy_partition(topology)
     specs = _policy_specs(cfg, partition, matching_decomposition(topology))
@@ -116,12 +116,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_moments_check(args) -> int:
-    # The moments do not depend on epsilon, so its search is skipped.
-    cfg, topology, partition, spec = _single_policy(args, epsilon=0.0)
+    cfg, topology, partition, spec = _single_policy(args)
     if spec.kind == "matcha":
         print("moments-check covers subset policies; matcha has no closed form")
         return 2
-    policy, _ = build_policy(spec, topology, partition, cfg)
+    # The moments do not depend on epsilon, so it is left unset.
+    policy = _unresolved_policy(spec, topology, partition, cfg)
     node_p = node_probabilities(policy.subset_probs, partition)
     closed = expected_laplacian_gram(topology, partition, node_p)
     rng = np.random.default_rng(args.seed)
@@ -130,7 +130,10 @@ def _cmd_moments_check(args) -> int:
           f"samples={args.samples}")
     print(f"max |closed - MC| E[L~]      : {np.abs(closed.e_laplacian - mc.e_laplacian).max():.3e}")
     print(f"max |closed - MC| E[L~^T L~] : {np.abs(closed.e_gram - mc.e_gram).max():.3e}")
-    if partition.q <= 16:
+    # Enumeration costs 2^q rounds of dense n x n products: about 2^q * n^3.
+    if 2**partition.q * topology.n**3 > 2**32:
+        print(f"enumeration skipped: 2^q * n^3 = 2^{partition.q} * {topology.n}^3 exceeds 2^32")
+    else:
         exact = enumerated_moments(topology, partition, node_p)
         print(f"max |closed - enum| E[L~]      : {np.abs(closed.e_laplacian - exact.e_laplacian).max():.3e}")
         print(f"max |closed - enum| E[L~^T L~] : {np.abs(closed.e_gram - exact.e_gram).max():.3e}")

@@ -60,18 +60,6 @@ class MetricsLog:
     records: list[RoundRecord] = field(default_factory=list)
     final_state: np.ndarray | None = None
 
-    def summary(self) -> dict:
-        if not self.records:
-            return {"rounds": 0, "total_slots": 0}
-        last = self.records[-1]
-        return {
-            "rounds": last.round,
-            "total_slots": last.cum_slots,
-            "final_train_loss": last.train_loss,
-            "final_test_metric": last.test_metric,
-            "final_consensus_error": last.consensus_error,
-        }
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write(CSV_HEADER + "\n")

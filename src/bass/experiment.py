@@ -8,12 +8,14 @@ f * 2r expected slots. Absolute slot budgets are supported too.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import (
+    MatchaPolicy,
     full_comm_policy,
     matcha_policy,
     matcha_spectral_moments,
@@ -21,7 +23,7 @@ from .baselines import (
 )
 from .dsgd import MetricsLog, TrainConfig, run_training
 from .graph import Topology, betweenness_centrality
-from .mixing import SpectralObjective, optimize_epsilon
+from .mixing import SpectralObjective, contracts, optimize_epsilon
 from .moments import expected_laplacian_gram
 from .objectives import LogisticObjective, QuadraticObjective, make_blobs, shard_data
 from .partition import CollisionFreePartition, greedy_partition
@@ -199,43 +201,54 @@ def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
     return unique
 
 
+def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentConfig):
+    """The policy of one spec, its probabilities set and its epsilon not."""
+    if spec.kind == "matcha":
+        return matcha_policy(matching_decomposition(topology), spec.budget_slots, topology)
+    if spec.kind == "full":
+        return full_comm_policy(partition)
+    if spec.kind == "uniform":
+        return SchedulingPolicy(
+            uniform_probabilities(partition.q, spec.budget_slots), spec.budget_slots
+        )
+    if spec.kind == "bass":
+        centrality = betweenness_centrality(topology)
+        scores = subset_betweenness(centrality, partition)
+        probs = solve_probabilities(scores, spec.budget_slots, cfg.min_subset_prob)
+        return SchedulingPolicy(probs, spec.budget_slots)
+    raise ValueError(f"unknown policy kind {spec.kind!r}")
+
+
 def build_policy(
     spec: PolicySpec,
     topology: Topology,
     partition: CollisionFreePartition,
     cfg: ExperimentConfig,
 ):
-    """Instantiate a policy with its epsilon resolved (returns the policy)."""
-    if spec.kind == "matcha":
-        md = matching_decomposition(topology)
-        policy = matcha_policy(md, spec.budget_slots, topology)
-        if cfg.epsilon == "auto":
-            rng = np.random.default_rng(_EPS_MC_SEED)
-            e_lap, e_gram = matcha_spectral_moments(policy, cfg.eps_mc_samples, rng)
-            search = optimize_epsilon(SpectralObjective(e_lap, e_gram))
-            return policy.with_epsilon(search.epsilon), search
-        return policy.with_epsilon(float(cfg.epsilon)), None
+    """Instantiate a policy with its epsilon resolved; returns (policy, search).
 
-    if spec.kind == "full":
-        policy = full_comm_policy(partition)
-    elif spec.kind == "uniform":
-        policy = SchedulingPolicy(
-            uniform_probabilities(partition.q, spec.budget_slots), spec.budget_slots
-        )
-    elif spec.kind == "bass":
-        centrality = betweenness_centrality(topology)
-        scores = subset_betweenness(centrality, partition)
-        probs = solve_probabilities(scores, spec.budget_slots, cfg.min_subset_prob)
-        policy = SchedulingPolicy(probs, spec.budget_slots)
+    ``search`` is None for a fixed epsilon, which warns when its expected
+    contraction s(epsilon) is not below one.
+    """
+    policy = _unresolved_policy(spec, topology, partition, cfg)
+    if isinstance(policy, MatchaPolicy):
+        rng = np.random.default_rng(_EPS_MC_SEED)
+        objective = SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
     else:
-        raise ValueError(f"unknown policy kind {spec.kind!r}")
-
-    if cfg.epsilon == "auto":
         node_p = node_probabilities(policy.subset_probs, partition)
         moments = expected_laplacian_gram(topology, partition, node_p)
-        search = optimize_epsilon(SpectralObjective.from_moments(moments))
+        objective = SpectralObjective.from_moments(moments)
+    if cfg.epsilon == "auto":
+        search = optimize_epsilon(objective)
         return policy.with_epsilon(search.epsilon), search
-    return policy.with_epsilon(float(cfg.epsilon)), None
+    epsilon = float(cfg.epsilon)
+    value = objective.value(epsilon)
+    if not contracts(value):
+        warnings.warn(
+            f"{spec.label}: epsilon = {epsilon:g} gives s(epsilon) = {value:.6g} >= 1, "
+            "so the expected consensus error does not contract; use epsilon = auto"
+        )
+    return policy.with_epsilon(epsilon), None
 
 
 def _build_objective(cfg: ExperimentConfig, n_nodes: int, seed: int):

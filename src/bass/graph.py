@@ -11,9 +11,10 @@ import numpy as np
 class Topology:
     """Immutable undirected graph on nodes 0..n-1, no self-loops, no multi-edges.
 
-    Edges are kept as sorted (i, j) pairs with i < j; neighbor lists are sorted
-    by node index. The dense adjacency matrix is precomputed and marked
-    read-only, so instances can be shared freely across threads.
+    Edges are kept as sorted (i, j) pairs with i < j, both as a tuple and as
+    the read-only ``(m, 2)`` ``edge_array``; neighbor lists are sorted by node
+    index. The dense adjacency matrix is precomputed and marked read-only, so
+    instances can be shared freely across threads.
     """
 
     def __init__(self, n, edges=()):
@@ -30,14 +31,16 @@ class Topology:
             dedup.add((i, j) if i < j else (j, i))
         self.n = n
         self.edges = tuple(sorted(dedup))
+        self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
+        self.edge_array.setflags(write=False)
         nbrs = [[] for _ in range(n)]
         for i, j in self.edges:
             nbrs[i].append(j)
             nbrs[j].append(i)
         self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
         adj = np.zeros((n, n))
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = 1.0
+        i, j = self.edge_array.T
+        adj[i, j] = adj[j, i] = 1.0
         adj.setflags(write=False)
         self._adj = adj
 
@@ -50,9 +53,17 @@ class Topology:
     def degrees(self) -> np.ndarray:
         return self._adj.sum(axis=1)
 
-    def laplacian(self) -> np.ndarray:
-        """Degree matrix minus adjacency; symmetric with zero row sums."""
-        return np.diag(self.degrees) - self._adj
+    def laplacian(self, weights=None) -> np.ndarray:
+        """Weighted-edge Laplacian sum_e w_e (u_i - u_j)(u_i - u_j)^T, one
+        weight per row of ``edge_array`` (a boolean mask keeps the masked
+        edges); ``None`` weighs every edge 1, giving degree minus adjacency."""
+        n = self.n
+        i, j = self.edge_array.T
+        w = np.ones(len(i)) if weights is None else np.asarray(weights, dtype=float)
+        lap = np.zeros((n, n))
+        lap[i, j] = lap[j, i] = -w
+        lap.flat[:: n + 1] = np.bincount(i, w, n) + np.bincount(j, w, n)
+        return lap
 
     def is_connected(self) -> bool:
         """True iff breadth-first search from node 0 reaches every node."""

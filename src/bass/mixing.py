@@ -67,6 +67,13 @@ class SpectralObjective:
         return float(np.linalg.eigvalsh(mat)[-1])
 
 
+def contracts(value: float) -> bool:
+    """True iff an objective value s(eps) is below one."""
+    # A node that never mixes keeps an eigenvalue of exactly 1; the margin
+    # absorbs eigensolver rounding.
+    return value < 1.0 - 1e-12
+
+
 @dataclass(frozen=True)
 class EpsilonSearch:
     """Result of the 1-D mixing-parameter optimization."""
@@ -132,9 +139,7 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-6) -> Epsilon
         hi *= 2.0
     else:
         eps, val = _golden_min(objective.value, 0.0, hi, width)
-    # A node that never mixes keeps an eigenvalue of exactly 1; the margin
-    # absorbs eigensolver rounding.
-    if val >= 1.0 - 1e-12:
+    if not contracts(val):
         warnings.warn(
             f"s* = {val:.6g} >= 1: no step size contracts the expected consensus "
             "error, since some nodes never exchange (e.g. zero-probability "

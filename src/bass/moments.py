@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Topology
 from .partition import CollisionFreePartition
-from .scheduling import effective_topology
+from .scheduling import SchedulingPolicy, sample_round
 
 # Monte Carlo rounds per vectorized block are capped so that one block x n
 # array stays under this many elements (8 MB of float64).
@@ -133,13 +133,14 @@ def monte_carlo_moments(
     uniforms per round in subset order (chunked draws fill row-major, so the
     stream is identical value-for-value). Accumulation is vectorized over
     round blocks of at most ``chunk`` rounds, capped so one block x n array
-    stays under ``_MC_BLOCK_ELEMENTS``; ``chunk=1`` falls back to the literal
-    per-round production path, which the tests pin the vectorized path
-    against.
+    stays under ``_MC_BLOCK_ELEMENTS``; ``chunk=1`` rebuilds each round from
+    the edges that survive ``scheduling.sample_round``, the production
+    sampler, which the tests pin the vectorized path against.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     subset_probs = subset_probs_from_node_probs(partition, node_probs)
+    policy = SchedulingPolicy(subset_probs, subset_probs.sum(), epsilon=0.0)
     owner = partition.owner_array
     adj = topology.adjacency
     n = topology.n
@@ -153,9 +154,10 @@ def monte_carlo_moments(
     while done < samples:
         block = min(chunk, samples - done)
         if block == 1:
-            active = rng.random(subset_probs.size) < subset_probs
-            a_t, lap = effective_topology(topology, active[owner])
+            round_ = sample_round(policy, partition, topology, rng)
+            lap = topology.laplacian(round_.active_edges)
             deg = lap.diagonal()
+            a_t = np.diag(deg) - lap
             s_adj += a_t
             s_deg += deg
             s_deg2 += deg * deg
@@ -216,23 +218,3 @@ def enumerated_moments(
         s_deg_adj += weight * deg[:, None] * a_t
         s_adj2 += weight * (a_t @ a_t)
     return _assemble(s_adj, s_deg, s_deg2, s_deg_adj, s_adj2)
-
-
-def monte_carlo_gram_from_sampler(
-    sampler, n: int, samples: int, rng: np.random.Generator
-):
-    """(E[L~], E[L~^T L~]) estimated from an arbitrary round sampler.
-
-    ``sampler(rng)`` must return an object with an ``effective_laplacian``
-    attribute. Used for policies whose correlation structure is not covered
-    by the closed forms (e.g. link-based matching schedules).
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    s_lap = np.zeros((n, n))
-    s_gram = np.zeros((n, n))
-    for _ in range(samples):
-        lap = sampler(rng).effective_laplacian
-        s_lap += lap
-        s_gram += lap @ lap
-    return s_lap / samples, s_gram / samples

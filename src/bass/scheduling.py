@@ -1,9 +1,10 @@
 """Budget-constrained subset activation and per-round mixing matrices.
 
 Each collision-free subset is an independent Bernoulli coin per round. A
-round's effective topology keeps only bidirectional links: an edge survives
-iff both endpoints broadcast, which makes the effective adjacency, Laplacian
-and mixing matrix symmetric by construction.
+round keeps only bidirectional links, so it is the set of base edges that
+survive it: an edge survives iff both endpoints broadcast. Its mixing matrix
+I - eps * L~ comes from the weighted-edge Laplacian of the surviving edges and
+is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -61,16 +62,22 @@ class RoundActivation:
     """One sampled communication round.
 
     ``active_subsets`` is the per-unit Bernoulli outcome (subsets here,
-    matchings for the link-based baseline); ``node_mask`` the 0/1 diagonal of
-    the broadcast selection; ``slots_used`` the transmission slots consumed.
+    matchings for the link-based baseline); ``active_edges`` the boolean mask
+    over the base ``edge_array`` of the links that survive the round;
+    ``slots_used`` the transmission slots consumed.
     """
 
     active_subsets: np.ndarray
-    node_mask: np.ndarray
-    effective_adjacency: np.ndarray
-    effective_laplacian: np.ndarray
+    active_edges: np.ndarray
     mixing_matrix: np.ndarray
     slots_used: int
+
+    @classmethod
+    def from_edges(cls, topology: Topology, epsilon, active_units, active_edges, slots_used):
+        """The round whose surviving edges are ``active_edges``, mixing with
+        W = I - epsilon * L~."""
+        mixing = np.eye(topology.n) - epsilon * topology.laplacian(active_edges)
+        return cls(active_units, active_edges, mixing, int(slots_used))
 
 
 def subset_betweenness(node_values: np.ndarray, partition: CollisionFreePartition) -> np.ndarray:
@@ -189,19 +196,6 @@ def node_probabilities(subset_probs, partition: CollisionFreePartition) -> np.nd
     return probs[partition.owner_array]
 
 
-def effective_topology(topology: Topology, node_mask: np.ndarray):
-    """Bidirectional subgraph induced by the broadcasting nodes.
-
-    Returns (adjacency, laplacian) of the round's effective topology: the
-    base adjacency masked on both rows and columns, so one-directional links
-    are dropped.
-    """
-    m = np.asarray(node_mask, dtype=float)
-    adj = topology.adjacency * np.outer(m, m)
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return adj, lap
-
-
 def sample_round(
     policy: SchedulingPolicy,
     partition: CollisionFreePartition,
@@ -221,14 +215,5 @@ def sample_round(
     if partition.n != topology.n:
         raise ValueError("partition and topology disagree on node count")
     active = rng.random(partition.q) < policy.subset_probs
-    mask = active[partition.owner_array]
-    adj, lap = effective_topology(topology, mask)
-    mixing = np.eye(topology.n) - policy.epsilon * lap
-    return RoundActivation(
-        active_subsets=active,
-        node_mask=mask.astype(int),
-        effective_adjacency=adj,
-        effective_laplacian=lap,
-        mixing_matrix=mixing,
-        slots_used=int(active.sum()),
-    )
+    active_edges = active[partition.owner_array[topology.edge_array]].all(axis=1)
+    return RoundActivation.from_edges(topology, policy.epsilon, active, active_edges, active.sum())

@@ -45,19 +45,17 @@ def two_stars_topology(n1: int, n2: int) -> Topology:
 def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
     """Connected Erdos-Renyi graph, resampled up to max_tries times.
 
-    Each attempt draws one uniform per node pair in lexicographic order, so
-    the result is deterministic given (n, p, seed).
+    Each attempt draws one uniform per node pair in lexicographic order, one
+    row i (the pairs (i, j > i)) at a time, so the result is deterministic
+    given (n, p, seed) and a draw needs O(n) memory.
     """
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ]
+        edges = []
+        for i in range(n):
+            edges.extend((i, j) for j in i + 1 + np.flatnonzero(rng.random(n - 1 - i) < p))
         t = Topology(n, edges)
         if t.is_connected():
             return t

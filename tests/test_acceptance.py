@@ -151,6 +151,7 @@ def test_c02_mixing_matrix_invariants():
         probs = rng.uniform(0.1, 0.9, part.q)
         policy = SchedulingPolicy(probs, float(probs.sum()), epsilon=0.3)
         adj = t.adjacency
+        i, j = t.edge_array.T
         off_base = (adj == 0) & ~np.eye(t.n, dtype=bool)
         ones = np.ones(t.n)
         for _ in range(1000):
@@ -163,10 +164,10 @@ def test_c02_mixing_matrix_invariants():
                 np.abs(ones @ w - ones).max(),
             )
             assert np.all(w[off_base] == 0.0)
-            mask = act.node_mask
-            assert np.array_equal(
-                act.effective_adjacency, adj * np.outer(mask, mask)
-            )
+            mask = act.active_subsets[part.owner_array]
+            adj_t = adj * np.outer(mask, mask)
+            assert np.array_equal(act.active_edges, mask[i] & mask[j])
+            assert np.array_equal(w, np.eye(t.n) - 0.3 * (np.diag(adj_t.sum(axis=1)) - adj_t))
             rounds_checked += 1
     ok = rounds_checked == 10_000 and worst_stochastic <= 1e-12
     _report(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bass import (
+    MatchaPolicy,
     SpectralObjective,
     Topology,
     dump_matchings,
@@ -12,7 +13,9 @@ from bass import (
     matching_decomposition,
     optimize_epsilon,
     sample_round,
+    two_stars_topology,
 )
+from bass.baselines import _MATCHA_BLOCK
 
 from .test_graph import p3, random_connected
 
@@ -71,7 +74,8 @@ class TestMatchaPolicy:
         policy = matcha_policy(md, 4.0, p3()).with_epsilon(0.3)
         assert np.allclose(policy.match_probs, 1.0)
         act = policy.sample_round(np.random.default_rng(0))
-        assert np.array_equal(act.effective_adjacency, p3().adjacency)
+        assert act.active_edges.all()
+        assert np.array_equal(act.mixing_matrix, np.eye(3) - 0.3 * p3().laplacian())
         assert act.slots_used == 4
 
     def test_half_budget_probabilities(self):
@@ -131,14 +135,24 @@ class TestMatchaPolicy:
         md = matching_decomposition(t)
         policy = matcha_policy(md, md.r * 0.8, t).with_epsilon(0.2)
         ones = np.ones(t.n)
+        i, j = t.edge_array.T
         for _ in range(200):
             act = policy.sample_round(rng)
             w = act.mixing_matrix
             assert np.abs(w - w.T).max() == 0.0
             assert np.abs(w @ ones - ones).max() <= 1e-12
             assert act.slots_used == 2 * act.active_subsets.sum()
+            # the round's graph is the union of its active matchings
+            adj_t = np.zeros((t.n, t.n))
+            for k in np.flatnonzero(act.active_subsets):
+                for a, b in md.matchings[k]:
+                    adj_t[a, b] = adj_t[b, a] = 1.0
             # active graph is a subgraph of the base topology
-            assert np.all(act.effective_adjacency <= t.adjacency)
+            assert np.all(adj_t <= t.adjacency)
+            assert np.array_equal(act.active_edges, adj_t[i, j] == 1.0)
+            assert np.array_equal(
+                w, np.eye(t.n) - 0.2 * (np.diag(adj_t.sum(axis=1)) - adj_t)
+            )
 
     def test_mean_slots_tracks_budget(self):
         rng = np.random.default_rng(97)
@@ -180,6 +194,42 @@ class TestMatchaPolicy:
         search = optimize_epsilon(SpectralObjective(e_lap, e_gram))
         assert 0.0 < search.epsilon
         assert search.value < 1.0
+
+    @pytest.mark.parametrize("t", [Topology(7, [(i, (i + 1) % 7) for i in range(7)]),
+                                   two_stars_topology(4, 5)])
+    def test_spectral_moments_equal_a_loop_over_rounds(self, t):
+        md = matching_decomposition(t)
+        assert md.r >= 3
+        policy = matcha_policy(md, 0.8 * md.r, t).with_epsilon(0.1)
+        samples = 3 * _MATCHA_BLOCK + 75
+        rng = np.random.default_rng(13)
+        s_lap = np.zeros((t.n, t.n))
+        s_gram = np.zeros((t.n, t.n))
+        for _ in range(samples):
+            edges = t.edge_array[policy.sample_round(rng).active_edges]
+            adj = np.zeros((t.n, t.n))
+            adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1.0
+            lap = np.diag(adj.sum(axis=1)) - adj
+            s_lap += lap
+            s_gram += lap @ lap
+        e_lap, e_gram = matcha_spectral_moments(policy, samples, np.random.default_rng(13))
+        assert np.array_equal(e_lap, s_lap / samples)
+        assert np.array_equal(e_gram, s_gram / samples)
+
+    def test_expected_laplacian_sums_matching_laplacians(self):
+        t = two_stars_topology(4, 5)
+        md = matching_decomposition(t)
+        policy = matcha_policy(md, 2.0, t)
+        expected = sum(
+            p * Topology(t.n, m).laplacian() for p, m in zip(policy.match_probs, md.matchings)
+        )
+        assert np.allclose(policy.expected_laplacian(), expected, rtol=0.0, atol=1e-15)
+
+    def test_matchings_must_cover_the_base_edges_once(self):
+        t = p3()
+        for matchings in ((((0, 1),),), (((0, 1),), ((1, 2), (0, 1))), (((0, 2),), ((0, 1), (1, 2)))):
+            with pytest.raises(ValueError):
+                MatchaPolicy(t, matchings, np.full(len(matchings), 0.5), 1.0)
 
 
 class TestFullCommPolicy:

@@ -27,11 +27,21 @@ class TestMomentsCheck:
         assert code == 0
         out = capsys.readouterr().out
         assert "closed - MC" in out
-        assert "closed - enum" in out
+        assert out.count("closed - enum") == 2
+        assert "enumeration skipped" not in out
         # parse the reported deviations and sanity-bound them
         devs = [float(line.rsplit(":", 1)[1]) for line in out.strip().splitlines()[1:]]
         assert max(devs[2:]) < 1e-12  # enumeration rows are exact
         assert max(devs[:2]) < 0.2
+
+    def test_enumeration_skipped_when_too_costly(self, capsys):
+        # q = 13 and n = 400: 2^13 dense 400 x 400 rounds is past the cost gate
+        code = main(["moments-check", "--topology", "er(400,0.012,1)", "--samples", "200"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "enumeration skipped: 2^q * n^3 = 2^13 * 400^3 exceeds 2^32" in out
+        assert "closed - enum" not in out
+        assert out.count("closed - MC") == 2
 
     def test_matcha_unsupported(self, capsys):
         code = main(["moments-check", "--topology", "ring(6)", "--policy", "matcha"])

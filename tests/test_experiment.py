@@ -1,11 +1,17 @@
+import warnings
+
 import pytest
 
 from bass import (
     ExperimentConfig,
     MetricsLog,
+    PolicySpec,
     RoundRecord,
+    build_policy,
+    greedy_partition,
     load_config,
     parse_config_text,
+    ring_topology,
     run_experiment,
     slots_to_reach,
     summarize,
@@ -25,9 +31,18 @@ def quick_config(tmp_path, **overrides):
         dim=1,
         out_dir=str(tmp_path / "out"),
         eps_mc_samples=2000,
+        # plain bass leaves two-stars(4,4)'s zero-betweenness subset silent,
+        # which cannot contract (s* = 1)
+        min_subset_prob=0.1,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def run_without_warnings(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        return run_experiment(cfg)
 
 
 class TestConfig:
@@ -85,6 +100,25 @@ class TestConfig:
         assert cfg.topology == "ring(6)"
 
 
+class TestBuildPolicy:
+    def build_full_ring6(self, epsilon):
+        t = ring_topology(6)
+        spec = PolicySpec(label="full", kind="full", budget_slots=3.0, frac=None)
+        return build_policy(spec, t, greedy_partition(t), ExperimentConfig(epsilon=epsilon))
+
+    def test_fixed_epsilon_that_cannot_contract_warns(self):
+        # W = I - L on ring(6): L has eigenvalue 4, so s(1) = (1 - 4)^2 = 9
+        with pytest.warns(UserWarning, match=r"epsilon = 1 gives s\(epsilon\) = 9 >= 1"):
+            policy, search = self.build_full_ring6(1.0)
+        assert policy.epsilon == 1.0 and search is None
+
+    def test_contracting_fixed_epsilon_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            policy, search = self.build_full_ring6(0.25)
+        assert policy.epsilon == 0.25 and search is None
+
+
 class TestSummarize:
     def make_log(self, slots, losses):
         records = [
@@ -118,7 +152,7 @@ class TestSummarize:
 class TestRunExperiment:
     def test_file_counting(self, tmp_path):
         cfg = quick_config(tmp_path)
-        result = run_experiment(cfg)
+        result = run_without_warnings(cfg)
         run_files = [p for files in result.run_files.values() for p in files.values()]
         assert len(run_files) == 9  # 3 policies x 3 seeds
         assert all(p.exists() for p in run_files)
@@ -137,8 +171,8 @@ class TestRunExperiment:
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         cfg_a = quick_config(tmp_path, out_dir=str(tmp_path / "a"), seeds=(0, 1))
         cfg_b = quick_config(tmp_path, out_dir=str(tmp_path / "b"), seeds=(0, 1))
-        res_a = run_experiment(cfg_a)
-        res_b = run_experiment(cfg_b)
+        res_a = run_without_warnings(cfg_a)
+        res_b = run_without_warnings(cfg_b)
         for label in res_a.run_files:
             for seed in res_a.run_files[label]:
                 assert (
@@ -171,7 +205,8 @@ class TestRunExperiment:
     def test_report_states_achieved_budget_on_shortfall(self, tmp_path):
         # plain bass on two-stars(4,4) gives the zero-betweenness subset
         # nothing, so 0.5 of the requested 2.5 slots cannot be spent
-        cfg = quick_config(tmp_path, policies=("bass", "matcha", "full"), seeds=(0,), rounds=1)
+        cfg = quick_config(tmp_path, policies=("bass", "matcha", "full"), seeds=(0,), rounds=1,
+                           min_subset_prob=0.0)
         with pytest.warns(UserWarning, match="unattainable"):
             result = run_experiment(cfg)
         lines = {line.split(":")[0]: line for line in result.report}
@@ -181,7 +216,7 @@ class TestRunExperiment:
 
     def test_same_seed_same_data_across_policies(self, tmp_path):
         cfg = quick_config(tmp_path, policies=("bass", "full"), seeds=(5,), rounds=3)
-        result = run_experiment(cfg)
+        result = run_without_warnings(cfg)
         # both policies face the same objective: identical loss at round 0
         # is too strict (policies mix differently), but the logs must exist
         # and start from the same cumulative-slot origin of their own policy
@@ -208,7 +243,8 @@ class TestRunExperiment:
         # plain proportional scheduling on a star silences the leaves, no
         # link is ever bidirectional, and the epsilon search degenerates
         cfg = quick_config(
-            tmp_path, topology="star(6)", policies=("bass",), seeds=(0,), rounds=3
+            tmp_path, topology="star(6)", policies=("bass",), seeds=(0,), rounds=3,
+            min_subset_prob=0.0,
         )
         with pytest.warns(UserWarning):
             result = run_experiment(cfg)

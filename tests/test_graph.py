@@ -97,6 +97,13 @@ class TestTopology:
         with pytest.raises(ValueError):
             t.adjacency[0, 0] = 5.0
 
+    def test_edge_array_is_readonly_and_sorted(self):
+        t = Topology(4, [(3, 1), (0, 2), (1, 0)])
+        assert t.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+        with pytest.raises(ValueError):
+            t.edge_array[0, 0] = 3
+        assert Topology(2).edge_array.shape == (0, 2)
+
     def test_equality_and_hash(self):
         assert p3() == Topology(3, [(2, 1), (1, 0)])
         assert hash(p3()) == hash(Topology(3, [(1, 2), (0, 1)]))
@@ -114,6 +121,28 @@ class TestLaplacian:
     def test_p3_eigenvalues(self):
         eig = np.linalg.eigvalsh(p3().laplacian())
         assert np.allclose(eig, [0.0, 1.0, 3.0], atol=1e-12)
+
+    def test_weighted_edges(self):
+        # sum_e w_e (u_i - u_j)(u_i - u_j)^T, one term per row of edge_array
+        rng = np.random.default_rng(5)
+        t = random_connected(rng, 9, extra_edges=4)
+        weights = rng.uniform(0.0, 2.0, len(t.edges))
+        expected = np.zeros((t.n, t.n))
+        for w, (i, j) in zip(weights, t.edges):
+            u = np.zeros(t.n)
+            u[i], u[j] = 1.0, -1.0
+            expected += w * np.outer(u, u)
+        assert np.allclose(t.laplacian(weights), expected, rtol=0.0, atol=1e-14)
+
+    def test_edge_mask_keeps_the_masked_edges(self):
+        t = Topology(4, [(0, 1), (1, 2), (2, 3)])
+        kept = Topology(4, [(0, 1), (2, 3)])
+        assert np.array_equal(t.laplacian(np.array([True, False, True])), kept.laplacian())
+        assert np.array_equal(t.laplacian(np.zeros(3, dtype=bool)), np.zeros((4, 4)))
+
+    def test_wrong_weight_count_rejected(self):
+        with pytest.raises(ValueError):
+            p3().laplacian(np.ones(3))
 
     def test_zero_row_sums_exact(self):
         rng = np.random.default_rng(11)

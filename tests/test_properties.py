@@ -89,10 +89,17 @@ def test_sampled_rounds_keep_the_mixing_invariants(t, eps_share, seed):
     probs = rng.uniform(0.0, 1.0, part.q)
     policy = SchedulingPolicy(probs, probs.sum(), epsilon)
     adj = t.adjacency
+    i, j = t.edge_array.T
     ones = np.ones(t.n)
     for _ in range(5):
         round_ = sample_round(policy, part, t, rng)
         w = round_.mixing_matrix
+        # an edge survives iff both endpoint subsets broadcast, and W is
+        # I - eps * L~ of the surviving graph A~ = A * m m^T
+        mask = round_.active_subsets[part.owner_array]
+        assert np.array_equal(round_.active_edges, mask[i] & mask[j])
+        adj_t = adj * np.outer(mask, mask)
+        assert np.array_equal(w, np.eye(t.n) - epsilon * (np.diag(adj_t.sum(axis=1)) - adj_t))
         assert np.array_equal(w, w.T)
         assert np.abs(w @ ones - 1.0).max() <= 1e-12
         assert np.abs(ones @ w - 1.0).max() <= 1e-12

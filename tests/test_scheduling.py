@@ -130,7 +130,7 @@ class TestSampleRound:
         part = greedy_partition(t)
         policy = self.policy_for(part, [1.0, 1.0], eps=0.25)
         act = sample_round(policy, part, t, np.random.default_rng(0))
-        assert np.array_equal(act.effective_adjacency, t.adjacency)
+        assert act.active_edges.tolist() == [True]
         expected_w = np.eye(2) - 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert np.allclose(act.mixing_matrix, expected_w)
         assert act.slots_used == 2
@@ -140,10 +140,10 @@ class TestSampleRound:
         part = CollisionFreePartition([[0], [1]])
         policy = self.policy_for(part, [1.0, 0.0])
         act = sample_round(policy, part, t, np.random.default_rng(0))
-        assert np.array_equal(act.effective_adjacency, np.zeros((2, 2)))
+        assert act.active_edges.tolist() == [False]
         assert np.array_equal(act.mixing_matrix, np.eye(2))
         assert act.slots_used == 1
-        assert list(act.node_mask) == [1, 0]
+        assert act.active_subsets[part.owner_array].tolist() == [True, False]
 
     def test_full_activation_recovers_base_graph(self):
         rng = np.random.default_rng(11)
@@ -152,7 +152,8 @@ class TestSampleRound:
         policy = self.policy_for(part, np.ones(part.q))
         for _ in range(5):
             act = sample_round(policy, part, t, rng)
-            assert np.array_equal(act.effective_adjacency, t.adjacency)
+            assert act.active_edges.all()
+            assert np.array_equal(act.mixing_matrix, np.eye(t.n) - 0.5 * t.laplacian())
             assert act.slots_used == part.q
 
     def test_requires_epsilon(self):
@@ -176,9 +177,12 @@ class TestSampleRound:
                 assert np.abs(w - w.T).max() == 0.0
                 assert np.abs(w @ ones - ones).max() <= 1e-12
                 assert np.abs(ones @ w - ones).max() <= 1e-12
-                mask = act.node_mask
+                mask = act.active_subsets[part.owner_array]
+                adj_t = t.adjacency * np.outer(mask, mask)
+                i, j = t.edge_array.T
+                assert np.array_equal(act.active_edges, mask[i] & mask[j])
                 assert np.array_equal(
-                    act.effective_adjacency, t.adjacency * np.outer(mask, mask)
+                    w, np.eye(t.n) - 0.3 * (np.diag(adj_t.sum(axis=1)) - adj_t)
                 )
 
     def test_coactivated_nodes_never_adjacent(self):
@@ -190,7 +194,7 @@ class TestSampleRound:
         walks2 = adj @ adj
         for _ in range(100):
             act = sample_round(policy, part, t, rng)
-            on = np.flatnonzero(act.node_mask)
+            on = np.flatnonzero(act.active_subsets[part.owner_array])
             for a in range(len(on)):
                 for b in range(a + 1, len(on)):
                     i, j = on[a], on[b]

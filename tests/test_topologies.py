@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bass import (
@@ -38,6 +39,19 @@ class TestPresets:
         b = er_topology(10, 0.4, seed=7)
         assert a == b
         assert a.is_connected()
+
+    @pytest.mark.parametrize("n, p, seed", [(10, 0.3, 7), (100, 0.05, 3), (12, 0.2, 1)])
+    def test_er_matches_per_pair_draws(self, n, p, seed):
+        # one uniform per pair in lexicographic order, resampled until connected
+        rng = np.random.default_rng(seed)
+        for attempt in range(100):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            reference = Topology(n, pairs)
+            if reference.is_connected():
+                break
+        if seed == 1:
+            assert attempt > 0  # er(12, 0.2, 1) needs a resample
+        assert er_topology(n, p, seed).edges == reference.edges
 
     def test_er_sparse_gives_up(self):
         with pytest.raises(ValueError, match="larger p"):
