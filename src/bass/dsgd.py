@@ -83,14 +83,13 @@ def gradient_step(
     batch_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One local stochastic gradient step per node (row)."""
+    """One local stochastic gradient step per node (row), from one batched call."""
     if lr < 0:
         raise ValueError("lr must be nonnegative")
-    grads = np.empty_like(state)
-    for node in range(state.shape[0]):
-        grads[node] = obj.stochastic_gradient(node, state[node], batch_size, rng)
-        if not np.isfinite(grads[node]).all():
-            raise RuntimeError(f"non-finite gradient at node {node}; aborting run")
+    grads = obj.gradients(state, batch_size, rng)
+    bad = ~np.isfinite(grads).all(axis=1)
+    if bad.any():
+        raise RuntimeError(f"non-finite gradient at node {int(bad.argmax())}; aborting run")
     return state - lr * grads
 
 
@@ -115,10 +114,7 @@ def consensus_error(state: np.ndarray) -> float:
 
 def global_train_loss(obj: LocalObjective, state: np.ndarray) -> float:
     """Collaborative objective at the node-averaged model: mean_i F_i(mean_x)."""
-    mean_model = state.mean(axis=0)
-    return float(
-        np.mean([obj.full_loss(i, mean_model) for i in range(obj.num_nodes)])
-    )
+    return float(np.mean(obj.local_losses(state.mean(axis=0))))
 
 
 def _round_sampler(topology, policy, partition):

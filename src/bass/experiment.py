@@ -287,34 +287,31 @@ def summarize(logs_by_seed: dict[int, MetricsLog]):
     per_seed = []
     for log in logs_by_seed.values():
         slots = np.array([r.cum_slots for r in log.records])
-        loss = np.array([r.train_loss for r in log.records])
-        test = np.array(
-            [np.nan if r.test_metric is None else r.test_metric for r in log.records]
-        )
-        cons = np.array([r.consensus_error for r in log.records])
-        per_seed.append((slots, loss, test, cons))
-    if not per_seed or any(len(s[0]) == 0 for s in per_seed):
+        metrics = np.array(
+            [
+                (r.train_loss, np.nan if r.test_metric is None else r.test_metric,
+                 r.consensus_error)
+                for r in log.records
+            ]
+        ).reshape(-1, 3)
+        per_seed.append((slots, metrics))
+    if not per_seed or any(slots.size == 0 for slots, _ in per_seed):
         return []
-    lo = max(s[0][0] for s in per_seed)
-    hi = min(s[0][-1] for s in per_seed)
-    grid = sorted({v for s in per_seed for v in s[0] if lo <= v <= hi})
-    rows = []
-    for g in grid:
-        losses, tests, conss = [], [], []
-        for slots, loss, test, cons in per_seed:
-            idx = np.searchsorted(slots, g, side="right") - 1
-            losses.append(loss[idx])
-            tests.append(test[idx])
-            conss.append(cons[idx])
-        rows.append(
-            (
-                g,
-                float(np.median(losses)),
-                float(np.median(tests)) if not np.isnan(tests).any() else None,
-                float(np.median(conss)),
-            )
-        )
-    return rows
+    lo = max(slots[0] for slots, _ in per_seed)
+    hi = min(slots[-1] for slots, _ in per_seed)
+    grid = np.unique(np.concatenate([slots for slots, _ in per_seed]))
+    grid = grid[(lo <= grid) & (grid <= hi)]
+    # (seeds, grid, 3): each seed's metrics at its last record at or before
+    # each grid point.
+    at_grid = np.stack(
+        [metrics[np.searchsorted(slots, grid, side="right") - 1] for slots, metrics in per_seed]
+    )
+    medians = np.median(at_grid, axis=0)
+    test_known = ~np.isnan(at_grid[:, :, 1]).any(axis=0)
+    return [
+        (int(g), float(loss), float(test) if known else None, float(cons))
+        for g, (loss, test, cons), known in zip(grid, medians, test_known)
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

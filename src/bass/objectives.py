@@ -8,25 +8,27 @@ import numpy as np
 
 
 class LocalObjective(ABC):
-    """Per-node loss family.
+    """Per-node loss family, evaluated for every node in one call.
 
-    Implementations expose ``num_nodes`` and ``dim`` attributes. Gradients
-    are stochastic per node; ``full_loss`` evaluates a node's objective
-    exactly. ``known_optimum``/``test_metric`` are optional capabilities.
+    Implementations expose ``num_nodes`` and ``dim`` attributes.
+    ``gradients`` draws one stochastic gradient per node at that node's row of
+    the state; ``local_losses`` evaluates every node's objective exactly at
+    one shared model. ``known_optimum``/``test_metric`` are optional
+    capabilities.
     """
 
     num_nodes: int
     dim: int
 
     @abstractmethod
-    def stochastic_gradient(
-        self, node: int, x: np.ndarray, batch_size: int, rng: np.random.Generator
+    def gradients(
+        self, state: np.ndarray, batch_size: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Mini-batch gradient of node's local loss at model x."""
+        """Mini-batch gradient of each node's local loss at its row: (n, dim)."""
 
     @abstractmethod
-    def full_loss(self, node: int, x: np.ndarray) -> float:
-        """Node's exact local loss at model x."""
+    def local_losses(self, x: np.ndarray) -> np.ndarray:
+        """Every node's exact local loss at the one model x: (n,)."""
 
     def known_optimum(self):
         """Analytic minimizer of the collaborative objective, if available."""
@@ -51,12 +53,14 @@ class QuadraticObjective(LocalObjective):
         self.num_nodes = centers.shape[0]
         self.dim = centers.shape[1]
 
-    def stochastic_gradient(self, node, x, batch_size, rng):
-        return x - self.centers[node]
+    def gradients(self, state, batch_size, rng):
+        return state - self.centers
 
-    def full_loss(self, node, x):
-        diff = x - self.centers[node]
-        return float(0.5 * diff @ diff)
+    def local_losses(self, x):
+        diff = x - self.centers
+        # A stacked (1 x dim) @ (dim x 1) product is numpy's dot per node, so
+        # each loss equals 0.5 * diff_i @ diff_i to the last bit.
+        return 0.5 * (diff[:, None, :] @ diff[:, :, None]).ravel()
 
     def known_optimum(self):
         return self.centers.mean(axis=0)
@@ -113,19 +117,32 @@ class LogisticObjective(LocalObjective):
     """Multinomial logistic regression over sharded data.
 
     The model vector is a flattened (n_features + 1) x n_classes weight
-    matrix whose last row is the bias. Mini-batches are drawn with
-    replacement from the node's shard.
+    matrix whose last row is the bias. Shards may differ in size and may
+    overlap; their rows are gathered once, node after node, into one array.
+    Mini-batches are drawn with replacement from each node's shard.
     """
 
     def __init__(self, features, labels, shards, n_classes, test_features=None, test_labels=None):
+        shards = [np.asarray(s, dtype=int) for s in shards]
+        if not shards or any(s.size == 0 for s in shards):
+            raise ValueError("every node needs a nonempty shard")
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        self._x_aug = np.hstack([features, np.ones((features.shape[0], 1))])
-        self._labels = labels
-        self.shards = [np.asarray(s, dtype=int) for s in shards]
+        rows = np.concatenate(shards)
+        self._rows = np.hstack([features[rows], np.ones((rows.size, 1))])
+        self._targets = np.asarray(labels, dtype=int)[rows]
+        self.shard_sizes = np.array([s.size for s in shards])
+        self._starts = np.cumsum(self.shard_sizes) - self.shard_sizes
+        # Nodes grouped by shard size, each with a (nodes, size) array of its
+        # row indices, so each shard's loss is numpy's own mean over its rows
+        # (bit-identical to a per-shard .mean(); np.add.reduceat sums in
+        # another order).
+        self._size_groups = []
+        for size in np.unique(self.shard_sizes):
+            nodes = np.flatnonzero(self.shard_sizes == size)
+            self._size_groups.append((nodes, self._starts[nodes, None] + np.arange(size)))
         self.n_classes = int(n_classes)
         self.n_features = features.shape[1]
-        self.num_nodes = len(self.shards)
+        self.num_nodes = len(shards)
         self.dim = (self.n_features + 1) * self.n_classes
         if test_features is not None:
             test_features = np.asarray(test_features, dtype=float)
@@ -138,29 +155,34 @@ class LogisticObjective(LocalObjective):
             self._test_labels = None
 
     def _softmax(self, x, rows):
-        logits = rows @ x.reshape(self.n_features + 1, self.n_classes)
-        logits = logits - logits.max(axis=1, keepdims=True)
+        """Class probabilities of rows (..., b, n_features + 1) under models
+        x (..., dim), one model per leading index."""
+        weights = x.reshape(*x.shape[:-1], self.n_features + 1, self.n_classes)
+        logits = rows @ weights
+        logits = logits - logits.max(axis=-1, keepdims=True)
         expv = np.exp(logits)
-        return expv / expv.sum(axis=1, keepdims=True)
+        return expv / expv.sum(axis=-1, keepdims=True)
 
-    def _loss(self, x, rows, targets):
-        probs = self._softmax(x, rows)
-        picked = probs[np.arange(len(targets)), targets]
-        return float(-np.log(np.maximum(picked, 1e-300)).mean())
+    def gradients(self, state, batch_size, rng):
+        """One draw of every node's batch indices, node-major, then one
+        stacked softmax and one stacked rows^T @ (P - Y)."""
+        draws = rng.integers(0, self.shard_sizes[:, None], size=(self.num_nodes, batch_size))
+        idx = self._starts[:, None] + draws
+        rows = self._rows[idx]
+        onehot = self._targets[idx][..., None] == np.arange(self.n_classes)
+        residual = self._softmax(state, rows) - onehot
+        grads = rows.transpose(0, 2, 1) @ residual / batch_size
+        return grads.reshape(self.num_nodes, self.dim)
 
-    def _grad(self, x, rows, targets):
-        probs = self._softmax(x, rows)
-        probs[np.arange(len(targets)), targets] -= 1.0
-        return (rows.T @ probs / len(targets)).ravel()
-
-    def stochastic_gradient(self, node, x, batch_size, rng):
-        shard = self.shards[node]
-        idx = shard[rng.integers(0, len(shard), size=batch_size)]
-        return self._grad(x, self._x_aug[idx], self._labels[idx])
-
-    def full_loss(self, node, x):
-        shard = self.shards[node]
-        return self._loss(x, self._x_aug[shard], self._labels[shard])
+    def local_losses(self, x):
+        """Mean cross-entropy of each shard, from one softmax over all rows."""
+        probs = self._softmax(x, self._rows)
+        picked = probs[np.arange(self._targets.size), self._targets]
+        row_losses = -np.log(np.maximum(picked, 1e-300))
+        losses = np.empty(self.num_nodes)
+        for nodes, rows in self._size_groups:
+            losses[nodes] = row_losses[rows].mean(axis=1)
+        return losses
 
     def test_metric(self, state):
         """Accuracy of the node-averaged model on the held-out set."""

@@ -315,7 +315,9 @@ def test_c06_consensus_contraction():
     t = make_topology("two-stars(4,4)")
     part = greedy_partition(t)
     budget = 0.5 * part.q
-    policy, search = bass_policy_with_eps(t, part, budget)
+    # plain bass has s* = 1 here, a bound no mixing can miss; the floor makes it bite
+    policy, search = bass_policy_with_eps(t, part, budget, min_prob=0.1)
+    assert search.value < 1.0
     rng = np.random.default_rng(FIXTURE_SEED + 5)
     deviation = rng.normal(size=(t.n, 1))
     deviation -= deviation.mean(axis=0, keepdims=True)

@@ -38,8 +38,8 @@ def bass_policy(t, part, budget, tol=1e-6):
 
 
 class FailingObjective(QuadraticObjective):
-    def stochastic_gradient(self, node, x, batch_size, rng):
-        return np.full_like(x, np.nan)
+    def gradients(self, state, batch_size, rng):
+        return np.full_like(state, np.nan)
 
 
 class TestGradientStep:
@@ -66,6 +66,17 @@ class TestGradientStep:
         obj = FailingObjective([[0.0], [1.0]])
         with pytest.raises(RuntimeError, match="non-finite"):
             gradient_step(np.zeros((2, 1)), obj, 0.1, 1, np.random.default_rng(0))
+
+    def test_non_finite_gradient_names_the_first_bad_node(self):
+        class PartlyFailing(QuadraticObjective):
+            def gradients(self, state, batch_size, rng):
+                grads = super().gradients(state, batch_size, rng)
+                grads[[2, 4], 0] = [np.inf, np.nan]
+                return grads
+
+        obj = PartlyFailing(np.zeros((5, 2)))
+        with pytest.raises(RuntimeError, match="non-finite gradient at node 2;"):
+            gradient_step(np.ones((5, 2)), obj, 0.1, 1, np.random.default_rng(0))
 
 
 class TestConsensusStep:

@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from bass import (
@@ -142,6 +143,41 @@ class TestSummarize:
 
     def test_empty_logs(self):
         assert summarize({0: MetricsLog()}) == []
+
+    def test_matches_per_grid_point_loop(self):
+        rng = np.random.default_rng(59)
+        logs = {}
+        for seed in range(3):
+            slots = np.cumsum(rng.integers(0, 4, size=40))
+            records = [
+                RoundRecord(
+                    i + 1,
+                    int(s),
+                    1,
+                    float(rng.random()),
+                    None if seed == 1 and i % 3 == 0 else float(rng.random()),
+                    float(rng.random()),
+                )
+                for i, s in enumerate(slots)
+            ]
+            logs[seed] = MetricsLog(records=records)
+        rows = summarize(logs)
+        # the oracle: one searchsorted and one median per grid point
+        lo = max(log.records[0].cum_slots for log in logs.values())
+        hi = min(log.records[-1].cum_slots for log in logs.values())
+        observed = {r.cum_slots for log in logs.values() for r in log.records}
+        grid = sorted(g for g in observed if lo <= g <= hi)
+        assert [r[0] for r in rows] == grid
+        for g, row in zip(grid, rows):
+            at = []
+            for log in logs.values():
+                slots = [r.cum_slots for r in log.records]
+                at.append(log.records[np.searchsorted(slots, g, side="right") - 1])
+            tests = [r.test_metric for r in at]
+            assert row[1] == float(np.median([r.train_loss for r in at]))
+            assert row[2] == (None if None in tests else float(np.median(tests)))
+            assert row[3] == float(np.median([r.consensus_error for r in at]))
+        assert any(row[2] is None for row in rows) and any(row[2] is not None for row in rows)
 
     def test_slots_to_reach(self):
         log = self.make_log([2, 4, 6], [3.0, 2.0, 1.0])

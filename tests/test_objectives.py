@@ -1,7 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bass import LogisticObjective, QuadraticObjective, make_blobs, shard_data
+
+# --- per-node oracles: the loops the batched objectives replace -------------
+
+
+def augment(features):
+    return np.hstack([features, np.ones((len(features), 1))])
+
+
+def node_probs(x, rows, classes):
+    logits = rows @ x.reshape(rows.shape[1], classes)
+    logits = logits - logits.max(axis=1, keepdims=True)
+    expv = np.exp(logits)
+    return expv / expv.sum(axis=1, keepdims=True)
+
+
+def node_gradient(x, rows, targets, classes):
+    probs = node_probs(x, rows, classes)
+    probs[np.arange(len(targets)), targets] -= 1.0
+    return (rows.T @ probs / len(targets)).ravel()
+
+
+def node_loss(x, rows, targets, classes):
+    picked = node_probs(x, rows, classes)[np.arange(len(targets)), targets]
+    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+
+
+def loop_gradients(features, labels, shards, classes, state, batch_size, rng):
+    """Node after node: draw a batch from the node's shard, then its gradient."""
+    aug = augment(features)
+    grads = []
+    for node, shard in enumerate(shards):
+        idx = np.asarray(shard)[rng.integers(0, len(shard), size=batch_size)]
+        grads.append(node_gradient(state[node], aug[idx], labels[idx], classes))
+    return np.array(grads)
+
+
+def loop_losses(features, labels, shards, classes, x):
+    aug = augment(features)
+    return np.array([node_loss(x, aug[s], labels[s], classes) for s in shards])
 
 
 class TestQuadratic:
@@ -9,22 +50,39 @@ class TestQuadratic:
         obj = QuadraticObjective([[0.0, 0.0], [3.0, 1.0]])
         x = np.array([1.0, 2.0])
         rng = np.random.default_rng(0)
-        assert np.array_equal(obj.stochastic_gradient(0, x, 4, rng), x)
-        assert np.array_equal(obj.stochastic_gradient(1, x, 4, rng), x - [3.0, 1.0])
+        grads = obj.gradients(np.array([x, x]), 4, rng)
+        assert np.array_equal(grads[0], x)
+        assert np.array_equal(grads[1], x - [3.0, 1.0])
 
     def test_loss(self):
         obj = QuadraticObjective([[1.0]])
-        assert obj.full_loss(0, np.array([3.0])) == pytest.approx(2.0)
+        assert obj.local_losses(np.array([3.0]))[0] == pytest.approx(2.0)
 
     def test_known_optimum_is_stationary(self):
         rng = np.random.default_rng(1)
         centers = rng.normal(size=(5, 3))
         obj = QuadraticObjective(centers)
         opt = obj.known_optimum()
-        mean_grad = np.mean(
-            [obj.stochastic_gradient(i, opt, 1, rng) for i in range(5)], axis=0
-        )
+        mean_grad = obj.gradients(np.tile(opt, (5, 1)), 1, rng).mean(axis=0)
         assert np.abs(mean_grad).max() < 1e-8
+
+    def test_gradients_match_per_node_loop_and_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        centers = rng.normal(size=(6, 3))
+        state = rng.normal(size=(6, 3))
+        obj = QuadraticObjective(centers)
+        before = rng.bit_generator.state
+        grads = obj.gradients(state, 7, rng)
+        assert rng.bit_generator.state == before
+        assert np.array_equal(grads, np.array([state[i] - centers[i] for i in range(6)]))
+
+    def test_local_losses_match_per_node_loop(self):
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(9, 2))
+        x = rng.normal(size=2)
+        obj = QuadraticObjective(centers)
+        expected = [float(0.5 * (x - c) @ (x - c)) for c in centers]
+        assert obj.local_losses(x).tolist() == expected
 
 
 class TestShardData:
@@ -74,56 +132,63 @@ class TestMakeBlobs:
 
 class TestLogistic:
     def build(self, n=60, n_test=30, classes=3, features=4, nodes=3, seed=13):
+        """The objective plus the training data and shards it was built from."""
         rng = np.random.default_rng(seed)
         x, y = make_blobs(n + n_test, classes, features, rng)
         shards = shard_data(n, y[:n], nodes, rng)
-        return LogisticObjective(x[:n], y[:n], shards, classes, x[n:], y[n:])
+        obj = LogisticObjective(x[:n], y[:n], shards, classes, x[n:], y[n:])
+        return obj, (x[:n], y[:n], shards)
 
     def test_dimensions(self):
-        obj = self.build()
+        obj, _ = self.build()
         assert obj.num_nodes == 3
         assert obj.dim == 5 * 3  # (features + bias) * classes
 
     def test_gradient_matches_finite_differences(self):
-        obj = self.build()
+        _, (features, labels, shards) = self.build()
+        # one-row shards make every mini-batch gradient the exact gradient of
+        # the node's local loss, so gradients and local_losses check each other
+        rows = shards[1][:4]
+        obj = LogisticObjective(features, labels, [[i] for i in rows], 3)
         rng = np.random.default_rng(17)
-        x = rng.normal(0, 0.3, obj.dim)
-        shard = obj.shards[1]
-        # full-shard gradient via a batch the size of the shard is stochastic;
-        # check the exact full_loss gradient instead with central differences
-        grad = obj._grad(x, obj._x_aug[shard], obj._labels[shard])
+        state = rng.normal(0, 0.3, (len(rows), obj.dim))
+        grads = obj.gradients(state, 3, rng)
         h = 1e-6
-        for k in range(0, obj.dim, 5):
-            bump = np.zeros(obj.dim)
-            bump[k] = h
-            numeric = (obj.full_loss(1, x + bump) - obj.full_loss(1, x - bump)) / (2 * h)
-            assert grad[k] == pytest.approx(numeric, abs=1e-5)
+        for node in range(len(rows)):
+            for k in range(0, obj.dim, 5):
+                bump = np.zeros(obj.dim)
+                bump[k] = h
+                numeric = (
+                    obj.local_losses(state[node] + bump)[node]
+                    - obj.local_losses(state[node] - bump)[node]
+                ) / (2 * h)
+                assert grads[node, k] == pytest.approx(numeric, abs=1e-5)
 
     def test_stochastic_gradient_unbiased_direction(self):
-        obj = self.build()
+        obj, (features, labels, shards) = self.build()
         rng = np.random.default_rng(19)
-        x = np.zeros(obj.dim)
-        shard = obj.shards[0]
-        exact = obj._grad(x, obj._x_aug[shard], obj._labels[shard])
-        draws = np.mean(
-            [obj.stochastic_gradient(0, x, 64, rng) for _ in range(200)], axis=0
-        )
+        state = np.zeros((3, obj.dim))
+        shard = shards[0]
+        exact = node_gradient(state[0], augment(features)[shard], labels[shard], 3)
+        draws = np.mean([obj.gradients(state, 64, rng)[0] for _ in range(200)], axis=0)
         assert np.abs(draws - exact).max() < 0.1
 
     def test_zero_model_loss_is_log_classes(self):
-        obj = self.build()
-        assert obj.full_loss(0, np.zeros(obj.dim)) == pytest.approx(np.log(3), abs=1e-12)
+        obj, _ = self.build()
+        assert obj.local_losses(np.zeros(obj.dim)) == pytest.approx(
+            np.full(3, np.log(3)), abs=1e-12
+        )
 
     def test_test_metric_improves_with_training(self):
-        obj = self.build()
+        obj, (features, labels, shards) = self.build()
         x = np.zeros(obj.dim)
         state = np.tile(x, (3, 1))
         base_acc = obj.test_metric(state)
-        rng = np.random.default_rng(23)
         # a few centralized full-gradient steps on pooled data
-        pooled = np.concatenate(obj.shards)
+        pooled = np.concatenate(shards)
+        rows, targets = augment(features)[pooled], labels[pooled]
         for _ in range(150):
-            x = x - 0.5 * obj._grad(x, obj._x_aug[pooled], obj._labels[pooled])
+            x = x - 0.5 * node_gradient(x, rows, targets, 3)
         trained_acc = obj.test_metric(np.tile(x, (3, 1)))
         assert trained_acc > max(base_acc, 0.7)
 
@@ -133,3 +198,66 @@ class TestLogistic:
         shards = shard_data(30, y, 3, rng)
         obj = LogisticObjective(x, y, shards, 3)
         assert obj.test_metric(np.zeros((3, obj.dim))) is None
+
+    def test_empty_shard_rejected(self):
+        x, y = make_blobs(12, 3, 2, np.random.default_rng(31))
+        with pytest.raises(ValueError, match="nonempty shard"):
+            LogisticObjective(x, y, [np.arange(6), np.arange(0)], 3)
+
+
+class TestBatchedLogisticAgainstPerNodeLoop:
+    """The batched calls equal the per-node loops: same values, same draws."""
+
+    def data(self, n=53, nodes=5, seed=37):
+        rng = np.random.default_rng(seed)
+        x, y = make_blobs(n, 3, 4, rng)
+        return x, y, shard_data(n, y, nodes, rng)
+
+    @pytest.mark.parametrize("batch_size", [1, 7])
+    def test_gradients_and_generator_state(self, batch_size):
+        x, y, shards = self.data()
+        assert len({len(s) for s in shards}) > 1  # 53 rows, 10 shards: unequal
+        obj = LogisticObjective(x, y, shards, 3)
+        batched_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+        state = np.random.default_rng(43).normal(0, 0.5, (5, obj.dim))
+        for _ in range(3):  # consecutive rounds continue the same stream
+            batched = obj.gradients(state, batch_size, batched_rng)
+            expected = loop_gradients(x, y, shards, 3, state, batch_size, loop_rng)
+            assert batched.shape == (5, obj.dim)
+            np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-12)
+            assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_local_losses_on_overlapping_shards(self):
+        x, y = make_blobs(45, 3, 4, np.random.default_rng(47))
+        shards = [np.arange(0, 20), np.arange(10, 35), np.array([3, 3, 3, 40]), np.arange(45)]
+        obj = LogisticObjective(x, y, shards, 3)
+        model = np.random.default_rng(53).normal(0, 0.5, obj.dim)
+        np.testing.assert_allclose(
+            obj.local_losses(model), loop_losses(x, y, shards, 3, model), rtol=0, atol=1e-12
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    batch_size=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_logistic_matches_per_node_loop(sizes, batch_size, seed):
+    """Random shard sizes, shards drawn with overlap from a shared pool."""
+    rng = np.random.default_rng(seed)
+    x, y = make_blobs(40, 3, 2, rng)
+    shards = [rng.integers(0, 40, size=k) for k in sizes]
+    obj = LogisticObjective(x, y, shards, 3)
+    state = rng.normal(0, 0.5, (len(sizes), obj.dim))
+    batched_rng, loop_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    np.testing.assert_allclose(
+        obj.gradients(state, batch_size, batched_rng),
+        loop_gradients(x, y, shards, 3, state, batch_size, loop_rng),
+        rtol=0,
+        atol=1e-12,
+    )
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    np.testing.assert_allclose(
+        obj.local_losses(state[0]), loop_losses(x, y, shards, 3, state[0]), rtol=0, atol=1e-12
+    )
