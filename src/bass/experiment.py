@@ -46,6 +46,17 @@ _EPS_MC_SEED = 0xBA55
 
 POLICY_KINDS = ("bass", "uniform", "full", "matcha")
 
+# Least allowed value of each integer training/data key; test_samples = 0
+# means no held-out set.
+_LOWER_BOUNDS = {
+    "batch_size": 1,
+    "dim": 1,
+    "n_classes": 2,
+    "n_features": 1,
+    "eps_mc_samples": 1,
+    "test_samples": 0,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -94,6 +105,14 @@ class ExperimentConfig:
                 raise ValueError(f"budget fractions must lie in (0, 1], got {frac}")
         if not 0 <= self.min_subset_prob <= 1:
             raise ValueError(f"min_subset_prob must lie in [0, 1], got {self.min_subset_prob}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not self.lr_decay >= 0:
+            raise ValueError(f"lr_decay must be nonnegative, got {self.lr_decay}")
+        for key, least in _LOWER_BOUNDS.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+
 
 
 _CONFIG_TYPES = {
@@ -262,6 +281,8 @@ def _build_objective(cfg: ExperimentConfig, n_nodes: int, seed: int):
     train_x, test_x = features[: cfg.n_samples], features[cfg.n_samples :]
     train_y, test_y = labels[: cfg.n_samples], labels[cfg.n_samples :]
     shards = shard_data(cfg.n_samples, train_y, n_nodes, data_rng)
+    if cfg.test_samples == 0:
+        test_x = test_y = None
     return LogisticObjective(train_x, train_y, shards, cfg.n_classes, test_x, test_y)
 
 

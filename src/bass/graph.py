@@ -57,13 +57,8 @@ class Topology:
         """Weighted-edge Laplacian sum_e w_e (u_i - u_j)(u_i - u_j)^T, one
         weight per row of ``edge_array`` (a boolean mask keeps the masked
         edges); ``None`` weighs every edge 1, giving degree minus adjacency."""
-        n = self.n
-        i, j = self.edge_array.T
-        w = np.ones(len(i)) if weights is None else np.asarray(weights, dtype=float)
-        lap = np.zeros((n, n))
-        lap[i, j] = lap[j, i] = -w
-        lap.flat[:: n + 1] = np.bincount(i, w, n) + np.bincount(j, w, n)
-        return lap
+        w = None if weights is None else np.asarray(weights, dtype=float)
+        return _edge_matrix(self.n, self.edge_array, w)
 
     def is_connected(self) -> bool:
         """True iff breadth-first search from node 0 reaches every node."""
@@ -104,6 +99,19 @@ class Topology:
 
     def __repr__(self):
         return f"Topology(n={self.n}, edges={len(self.edges)})"
+
+
+def _edge_matrix(n, edges, weights=None, scale=1.0, shift=0.0) -> np.ndarray:
+    """shift * I + scale * L_w for the (k, 2) ``edges`` with weights w
+    (``None``: all 1), written into one zeroed n x n array: -scale * w_e at
+    (i, j) and (j, i), shift + scale * deg_w on the diagonal. Entries off the
+    given edges stay +0.0."""
+    i, j = edges.T
+    off = -scale * (1.0 if weights is None else weights)
+    out = np.zeros((n, n))
+    out[i, j] = out[j, i] = off
+    out.flat[:: n + 1] = shift + scale * (np.bincount(i, weights, n) + np.bincount(j, weights, n))
+    return out
 
 
 def betweenness_centrality(t: Topology) -> np.ndarray:

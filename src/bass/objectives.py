@@ -44,7 +44,7 @@ class QuadraticObjective(LocalObjective):
 
     The collaborative optimum is the mean of the targets, which makes this
     the exactness anchor for convergence tests. Gradients are deterministic
-    (full batch): grad = x - c_i.
+    (full batch): grad = x - c_i. The optimum is taken once, read-only.
     """
 
     def __init__(self, centers):
@@ -52,6 +52,8 @@ class QuadraticObjective(LocalObjective):
         self.centers = centers
         self.num_nodes = centers.shape[0]
         self.dim = centers.shape[1]
+        self._optimum = centers.mean(axis=0)
+        self._optimum.setflags(write=False)
 
     def gradients(self, state, batch_size, rng):
         return state - self.centers
@@ -63,11 +65,11 @@ class QuadraticObjective(LocalObjective):
         return 0.5 * (diff[:, None, :] @ diff[:, :, None]).ravel()
 
     def known_optimum(self):
-        return self.centers.mean(axis=0)
+        return self._optimum
 
     def test_metric(self, state):
         """Distance of the node-averaged model from the analytic optimum."""
-        return float(np.linalg.norm(state.mean(axis=0) - self.known_optimum()))
+        return float(np.linalg.norm(state.mean(axis=0) - self._optimum))
 
 
 def make_blobs(

@@ -3,8 +3,8 @@
 Each collision-free subset is an independent Bernoulli coin per round. A
 round keeps only bidirectional links, so it is the set of base edges that
 survive it: an edge survives iff both endpoints broadcast. Its mixing matrix
-I - eps * L~ comes from the weighted-edge Laplacian of the surviving edges and
-is symmetric by construction.
+W = I - eps * L~ is written in one pass from the surviving edges (eps on
+each, 1 - eps * degree on the diagonal) and is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _edge_matrix
 from .partition import CollisionFreePartition
 
 # Budget equality is enforced to this tolerance where attainable.
@@ -75,8 +75,10 @@ class RoundActivation:
     @classmethod
     def from_edges(cls, topology: Topology, epsilon, active_units, active_edges, slots_used):
         """The round whose surviving edges are ``active_edges``, mixing with
-        W = I - epsilon * L~."""
-        mixing = np.eye(topology.n) - epsilon * topology.laplacian(active_edges)
+        W = I - epsilon * L~, scattered straight from the surviving edges
+        into one n x n array (bit-identical to that expression, zeros +0.0)."""
+        edges = topology.edge_array[active_edges]
+        mixing = _edge_matrix(topology.n, edges, scale=-epsilon, shift=1.0)
         return cls(active_units, active_edges, mixing, int(slots_used))
 
 
@@ -215,5 +217,7 @@ def sample_round(
     if partition.n != topology.n:
         raise ValueError("partition and topology disagree on node count")
     active = rng.random(partition.q) < policy.subset_probs
-    active_edges = active[partition.owner_array[topology.edge_array]].all(axis=1)
+    owner = partition.owner_array
+    i, j = topology.edge_array.T
+    active_edges = active[owner[i]] & active[owner[j]]
     return RoundActivation.from_edges(topology, policy.epsilon, active, active_edges, active.sum())

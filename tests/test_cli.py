@@ -146,6 +146,16 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_training_key_fails_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code = main([
+            "run", "--topology", "ring(6)", "--lr-decay", "-20", "--rounds", "30",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "error: lr_decay must be nonnegative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_every_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         out_dir = tmp_path / "out"

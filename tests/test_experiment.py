@@ -69,6 +69,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="budget|min_subset_prob"):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", 0.0), ("lr", -0.1), ("lr", float("nan")), ("lr_decay", -20.0),
+        ("lr_decay", float("nan")), ("batch_size", 0), ("dim", 0),
+        ("n_classes", 1), ("n_features", 0), ("eps_mc_samples", 0), ("test_samples", -1),
+    ])
+    def test_out_of_range_training_key_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ExperimentConfig(**{key: value})
+
+    def test_smallest_training_keys_accepted(self):
+        ExperimentConfig(
+            lr=1e-9, lr_decay=0.0, batch_size=1, dim=1, n_classes=2, n_features=1,
+            eps_mc_samples=1, test_samples=0,
+        )
+
     def test_parse_config_text(self):
         text = """
         # comment
@@ -274,6 +289,20 @@ class TestRunExperiment:
         log = result.logs["full"][0]
         assert log.records[-1].test_metric is not None
         assert 0.0 <= log.records[-1].test_metric <= 1.0
+
+    def test_logistic_without_test_samples_leaves_the_test_column_empty(self, tmp_path):
+        cfg = quick_config(
+            tmp_path, objective="logistic", policies=("full",), seeds=(0,), rounds=3,
+            n_samples=80, test_samples=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_experiment(cfg)
+        assert all(r.test_metric is None for r in result.logs["full"][0].records)
+        rows = result.run_files["full"][0].read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[4] == "" for row in rows)
+        summary = result.summary_file.read_text().splitlines()[1:]
+        assert summary and all(row.split(",")[3] == "" for row in summary)
 
     def test_degenerate_policy_is_flagged(self, tmp_path):
         # plain proportional scheduling on a star silences the leaves, no

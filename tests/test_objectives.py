@@ -66,6 +66,14 @@ class TestQuadratic:
         mean_grad = obj.gradients(np.tile(opt, (5, 1)), 1, rng).mean(axis=0)
         assert np.abs(mean_grad).max() < 1e-8
 
+    def test_known_optimum_is_the_read_only_mean_of_the_centers(self):
+        centers = np.random.default_rng(2).normal(size=(7, 3))
+        obj = QuadraticObjective(centers)
+        opt = obj.known_optimum()
+        assert np.array_equal(opt, centers.mean(axis=0))
+        with pytest.raises(ValueError):
+            opt[0] = 0.0
+
     def test_gradients_match_per_node_loop_and_draw_nothing(self):
         rng = np.random.default_rng(3)
         centers = rng.normal(size=(6, 3))

@@ -1,4 +1,4 @@
-"""Property tests over random connected Erdos-Renyi graphs with n <= 10."""
+"""Property tests over random connected Erdos-Renyi graphs with n <= 12."""
 
 import warnings
 
@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from bass import (
     CollisionFreePartition,
+    MatchaPolicy,
+    RoundActivation,
     SchedulingPolicy,
     betweenness_centrality,
     enumerated_moments,
     er_topology,
     expected_laplacian_gram,
     greedy_partition,
+    matching_decomposition,
     node_probabilities,
     sample_round,
     solve_probabilities,
@@ -111,3 +114,41 @@ def test_sampled_rounds_keep_the_mixing_invariants(t, eps_share, seed):
             common = adj[members] @ adj[:, members]
             np.fill_diagonal(common, 0.0)
             assert not common.any()
+
+
+def assert_dense_mixing(t, epsilon, round_):
+    """W equals I - eps * L~ of the surviving edges to the bit, signs of zero
+    included."""
+    expected = np.eye(t.n) - epsilon * t.laplacian(round_.active_edges)
+    w = round_.mixing_matrix
+    assert np.array_equal(w, expected)
+    assert np.array_equal(np.signbit(w), np.signbit(expected))
+
+
+@PROPERTY
+@given(
+    st.builds(er_topology, n=st.integers(2, 12), p=st.floats(0.3, 1.0), seed=st.integers(0, 2**16)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_mixing_matrix_is_written_bit_identically_from_the_surviving_edges(t, epsilon, seed, data):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(len(t.edges)) < rng.random()
+    assert_dense_mixing(t, epsilon, RoundActivation.from_edges(t, epsilon, None, mask, 0))
+
+    part = data.draw(st.one_of(st.just(greedy_partition(t)), arbitrary_partitions(t.n)))
+    probs = rng.uniform(0.0, 1.0, part.q)
+    policy = SchedulingPolicy(probs, probs.sum(), epsilon)
+    md = matching_decomposition(t)
+    match_probs = rng.uniform(0.0, 1.0, md.r)
+    matcha = MatchaPolicy(t, md.matchings, match_probs, 2 * match_probs.sum(), epsilon)
+    for _ in range(5):
+        round_ = sample_round(policy, part, t, rng)
+        # the 2-D gather the two 1-D gathers replace
+        owners = part.owner_array[t.edge_array]
+        assert np.array_equal(round_.active_edges, round_.active_subsets[owners].all(axis=1))
+        assert_dense_mixing(t, epsilon, round_)
+        round_ = matcha.sample_round(rng)
+        assert np.array_equal(round_.active_edges, round_.active_subsets[matcha.edge_matching])
+        assert_dense_mixing(t, epsilon, round_)

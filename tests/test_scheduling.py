@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bass import (
     SchedulingPolicy,
     Topology,
     betweenness_centrality,
+    er_topology,
     greedy_partition,
     node_probabilities,
     sample_round,
@@ -223,6 +226,21 @@ class TestSampleRound:
         )
         sem = slots.std(ddof=1) / np.sqrt(len(slots))
         assert abs(slots.mean() - budget) <= 3 * sem + 1e-12
+
+    def test_round_holds_one_dense_matrix_at_its_peak(self):
+        t = er_topology(400, 0.012, 1)
+        part = greedy_partition(t)
+        policy = self.policy_for(part, np.full(part.q, 0.5))
+        rng = np.random.default_rng(0)
+        sample_round(policy, part, t, rng)  # warm-up
+        tracemalloc.start()
+        try:
+            sample_round(policy, part, t, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # W itself is n^2 floats; building it through temporaries took 2n^2
+        assert peak < 1.5 * t.n**2 * 8
 
 
 class TestSchedulingPolicy:
