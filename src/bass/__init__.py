@@ -52,7 +52,6 @@ from .mixing import (
     optimize_epsilon,
 )
 from .moments import (
-    MomentSet,
     enumerated_moments,
     expected_laplacian_gram,
     monte_carlo_moments,

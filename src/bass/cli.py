@@ -164,8 +164,7 @@ def _cmd_optimize_eps(args) -> int:
         node_p = node_probabilities(policy.subset_probs, partition)
         e_lap = expected_laplacian_gram(topology, partition, node_p).e_laplacian
     n = topology.n
-    mean_w = np.eye(n) - search.epsilon * e_lap
-    gap_matrix = mean_w - np.full((n, n), 1.0 / n)
+    gap_matrix = np.eye(n) - search.epsilon * e_lap - 1.0 / n
     rho = float(np.max(np.abs(np.linalg.eigvalsh(gap_matrix))))
     print(f"rho(E[W] - J) = {rho:.8g}  (mean-matrix contraction, reported only)")
     return 0

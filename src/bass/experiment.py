@@ -98,8 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.budget is not None and self.budget_frac is not None:
             raise ValueError("give either budget or budget_frac, not both")
-        if self.budget is not None and self.budget <= 0:
+        if self.budget is not None and not self.budget > 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
+        if self.budget_sweep and (self.budget is not None or self.budget_frac is not None):
+            raise ValueError("budget_sweep sets every budget; drop budget and budget_frac")
         for frac in (self.budget_frac, *(self.budget_sweep or ())):
             if frac is not None and not 0 < frac <= 1:
                 raise ValueError(f"budget fractions must lie in (0, 1], got {frac}")
@@ -109,6 +111,10 @@ class ExperimentConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not self.lr_decay >= 0:
             raise ValueError(f"lr_decay must be nonnegative, got {self.lr_decay}")
+        if not 0 <= self.center_spread < float("inf"):
+            raise ValueError(
+                f"center_spread must be finite and nonnegative, got {self.center_spread}"
+            )
         for key, least in _LOWER_BOUNDS.items():
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
@@ -255,8 +261,7 @@ def build_policy(
         objective = SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
     else:
         node_p = node_probabilities(policy.subset_probs, partition)
-        moments = expected_laplacian_gram(topology, partition, node_p)
-        objective = SpectralObjective.from_moments(moments)
+        objective = expected_laplacian_gram(topology, partition, node_p)
     if cfg.epsilon == "auto":
         search = optimize_epsilon(objective)
         return policy.with_epsilon(search.epsilon), search
@@ -338,6 +343,11 @@ def summarize(logs_by_seed: dict[int, MetricsLog]):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (policy, seed) combination and write per-run plus summary CSVs."""
     topology = make_topology(cfg.topology)
+    if cfg.objective == "logistic" and cfg.n_samples < 2 * topology.n:
+        raise ValueError(
+            f"n_samples must be at least {2 * topology.n} (two shards for each of "
+            f"{topology.n} nodes), got {cfg.n_samples}"
+        )
     partition = greedy_partition(topology)
     md = matching_decomposition(topology)
     specs = _policy_specs(cfg, partition, md)
@@ -377,17 +387,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             result.run_files[spec.label][seed] = path
             result.logs[spec.label][seed] = log
 
+    curves = {spec.label: summarize(result.logs[spec.label]) for spec in specs}
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="\n") as fh:
         fh.write("policy,cum_slots,train_loss,test_metric,consensus_error\n")
         for spec in specs:
-            for slots, loss, test, cons in summarize(result.logs[spec.label]):
+            for slots, loss, test, cons in curves[spec.label]:
                 test_str = "" if test is None else f"{test:.12g}"
                 fh.write(f"{spec.label},{slots},{loss:.12g},{test_str},{cons:.12g}\n")
     result.summary_file = summary_path
 
     if cfg.budget_sweep:
-        result.report.extend(_sweep_report(result, specs))
+        result.report.extend(_sweep_report(curves, specs))
     return result
 
 
@@ -399,8 +410,9 @@ def slots_to_reach(log: MetricsLog, target_loss: float):
     return None
 
 
-def _sweep_report(result: ExperimentResult, specs) -> list[str]:
-    """Per-slot efficiency observation across budget fractions.
+def _sweep_report(curves: dict, specs) -> list[str]:
+    """Per-slot efficiency observation across budget fractions, from the
+    label -> ``summarize`` curve map that ``summary.csv`` was written from.
 
     Efficiency is measured as the median final train loss at the largest
     slot horizon shared by all sweep curves; the best fraction being strictly
@@ -409,9 +421,8 @@ def _sweep_report(result: ExperimentResult, specs) -> list[str]:
     sweep_specs = [s for s in specs if s.frac is not None and "@" in s.label]
     rows = {}
     for spec in sweep_specs:
-        curve = summarize(result.logs[spec.label])
-        if curve:
-            rows[spec.frac] = curve
+        if curves[spec.label]:
+            rows[spec.frac] = curves[spec.label]
     if len(rows) < 2:
         return ["budget-sweep: not enough curves to compare"]
     horizon = min(curve[-1][0] for curve in rows.values())

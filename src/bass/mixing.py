@@ -25,7 +25,8 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True, eq=False)
 class SpectralObjective:
-    """Expected-contraction objective built from the Laplacian moments."""
+    """The two activation moments E[L~] and E[L~^T L~], and the expected
+    contraction factor they define."""
 
     e_laplacian: np.ndarray
     e_gram: np.ndarray
@@ -41,28 +42,21 @@ class SpectralObjective:
         if self.e_laplacian.shape != self.e_gram.shape:
             raise ValueError("moment matrices must share a shape")
 
-    @classmethod
-    def from_moments(cls, moments) -> "SpectralObjective":
-        return cls(e_laplacian=moments.e_laplacian, e_gram=moments.e_gram)
-
     @property
     def n(self) -> int:
         return self.e_laplacian.shape[0]
-
-    @property
-    def averaging_matrix(self) -> np.ndarray:
-        return np.full((self.n, self.n), 1.0 / self.n)
 
     def value(self, eps: float) -> float:
         """Largest eigenvalue of E[W^2] - J at the given step size."""
         eps = float(eps)
         if eps < 0:
             raise ValueError("eps must be nonnegative")
+        # Every entry of J is 1/n, so J is subtracted as that scalar.
         mat = (
             np.eye(self.n)
             - 2.0 * eps * self.e_laplacian
             + eps * eps * self.e_gram
-            - self.averaging_matrix
+            - 1.0 / self.n
         )
         return float(np.linalg.eigvalsh(mat)[-1])
 

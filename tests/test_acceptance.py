@@ -89,7 +89,7 @@ def bass_policy_with_eps(t, part, budget, min_prob=0.0):
     moments = expected_laplacian_gram(
         t, part, node_probabilities(policy.subset_probs, part)
     )
-    search = optimize_epsilon(SpectralObjective.from_moments(moments))
+    search = optimize_epsilon(moments)
     return policy.with_epsilon(search.epsilon), search
 
 
@@ -119,10 +119,6 @@ def test_c01_moment_formula_equivalence():
             worst_enum,
             np.abs(closed.e_laplacian - exact.e_laplacian).max(),
             np.abs(closed.e_gram - exact.e_gram).max(),
-            np.abs(closed.e_deg2 - exact.e_deg2).max(),
-            np.abs(closed.e_deg_adj - exact.e_deg_adj).max(),
-            np.abs(closed.e_adj_deg - exact.e_adj_deg).max(),
-            np.abs(closed.e_adj2 - exact.e_adj2).max(),
         )
         mc = monte_carlo_moments(t, part, node_p, 100_000, np.random.default_rng(1000 + k))
         worst_mc = max(
@@ -188,8 +184,7 @@ def test_c03_epsilon_optimizer_correctness():
     for _ in range(10):
         t = random_connected(rng, int(rng.integers(4, 13)), extra_edges=3)
         part = greedy_partition(t)
-        ms = expected_laplacian_gram(t, part, np.ones(t.n))
-        obj = SpectralObjective.from_moments(ms)
+        obj = expected_laplacian_gram(t, part, np.ones(t.n))
         res = optimize_epsilon(obj, tol=1e-6)
         eigs = np.linalg.eigvalsh(t.laplacian())
         worst_eps_dev = max(worst_eps_dev, abs(res.epsilon - 2.0 / (eigs[1] + eigs[-1])))
@@ -197,7 +192,7 @@ def test_c03_epsilon_optimizer_correctness():
 
     p3 = Topology(3, [(0, 1), (1, 2)])
     part3 = greedy_partition(p3)
-    obj3 = SpectralObjective.from_moments(expected_laplacian_gram(p3, part3, np.ones(3)))
+    obj3 = expected_laplacian_gram(p3, part3, np.ones(3))
     res3 = optimize_epsilon(obj3, tol=1e-6)
     objectives.append((obj3, res3))
     p3_ok = abs(res3.epsilon - 0.5) <= 1e-4 and abs(res3.value - 0.25) <= 1e-4
@@ -206,7 +201,7 @@ def test_c03_epsilon_optimizer_correctness():
         t = random_connected(rng, int(rng.integers(4, 11)), extra_edges=2)
         part = greedy_partition(t)
         node_p = node_probabilities(rng.uniform(0.2, 0.9, part.q), part)
-        obj = SpectralObjective.from_moments(expected_laplacian_gram(t, part, node_p))
+        obj = expected_laplacian_gram(t, part, node_p)
         objectives.append((obj, optimize_epsilon(obj, tol=1e-6)))
 
     # the grid is the independence oracle: the search result must never sit
@@ -381,9 +376,7 @@ def _headline_policies(t, part, frac):
     msearch = optimize_epsilon(SpectralObjective(e_lap, e_gram))
     policies["matcha"] = mpolicy.with_epsilon(msearch.epsilon)
     fpolicy = full_comm_policy(part)
-    fsearch = optimize_epsilon(
-        SpectralObjective.from_moments(expected_laplacian_gram(t, part, np.ones(t.n)))
-    )
+    fsearch = optimize_epsilon(expected_laplacian_gram(t, part, np.ones(t.n)))
     policies["full"] = fpolicy.with_epsilon(fsearch.epsilon)
     return policies
 

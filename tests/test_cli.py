@@ -156,6 +156,16 @@ class TestRun:
         assert "error: lr_decay must be nonnegative" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_too_few_logistic_samples_fail_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code = main([
+            "run", "--topology", "ring(6)", "--objective", "logistic",
+            "--n-samples", "5", "--rounds", "3", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "error: n_samples must be at least 12" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_every_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         out_dir = tmp_path / "out"

@@ -4,7 +4,6 @@ import pytest
 from bass import (
     QuadraticObjective,
     SchedulingPolicy,
-    SpectralObjective,
     Topology,
     TrainConfig,
     betweenness_centrality,
@@ -33,7 +32,7 @@ def bass_policy(t, part, budget, tol=1e-6):
     policy = SchedulingPolicy(probs, budget)
     node_p = node_probabilities(policy.subset_probs, part)
     moments = expected_laplacian_gram(t, part, node_p)
-    search = optimize_epsilon(SpectralObjective.from_moments(moments), tol)
+    search = optimize_epsilon(moments, tol)
     return policy.with_epsilon(search.epsilon), search
 
 
@@ -132,9 +131,7 @@ class TestRunTraining:
         part = greedy_partition(t)
         policy = SchedulingPolicy(np.ones(part.q), float(part.q))
         ms = expected_laplacian_gram(t, part, np.ones(3))
-        policy = policy.with_epsilon(
-            optimize_epsilon(SpectralObjective.from_moments(ms)).epsilon
-        )
+        policy = policy.with_epsilon(optimize_epsilon(ms).epsilon)
         obj = QuadraticObjective(np.array([[0.0], [3.0], [6.0]]))
         # lr 1.0 puts the mean model on the optimum after one full-batch
         # step; the decay then shrinks the dispersion floor below 1e-2

@@ -63,16 +63,23 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(budget_frac=0.0), dict(budget_frac=1.5), dict(budget_sweep=(0.5, 1.5)),
         dict(budget=0.0), dict(budget=-2.0),
-        dict(min_subset_prob=-0.1), dict(min_subset_prob=1.1),
+        dict(min_subset_prob=-0.1), dict(min_subset_prob=1.1), dict(budget=float("nan")),
     ])
     def test_out_of_range_budget_rejected(self, bad):
         with pytest.raises(ValueError, match="budget|min_subset_prob"):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("extra", [dict(budget=2.0), dict(budget_frac=0.5)])
+    def test_budget_sweep_with_a_budget_rejected(self, extra):
+        with pytest.raises(ValueError, match="budget_sweep"):
+            ExperimentConfig(budget_sweep=(0.5, 1.0), **extra)
+
     @pytest.mark.parametrize("key,value", [
         ("lr", 0.0), ("lr", -0.1), ("lr", float("nan")), ("lr_decay", -20.0),
         ("lr_decay", float("nan")), ("batch_size", 0), ("dim", 0),
         ("n_classes", 1), ("n_features", 0), ("eps_mc_samples", 0), ("test_samples", -1),
+        ("center_spread", -1.0), ("center_spread", float("nan")),
+        ("center_spread", float("inf")),
     ])
     def test_out_of_range_training_key_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):

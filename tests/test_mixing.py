@@ -17,16 +17,14 @@ from .test_graph import p3, random_connected
 
 def full_comm_objective(t):
     part = greedy_partition(t)
-    ms = expected_laplacian_gram(t, part, np.ones(t.n))
-    return SpectralObjective.from_moments(ms)
+    return expected_laplacian_gram(t, part, np.ones(t.n))
 
 
 def random_objective(rng, n_lo=4, n_hi=12):
     t = random_connected(rng, int(rng.integers(n_lo, n_hi)), extra_edges=3)
     part = greedy_partition(t)
     node_p = node_probabilities(rng.uniform(0.15, 0.95, part.q), part)
-    ms = expected_laplacian_gram(t, part, node_p)
-    return SpectralObjective.from_moments(ms), t
+    return expected_laplacian_gram(t, part, node_p), t
 
 
 def grid_minimum(obj, hi, points=10_001):
@@ -76,7 +74,7 @@ class TestObjectiveValue:
                     np.eye(obj.n)
                     - 2 * eps * obj.e_laplacian
                     + eps * eps * obj.e_gram
-                    - obj.averaging_matrix
+                    - np.full((obj.n, obj.n), 1.0 / obj.n)
                 )
                 assert np.linalg.eigvalsh(mat)[0] >= -1e-10
 
@@ -138,7 +136,7 @@ class TestOptimizeEpsilon:
         for scale in (0.4, 0.7, 1.0):
             node_p = node_probabilities(np.full(part.q, scale), part)
             ms = expected_laplacian_gram(t, part, node_p)
-            values.append(optimize_epsilon(SpectralObjective.from_moments(ms)).value)
+            values.append(optimize_epsilon(ms).value)
         if not all(a >= b - 1e-9 for a, b in zip(values, values[1:])):
             print(f"note: contraction factor not monotone in activation: {values}")
 

@@ -38,7 +38,7 @@ def random_fixture(rng, n_lo=3, n_hi=10):
     return t, part, node_probabilities(subset_probs, part)
 
 
-MOMENT_FIELDS = ("e_laplacian", "e_gram", "e_deg2", "e_deg_adj", "e_adj_deg", "e_adj2")
+MOMENT_FIELDS = ("e_laplacian", "e_gram")
 
 
 def traced_peak_mb(fn, *args):
@@ -149,22 +149,20 @@ class TestExpectedGram:
         # enumeration over the 4 outcomes: only both-on contributes, w.p. 0.25
         ms = expected_laplacian_gram(k2(), k2_split(), [0.5, 0.5])
         assert np.allclose(ms.e_gram, 0.25 * np.array([[2, -2], [-2, 2]]), atol=1e-15)
-        assert np.allclose(np.diag(ms.e_adj2), [0.25, 0.25], atol=1e-15)
 
     def test_single_node_all_zero(self):
         t = Topology(1)
         part = CollisionFreePartition([[0]])
         ms = expected_laplacian_gram(t, part, [0.7])
-        for mat in (ms.e_laplacian, ms.e_gram, ms.e_deg2, ms.e_adj2):
+        for mat in (ms.e_laplacian, ms.e_gram):
             assert np.array_equal(mat, np.zeros((1, 1)))
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
             t, part, node_p = random_fixture(rng)
+            # the four Gram terms are combined in place, one transposed
             ms = expected_laplacian_gram(t, part, node_p)
-            recomposed = ms.e_deg2 - ms.e_deg_adj - ms.e_adj_deg + ms.e_adj2
-            assert np.array_equal(ms.e_gram, recomposed)
             assert np.abs(ms.e_gram - ms.e_gram.T).max() < 1e-12
 
     def test_gram_is_psd_and_annihilates_ones(self):
@@ -184,10 +182,6 @@ class TestExpectedGram:
             exact = enumerated_moments(t, part, node_p)
             assert np.abs(ms.e_laplacian - exact.e_laplacian).max() < 1e-12
             assert np.abs(ms.e_gram - exact.e_gram).max() < 1e-12
-            assert np.abs(ms.e_deg2 - exact.e_deg2).max() < 1e-12
-            assert np.abs(ms.e_deg_adj - exact.e_deg_adj).max() < 1e-12
-            assert np.abs(ms.e_adj_deg - exact.e_adj_deg).max() < 1e-12
-            assert np.abs(ms.e_adj2 - exact.e_adj2).max() < 1e-12
 
     def test_matches_independent_product_oracle_on_valid_partitions(self):
         # under a valid partition the correlation terms must reduce to plain
@@ -212,6 +206,15 @@ class TestExpectedGram:
         exact = enumerated_moments(t, part, node_p)
         for name in MOMENT_FIELDS:
             assert np.abs(getattr(ms, name) - getattr(exact, name)).max() < 1e-12, name
+
+    def test_er400_peak_memory_below_five_and_a_half_matrices(self):
+        # the triple pass holds three n x n sums, and the two moments are
+        # assembled in place over two of them
+        t = make_topology("er(400,0.012,1)")
+        part = greedy_partition(t)
+        node_p = node_probabilities(np.random.default_rng(89).uniform(0.1, 0.9, part.q), part)
+        _, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_p)
+        assert peak_mb * 2**20 < 5.5 * t.n**2 * 8
 
 
 class TestEnumeratedMoments:
