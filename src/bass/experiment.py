@@ -411,34 +411,40 @@ def slots_to_reach(log: MetricsLog, target_loss: float):
 
 
 def _sweep_report(curves: dict, specs) -> list[str]:
-    """Per-slot efficiency observation across budget fractions, from the
-    label -> ``summarize`` curve map that ``summary.csv`` was written from.
+    """Per-slot efficiency observation across budget fractions, one
+    comparison per policy kind, from the label -> ``summarize`` curve map that
+    ``summary.csv`` was written from.
 
     Efficiency is measured as the median final train loss at the largest
-    slot horizon shared by all sweep curves; the best fraction being strictly
-    interior is reported, not asserted.
+    slot horizon shared by all of a kind's sweep curves; the best fraction
+    being strictly interior is reported, not asserted.
     """
-    sweep_specs = [s for s in specs if s.frac is not None and "@" in s.label]
-    rows = {}
-    for spec in sweep_specs:
-        if curves[spec.label]:
-            rows[spec.frac] = curves[spec.label]
-    if len(rows) < 2:
+    by_kind = {}
+    for spec in specs:
+        if spec.frac is not None and "@" in spec.label:
+            rows = by_kind.setdefault(spec.kind, {})
+            if curves[spec.label]:
+                rows[spec.frac] = curves[spec.label]
+    if not by_kind:
         return ["budget-sweep: not enough curves to compare"]
-    horizon = min(curve[-1][0] for curve in rows.values())
-    losses = {}
-    for frac, curve in rows.items():
-        eligible = [row for row in curve if row[0] <= horizon]
-        losses[frac] = eligible[-1][1] if eligible else float("inf")
-    fracs = sorted(losses)
-    best = min(fracs, key=lambda f: losses[f])
-    interior = fracs[0] < best < fracs[-1]
-    lines = [
-        "budget-sweep: median train loss at horizon "
-        + f"{horizon} slots: "
-        + ", ".join(f"{f:g}->{losses[f]:.6g}" for f in fracs),
-        f"budget-sweep: best fraction {best:g} "
-        + ("(strictly interior)" if interior else "(boundary: partial communication "
-           "did not beat the extremes on this run)"),
-    ]
+    lines = []
+    for kind, rows in by_kind.items():
+        if len(rows) < 2:
+            lines.append(f"budget-sweep {kind}: not enough curves to compare")
+            continue
+        horizon = min(curve[-1][0] for curve in rows.values())
+        losses = {}
+        for frac, curve in rows.items():
+            eligible = [row for row in curve if row[0] <= horizon]
+            losses[frac] = eligible[-1][1] if eligible else float("inf")
+        fracs = sorted(losses)
+        best = min(fracs, key=lambda f: losses[f])
+        interior = fracs[0] < best < fracs[-1]
+        lines += [
+            f"budget-sweep {kind}: median train loss at horizon {horizon} slots: "
+            + ", ".join(f"{f:g}->{losses[f]:.6g}" for f in fracs),
+            f"budget-sweep {kind}: best fraction {best:g} "
+            + ("(strictly interior)" if interior else "(boundary: partial communication "
+               "did not beat the extremes on this run)"),
+        ]
     return lines

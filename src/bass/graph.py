@@ -61,16 +61,7 @@ class Topology:
         return _edge_matrix(self.n, self.edge_array, w)
 
     def is_connected(self) -> bool:
-        """True iff breadth-first search from node 0 reaches every node."""
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return _connected(self.n, self.edge_array)
 
     def auxiliary_graph(self) -> "Topology":
         """Conflict graph for simultaneous broadcasting.
@@ -99,6 +90,25 @@ class Topology:
 
     def __repr__(self):
         return f"Topology(n={self.n}, edges={len(self.edges)})"
+
+
+def _connected(n, edges) -> bool:
+    """True iff the (m, 2) ``edges`` join nodes 0..n-1 into one component.
+
+    Min-label propagation with pointer jumping: each node's label is a node
+    of its component with an index no larger than its own, and the labels
+    stop changing only once both ends of every edge agree.
+    """
+    i, j = edges.T
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, i, labels[j])
+        np.minimum.at(new, j, labels[i])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return not labels.any()
+        labels = new
 
 
 def _edge_matrix(n, edges, weights=None, scale=1.0, shift=0.0) -> np.ndarray:

@@ -21,6 +21,8 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+# Entries per row block of the moment symmetry check.
+_CHECK_BLOCK = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +38,15 @@ class SpectralObjective:
             mat = np.asarray(getattr(self, name), dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if np.abs(mat - mat.T).max() > 1e-9:
-                raise ValueError(f"{name} is not symmetric")
+            # Row blocks keep each temporary at most _CHECK_BLOCK entries
+            # (or one row) rather than n x n.
+            step = max(1, _CHECK_BLOCK // max(1, mat.shape[0]))
+            for lo in range(0, mat.shape[0], step):
+                rows = mat[lo : lo + step]
+                if not np.isfinite(rows).all():
+                    raise ValueError(f"{name} has non-finite entries")
+                if np.abs(rows - mat[:, lo : lo + step].T).max() > 1e-9:
+                    raise ValueError(f"{name} is not symmetric")
             object.__setattr__(self, name, mat)
         if self.e_laplacian.shape != self.e_gram.shape:
             raise ValueError("moment matrices must share a shape")

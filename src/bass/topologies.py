@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Topology, load_topology
+from .graph import Topology, _connected, load_topology
+
+# Uniforms per block of rows in one er_topology draw.
+_DRAW_BLOCK = 2**16
 
 
 def path_topology(n: int) -> Topology:
@@ -45,20 +48,29 @@ def two_stars_topology(n1: int, n2: int) -> Topology:
 def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
     """Connected Erdos-Renyi graph, resampled up to max_tries times.
 
-    Each attempt draws one uniform per node pair in lexicographic order, one
-    row i (the pairs (i, j > i)) at a time, so the result is deterministic
-    given (n, p, seed) and a draw needs O(n) memory.
+    Each attempt draws one uniform per node pair in lexicographic order, a
+    block of whole rows i (the pairs (i, j > i)) at a time, so the result is
+    deterministic given (n, p, seed) and a draw needs O(_DRAW_BLOCK + m)
+    memory. Connectivity is tested on the drawn edges, and only the accepted
+    draw is built into a Topology.
     """
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
+    step = max(1, _DRAW_BLOCK // n)
     for _ in range(max_tries):
-        edges = []
-        for i in range(n):
-            edges.extend((i, j) for j in i + 1 + np.flatnonzero(rng.random(n - 1 - i) < p))
-        t = Topology(n, edges)
-        if t.is_connected():
-            return t
+        blocks = []
+        for lo in range(0, n, step):
+            counts = n - 1 - np.arange(lo, min(n, lo + step))
+            starts = np.cumsum(counts) - counts
+            hits = np.flatnonzero(rng.random(counts.sum()) < p)
+            row = np.searchsorted(starts, hits, side="right") - 1
+            blocks.append(np.column_stack([lo + row, lo + row + 1 + hits - starts[row]]))
+        edges = np.concatenate(blocks)
+        if _connected(n, edges):
+            return Topology(n, edges.tolist())
     raise ValueError(
         f"no connected graph in {max_tries} draws of er(n={n}, p={p}); try a larger p"
     )

@@ -186,6 +186,30 @@ class TestRun:
             "bass-0.5_seed0.csv", "summary.csv",
         ]
 
+    def test_budget_sweep_compares_each_policy_kind(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main([
+            "run", "--topology", "two-stars(4,4)", "--policy", "bass,uniform",
+            "--budget-sweep", "0.4,0.8", "--rounds", "20", "--min-subset-prob", "0.1",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Each kind's comparison is built from its own summary.csv curves.
+        curves = {}
+        for row in (out_dir / "summary.csv").read_text().splitlines()[1:]:
+            label, slots, loss = row.split(",")[:3]
+            curves.setdefault(label, []).append((int(slots), float(loss)))
+        for kind in ("bass", "uniform"):
+            horizon = min(curves[f"{kind}@{f}"][-1][0] for f in ("0.4", "0.8"))
+            losses = ", ".join(
+                f"{f}->{[l for s, l in curves[f'{kind}@{f}'] if s <= horizon][-1]:.6g}"
+                for f in ("0.4", "0.8")
+            )
+            expected = f"budget-sweep {kind}: median train loss at horizon {horizon} slots: {losses}"
+            assert expected in lines
+            assert sum(line.startswith(f"budget-sweep {kind}: best fraction") for line in lines) == 1
+
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--seed", "3", "--out-dir", str(tmp_path)])

@@ -161,6 +161,25 @@ class TestConnectivity:
     def test_single_node(self):
         assert Topology(1).is_connected()
 
+    def test_matches_breadth_first_search(self):
+        def bfs_connected(t):
+            seen, frontier = {0}, [0]
+            while frontier:
+                frontier = [w for v in frontier for w in t.neighbors[v] if w not in seen]
+                seen.update(frontier)
+            return len(seen) == t.n
+
+        rng = np.random.default_rng(59)
+        verdicts = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 16))
+            pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if rng.random() < rng.uniform(0.05, 0.5)]
+            t = Topology(n, pairs)
+            verdicts.add(t.is_connected())
+            assert t.is_connected() == bfs_connected(t), t.edges
+        assert verdicts == {True, False}
+
 
 class TestAuxiliaryGraph:
     def enumerate_conflicts(self, t):

@@ -55,6 +55,21 @@ class TestObjectiveValue:
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             SpectralObjective(bad, np.eye(2))
+        # one stray entry in the last of several row blocks
+        big = np.eye(300)
+        big[250, 10] = 1e-6
+        with pytest.raises(ValueError, match="e_gram is not symmetric"):
+            SpectralObjective(np.eye(300), big)
+
+    def test_non_finite_input_rejected(self):
+        # NaN compares False against any bound, so it must be caught on its
+        # own before the eigensolver sees it
+        with pytest.raises(ValueError, match="e_laplacian has non-finite entries"):
+            SpectralObjective(np.full((3, 3), np.nan), np.eye(3))
+        big = np.eye(300)
+        big[250, 10] = big[10, 250] = np.inf
+        with pytest.raises(ValueError, match="e_gram has non-finite entries"):
+            SpectralObjective(np.eye(300), big)
 
     def test_value_is_nonnegative(self):
         rng = np.random.default_rng(3)

@@ -216,6 +216,16 @@ class TestExpectedGram:
         _, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_p)
         assert peak_mb * 2**20 < 5.5 * t.n**2 * 8
 
+    def test_er400_symmetry_check_adds_no_matrix(self):
+        # The moment check compares row blocks, so the peak stays at the
+        # assembly's own: three n x n sums plus the copy e_gram += e_gram.T
+        # makes of its overlapping operand.
+        t = make_topology("er(400,0.012,1)")
+        part = greedy_partition(t)
+        node_p = node_probabilities(np.random.default_rng(89).uniform(0.1, 0.9, part.q), part)
+        _, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_p)
+        assert peak_mb * 2**20 < 4.25 * t.n**2 * 8
+
 
 class TestEnumeratedMoments:
     def test_k2_by_hand(self):

@@ -269,3 +269,111 @@ def test_batched_logistic_matches_per_node_loop(sizes, batch_size, seed):
     np.testing.assert_allclose(
         obj.local_losses(state[0]), loop_losses(x, y, shards, 3, state[0]), rtol=0, atol=1e-12
     )
+
+
+# --- row-wise class reductions: the reference the class-column kernels match --
+
+
+def rowwise_softmax(obj, x, rows):
+    weights = x.reshape(*x.shape[:-1], obj.n_features + 1, obj.n_classes)
+    logits = rows @ weights
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    expv = np.exp(logits)
+    return expv / expv.sum(axis=-1, keepdims=True)
+
+
+def rowwise_gradients(obj, state, batch_size, rng):
+    draws = rng.integers(0, obj.shard_sizes[:, None], size=(obj.num_nodes, batch_size))
+    idx = obj._starts[:, None] + draws
+    rows = obj._rows[idx]
+    onehot = obj._targets[idx][..., None] == np.arange(obj.n_classes)
+    residual = rowwise_softmax(obj, state, rows) - onehot
+    grads = rows.transpose(0, 2, 1) @ residual / batch_size
+    return grads.reshape(obj.num_nodes, obj.dim)
+
+
+def rowwise_local_losses(obj, x):
+    probs = rowwise_softmax(obj, x, obj._rows)
+    picked = probs[np.arange(obj._targets.size), obj._targets]
+    row_losses = -np.log(np.maximum(picked, 1e-300))
+    losses = np.empty(obj.num_nodes)
+    for nodes, rows in obj._size_groups:
+        losses[nodes] = row_losses[rows].mean(axis=1)
+    return losses
+
+
+def rowwise_test_metric(obj, state):
+    probs = rowwise_softmax(obj, state.mean(axis=0), obj._test_aug)
+    return float((probs.argmax(axis=1) == obj._test_labels).mean())
+
+
+def random_logistic(rng, sizes, classes, features, n_test=25):
+    x, y = make_blobs(40 + n_test, classes, features, rng)
+    shards = [rng.integers(0, 40, size=k) for k in sizes]
+    return LogisticObjective(x[:40], y[:40], shards, classes, x[40:], y[40:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    classes=st.integers(2, 7),
+    features=st.integers(1, 5),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    batch_size=st.integers(1, 9),
+    scale=st.sampled_from([1e-3, 0.1, 1.0, 5.0, 30.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_class_columns_equal_rowwise_reductions(classes, features, sizes, batch_size, scale, seed):
+    """Below 8 classes the class-column kernels are bit-identical to the
+    row-wise .max/.sum(axis=-1), == np.arange and argmax formulas."""
+    rng = np.random.default_rng(seed)
+    obj = random_logistic(rng, sizes, classes, features)
+    state = rng.normal(0, scale, (len(sizes), obj.dim))
+    batch = obj._rows[rng.integers(0, obj._rows.shape[0], size=(len(sizes), batch_size))]
+    assert np.array_equal(obj._softmax(state, batch), rowwise_softmax(obj, state, batch))
+    assert np.array_equal(
+        obj._softmax(state[0], obj._rows), rowwise_softmax(obj, state[0], obj._rows)
+    )
+    assert np.array_equal(obj.local_losses(state[0]), rowwise_local_losses(obj, state[0]))
+    column_rng, row_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert np.array_equal(
+        obj.gradients(state, batch_size, column_rng),
+        rowwise_gradients(obj, state, batch_size, row_rng),
+    )
+    assert column_rng.bit_generator.state == row_rng.bit_generator.state
+    assert obj.test_metric(state) == rowwise_test_metric(obj, state)
+
+
+@pytest.mark.parametrize("bias", [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2.0, 1.0, 2.0), (0.5, 0.5, 0.0)])
+def test_test_metric_ties_go_to_the_first_class(bias):
+    # zero feature weights: every logit row is the bias, so every row
+    # predicts argmax(bias), the first of its tied maxima; each class holds
+    # its own share of the held-out labels
+    rng = np.random.default_rng(61)
+    x, y = make_blobs(20, 3, 2, rng)
+    test_labels = np.repeat([0, 1, 2], [3, 5, 9])
+    obj = LogisticObjective(x, y, [np.arange(10), np.arange(10, 20)], 3,
+                            rng.normal(size=(17, 2)), test_labels)
+    model = np.zeros((obj.n_features + 1, 3))
+    model[-1] = bias
+    state = np.tile(model.ravel(), (2, 1))
+    expected = float((test_labels == np.argmax(bias)).mean())
+    assert obj.test_metric(state) == expected == rowwise_test_metric(obj, state)
+
+
+@pytest.mark.parametrize("classes", range(8, 13))
+def test_eight_or_more_classes_within_the_summation_bound(classes):
+    # From 8 classes numpy's .sum(axis=-1) is pairwise and the column sum is
+    # sequential; over positive terms either order is within (k - 1) half-ulps
+    # of the exact sum, so the probabilities agree within k machine epsilons.
+    rng = np.random.default_rng(67 + classes)
+    obj = random_logistic(rng, [30, 30, 30], classes, 4)
+    for scale in (1e-3, 1.0, 30.0):
+        state = rng.normal(0, scale, (3, obj.dim))
+        batch = obj._rows[rng.integers(0, obj._rows.shape[0], size=(3, 9))]
+        for x, rows in ((state, batch), (state[0], obj._rows)):
+            np.testing.assert_allclose(
+                obj._softmax(x, rows),
+                rowwise_softmax(obj, x, rows),
+                rtol=classes * np.finfo(float).eps,
+                atol=0,
+            )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bass import topologies
 from bass import (
     Topology,
     er_topology,
@@ -40,7 +41,9 @@ class TestPresets:
         assert a == b
         assert a.is_connected()
 
-    @pytest.mark.parametrize("n, p, seed", [(10, 0.3, 7), (100, 0.05, 3), (12, 0.2, 1)])
+    @pytest.mark.parametrize(
+        "n, p, seed", [(10, 0.3, 7), (100, 0.05, 3), (12, 0.2, 1), (20, 0.12, 1)]
+    )
     def test_er_matches_per_pair_draws(self, n, p, seed):
         # one uniform per pair in lexicographic order, resampled until connected
         rng = np.random.default_rng(seed)
@@ -50,8 +53,21 @@ class TestPresets:
             if reference.is_connected():
                 break
         if seed == 1:
-            assert attempt > 0  # er(12, 0.2, 1) needs a resample
+            assert attempt > 0  # er(12, 0.2, 1) needs 1 resample, er(20, 0.12, 1) 10
         assert er_topology(n, p, seed).edges == reference.edges
+
+    def test_er_draw_blocks_keep_the_stream(self, monkeypatch):
+        # 40 uniforms per block: one row per block at n = 100, several rows
+        # per block below n = 40
+        cases = [(10, 0.3, 7), (100, 0.05, 3), (20, 0.12, 1), (1, 0.5, 0)]
+        whole = [er_topology(*case) for case in cases]
+        monkeypatch.setattr(topologies, "_DRAW_BLOCK", 40)
+        assert [er_topology(*case) for case in cases] == whole
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_er_needs_a_node(self, n):
+        with pytest.raises(ValueError, match="node count"):
+            er_topology(n, 0.5, seed=1)
 
     def test_er_sparse_gives_up(self):
         with pytest.raises(ValueError, match="larger p"):
