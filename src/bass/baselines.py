@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _incident_pairs, _pair_gram
 from .partition import CollisionFreePartition
 from .scheduling import BUDGET_TOL, RoundActivation, SchedulingPolicy
 
@@ -156,11 +156,11 @@ def matcha_spectral_moments(
 
     Draws the same r uniforms per round, in matching order, as
     ``MatchaPolicy.sample_round``, in blocks of at most ``_MATCHA_BLOCK``
-    rounds. A round's Laplacian is L~ = sum_k z_k L_k over its active
-    matchings, so the sums over rounds need only the activation counts c_k
-    and the co-activation counts C_kl = sum_s z_sk z_sl:
-    sum_s L~ = sum_k c_k L_k and sum_s L~^2 = sum_k L_k (sum_l C_kl L_l).
-    Every partial sum is an integer below 2^53, hence exact.
+    rounds. Edge e survives iff its matching m(e) is active, so the sums
+    over rounds need only the activation counts c_k and co-activation counts
+    C_kl = sum_s z_sk z_sl: sum_s L~ = L(c_m(e)), and sum_s L~^2 is the
+    incident-pair sum of ``moments`` with weights C_m(e)m(f). Every partial
+    sum is an integer below 2^53, hence exact.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -173,11 +173,10 @@ def matcha_spectral_moments(
         counts += active.sum(axis=0)
         co_counts += active.T @ active
         done += block
-    t = policy.topology
-    laps = np.array([t.laplacian(policy.edge_matching == k) for k in range(policy.r)])
-    s_lap = np.tensordot(counts.astype(float), laps, axes=1)
-    s_gram = (laps @ np.tensordot(co_counts.astype(float), laps, axes=1)).sum(axis=0)
-    return s_lap / samples, s_gram / samples
+    t, m = policy.topology, policy.edge_matching
+    k, a, b, e, f = _incident_pairs(t)
+    s_gram = _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]])
+    return t.laplacian(counts[m]) / samples, s_gram / samples
 
 
 def full_comm_policy(partition: CollisionFreePartition, epsilon: float | None = None) -> SchedulingPolicy:

@@ -87,8 +87,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.policies:
             raise ValueError("give at least one policy")
-        if not self.seeds:
-            raise ValueError("give at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be one or more nonnegative integers, got {self.seeds}")
+        eps = self.epsilon
+        if eps != "auto" and (isinstance(eps, str) or not 0 <= eps < float("inf")):
+            raise ValueError(f"epsilon must be 'auto' or a finite number >= 0, got {eps!r}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
         for kind in self.policies:
@@ -174,7 +177,10 @@ def parse_config_text(text: str) -> dict:
             key = "policies"
         if key not in _CONFIG_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _convert(key, raw)
+        try:
+            values[key] = _convert(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return values
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ class Topology:
 
     Edges are kept as sorted (i, j) pairs with i < j, both as a tuple and as
     the read-only ``(m, 2)`` ``edge_array``; neighbor lists are sorted by node
-    index. The dense adjacency matrix is precomputed and marked read-only, so
-    instances can be shared freely across threads.
+    index. The dense adjacency matrix is built read-only on first access
+    (threads that race there build equal copies), so instances can be shared
+    freely across threads.
     """
 
     def __init__(self, n, edges=()):
@@ -38,20 +40,19 @@ class Topology:
             nbrs[i].append(j)
             nbrs[j].append(i)
         self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
-        adj = np.zeros((n, n))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric 0/1 adjacency matrix with zero diagonal (read-only)."""
+        adj = np.zeros((self.n, self.n))
         i, j = self.edge_array.T
         adj[i, j] = adj[j, i] = 1.0
         adj.setflags(write=False)
-        self._adj = adj
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix with zero diagonal (read-only)."""
-        return self._adj
+        return adj
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=1)
+        return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(float)
 
     def laplacian(self, weights=None) -> np.ndarray:
         """Weighted-edge Laplacian sum_e w_e (u_i - u_j)(u_i - u_j)^T, one
@@ -121,6 +122,36 @@ def _edge_matrix(n, edges, weights=None, scale=1.0, shift=0.0) -> np.ndarray:
     out = np.zeros((n, n))
     out[i, j] = out[j, i] = off
     out.flat[:: n + 1] = shift + scale * (np.bincount(i, weights, n) + np.bincount(j, weights, n))
+    return out
+
+
+def _incident_pairs(topology: Topology):
+    """Every ordered pair of edges e = (k, a), f = (k, b) meeting at a node k,
+    a = b included, node-major: arrays k, a, b, e, f (e, f index rows of
+    ``edge_array``) with sum_k deg_k^2 entries each."""
+    i, j = topology.edge_array.T
+    tail, head = np.concatenate([i, j]), np.concatenate([j, i])
+    # Half-edges k -> a sorted by (k, a): node k owns a block of deg_k.
+    order = np.lexsort((head, tail))
+    head, edge = head[order], np.tile(np.arange(i.size), 2)[order]
+    deg = np.bincount(tail, minlength=topology.n)
+    k = np.repeat(np.arange(topology.n), deg * deg)
+    # r runs over node k's block crossed with itself, first half-edge major.
+    r = np.arange(k.size) - np.repeat(np.cumsum(deg * deg) - deg * deg, deg * deg)
+    start = (np.cumsum(deg) - deg)[k]
+    first, second = start + r // deg[k], start + r % deg[k]
+    return k, head[first], head[second], edge[first], edge[second]
+
+
+def _pair_gram(n, k, a, b, w) -> np.ndarray:
+    """sum_p w_p (u_k - u_a)(u_k - u_b)^T over incident pairs p, in one n x n
+    array: L_(k,a) L_(k,b) for a != b, and L_e^2 = 2 L_e from both ends of e."""
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    flat[:: n + 1] = np.bincount(k, w, n)
+    flat -= np.bincount(k * n + b, w, n * n)
+    flat -= np.bincount(a * n + k, w, n * n)
+    flat += np.bincount(a * n + b, w, n * n)
     return out
 
 

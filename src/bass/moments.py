@@ -3,37 +3,34 @@
 They are all the epsilon search reads (``mixing.SpectralObjective``), and
 each of the three routes below returns them as one.
 
-Under subset sampling, node activations are Bernoulli variables that are
-perfectly correlated inside a subset and independent across subsets, so a
-joint moment E[n_u n_v ...] is the product of the activation probabilities
-of the distinct subsets the nodes touch. A round's effective adjacency is
-A~_ka = A_ka n_k n_a, its degree d_k = sum_a A~_ka, and since L~ is
-symmetric, L~^T L~ = L~^2 = diag(d^2) - diag(d) A~ - A~ diag(d) + A~^2.
+Node activations are Bernoulli variables, perfectly correlated inside a
+subset and independent across subsets. A round keeps edge e = (i, j) iff
+x_e = n_i n_j = 1, so E[L~] = sum_e E[x_e] L_e, and since L_e L_f vanishes
+unless e and f share a node, E[L~^2] = sum E[x_e x_f] L_e L_f runs over the
+O(sum_k deg_k^2) incident edge pairs e = (k, a), f = (k, b) of
+``graph._incident_pairs``, which ``graph._pair_gram`` scatters into one
+n x n array. The routes differ only in their weights:
 
-- ``expected_laplacian_gram`` is the closed form used in production. Every
-  entry of E[A~], E[d^2], E[diag(d) A~] and E[A~^2] is a sum of
-  neighbour-triple weights w_k(a, b) = E[n_k n_a n_b] over a node k and two
-  of its neighbours a, b (a = b allowed). One pass over those triples costs
-  O(sum_k deg_k^2) time and O(n^2) memory, and the two moments are then
-  assembled in place over the E[A~] and E[diag(d) A~] buffers.
-- ``enumerated_moments`` is an exact test oracle: it rebuilds L~ for each
-  of the 2^q activation patterns and sums w L~ and w L~^2.
-- ``monte_carlo_moments`` averages sampled rounds: L~ and L~^2 of the edges
-  that survive the production ``scheduling.sample_round``, or the same
-  sums from vectorized blocks of rounds drawn from the identical stream.
+- ``expected_laplacian_gram``, the closed form used in production, takes
+  E[x_e x_f] = E[n_k n_a n_b], the product of p over the distinct subsets
+  of k, a and b.
+- ``monte_carlo_moments`` counts the sampled rounds in which each edge and
+  each incident pair survives.
+- ``enumerated_moments``, an exact test oracle independent of both, sums
+  w L~ and w L~^2 over the 2^q activation patterns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _incident_pairs, _pair_gram
 from .mixing import SpectralObjective
 from .partition import CollisionFreePartition
 from .scheduling import SchedulingPolicy, sample_round
 
-# Monte Carlo rounds per vectorized block are capped so that one block x n
-# array stays under this many elements (8 MB of float64).
+# Monte Carlo rounds per vectorized block are capped so that one block x
+# max(n, incident pairs) array stays under this many elements.
 _MC_BLOCK_ELEMENTS = 1 << 20
 
 
@@ -57,55 +54,25 @@ def subset_probs_from_node_probs(
     return np.array([p[s[0]] for s in partition.subsets])
 
 
-def _joint(p: np.ndarray, owner: np.ndarray, *nodes) -> np.ndarray:
-    """E[n_u n_v ...] for broadcastable node-index arrays.
-
-    Each node contributes its probability unless an earlier node lies in the
-    same subset, whose indicator it then repeats.
-    """
-    out = np.ones(np.broadcast_shapes(*(np.shape(v) for v in nodes)))
-    for i, v in enumerate(nodes):
-        fresh = np.ones(out.shape, dtype=bool)
-        for u in nodes[:i]:
-            fresh &= owner[u] != owner[v]
-        out = out * np.where(fresh, p[v], 1.0)
-    return out
-
-
 def expected_laplacian_gram(
     topology: Topology, partition: CollisionFreePartition, node_probs
 ) -> SpectralObjective:
     """Closed-form E[L~] and E[L~^T L~].
 
-    For each node k with neighbours a, b the weight w[a, b] = E[n_k n_a n_b]
-    gives E[A~_ka] = w[a, a], E[d_k^2] = sum w, E[d_k A~_kb] = sum_a w[a, b]
-    and k's contribution w[a, b] to E[(A~^2)_ab].
+    Each edge (i, j) survives with E[x_e] = p_i (p_j if i and j lie in
+    different subsets, else 1), and each incident pair (k, a), (k, b) with
+    E[n_k n_a n_b], one factor per distinct subset of k, a and b.
     """
     p = _checked_probs(partition, node_probs)
     owner = partition.owner_array
-    n = topology.n
-    e_adj, e_deg_adj, e_adj2 = (np.zeros((n, n)) for _ in range(3))
-    e_deg2 = np.zeros(n)
-    for k, nbrs in enumerate(topology.neighbors):
-        a = np.array(nbrs, dtype=int)
-        w = _joint(p, owner, k, a[:, None], a[None, :])
-        e_adj[k, a] = w.diagonal()
-        e_deg2[k] = w.sum()
-        e_deg_adj[k, a] = w.sum(axis=0)
-        e_adj2[np.ix_(a, a)] += w
-    e_deg = e_adj.sum(axis=1)
-    # E[L~] = diag(E d) - E[A~] and E[L~^2] = ((diag(E d^2) - E[DA~]) -
-    # E[DA~]^T) + E[A~^2], evaluated in place in that order. E[A~] and E[DA~]
-    # vanish on the diagonal, so an off-diagonal entry is 0 - x (a zero keeps
-    # its positive sign), (0 - x_ab) + (0 - x_ba) equals (0 - x_ab) - x_ba
-    # bit for bit, and the diagonals are written separately.
-    e_lap = np.subtract(0.0, e_adj, out=e_adj)
-    np.fill_diagonal(e_lap, e_deg)
-    e_gram = np.subtract(0.0, e_deg_adj, out=e_deg_adj)
-    e_gram += e_gram.T
-    np.fill_diagonal(e_gram, e_deg2)
-    e_gram += e_adj2
-    return SpectralObjective(e_lap, e_gram)
+    k, a, b, _, _ = _incident_pairs(topology)
+    w = p[k] * np.where(owner[a] != owner[k], p[a], 1.0)
+    w *= np.where((owner[b] != owner[k]) & (owner[b] != owner[a]), p[b], 1.0)
+    # E[L~^2] first, so E[L~] is not held while the scatter's n x n terms are.
+    e_gram = _pair_gram(topology.n, k, a, b, w)
+    i, j = topology.edge_array.T
+    e_x = p[i] * np.where(owner[i] != owner[j], p[j], 1.0)
+    return SpectralObjective(topology.laplacian(e_x), e_gram)
 
 
 def monte_carlo_moments(
@@ -120,20 +87,22 @@ def monte_carlo_moments(
 
     Consumes the generator exactly like ``scheduling.sample_round``: q
     uniforms per round in subset order (chunked draws fill row-major, so the
-    stream is identical value-for-value). Accumulation is vectorized over
-    round blocks of at most ``chunk`` rounds, capped so one block x n array
-    stays under ``_MC_BLOCK_ELEMENTS``; ``chunk=1`` sums L~ and L~^2 of the
-    edges that survive ``scheduling.sample_round``, the production sampler,
-    which the tests pin the vectorized path against.
+    stream is identical value-for-value). Blocks of at most ``chunk`` rounds,
+    capped by ``_MC_BLOCK_ELEMENTS``, count the surviving edges and incident
+    pairs, assembled once at the end; ``chunk=1`` instead sums L~ and L~^2 of
+    the edges ``scheduling.sample_round``, the production sampler, keeps.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     subset_probs = subset_probs_from_node_probs(partition, node_probs)
     policy = SchedulingPolicy(subset_probs, subset_probs.sum(), epsilon=0.0)
     owner = partition.owner_array
-    adj = topology.adjacency
     n = topology.n
-    chunk = min(chunk, max(1, _MC_BLOCK_ELEMENTS // n))
+    i, j = topology.edge_array.T
+    k, a, b, e, f = _incident_pairs(topology)
+    chunk = min(chunk, max(1, _MC_BLOCK_ELEMENTS // max(n, k.size)))
+    edge_counts = np.zeros(i.size, dtype=np.int64)
+    pair_counts = np.zeros(k.size, dtype=np.int64)
     s_lap = np.zeros((n, n))
     s_gram = np.zeros((n, n))
     done = 0
@@ -146,19 +115,13 @@ def monte_carlo_moments(
             s_gram += lap @ lap
         else:
             draws = rng.random((block, subset_probs.size))
-            masks = (draws < subset_probs[None, :])[:, owner].astype(float)
-            degs = masks * (masks @ adj)  # row s = effective degrees of round s
-            s_adj = adj * (masks.T @ masks)
-            s_deg_adj = adj * (degs.T @ masks)
-            # (A~^2)_ab counts the middle nodes k adjacent to both a and b
-            # that are active together with them
-            s_adj2 = np.zeros((n, n))
-            for k, nbrs in enumerate(topology.neighbors):
-                a = list(nbrs)
-                s_adj2[np.ix_(a, a)] += (masks[:, a] * masks[:, [k]]).T @ masks[:, a]
-            s_lap += np.diag(degs.sum(axis=0)) - s_adj
-            s_gram += np.diag((degs * degs).sum(axis=0)) - s_deg_adj - s_deg_adj.T + s_adj2
+            on = (draws < subset_probs[None, :])[:, owner]
+            kept = on[:, i] & on[:, j]  # (block, m): edge survives the round
+            edge_counts += kept.sum(axis=0)
+            pair_counts += (kept[:, e] & kept[:, f]).sum(axis=0)
         done += block
+    s_lap += topology.laplacian(edge_counts)
+    s_gram += _pair_gram(n, k, a, b, pair_counts)
     return SpectralObjective(s_lap / samples, s_gram / samples)
 
 

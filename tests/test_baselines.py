@@ -8,6 +8,7 @@ from bass import (
     dump_matchings,
     full_comm_policy,
     greedy_partition,
+    make_topology,
     matcha_policy,
     matcha_spectral_moments,
     matching_decomposition,
@@ -195,8 +196,9 @@ class TestMatchaPolicy:
         assert 0.0 < search.epsilon
         assert search.value < 1.0
 
+    # er(30,0.2,1) has nodes of degree above 8.
     @pytest.mark.parametrize("t", [Topology(7, [(i, (i + 1) % 7) for i in range(7)]),
-                                   two_stars_topology(4, 5)])
+                                   two_stars_topology(4, 5), make_topology("er(30,0.2,1)")])
     def test_spectral_moments_equal_a_loop_over_rounds(self, t):
         md = matching_decomposition(t)
         assert md.r >= 3

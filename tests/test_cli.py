@@ -156,6 +156,13 @@ class TestRun:
         assert "error: lr_decay must be nonnegative" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "o1"
+        code = main(["run", "--seeds", "0,-1", "--rounds", "3", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "error: seeds must be one or more nonnegative integers" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_too_few_logistic_samples_fail_before_any_output(self, tmp_path, capsys):
         out_dir = tmp_path / "x"
         code = main([

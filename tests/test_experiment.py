@@ -79,7 +79,8 @@ class TestConfig:
         ("lr_decay", float("nan")), ("batch_size", 0), ("dim", 0),
         ("n_classes", 1), ("n_features", 0), ("eps_mc_samples", 0), ("test_samples", -1),
         ("center_spread", -1.0), ("center_spread", float("nan")),
-        ("center_spread", float("inf")),
+        ("center_spread", float("inf")), ("epsilon", float("nan")), ("epsilon", -0.5),
+        ("epsilon", float("inf")), ("epsilon", "fast"), ("seeds", (0, -1)),
     ])
     def test_out_of_range_training_key_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
@@ -113,6 +114,10 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text("rounds = 5\nbogus = 1\n")
+
+    def test_unconvertible_value_names_line_and_key(self):
+        with pytest.raises(ValueError, match="^line 2: rounds: invalid literal"):
+            parse_config_text("lr = 0.5\nrounds = abc\n")
 
     def test_cli_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

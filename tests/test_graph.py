@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from bass import (
     Topology,
     betweenness_centrality,
     load_topology,
+    make_topology,
     save_topology,
 )
+from bass.graph import _incident_pairs, _pair_gram
 
 
 def p3():
@@ -78,6 +81,7 @@ class TestTopology:
     def test_p3_degrees(self):
         t = p3()
         assert list(t.degrees) == [1, 2, 1]
+        assert np.array_equal(Topology(3).degrees, np.zeros(3))
         assert t.neighbors == ((1,), (0, 2), (1,))
 
     def test_symmetric_pair_dedup(self):
@@ -104,9 +108,47 @@ class TestTopology:
             t.edge_array[0, 0] = 3
         assert Topology(2).edge_array.shape == (0, 2)
 
+    def test_construction_builds_no_dense_matrix(self):
+        t = make_topology("er(400,0.012,1)")
+        tracemalloc.start()
+        try:
+            Topology(t.n, t.edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * t.n**2 * 8
+
     def test_equality_and_hash(self):
         assert p3() == Topology(3, [(2, 1), (1, 0)])
         assert hash(p3()) == hash(Topology(3, [(1, 2), (0, 1)]))
+
+
+class TestIncidentPairs:
+    @pytest.mark.parametrize("n,extra", [(1, 0), (2, 0), (7, 3), (12, 9)])
+    def test_every_pair_of_edges_meeting_at_a_node(self, n, extra):
+        t = random_connected(np.random.default_rng(n), n, extra_edges=extra)
+        k, a, b, e, f = _incident_pairs(t)
+        expected = [
+            (v, x, y, t.edges.index(tuple(sorted((v, x)))), t.edges.index(tuple(sorted((v, y)))))
+            for v in range(t.n) for x in t.neighbors[v] for y in t.neighbors[v]
+        ]
+        assert list(zip(*(arr.tolist() for arr in (k, a, b, e, f)))) == expected
+        assert k.size == (t.degrees**2).sum()
+
+    def test_scatter_sums_edge_laplacian_products(self):
+        # sum over incident pairs of w_ef L_e L_f; with unit weights, L^2
+        rng = np.random.default_rng(17)
+        t = random_connected(rng, 10, extra_edges=6)
+        k, a, b, e, f = _incident_pairs(t)
+        lap = t.laplacian()
+        assert np.array_equal(_pair_gram(t.n, k, a, b, np.ones(k.size)), lap @ lap)
+        pair_w = rng.uniform(0.0, 1.0, (len(t.edges),) * 2)
+        pair_w += pair_w.T
+        laps = [t.laplacian(np.arange(len(t.edges)) == g) for g in range(len(t.edges))]
+        expected = sum(pair_w[g, h] * laps[g] @ laps[h]
+                       for g in range(len(t.edges)) for h in range(len(t.edges)))
+        got = _pair_gram(t.n, k, a, b, pair_w[e, f])
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
 
 class TestLaplacian:
