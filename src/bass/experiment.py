@@ -22,7 +22,7 @@ from .baselines import (
     matching_decomposition,
 )
 from .dsgd import MetricsLog, TrainConfig, run_training
-from .graph import Topology, betweenness_centrality
+from .graph import Topology
 from .mixing import SpectralObjective, contracts, optimize_epsilon
 from .moments import expected_laplacian_gram
 from .objectives import LogisticObjective, QuadraticObjective, make_blobs, shard_data
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("give at least one policy")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more nonnegative integers, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {self.seeds}")
         eps = self.epsilon
         if eps != "auto" and (isinstance(eps, str) or not 0 <= eps < float("inf")):
             raise ValueError(f"epsilon must be 'auto' or a finite number >= 0, got {eps!r}")
@@ -243,8 +245,7 @@ def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentCon
             uniform_probabilities(partition.q, spec.budget_slots), spec.budget_slots
         )
     if spec.kind == "bass":
-        centrality = betweenness_centrality(topology)
-        scores = subset_betweenness(centrality, partition)
+        scores = subset_betweenness(topology.betweenness, partition)
         probs = solve_probabilities(scores, spec.budget_slots, cfg.min_subset_prob)
         return SchedulingPolicy(probs, spec.budget_slots)
     raise ValueError(f"unknown policy kind {spec.kind!r}")

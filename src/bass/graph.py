@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+# (source, node) entries per block of sources in betweenness_centrality; the
+# block's temporaries stay within a small multiple of this whatever n is.
+_BFS_BLOCK_ELEMENTS = 2**14
 
 
 class Topology:
@@ -14,9 +17,9 @@ class Topology:
 
     Edges are kept as sorted (i, j) pairs with i < j, both as a tuple and as
     the read-only ``(m, 2)`` ``edge_array``; neighbor lists are sorted by node
-    index. The dense adjacency matrix is built read-only on first access
-    (threads that race there build equal copies), so instances can be shared
-    freely across threads.
+    index. The dense adjacency matrix, the CSR half-edges and the betweenness
+    are built read-only on first access (threads that race there build equal
+    copies), so instances can be shared freely across threads.
     """
 
     def __init__(self, n, edges=()):
@@ -50,6 +53,26 @@ class Topology:
         adj.setflags(write=False)
         return adj
 
+    @cached_property
+    def _half_edges(self):
+        """CSR view of the 2m half-edges k -> a, sorted by (k, a): node k's
+        run is ``indptr[k]:indptr[k + 1]``, with heads ``head`` and rows of
+        ``edge_array`` ``edge`` (all read-only)."""
+        i, j = self.edge_array.T
+        tail, head = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((head, tail))
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(tail, minlength=self.n), out=indptr[1:])
+        arrays = (indptr, head[order], np.tile(np.arange(i.size), 2)[order])
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
+
+    @cached_property
+    def betweenness(self) -> np.ndarray:
+        """``betweenness_centrality(self)``, computed on first access (read-only)."""
+        return betweenness_centrality(self)
+
     @property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(float)
@@ -71,13 +94,9 @@ class Topology:
         neighbor gets an edge: if both transmitted in the same slot their
         packets would collide at the shared neighbor.
         """
-        conflict = set(self.edges)
-        for v in range(self.n):
-            nbrs = self.neighbors[v]
-            for a in range(len(nbrs)):
-                for b in range(a + 1, len(nbrs)):
-                    conflict.add((nbrs[a], nbrs[b]))
-        return Topology(self.n, conflict)
+        indptr, nbr = _conflicts(self)
+        tail = np.repeat(np.arange(self.n), np.diff(indptr))
+        return Topology(self.n, np.column_stack([tail, nbr])[tail < nbr].tolist())
 
     def __eq__(self, other):
         return (
@@ -129,18 +148,32 @@ def _incident_pairs(topology: Topology):
     """Every ordered pair of edges e = (k, a), f = (k, b) meeting at a node k,
     a = b included, node-major: arrays k, a, b, e, f (e, f index rows of
     ``edge_array``) with sum_k deg_k^2 entries each."""
-    i, j = topology.edge_array.T
-    tail, head = np.concatenate([i, j]), np.concatenate([j, i])
-    # Half-edges k -> a sorted by (k, a): node k owns a block of deg_k.
-    order = np.lexsort((head, tail))
-    head, edge = head[order], np.tile(np.arange(i.size), 2)[order]
-    deg = np.bincount(tail, minlength=topology.n)
+    indptr, head, edge = topology._half_edges
+    deg = np.diff(indptr)
     k = np.repeat(np.arange(topology.n), deg * deg)
-    # r runs over node k's block crossed with itself, first half-edge major.
+    # r runs over node k's run of half-edges crossed with itself, first
+    # half-edge major.
     r = np.arange(k.size) - np.repeat(np.cumsum(deg * deg) - deg * deg, deg * deg)
-    start = (np.cumsum(deg) - deg)[k]
+    start = indptr[k]
     first, second = start + r // deg[k], start + r % deg[k]
     return k, head[first], head[second], edge[first], edge[second]
+
+
+def _conflicts(topology: Topology):
+    """CSR neighbor arrays (indptr, nbr) of the conflict graph, each run
+    sorted: base edges plus every pair of distinct nodes with a common
+    neighbor."""
+    n = topology.n
+    indptr, head, _ = topology._half_edges
+    _, a, b, _, _ = _incident_pairs(topology)
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    shared = np.flatnonzero(a != b)
+    keys = np.sort(np.concatenate([tail * n + head, a[shared] * n + b[shared]]))
+    # Deduplicated by hand: np.unique is many times slower than a sort here.
+    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+    out = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=out[1:])
+    return out, keys % n
 
 
 def _pair_gram(n, k, a, b, w) -> np.ndarray:
@@ -158,44 +191,73 @@ def _pair_gram(n, k, a, b, w) -> np.ndarray:
 def betweenness_centrality(t: Topology) -> np.ndarray:
     """Shortest-path betweenness, normalized so the entries sum to one.
 
-    Exact accumulation over BFS shortest-path DAGs; endpoints do not count
-    toward their own paths, and multiple shortest paths split credit
+    Exact Brandes accumulation over BFS shortest-path DAGs; endpoints do not
+    count toward their own paths, and multiple shortest paths split credit
     fractionally. When every raw score is zero (complete graphs), the uniform
     vector is returned instead, since an all-zero importance vector cannot
-    seed scheduling probabilities.
+    seed scheduling probabilities. The result is read-only.
+
+    The searches run level-synchronously over blocks of sources: a BFS level
+    expands only its frontier's half-edges, path counts sigma gather onto the
+    next level by ``np.bincount``, and dependencies delta flow back level by
+    level over the stored DAG edges the same way.
     """
-    if not t.is_connected():
-        raise ValueError("betweenness centrality requires a connected topology")
     n = t.n
+    indptr, head, _ = t._half_edges
+    deg = np.diff(indptr)
     raw = np.zeros(n)
-    for source in range(n):
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds = [[] for _ in range(n)]
-        dist[source] = 0
-        sigma[source] = 1.0
-        order = []
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in t.neighbors[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                raw[w] += delta[w]
+    block = max(1, _BFS_BLOCK_ELEMENTS // (n + head.size))
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(n, lo + block))
+        size = sources.size * n
+        # A frontier holds flat keys b * n + v (node v of the b-th source's
+        # search); slot[key] is a key's position in the level being built.
+        frontier = np.arange(sources.size) * n + sources
+        seen = np.zeros(size, dtype=bool)
+        seen[frontier] = True
+        slot = np.empty(size, dtype=np.intp)
+        sigma = np.ones(sources.size)
+        levels = []
+        while True:
+            node = frontier % n
+            cnt = deg[node]
+            parent = np.repeat(np.arange(frontier.size), cnt)
+            # Built in place, so that at most three arrays the size of the
+            # frontier's half-edges are alive at once.
+            pos = (indptr[node] + cnt - np.cumsum(cnt))[parent]
+            pos += np.arange(pos.size)
+            child_key = head[pos]
+            del pos
+            child_key += (frontier - node)[parent]
+            fresh = np.flatnonzero(~seen[child_key])
+            parent, child_key = parent[fresh], child_key[fresh]
+            if not child_key.size:
+                break
+            # Whichever write to a repeated key lands, exactly one rank per
+            # distinct key reads back as its own.
+            rank = np.arange(child_key.size)
+            slot[child_key] = rank
+            nxt = child_key[np.flatnonzero(slot[child_key] == rank)]
+            slot[nxt] = np.arange(nxt.size)
+            child = slot[child_key]
+            seen[nxt] = True
+            levels.append((node, sigma, parent, child))
+            sigma = np.bincount(child, sigma[parent], nxt.size)
+            frontier = nxt
+        if not seen.all():
+            raise ValueError("betweenness centrality requires a connected topology")
+        # Each pass credits the level below, then computes this level's
+        # delta; the last pass computes the sources' own, which is dropped.
+        below, sigma_below, delta = frontier % n, sigma, np.zeros(frontier.size)
+        for node, sig, parent, child in reversed(levels):
+            raw += np.bincount(below, delta, n)
+            share = sig[parent] / sigma_below[child] * (1.0 + delta[child])
+            delta = np.bincount(parent, share, node.size)
+            below, sigma_below = node, sig
     total = raw.sum()
-    if total <= 0.0:
-        return np.full(n, 1.0 / n)
-    return raw / total
+    out = np.full(n, 1.0 / n) if total <= 0.0 else raw / total
+    out.setflags(write=False)
+    return out
 
 
 def load_topology(path) -> Topology:

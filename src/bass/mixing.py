@@ -21,7 +21,7 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-# Entries per row block of the moment symmetry check.
+# Entries per square tile of the moment symmetry check.
 _CHECK_BLOCK = 2**15
 
 
@@ -38,15 +38,18 @@ class SpectralObjective:
             mat = np.asarray(getattr(self, name), dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
-            # Row blocks keep each temporary at most _CHECK_BLOCK entries
-            # (or one row) rather than n x n.
-            step = max(1, _CHECK_BLOCK // max(1, mat.shape[0]))
-            for lo in range(0, mat.shape[0], step):
-                rows = mat[lo : lo + step]
-                if not np.isfinite(rows).all():
-                    raise ValueError(f"{name} has non-finite entries")
-                if np.abs(rows - mat[:, lo : lo + step].T).max() > 1e-9:
-                    raise ValueError(f"{name} is not symmetric")
+            # Tile (r, c) on or above the diagonal is checked against tile
+            # (c, r) transposed: each temporary holds at most _CHECK_BLOCK
+            # entries, and both reads stay within step rows.
+            step = math.isqrt(_CHECK_BLOCK)
+            for r in range(0, mat.shape[0], step):
+                for c in range(r, mat.shape[0], step):
+                    tile = mat[r : r + step, c : c + step]
+                    mirror = mat[c : c + step, r : r + step]
+                    if not (np.isfinite(tile).all() and np.isfinite(mirror).all()):
+                        raise ValueError(f"{name} has non-finite entries")
+                    if np.abs(tile - mirror.T).max() > 1e-9:
+                        raise ValueError(f"{name} is not symmetric")
             object.__setattr__(self, name, mat)
         if self.e_laplacian.shape != self.e_gram.shape:
             raise ValueError("moment matrices must share a shape")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _conflicts
 
 
 class CollisionFreePartition:
@@ -67,11 +67,12 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
     """
     if not t.is_connected():
         raise ValueError("greedy_partition requires a connected topology")
-    aux = t.auxiliary_graph()
-    order = sorted(range(t.n), key=lambda v: (-len(aux.neighbors[v]), v))
+    indptr, nbr = _conflicts(t)
+    order = np.argsort(-np.diff(indptr), kind="stable").tolist()
+    ptr, nbr = indptr.tolist(), nbr.tolist()
     color = [-1] * t.n
     for v in order:
-        used = {color[w] for w in aux.neighbors[v] if color[w] >= 0}
+        used = {color[w] for w in nbr[ptr[v] : ptr[v + 1]]}
         c = 0
         while c in used:
             c += 1

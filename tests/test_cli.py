@@ -163,6 +163,16 @@ class TestRun:
         assert "error: seeds must be one or more nonnegative integers" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_repeated_seed_fails_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "o1"
+        code = main([
+            "run", "--topology", "ring(6)", "--seeds", "0,0", "--rounds", "3",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert "error: seeds must not repeat" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_too_few_logistic_samples_fail_before_any_output(self, tmp_path, capsys):
         out_dir = tmp_path / "x"
         code = main([

@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+import bass.graph
 from bass import (
     ExperimentConfig,
     MetricsLog,
     PolicySpec,
     RoundRecord,
+    betweenness_centrality,
     build_policy,
     greedy_partition,
     load_config,
@@ -59,6 +61,10 @@ class TestConfig:
     def test_empty_or_negative_rejected(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ValueError, match="seeds must not repeat"):
+            ExperimentConfig(seeds=(0, 1, 0))
 
     @pytest.mark.parametrize("bad", [
         dict(budget_frac=0.0), dict(budget_frac=1.5), dict(budget_sweep=(0.5, 1.5)),
@@ -256,6 +262,21 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert set(result.run_files) == {"bass@0.4", "bass@0.8"}
         assert any("budget-sweep" in line for line in result.report)
+
+    def test_budget_sweep_computes_centrality_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return betweenness_centrality(t)
+
+        monkeypatch.setattr(bass.graph, "betweenness_centrality", counted)
+        cfg = quick_config(
+            tmp_path, policies=("bass",), budget_frac=None, budget_sweep=(0.4, 0.6, 0.8),
+            seeds=(0,), min_subset_prob=0.2, rounds=2,
+        )
+        assert len(run_experiment(cfg).run_files) == 3
+        assert len(calls) == 1
 
     def test_bad_budget_fails_before_any_output(self, tmp_path):
         # full is feasible and listed first, yet nothing may be written before

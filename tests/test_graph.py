@@ -1,8 +1,11 @@
 import itertools
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bass import (
     Topology,
@@ -12,6 +15,7 @@ from bass import (
     save_topology,
 )
 from bass.graph import _incident_pairs, _pair_gram
+from bass.topologies import ring_topology, star_topology
 
 
 def p3():
@@ -31,6 +35,58 @@ def random_connected(rng, n, extra_edges=2):
         if a != b:
             edges.add((min(a, b), max(a, b)))
     return Topology(n, edges)
+
+
+def brandes_betweenness(t):
+    """Oracle: one pure-Python BFS and back-propagation per source (Brandes),
+    normalized like betweenness_centrality."""
+    n = t.n
+    raw = np.zeros(n)
+    for source in range(n):
+        dist = [-1] * n
+        sigma = [0.0] * n
+        preds = [[] for _ in range(n)]
+        dist[source] = 0
+        sigma[source] = 1.0
+        order = []
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in t.neighbors[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                raw[w] += delta[w]
+    total = raw.sum()
+    if total <= 0.0:
+        return np.full(n, 1.0 / n)
+    return raw / total
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random connected graphs, trees, rings, stars and complete graphs,
+    n = 1 and n = 2 included."""
+    kind = draw(st.sampled_from(["random", "tree", "ring", "star", "complete"]))
+    if kind == "ring":
+        return ring_topology(draw(st.integers(3, 40)))
+    if kind == "star":
+        return star_topology(draw(st.integers(2, 30)))
+    if kind == "complete":
+        n = draw(st.integers(1, 12))
+        return Topology(n, itertools.combinations(range(n), 2))
+    n = draw(st.integers(1, 40))
+    extra = 0 if kind == "tree" else draw(st.integers(0, 2 * n))
+    return random_connected(np.random.default_rng(draw(st.integers(0, 2**16))), n, extra)
 
 
 def brute_force_betweenness(t):
@@ -327,6 +383,38 @@ class TestBetweenness:
                 if s != targ and v != s and v != targ
             )
             assert raw.sum() == pytest.approx(traversals, abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(connected_graphs())
+    def test_matches_per_source_brandes(self, t):
+        np.testing.assert_allclose(
+            betweenness_centrality(t), brandes_betweenness(t), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("spec", ["two-stars(6,6)", "ring(200)"])
+    def test_bit_identical_to_per_source_brandes(self, spec):
+        # every path count and credit here is a dyadic rational, so no
+        # summation order can round differently
+        t = make_topology(spec)
+        assert np.array_equal(betweenness_centrality(t), brandes_betweenness(t))
+
+    def test_result_is_readonly_and_cached_per_topology(self):
+        t = make_topology("er(30,0.2,1)")
+        assert np.array_equal(t.betweenness, betweenness_centrality(t))
+        assert t.betweenness is t.betweenness
+        for result in (t.betweenness, betweenness_centrality(p3())):
+            with pytest.raises(ValueError):
+                result[0] = 1.0
+
+    def test_er400_peak_memory_below_one_matrix(self):
+        t = make_topology("er(400,0.012,1)")
+        tracemalloc.start()
+        try:
+            betweenness_centrality(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.n**2 * 8
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(29)

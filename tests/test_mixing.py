@@ -55,11 +55,13 @@ class TestObjectiveValue:
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             SpectralObjective(bad, np.eye(2))
-        # one stray entry in the last of several row blocks
-        big = np.eye(300)
-        big[250, 10] = 1e-6
-        with pytest.raises(ValueError, match="e_gram is not symmetric"):
-            SpectralObjective(np.eye(300), big)
+        # one stray entry in the last row of tiles, then one above the
+        # diagonal in an off-diagonal tile
+        for stray in ((250, 10), (10, 250)):
+            big = np.eye(300)
+            big[stray] = 1e-6
+            with pytest.raises(ValueError, match="e_gram is not symmetric"):
+                SpectralObjective(np.eye(300), big)
 
     def test_non_finite_input_rejected(self):
         # NaN compares False against any bound, so it must be caught on its

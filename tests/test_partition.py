@@ -6,6 +6,7 @@ from bass import (
     Topology,
     dump_partition,
     greedy_partition,
+    make_topology,
     validate_partition,
 )
 
@@ -18,6 +19,24 @@ def ring6():
 
 def star5():
     return Topology(5, [(0, i) for i in range(1, 5)])
+
+
+def set_greedy_partition(t):
+    """Oracle: the greedy coloring over a conflict graph of Python sets, base
+    edges plus every pair of neighbors of each node."""
+    conflict = [set(nb) for nb in t.neighbors]
+    for nbrs in t.neighbors:
+        for a in nbrs:
+            conflict[a].update(b for b in nbrs if b != a)
+    order = sorted(range(t.n), key=lambda v: (-len(conflict[v]), v))
+    color = [-1] * t.n
+    for v in order:
+        used = {color[w] for w in conflict[v] if color[w] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    return [[v for v in range(t.n) if color[v] == c] for c in range(max(color) + 1)]
 
 
 class TestCollisionFreePartition:
@@ -68,6 +87,18 @@ class TestGreedyPartition:
             aux = t.auxiliary_graph()
             max_aux_degree = max(len(nb) for nb in aux.neighbors)
             assert p.q <= 1 + max_aux_degree
+
+    def test_matches_set_based_coloring(self):
+        rng = np.random.default_rng(53)
+        graphs = [
+            random_connected(rng, int(rng.integers(1, 40)), extra_edges=int(rng.integers(0, 60)))
+            for _ in range(40)
+        ]
+        graphs += [make_topology(spec) for spec in (
+            "two-stars(6,6)", "er(100,0.05,3)", "er(400,0.012,1)", "er(2000,0.006,1)"
+        )]
+        for t in graphs:
+            assert [list(s) for s in greedy_partition(t).subsets] == set_greedy_partition(t)
 
     def test_deterministic(self):
         rng = np.random.default_rng(43)
