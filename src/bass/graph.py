@@ -179,13 +179,15 @@ def _conflicts(topology: Topology):
 def _pair_gram(n, k, a, b, w) -> np.ndarray:
     """sum_p w_p (u_k - u_a)(u_k - u_b)^T over incident pairs p, in one n x n
     array: L_(k,a) L_(k,b) for a != b, and L_e^2 = 2 L_e from both ends of e."""
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    flat[:: n + 1] = np.bincount(k, w, n)
-    flat -= np.bincount(k * n + b, w, n * n)
-    flat -= np.bincount(a * n + k, w, n * n)
-    flat += np.bincount(a * n + b, w, n * n)
-    return out
+    # The -(k, b), -(a, k) and +(a, b) terms share one scatter, so the
+    # result is the only n^2 array.
+    flat = np.bincount(
+        np.concatenate([k * n + b, a * n + k, a * n + b]),
+        np.concatenate([-w, -w, w]),
+        n * n,
+    )
+    flat[:: n + 1] += np.bincount(k, w, n)
+    return flat.reshape(n, n)
 
 
 def betweenness_centrality(t: Topology) -> np.ndarray:

@@ -1,14 +1,36 @@
 """Mixing-parameter selection by minimizing the expected contraction factor.
 
 With W(t) = I - eps * L~(t), the squared consensus deviation contracts in
-expectation by at most the largest eigenvalue of
+expectation by at most the largest eigenvalue s(eps) of
 
-    E[W^2(t)] - J = I - 2 eps E[L~] + eps^2 E[L~^T L~] - J.
+    M(eps) = E[W^2(t)] - J = I - 2 eps E[L~] + eps^2 E[L~^T L~] - J.
 
-That matrix is PSD (each realization satisfies W^2 - J = (W - J)^2), so the
-largest eigenvalue equals the spectral norm, and as a pointwise maximum of
-convex quadratics in eps the objective is convex: a 1-D bracketed search
-finds the global optimum without any SDP machinery.
+That matrix is PSD (each realization satisfies W^2 - J = (W - J)^2), and s is
+convex in eps as a pointwise maximum of the convex quadratics
+
+    q_v(eps) = v^T M(eps) v = v^T (I - J) v - 2 eps v^T E[L~] v + eps^2 v^T E[L~^2] v
+
+over unit vectors v. Every such quadratic is a minorant of s, which is what
+makes the search certified: `optimize_epsilon` returns, beside eps* and
+s* = s(eps*), a lower bound on min s, and stops when the two are within
+`tol`. Its loop:
+
+1. Evaluates s exactly at the current eps: M is written into one reused
+   n x n buffer and `eigvalsh` gives its whole spectrum.
+2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
+   nodes U is all of the complement of the ones vector from the first step,
+   so the model below is s itself and the second evaluation normally ends
+   the search. Otherwise a Chebyshev filter of the buffer (matmuls only;
+   the spectrum places the cut-off in a gap) adds a block of approximate
+   top eigenvectors, and a thick restart keeps U at most `_BASIS_CAP`
+   columns wide.
+3. Minimizes the Ritz model m_U(eps) = lambda_max(U^T M(eps) U) <= s(eps), a
+   problem of at most `_BASIS_CAP` columns, by the cuts q_v of its top
+   eigenvectors v. The least maximum of all cuts so far is the certified
+   lower bound; the next eps is the model's best point.
+4. Stops once the best exact value minus the lower bound is at most `tol`.
+
+No bracket is needed, because the cuts grow without bound in eps.
 """
 
 from __future__ import annotations
@@ -19,10 +41,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 # Entries per square tile of the moment symmetry check.
 _CHECK_BLOCK = 2**15
+# Columns of the Ritz basis: the model eigenproblems are at most this size,
+# and up to this many nodes plus one the basis is exact.
+_BASIS_CAP = 40
+# Exact evaluations before the search gives up and warns with its gap.
+_MAX_EVALUATIONS = 30
+# Model eigenproblems per exact evaluation.
+_MODEL_STEPS = 60
+# Chebyshev filter: the block sizes it may choose from, the damping of the
+# unwanted spectrum relative to the weakest wanted eigenvalue, and the
+# degree cap.
+_BLOCK_SIZES = range(4, 13)
+_FILTER_DAMPING = 1e-4
+_MAX_FILTER_DEGREE = 200
+# Seed of the filter's random start vectors.
+_FILTER_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,19 +93,29 @@ class SpectralObjective:
     def n(self) -> int:
         return self.e_laplacian.shape[0]
 
-    def value(self, eps: float) -> float:
-        """Largest eigenvalue of E[W^2] - J at the given step size."""
+    def contraction_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+        """E[W^2] - J at the given step size, written into ``out`` if given.
+
+        The buffer is filled in place as 2 eps (eps/2 E[L~^2] - E[L~]) plus
+        I - J, so no n x n temporary is made.
+        """
         eps = float(eps)
         if eps < 0:
             raise ValueError("eps must be nonnegative")
+        n = self.n
+        if out is None:
+            out = np.empty((n, n))
+        np.multiply(self.e_gram, 0.5 * eps, out=out)
+        out -= self.e_laplacian
+        out *= 2.0 * eps
         # Every entry of J is 1/n, so J is subtracted as that scalar.
-        mat = (
-            np.eye(self.n)
-            - 2.0 * eps * self.e_laplacian
-            + eps * eps * self.e_gram
-            - 1.0 / self.n
-        )
-        return float(np.linalg.eigvalsh(mat)[-1])
+        out -= 1.0 / n
+        out.reshape(-1)[:: n + 1] += 1.0
+        return out
+
+    def value(self, eps: float) -> float:
+        """Largest eigenvalue of E[W^2] - J at the given step size."""
+        return float(np.linalg.eigvalsh(self.contraction_matrix(eps))[-1])
 
 
 def contracts(value: float) -> bool:
@@ -82,74 +127,264 @@ def contracts(value: float) -> bool:
 
 @dataclass(frozen=True)
 class EpsilonSearch:
-    """Result of the 1-D mixing-parameter optimization."""
+    """Result of the 1-D mixing-parameter optimization: eps*, s* = s(eps*),
+    a certified lower bound on min s, and the number of exact evaluations
+    of s the search made."""
 
     epsilon: float
     value: float
-    bracket_hi: float
+    lower: float
+    evaluations: int
     degenerate: bool = False
 
 
-def _golden_min(f, lo, hi, tol):
-    """Golden-section minimum of a unimodal f on [lo, hi] to width tol."""
-    if hi - lo <= tol:
-        mid = 0.5 * (lo + hi)
-        return mid, f(mid)
-    steps = int(math.ceil(math.log(tol / (hi - lo)) / math.log(_INV_PHI)))
-    width = hi - lo
-    c = lo + _INV_PHI_SQ * width
-    d = lo + _INV_PHI * width
-    fc, fd = f(c), f(d)
-    for _ in range(max(steps - 1, 0)):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            width = _INV_PHI * width
-            c = lo + _INV_PHI_SQ * width
-            fc = f(c)
+class _Cuts:
+    """The cuts q_v(eps) = 1 - 2 eps beta + eps^2 gamma of unit, mean-free
+    vectors v = U y: beta = y^T R1 y and gamma = y^T R2 y, where R1 and R2
+    are E[L~] and E[L~^2] in the Ritz basis U (U^T (I - J) U = I).
+
+    Every cut is at most s, and all of them pass through (0, 1), so their
+    maximum is 1 + eps * g(eps) with g the upper envelope of the lines
+    gamma * eps - 2 beta. Its minimum sits at a vertex beta / gamma or at a
+    crossing 2 (beta_i - beta_j) / (gamma_i - gamma_j) of two lines, and a
+    cut that attains the maximum at none of those points is dropped: it is
+    nowhere on the envelope.
+    """
+
+    def __init__(self):
+        self.beta = np.empty(0)
+        self.gamma = np.empty(0)
+
+    def add(self, beta: np.ndarray, gamma: np.ndarray):
+        self.beta = np.concatenate([self.beta, beta])
+        self.gamma = np.concatenate([self.gamma, gamma])
+
+    def minimum(self) -> tuple[float, float]:
+        """(argmin, min) over eps >= 0 of the maximum of the cuts."""
+        beta, gamma = self.beta, self.gamma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = beta / gamma
+            cross = 2.0 * np.subtract.outer(beta, beta) / np.subtract.outer(gamma, gamma)
+        cand = np.concatenate([vertex, cross.ravel()])
+        cand = cand[np.isfinite(cand) & (cand > 0.0)]
+        if cand.size == 0:  # every cut is the constant 1
+            return 0.0, 1.0
+        lines = cand[:, None] * (cand[:, None] * gamma - 2.0 * beta)
+        top = lines.max(axis=1)
+        i = int(np.argmin(top))
+        keep = (lines >= top[:, None]).any(axis=0)
+        self.beta, self.gamma = beta[keep], gamma[keep]
+        return float(cand[i]), 1.0 + float(top[i])
+
+    def sublevel(self, level: float) -> tuple[float, float]:
+        """The interval of eps >= 0 on which every cut is at most ``level``."""
+        pos = self.gamma > 0.0
+        beta, gamma = self.beta[pos], self.gamma[pos]
+        root = np.sqrt(np.maximum(beta * beta - gamma * (1.0 - level), 0.0))
+        return (
+            float(((beta - root) / gamma).max(initial=0.0)),
+            float(((beta + root) / gamma).min(initial=np.inf)),
+        )
+
+
+class _RitzBasis:
+    """An orthonormal, mean-free basis U with R1 = U^T E[L~] U and
+    R2 = U^T E[L~^2] U."""
+
+    def __init__(self, objective: SpectralObjective):
+        self.objective = objective
+        n = objective.n
+        self.rng = np.random.default_rng(_FILTER_SEED)
+        if n - 1 <= _BASIS_CAP:
+            # Helmert basis of the complement of the ones vector: column i
+            # is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1)).
+            i = np.arange(1, n)
+            u = np.triu(np.ones((n, n - 1))) - np.diag(i, -1)[:, : n - 1]
+            self.u = u / np.sqrt(i * (i + 1.0))
         else:
-            lo, c, fc = c, d, fd
-            width = _INV_PHI * width
-            d = lo + _INV_PHI * width
-            fd = f(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
+            self.u = np.empty((n, 0))
+        self.r1 = self.u.T @ (objective.e_laplacian @ self.u)
+        self.r2 = self.u.T @ (objective.e_gram @ self.u)
+
+    def model(self, eps: float) -> np.ndarray:
+        r1, r2 = self.r1, self.r2
+        h = r2 * (eps * eps) - r1 * (2.0 * eps)
+        h.reshape(-1)[:: r1.shape[0] + 1] += 1.0
+        return h
+
+    def extend(self, mat: np.ndarray, spectrum: np.ndarray, eps: float):
+        """Add filtered approximations to the top eigenvectors of ``mat`` =
+        M(eps), whose ascending eigenvalues are ``spectrum``."""
+        n = self.objective.n
+        k = self.u.shape[1]
+        if k == n - 1:
+            return
+        p, degree = _filter_shape(spectrum)
+        if k:
+            # Start from the model's top Ritz vectors plus one random vector;
+            # restart to the top ones when the block would overflow the cap.
+            _, y = np.linalg.eigh(self.model(eps))
+            ritz = self.u @ y
+            if k + p > _BASIS_CAP:
+                y = y[:, k + p - _BASIS_CAP :]
+                self.u = ritz[:, k + p - _BASIS_CAP :]
+                self.r1 = y.T @ self.r1 @ y
+                self.r2 = y.T @ self.r2 @ y
+            start = np.hstack([ritz[:, 1 - p :], self.rng.standard_normal((n, 1))])
+        else:
+            start = self.rng.standard_normal((n, p))
+        block = _chebyshev_filter(mat, spectrum, start, n - 1 - p, degree)
+        # Two passes of projection and QR keep U orthonormal and mean-free to
+        # rounding; columns that the first pass finds dependent are dropped.
+        for _ in range(2):
+            block -= block.mean(axis=0)
+            block -= self.u @ (self.u.T @ block)
+            block, r = np.linalg.qr(block)
+            diag = np.abs(np.diag(r))
+            block = block[:, diag > 1e-8 * diag.max(initial=0.0)]
+        e_lap, e_gram = self.objective.e_laplacian, self.objective.e_gram
+        self.r1 = _bordered(self.r1, self.u, block, e_lap @ block)
+        self.r2 = _bordered(self.r2, self.u, block, e_gram @ block)
+        self.u = np.hstack([self.u, block])
+
+    def minimize(self, cuts: _Cuts, eps: float, tol: float) -> tuple[float, float]:
+        """Minimize the Ritz model from ``eps``: returns its best point and the
+        least maximum of the cuts, a lower bound on min s.
+
+        Each step adds the cuts of the two top eigenvectors (two branches
+        cross at a kink) and moves to the Newton point of the top eigenvalue
+        when it lies where the cuts allow a better value, else to the cuts'
+        minimum.
+        """
+        best_value, best_eps = np.inf, eps
+        lower = -np.inf
+        for _ in range(_MODEL_STEPS):
+            vals, vecs = np.linalg.eigh(self.model(eps))
+            if vals[-1] < best_value:
+                best_value, best_eps = float(vals[-1]), eps
+            top = vecs[:, -2:]
+            r1y, r2y = self.r1 @ top, self.r2 @ top
+            gamma = (top * r2y).sum(axis=0)
+            cuts.add((top * r1y).sum(axis=0), gamma)
+            point = eps
+            eps, lower = cuts.minimum()
+            if best_value - lower <= tol:
+                break
+            # d lambda / d eps = y^T M' y, and d^2 lambda / d eps^2 adds
+            # 2 (z^T M' y)^2 / (lambda - mu) for every other eigenpair (mu, z).
+            slope = vecs.T @ (2.0 * (point * r2y[:, -1] - r1y[:, -1]))
+            gap = vals[-1] - vals[:-1]
+            coupled = gap > 1e-9
+            curvature = 2.0 * gamma[-1] + 2.0 * np.sum(slope[:-1][coupled] ** 2 / gap[coupled])
+            if curvature > 0.0:
+                newton = point - slope[-1] / curvature
+                lo, hi = cuts.sublevel(best_value)
+                if lo < newton < hi:
+                    eps = float(newton)
+        return best_eps, lower
 
 
-def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-6) -> EpsilonSearch:
-    """Minimize the expected contraction factor over the step size.
+def _bordered(r: np.ndarray, u: np.ndarray, block: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """[[r, u^T image], [image^T u, block^T image]] for image = A @ block."""
+    side = u.T @ image
+    corner = block.T @ image
+    corner = 0.5 * (corner + corner.T)
+    return np.block([[r, side], [side.T, corner]])
 
-    The initial bracket is [0, 2 / lambda_max(E[L~])], past which the
-    deterministic analogue diverges; when the minimum lands on the right
-    edge, the bracket is doubled (up to four times) before accepting a
-    boundary solution. A degenerate result (eps = 0, value = 1) is returned
-    when E[L~] vanishes, i.e. no link is ever activated bidirectionally.
-    Otherwise a result with value >= 1 warns: no step size contracts.
+
+def _filter_shape(spectrum: np.ndarray) -> tuple[int, int]:
+    """Block size p and degree of the Chebyshev filter for a spectrum.
+
+    The filter damps [spectrum[0], cut-off], the cut-off being the (p+1)-th
+    largest eigenvalue. The degree that damps it by _FILTER_DAMPING relative
+    to the p-th largest is acosh(1 / damping) / acosh(t_p), t_p the p-th
+    eigenvalue mapped onto the Chebyshev variable; p minimizes the matmul
+    columns p * degree, which puts the cut-off in a gap of the spectrum,
+    never inside a degenerate cluster.
+    """
+    best = (_BLOCK_SIZES[0], _MAX_FILTER_DEGREE)
+    for p in _BLOCK_SIZES:
+        low, cut, weakest = spectrum[0], spectrum[-p - 1], spectrum[-p]
+        half = 0.5 * (cut - low)
+        if half <= 0.0:
+            # Only the block's eigenvalues are above the bottom of the
+            # spectrum, so one product with M removes the rest.
+            degree = 1
+        elif weakest <= cut:
+            continue
+        else:
+            t = (weakest - 0.5 * (cut + low)) / half
+            degree = math.ceil(math.acosh(1.0 / _FILTER_DAMPING) / math.acosh(t))
+            degree = min(degree, _MAX_FILTER_DEGREE)
+        if p * degree < best[0] * best[1]:
+            best = (p, degree)
+    return best
+
+
+def _chebyshev_filter(mat, spectrum, block, cut_index, degree):
+    """Chebyshev polynomial of ``mat`` applied to ``block``: it damps the
+    eigenvalues in [spectrum[0], spectrum[cut_index]] and is scaled to 1 at
+    the top eigenvalue (Zhou & Saad's scaled three-term recurrence)."""
+    low, cut = spectrum[0], spectrum[cut_index]
+    center, half = 0.5 * (cut + low), 0.5 * (cut - low)
+    sigma = first = half / (spectrum[-1] - center)
+    prev = block
+    block = (mat @ block - center * block) / (spectrum[-1] - center)
+    for _ in range(degree - 1):
+        sigma_next = 1.0 / (2.0 / first - sigma)
+        nxt = mat @ block
+        nxt -= center * block
+        nxt *= 2.0 * sigma_next / half
+        nxt -= (sigma * sigma_next) * prev
+        prev, block, sigma = block, nxt, sigma_next
+    return block
+
+
+def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> EpsilonSearch:
+    """Minimize the expected contraction factor s over the step size, to a
+    certified gap: s(epsilon) - lower <= tol, with lower <= min s.
+
+    A degenerate result (eps = 0) is returned when E[L~] vanishes, i.e. no
+    link is ever activated bidirectionally. A result with value >= 1 warns:
+    no step size contracts. So does a search that reaches its evaluation cap
+    with the gap still above tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lam_max = float(np.linalg.eigvalsh(objective.e_laplacian)[-1])
-    if lam_max <= 1e-12:
+    buf = np.empty((objective.n, objective.n))
+    if not objective.e_laplacian.any():
+        value = float(np.linalg.eigvalsh(objective.contraction_matrix(0.0, out=buf))[-1])
         return EpsilonSearch(
-            epsilon=0.0, value=objective.value(0.0), bracket_hi=0.0, degenerate=True
+            epsilon=0.0, value=value, lower=value, evaluations=1, degenerate=True
         )
-    # The objective can have a kink at the optimum with slopes of the order
-    # of the Laplacian eigenvalues, so the bracket is shrunk well below the
-    # requested eps tolerance to pin the optimal value too.
-    width = tol * 1e-3
-    hi = 2.0 / lam_max
-    for _ in range(4):
-        eps, val = _golden_min(objective.value, 0.0, hi, width)
-        if hi - eps > 10.0 * tol:
+    # The minimizer of the average eigenvalue, trace(M(eps)) / (n - 1).
+    eps = float(np.trace(objective.e_laplacian) / np.trace(objective.e_gram))
+    basis = _RitzBasis(objective)
+    cuts = _Cuts()
+    best_value, best_eps = np.inf, eps
+    lower = 0.0  # M is PSD
+    for evaluations in range(1, _MAX_EVALUATIONS + 1):
+        spectrum = np.linalg.eigvalsh(objective.contraction_matrix(eps, out=buf))
+        if spectrum[-1] < best_value:
+            best_value, best_eps = float(spectrum[-1]), eps
+        if best_value - lower <= tol:
             break
-        hi *= 2.0
+        basis.extend(buf, spectrum, eps)
+        eps, model_lower = basis.minimize(cuts, eps, 0.5 * tol)
+        lower = max(lower, model_lower)
+        if best_value - lower <= tol:
+            break
     else:
-        eps, val = _golden_min(objective.value, 0.0, hi, width)
-    if not contracts(val):
         warnings.warn(
-            f"s* = {val:.6g} >= 1: no step size contracts the expected consensus "
+            f"epsilon search stopped after {_MAX_EVALUATIONS} evaluations with "
+            f"s(eps) - lower bound = {best_value - lower:.3g} > tol = {tol:g}"
+        )
+    if not contracts(best_value):
+        warnings.warn(
+            f"s* = {best_value:.6g} >= 1: no step size contracts the expected consensus "
             "error, since some nodes never exchange (e.g. zero-probability "
             "subsets); raise min_subset_prob above 0"
         )
-    return EpsilonSearch(epsilon=eps, value=val, bracket_hi=hi)
-
+    return EpsilonSearch(
+        epsilon=best_eps, value=best_value, lower=lower, evaluations=evaluations
+    )

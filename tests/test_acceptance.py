@@ -185,7 +185,7 @@ def test_c03_epsilon_optimizer_correctness():
         t = random_connected(rng, int(rng.integers(4, 13)), extra_edges=3)
         part = greedy_partition(t)
         obj = expected_laplacian_gram(t, part, np.ones(t.n))
-        res = optimize_epsilon(obj, tol=1e-6)
+        res = optimize_epsilon(obj)
         eigs = np.linalg.eigvalsh(t.laplacian())
         worst_eps_dev = max(worst_eps_dev, abs(res.epsilon - 2.0 / (eigs[1] + eigs[-1])))
         objectives.append((obj, res))
@@ -193,7 +193,7 @@ def test_c03_epsilon_optimizer_correctness():
     p3 = Topology(3, [(0, 1), (1, 2)])
     part3 = greedy_partition(p3)
     obj3 = expected_laplacian_gram(p3, part3, np.ones(3))
-    res3 = optimize_epsilon(obj3, tol=1e-6)
+    res3 = optimize_epsilon(obj3)
     objectives.append((obj3, res3))
     p3_ok = abs(res3.epsilon - 0.5) <= 1e-4 and abs(res3.value - 0.25) <= 1e-4
 
@@ -202,27 +202,30 @@ def test_c03_epsilon_optimizer_correctness():
         part = greedy_partition(t)
         node_p = node_probabilities(rng.uniform(0.2, 0.9, part.q), part)
         obj = expected_laplacian_gram(t, part, node_p)
-        objectives.append((obj, optimize_epsilon(obj, tol=1e-6)))
+        objectives.append((obj, optimize_epsilon(obj)))
 
     # the grid is the independence oracle: the search result must never sit
     # above the best grid value (the grid itself overshoots the true minimum
-    # by its resolution times the kink slope, so the check is one-sided)
+    # by its resolution times the kink slope, so the check is one-sided), and
+    # the certified lower bound must never sit above it either
     worst_grid_gap = -np.inf
+    certified = True
     for obj, res in objectives:
         if res.degenerate:
             continue
-        grid = np.linspace(0.0, res.bracket_hi, 10_001)
-        grid_min = min(obj.value(e) for e in grid)
+        hi = max(2.0 / np.linalg.eigvalsh(obj.e_laplacian)[-1], 2.0 * res.epsilon)
+        grid_min = min(obj.value(e) for e in np.linspace(0.0, hi, 10_001))
         worst_grid_gap = max(worst_grid_gap, res.value - grid_min)
+        certified &= res.lower <= grid_min + 1e-12 and res.value - res.lower <= 1e-12
 
-    ok = worst_eps_dev <= 1e-4 and p3_ok and worst_grid_gap <= 1e-5
+    ok = worst_eps_dev <= 1e-4 and p3_ok and worst_grid_gap <= 1e-5 and certified
     _report(
         3,
         "mixing-parameter search vs closed form and grid scan",
         ok,
         started,
         f"det dev {worst_eps_dev:.2e} (<=1e-4), P3 ({res3.epsilon:.6f}, {res3.value:.6f}), "
-        f"grid gap {worst_grid_gap:.2e} (<=1e-5)",
+        f"grid gap {worst_grid_gap:.2e} (<=1e-5), certified lower bound {certified}",
     )
 
 

@@ -59,6 +59,16 @@ class TestOptimizeEps:
         assert s == pytest.approx(0.25, abs=1e-6)
         assert "rho(E[W] - J)" in out
 
+    def test_prints_certificate(self, capsys):
+        code = main(["optimize-eps", "--topology", "er(60,0.1,2)", "--policy", "bass",
+                     "--budget-frac", "0.5", "--min-subset-prob", "0.01"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        value = lambda key: [l for l in lines if l.startswith(key)][0].split("=")[1].split()[0]
+        s_star, s_lower = float(value("s_star")), float(value("s_lower"))
+        assert s_lower <= s_star <= s_lower + 1e-8  # printed to 8 digits
+        assert 1 <= int(value("evaluations")) <= 30
+
     def test_matcha_mean_is_exact_path3(self, capsys):
         # two single-edge matchings at p = 0.5: E[L~] = L / 2, and L of
         # path(3) has eigenvalues 0, 1, 3, so rho = max |1 - eps * lam / 2|

@@ -26,13 +26,13 @@ def ring6():
     return Topology(6, [(i, (i + 1) % 6) for i in range(6)])
 
 
-def bass_policy(t, part, budget, tol=1e-6):
+def bass_policy(t, part, budget):
     scores = subset_betweenness(betweenness_centrality(t), part)
     probs = solve_probabilities(scores, budget)
     policy = SchedulingPolicy(probs, budget)
     node_p = node_probabilities(policy.subset_probs, part)
     moments = expected_laplacian_gram(t, part, node_p)
-    search = optimize_epsilon(moments, tol)
+    search = optimize_epsilon(moments)
     return policy.with_epsilon(search.epsilon), search
 
 

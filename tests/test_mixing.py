@@ -1,16 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bass import (
     SpectralObjective,
     Topology,
+    betweenness_centrality,
     expected_laplacian_gram,
     full_comm_policy,
     greedy_partition,
     node_probabilities,
     optimize_epsilon,
     sample_round,
+    solve_probabilities,
+    subset_betweenness,
 )
+from bass import mixing
+from bass.topologies import er_topology, ring_topology, star_topology, two_stars_topology
 
 from .test_graph import p3, random_connected
 
@@ -104,9 +113,43 @@ class TestObjectiveValue:
             assert mid <= 0.5 * (obj.value(e1) + obj.value(e2)) + 1e-9
 
 
+def oracle_minimum(obj):
+    """Dense oracle for min s: golden section on eigvalsh over a bracket
+    doubled until the minimum is inside, to an eps width of 1e-11."""
+    hi = 2.0 / np.linalg.eigvalsh(obj.e_laplacian)[-1]
+    while obj.value(hi) <= obj.value(0.5 * hi):
+        hi *= 2.0
+    lo, inv_phi = 0.0, (np.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-11:
+        c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        if obj.value(c) < obj.value(d):
+            hi = d
+        else:
+            lo = c
+    return obj.value(0.5 * (lo + hi))
+
+
+def grid_range(obj, res):
+    """Past 2 / lambda_max(E[L~]) and twice eps*: never narrower than the
+    bracket the search used to start from."""
+    return max(2.0 / np.linalg.eigvalsh(obj.e_laplacian)[-1], 2.0 * res.epsilon)
+
+
+def assert_certified(obj, res):
+    assert -1e-12 <= res.value - res.lower <= 1e-12
+    assert obj.value(res.epsilon) == pytest.approx(res.value, abs=1e-12)
+
+
+def subset_objective(t, probs=None, seed=0):
+    part = greedy_partition(t)
+    if probs is None:
+        probs = np.random.default_rng(seed).uniform(0.05, 1.0, part.q)
+    return expected_laplacian_gram(t, part, node_probabilities(probs, part))
+
+
 class TestOptimizeEpsilon:
     def test_p3_full_comm(self):
-        res = optimize_epsilon(full_comm_objective(p3()), tol=1e-6)
+        res = optimize_epsilon(full_comm_objective(p3()))
         assert res.epsilon == pytest.approx(0.5, abs=1e-4)
         assert res.value == pytest.approx(0.25, abs=1e-6)
         assert not res.degenerate
@@ -122,12 +165,14 @@ class TestOptimizeEpsilon:
         assert res.degenerate
         assert res.epsilon == 0.0
         assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.lower == res.value
+        assert res.evaluations == 1
 
     def test_deterministic_case_matches_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(8):
             t = random_connected(rng, int(rng.integers(4, 12)), extra_edges=3)
-            res = optimize_epsilon(full_comm_objective(t), tol=1e-6)
+            res = optimize_epsilon(full_comm_objective(t))
             eigs = np.linalg.eigvalsh(t.laplacian())
             expected = 2.0 / (eigs[1] + eigs[-1])
             assert res.epsilon == pytest.approx(expected, abs=1e-4)
@@ -136,12 +181,101 @@ class TestOptimizeEpsilon:
         rng = np.random.default_rng(11)
         for _ in range(5):
             obj, _ = random_objective(rng)
-            res = optimize_epsilon(obj, tol=1e-6)
-            assert res.value <= grid_minimum(obj, res.bracket_hi, points=2001) + 1e-5
+            res = optimize_epsilon(obj)
+            grid_min = grid_minimum(obj, grid_range(obj, res), points=2001)
+            assert res.value <= grid_min + 1e-5
+            assert res.lower <= grid_min + 1e-12
+            assert res.value - res.lower <= 1e-12
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             optimize_epsilon(full_comm_objective(p3()), tol=0.0)
+
+    def test_small_graphs_need_two_evaluations(self):
+        # up to 41 nodes the Ritz model is s itself
+        rng = np.random.default_rng(19)
+        for n in (3, 12, 41):
+            obj = subset_objective(random_connected(rng, n, extra_edges=n), seed=n)
+            assert optimize_epsilon(obj).evaluations == 2
+
+    def test_growing_basis_needs_few_evaluations(self):
+        # the bass policy of the large-er benchmark: golden section needed 45
+        t = er_topology(400, 0.012, 1)
+        part = greedy_partition(t)
+        scores = subset_betweenness(betweenness_centrality(t), part)
+        obj = subset_objective(t, solve_probabilities(scores, 0.5 * part.q, 0.01))
+        res = optimize_epsilon(obj)
+        assert res.evaluations <= 8
+        assert_certified(obj, res)
+
+    def test_evaluation_cap_warns_with_gap(self, monkeypatch):
+        obj = subset_objective(random_connected(np.random.default_rng(23), 60, 30))
+        monkeypatch.setattr(mixing, "_MAX_EVALUATIONS", 1)
+        with pytest.warns(UserWarning, match=r"after 1 evaluations with s\(eps\) - lower"):
+            res = optimize_epsilon(obj)
+        assert res.evaluations == 1
+        assert res.value - res.lower > 1e-12
+
+    def test_loose_tolerance_stops_early(self):
+        obj = subset_objective(random_connected(np.random.default_rng(29), 80, 40))
+        loose = optimize_epsilon(obj, tol=1e-3)
+        tight = optimize_epsilon(obj)
+        assert loose.value - loose.lower <= 1e-3
+        assert loose.evaluations <= tight.evaluations
+        assert tight.lower <= loose.value
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            ring_topology(200),
+            star_topology(10),
+            two_stars_topology(6, 6),
+            Topology(9, list(itertools.combinations(range(9), 2))),
+            Topology(50, list(itertools.combinations(range(50), 2))),
+        ],
+        ids=["ring(200)", "star(10)", "two-stars(6,6)", "complete(9)", "complete(50)"],
+    )
+    def test_full_communication_closed_form(self, topology):
+        # ring(200)'s spectrum is degenerate pairs; a complete graph's is one
+        # eigenvalue of multiplicity n - 1, and s* = 0
+        res = optimize_epsilon(full_comm_objective(topology))
+        eigs = np.linalg.eigvalsh(topology.laplacian())
+        lam2, lam_n = eigs[1], eigs[-1]
+        assert res.epsilon == pytest.approx(2.0 / (lam2 + lam_n), rel=1e-6)
+        assert res.value == pytest.approx(((lam_n - lam2) / (lam_n + lam2)) ** 2, abs=1e-12)
+        assert_certified(full_comm_objective(topology), res)
+
+    @pytest.mark.parametrize(
+        "topology",
+        [ring_topology(200), star_topology(10), two_stars_topology(6, 6)],
+        ids=["ring(200)", "star(10)", "two-stars(6,6)"],
+    )
+    def test_random_subsets_match_dense_oracle(self, topology):
+        obj = subset_objective(topology, seed=topology.n)
+        res = optimize_epsilon(obj)
+        oracle = oracle_minimum(obj)
+        assert res.lower <= oracle + 1e-12
+        assert res.value <= oracle + 1e-12
+        assert_certified(obj, res)
+
+    @settings(derandomize=True, deadline=None, max_examples=25, database=None)
+    @given(
+        n=st.integers(2, 150),
+        extra=st.integers(0, 300),
+        seed=st.integers(0, 2**16),
+        unit=st.booleans(),
+    )
+    def test_lower_bound_is_certified(self, n, extra, seed, unit):
+        # n up to 150 runs both the exact basis and the growing one
+        rng = np.random.default_rng(seed)
+        t = random_connected(rng, n, extra_edges=extra)
+        part = greedy_partition(t)
+        probs = np.ones(part.q) if unit else rng.uniform(0.01, 1.0, part.q)
+        obj = expected_laplacian_gram(t, part, node_probabilities(probs, part))
+        res = optimize_epsilon(obj)
+        assert_certified(obj, res)
+        for eps in rng.uniform(0.0, 2.0 * res.epsilon + 0.1, 4):
+            assert res.lower <= obj.value(eps) + 1e-12
 
     def test_probability_monotonicity_flag(self):
         # raising every activation probability should not hurt the optimum;
