@@ -23,41 +23,43 @@ _MATCHA_BLOCK = 1024
 
 
 class MatchingDecomposition:
-    """Edge sets M_1..M_r, each a matching, jointly covering every base edge."""
+    """The base edges split into matchings M_0..M_{r-1}.
 
-    def __init__(self, n, matchings):
-        self.n = int(n)
-        self.matchings = tuple(
-            tuple(sorted((min(i, j), max(i, j)) for i, j in m)) for m in matchings
-        )
+    The decomposition is its read-only ``edge_matching``: entry e is the
+    matching that holds row e of the topology's ``edge_array``, so every
+    edge lies in exactly one matching. ``matchings``, each matching's edges
+    as a tuple of pairs, is derived on demand.
+    """
+
+    def __init__(self, topology: Topology, edge_matching):
+        self.topology = topology
+        self.edge_matching = np.array(edge_matching, dtype=np.intp)
+        self.edge_matching.setflags(write=False)
+        self.r = int(self.edge_matching.max(initial=-1)) + 1
 
     @property
-    def r(self) -> int:
-        return len(self.matchings)
+    def matchings(self) -> tuple:
+        """Edge tuples of each matching in matching order, edges sorted."""
+        edges, color = self.topology.edge_array, self.edge_matching
+        return tuple(tuple(map(tuple, edges[color == k].tolist())) for k in range(self.r))
 
     def __repr__(self):
-        return f"MatchingDecomposition(n={self.n}, r={self.r})"
+        return f"MatchingDecomposition(n={self.topology.n}, r={self.r})"
 
 
 def matching_decomposition(t: Topology) -> MatchingDecomposition:
     """Greedy edge coloring: each edge takes the smallest color free at both
-    endpoints, processing edges in lexicographic order. Uses at most
-    2 * max_degree - 1 colors."""
-    colors_at = [set() for _ in range(t.n)]
-    assignment = {}
-    for edge in t.edges:
-        i, j = edge
-        c = 0
-        while c in colors_at[i] or c in colors_at[j]:
-            c += 1
-        assignment[edge] = c
-        colors_at[i].add(c)
-        colors_at[j].add(c)
-    count = max(assignment.values()) + 1 if assignment else 0
-    matchings = [[] for _ in range(count)]
-    for edge, c in assignment.items():
-        matchings[c].append(edge)
-    return MatchingDecomposition(t.n, matchings)
+    endpoints, processing edges in lexicographic order, so the colors in use
+    are 0..r-1 with r at most 2 * max_degree - 1."""
+    used = [0] * t.n  # bit c of used[v]: color c is taken at node v
+    colors = []
+    for i, j in t.edge_array.tolist():
+        taken = used[i] | used[j]
+        bit = ~taken & (taken + 1)  # lowest clear bit
+        colors.append(bit.bit_length() - 1)
+        used[i] |= bit
+        used[j] |= bit
+    return MatchingDecomposition(t, colors)
 
 
 def dump_matchings(md: MatchingDecomposition) -> str:
@@ -69,13 +71,13 @@ def dump_matchings(md: MatchingDecomposition) -> str:
 class MatchaPolicy:
     """Independent per-matching activation with two slots per active matching.
 
-    ``edge_matching[e]`` is the matching that holds base edge e (row e of the
-    topology's ``edge_array``); the matchings must cover every base edge
-    exactly once.
+    ``edge_matching[e]`` is the matching, in 0..r-1 with r the length of
+    ``match_probs``, that holds base edge e (row e of the topology's
+    ``edge_array``).
     """
 
     topology: Topology
-    matchings: tuple
+    edge_matching: np.ndarray
     match_probs: np.ndarray
     budget: float
     epsilon: float | None = None
@@ -84,20 +86,17 @@ class MatchaPolicy:
         probs = np.asarray(self.match_probs, dtype=float).copy()
         probs.setflags(write=False)
         object.__setattr__(self, "match_probs", probs)
-        index = {edge: e for e, edge in enumerate(self.topology.edges)}
-        located = sorted(
-            (index.get((min(i, j), max(i, j)), -1), k)
-            for k, m in enumerate(self.matchings) for i, j in m
-        )
-        if [e for e, _ in located] != list(range(len(index))):
-            raise ValueError("the matchings must cover every base edge exactly once")
-        owner = np.array([k for _, k in located], dtype=int)
+        owner, m = np.array(self.edge_matching, dtype=np.intp), len(self.topology.edge_array)
+        if owner.shape != (m,) or np.any((owner < 0) | (owner >= probs.size)):
+            raise ValueError(
+                f"edge_matching must give each of the {m} base edges a matching in 0..{probs.size - 1}"
+            )
         owner.setflags(write=False)
         object.__setattr__(self, "edge_matching", owner)
 
     @property
     def r(self) -> int:
-        return len(self.matchings)
+        return self.match_probs.size
 
     @property
     def expected_slots(self) -> float:
@@ -134,8 +133,8 @@ def matcha_policy(md: MatchingDecomposition, budget_slots: float, topology: Topo
     budget_slots = float(budget_slots)
     if md.r == 0:
         raise ValueError("matching decomposition has no matchings")
-    if topology.n != md.n:
-        raise ValueError("decomposition and topology disagree on node count")
+    if md.topology != topology:
+        raise ValueError("the decomposition belongs to a different topology")
     if budget_slots <= 0 or budget_slots > 2 * md.r + BUDGET_TOL:
         raise ValueError(
             f"budget {budget_slots} infeasible: need 0 < B <= {2 * md.r} slots"
@@ -143,7 +142,7 @@ def matcha_policy(md: MatchingDecomposition, budget_slots: float, topology: Topo
     prob = min(1.0, budget_slots / (2.0 * md.r))
     return MatchaPolicy(
         topology=topology,
-        matchings=md.matchings,
+        edge_matching=md.edge_matching,
         match_probs=np.full(md.r, prob),
         budget=budget_slots,
     )

@@ -225,13 +225,10 @@ def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
                 label = f"{kind}@{use_frac:g}" if use_frac is not None else f"{kind}@B{slots:g}"
             specs.append(PolicySpec(label=label, kind=kind, budget_slots=slots, frac=use_frac))
     # A sweep would otherwise duplicate the full-comm curve per fraction.
-    seen = set()
-    unique = []
+    unique = {}
     for spec in specs:
-        if spec.label not in seen:
-            seen.add(spec.label)
-            unique.append(spec)
-    return unique
+        unique.setdefault(spec.label, spec)
+    return list(unique.values())
 
 
 def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentConfig):

@@ -15,34 +15,30 @@ _BFS_BLOCK_ELEMENTS = 2**14
 class Topology:
     """Immutable undirected graph on nodes 0..n-1, no self-loops, no multi-edges.
 
-    Edges are kept as sorted (i, j) pairs with i < j, both as a tuple and as
-    the read-only ``(m, 2)`` ``edge_array``; neighbor lists are sorted by node
-    index. The dense adjacency matrix, the CSR half-edges and the betweenness
-    are built read-only on first access (threads that race there build equal
-    copies), so instances can be shared freely across threads.
+    The graph is its read-only ``(m, 2)`` ``edge_array``: one row (i, j) with
+    i < j per edge, rows in lexicographic order. ``edges``, the same rows as
+    a tuple of pairs, the dense adjacency matrix, the CSR half-edges and the
+    betweenness are derived read-only on first access (threads that race
+    there build equal copies), so instances can be shared freely across
+    threads.
     """
 
     def __init__(self, n, edges=()):
         n = int(n)
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
-        dedup = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            dedup.add((i, j) if i < j else (j, i))
+        i, j = _endpoints(n, edges).T
+        keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+        # Deduplicated by hand: np.unique is many times slower than a sort here.
+        keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
         self.n = n
-        self.edges = tuple(sorted(dedup))
-        self.edge_array = np.array(self.edges, dtype=int).reshape(-1, 2)
+        self.edge_array = np.column_stack([keys // n, keys % n])
         self.edge_array.setflags(write=False)
-        nbrs = [[] for _ in range(n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The rows of ``edge_array`` as a tuple of (i, j) pairs."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -87,29 +83,46 @@ class Topology:
     def is_connected(self) -> bool:
         return _connected(self.n, self.edge_array)
 
-    def auxiliary_graph(self) -> "Topology":
-        """Conflict graph for simultaneous broadcasting.
-
-        On top of the base edges, every pair of nodes with at least one common
-        neighbor gets an edge: if both transmitted in the same slot their
-        packets would collide at the shared neighbor.
-        """
-        indptr, nbr = _conflicts(self)
-        tail = np.repeat(np.arange(self.n), np.diff(indptr))
-        return Topology(self.n, np.column_stack([tail, nbr])[tail < nbr].tolist())
-
     def __eq__(self, other):
         return (
             isinstance(other, Topology)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.edge_array, other.edge_array)
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edge_array.tobytes()))
 
     def __repr__(self):
-        return f"Topology(n={self.n}, edges={len(self.edges)})"
+        return f"Topology(n={self.n}, edges={len(self.edge_array)})"
+
+
+def _endpoints(n, edges) -> np.ndarray:
+    """The edges as an (m, 2) integer array in input order.
+
+    One vectorized test accepts valid input. Otherwise the rows are scanned
+    in input order, and ValueError names the first that is not a pair of
+    integers, is a self-loop or leaves 0..n-1.
+    """
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        arr = np.asarray(rows, dtype=float).reshape(len(rows), 2)
+        if ((arr == np.round(arr)) & (arr >= 0) & (arr < n)).all() and (arr[:, 0] != arr[:, 1]).all():
+            return arr.astype(np.intp)
+    except (TypeError, ValueError):
+        pass
+    for row in rows:
+        try:
+            i, j = (float(v) for v in row)
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {row!r} is not a pair of node indices") from None
+        if not (i.is_integer() and j.is_integer()):
+            raise ValueError(f"edge ({i}, {j}) has a non-integer endpoint")
+        if i == j:
+            raise ValueError(f"self-loop at node {int(i)}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({int(i)}, {int(j)}) out of range for n={n}")
+    raise ValueError("edges must be pairs of node indices")
 
 
 def _connected(n, edges) -> bool:
@@ -162,7 +175,8 @@ def _incident_pairs(topology: Topology):
 def _conflicts(topology: Topology):
     """CSR neighbor arrays (indptr, nbr) of the conflict graph, each run
     sorted: base edges plus every pair of distinct nodes with a common
-    neighbor."""
+    neighbor, whose packets would collide there if both broadcast in one
+    slot."""
     n = topology.n
     indptr, head, _ = topology._half_edges
     _, a, b, _, _ = _incident_pairs(topology)
@@ -265,28 +279,27 @@ def betweenness_centrality(t: Topology) -> np.ndarray:
 def load_topology(path) -> Topology:
     """Read a topology file: first line ``n``, then one ``i j`` edge per line.
 
-    Lines starting with ``#`` and blank lines are ignored.
+    Lines starting with ``#`` and blank lines are ignored. A line that does
+    not parse is reported with the file name and its line number.
     """
-    text = Path(path).read_text()
-    entries = []
-    for line in text.splitlines():
+    values = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    if not entries:
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append([int(v) for v in line.split()])
+        except ValueError:
+            raise ValueError(f"{path}:{number}: non-integer token in line {line!r}") from None
+        if len(values[-1]) != (2 if len(values) > 1 else 1):
+            raise ValueError(f"{path}:{number}: malformed line {line!r}")
+    if not values:
         raise ValueError(f"no content in topology file {path}")
-    n = int(entries[0])
-    edges = []
-    for line in entries[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {line!r} in {path}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Topology(n, edges)
+    return Topology(values[0][0], np.array(values[1:], dtype=np.intp).reshape(-1, 2))
 
 
 def save_topology(t: Topology, path) -> None:
     """Write the plain-text format understood by :func:`load_topology`."""
     lines = [str(t.n)]
-    lines.extend(f"{i} {j}" for i, j in t.edges)
+    lines.extend(f"{i} {j}" for i, j in t.edge_array.tolist())
     Path(path).write_text("\n".join(lines) + "\n")

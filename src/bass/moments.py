@@ -40,18 +40,30 @@ def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
         raise ValueError(f"expected {partition.n} node probabilities, got {p.shape}")
     if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
         raise ValueError("node probabilities must lie in [0, 1]")
-    for s in partition.subsets:
-        if np.ptp(p[list(s)]) > 1e-12:
-            raise ValueError(f"nodes of subset {s} carry different probabilities")
+    owner, q = partition.owner_array, partition.q
+    hi, lo = np.full(q, -np.inf), np.full(q, np.inf)
+    np.maximum.at(hi, owner, p)
+    np.minimum.at(lo, owner, p)
+    spread = np.flatnonzero(hi - lo > 1e-12)
+    if spread.size:
+        raise ValueError(f"nodes of subset {partition.subsets[spread[0]]} carry different probabilities")
     return np.clip(p, 0.0, 1.0)
 
 
-def subset_probs_from_node_probs(
-    partition: CollisionFreePartition, node_probs
-) -> np.ndarray:
-    """Recover per-subset probabilities, validating within-subset consistency."""
+def subset_probs_from_node_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
+    """Recover per-subset probabilities, validating within-subset consistency:
+    each subset takes the probability of its lowest-numbered node."""
     p = _checked_probs(partition, node_probs)
-    return np.array([p[s[0]] for s in partition.subsets])
+    return p[np.unique(partition.owner_array, return_index=True)[1]]
+
+
+def edge_survival(topology: Topology, partition: CollisionFreePartition, node_probs) -> np.ndarray:
+    """E[x_e] per row of ``edge_array``: edge (i, j) survives with p_i, times
+    p_j if i and j lie in different subsets."""
+    p = _checked_probs(partition, node_probs)
+    owner = partition.owner_array
+    i, j = topology.edge_array.T
+    return p[i] * np.where(owner[i] != owner[j], p[j], 1.0)
 
 
 def expected_laplacian_gram(
@@ -59,9 +71,9 @@ def expected_laplacian_gram(
 ) -> SpectralObjective:
     """Closed-form E[L~] and E[L~^T L~].
 
-    Each edge (i, j) survives with E[x_e] = p_i (p_j if i and j lie in
-    different subsets, else 1), and each incident pair (k, a), (k, b) with
-    E[n_k n_a n_b], one factor per distinct subset of k, a and b.
+    E[L~] is the Laplacian weighted by ``edge_survival``, and each incident
+    pair (k, a), (k, b) has weight E[n_k n_a n_b], one factor per distinct
+    subset of k, a and b.
     """
     p = _checked_probs(partition, node_probs)
     owner = partition.owner_array
@@ -70,9 +82,7 @@ def expected_laplacian_gram(
     w *= np.where((owner[b] != owner[k]) & (owner[b] != owner[a]), p[b], 1.0)
     # E[L~^2] first, so E[L~] is not held while the scatter's n x n terms are.
     e_gram = _pair_gram(topology.n, k, a, b, w)
-    i, j = topology.edge_array.T
-    e_x = p[i] * np.where(owner[i] != owner[j], p[j], 1.0)
-    return SpectralObjective(topology.laplacian(e_x), e_gram)
+    return SpectralObjective(topology.laplacian(edge_survival(topology, partition, p)), e_gram)
 
 
 def monte_carlo_moments(
@@ -148,9 +158,7 @@ def enumerated_moments(
             weight *= subset_probs[k] if pattern >> k & 1 else 1.0 - subset_probs[k]
         if weight == 0.0:
             continue
-        mask = np.array(
-            [float(pattern >> partition.subset_of[v] & 1) for v in range(n)]
-        )
+        mask = (pattern >> partition.owner_array & 1).astype(float)
         a_t = adj * np.outer(mask, mask)
         lap = np.diag(a_t.sum(axis=1)) - a_t
         s_lap += weight * lap

@@ -8,48 +8,35 @@ from .graph import Topology, _conflicts
 
 
 class CollisionFreePartition:
-    """Ordered disjoint node subsets covering 0..n-1.
+    """Disjoint node subsets covering 0..n-1, numbered 0..q-1, none empty.
 
-    ``subsets[k]`` holds the nodes that broadcast together in one slot;
-    ``subset_of[i]`` is the index of the subset containing node i.
+    The partition is its read-only ``owner_array``: entry i is the index of
+    the subset that holds node i. ``subsets[k]``, the ascending nodes that
+    broadcast together in slot k, is derived on demand.
     """
 
-    def __init__(self, subsets):
-        subs = tuple(tuple(sorted(int(v) for v in s)) for s in subsets)
-        if any(len(s) == 0 for s in subs):
-            raise ValueError("partition contains an empty subset")
-        flat = [v for s in subs for v in s]
-        n = len(flat)
-        if sorted(flat) != list(range(n)):
-            raise ValueError("subsets must be disjoint and cover nodes 0..n-1")
-        owner = [0] * n
-        for k, s in enumerate(subs):
-            for v in s:
-                owner[v] = k
-        self.n = n
-        self.subsets = subs
-        self.subset_of = tuple(owner)
-        arr = np.array(owner, dtype=np.intp)
-        arr.setflags(write=False)
-        self._owner_array = arr
+    def __init__(self, owner):
+        owner = np.asarray(owner)
+        if owner.ndim != 1 or owner.size == 0 or owner.dtype.kind not in "iu":
+            raise ValueError("a partition is a nonempty 1-D array of subset indices, one per node")
+        self.n, self.q = owner.size, int(owner.max()) + 1
+        if owner.min() < 0 or self.q > self.n or not np.bincount(owner).all():
+            raise ValueError("subsets must be numbered 0..q-1 with none empty")
+        self.owner_array = owner.astype(np.intp)
+        self.owner_array.setflags(write=False)
 
     @property
-    def q(self) -> int:
-        return len(self.subsets)
-
-    @property
-    def owner_array(self) -> np.ndarray:
-        """subset_of as a read-only numpy index array."""
-        return self._owner_array
+    def subsets(self) -> tuple:
+        """Node tuples of the subsets in subset order, each ascending."""
+        return tuple(tuple(np.flatnonzero(self.owner_array == k).tolist()) for k in range(self.q))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CollisionFreePartition)
-            and self.subsets == other.subsets
+        return isinstance(other, CollisionFreePartition) and np.array_equal(
+            self.owner_array, other.owner_array
         )
 
     def __hash__(self):
-        return hash(self.subsets)
+        return hash(self.owner_array.tobytes())
 
     def __repr__(self):
         return f"CollisionFreePartition(q={self.q}, n={self.n})"
@@ -60,10 +47,12 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
 
     Nodes are processed by descending conflict degree, ties broken by
     ascending index; each takes the smallest color absent among its
-    already-colored conflict neighbors. Nodes sharing a color are neither
-    adjacent nor sharing a common neighbor in the base topology, so they can
-    all broadcast in the same slot. No minimality claim: optimal partitioning
-    is NP-hard and the order is fixed purely for reproducibility.
+    already-colored conflict neighbors, so the colors in use are 0..q-1 and
+    the color array is the partition's owner array. Nodes sharing a color
+    are neither adjacent nor sharing a common neighbor in the base topology,
+    so they can all broadcast in the same slot. No minimality claim: optimal
+    partitioning is NP-hard and the order is fixed purely for
+    reproducibility.
     """
     if not t.is_connected():
         raise ValueError("greedy_partition requires a connected topology")
@@ -77,39 +66,32 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
         while c in used:
             c += 1
         color[v] = c
-    subsets = [[] for _ in range(max(color) + 1)]
-    for v in range(t.n):
-        subsets[color[v]].append(v)
-    return CollisionFreePartition(subsets)
+    return CollisionFreePartition(color)
 
 
 def validate_partition(t: Topology, partition) -> bool:
-    """Brute-force validity check over all node pairs.
+    """True iff the subsets disjointly cover all nodes and no conflict edge
+    (two nodes adjacent or sharing a common neighbor) lies inside a subset.
 
     Accepts a :class:`CollisionFreePartition` or a raw list of node sets, so
     deliberately broken inputs (missing nodes, overlapping subsets, colliding
-    pairs) can be probed. True iff the subsets disjointly cover all nodes and
-    no two nodes in the same subset are adjacent or share a common neighbor.
+    pairs) can be probed.
     """
     if isinstance(partition, CollisionFreePartition):
-        subsets = partition.subsets
+        owner = partition.owner_array
+        if owner.size != t.n:
+            return False
     else:
-        subsets = [tuple(int(v) for v in s) for s in partition]
-    flat = sorted(v for s in subsets for v in s)
-    if flat != list(range(t.n)):
-        return False
-    adj = t.adjacency
-    common = adj @ adj
-    for s in subsets:
-        for a in range(len(s)):
-            for b in range(a + 1, len(s)):
-                i, j = s[a], s[b]
-                if adj[i, j] != 0 or common[i, j] != 0:
-                    return False
-    return True
+        subsets = [list(s) for s in partition]
+        nodes = np.array([v for s in subsets for v in s], dtype=np.intp)
+        if not np.array_equal(np.sort(nodes), np.arange(t.n)):
+            return False
+        owner = np.empty(t.n, dtype=np.intp)
+        owner[nodes] = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    indptr, nbr = _conflicts(t)
+    return not np.any(np.repeat(owner, np.diff(indptr)) == owner[nbr])
 
 
 def dump_partition(partition: CollisionFreePartition) -> str:
     """One line per subset, space-separated node indices."""
-    return "\n".join(" ".join(str(v) for v in s) for s in partition.subsets) + "\n"
-
+    return "\n".join(" ".join(map(str, s)) for s in partition.subsets) + "\n"

@@ -89,7 +89,7 @@ def subset_betweenness(node_values: np.ndarray, partition: CollisionFreePartitio
         raise ValueError(
             f"centrality has shape {values.shape}, expected ({partition.n},)"
         )
-    return np.array([values[list(s)].sum() for s in partition.subsets])
+    return np.bincount(partition.owner_array, values, partition.q)
 
 
 def solve_probabilities(subset_values, budget, min_prob=0.0):

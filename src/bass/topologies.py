@@ -70,7 +70,7 @@ def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
             blocks.append(np.column_stack([lo + row, lo + row + 1 + hits - starts[row]]))
         edges = np.concatenate(blocks)
         if _connected(n, edges):
-            return Topology(n, edges.tolist())
+            return Topology(n, edges)
     raise ValueError(
         f"no connected graph in {max_tries} draws of er(n={n}, p={p}); try a larger p"
     )

@@ -38,7 +38,36 @@ def assert_valid_decomposition(t, md):
     assert sorted(seen) == sorted(t.edges), "matchings must cover each edge once"
 
 
+def set_greedy_coloring(t):
+    """Oracle: the greedy edge coloring over Python sets of the colors taken
+    at each node, edges in lexicographic order."""
+    colors_at = [set() for _ in range(t.n)]
+    colors = []
+    for i, j in t.edges:
+        c = 0
+        while c in colors_at[i] or c in colors_at[j]:
+            c += 1
+        colors.append(c)
+        colors_at[i].add(c)
+        colors_at[j].add(c)
+    return colors
+
+
 class TestMatchingDecomposition:
+    def test_matches_set_based_coloring(self):
+        rng = np.random.default_rng(61)
+        graphs = [
+            random_connected(rng, int(rng.integers(1, 40)), extra_edges=int(rng.integers(0, 80)))
+            for _ in range(40)
+        ]
+        graphs += [make_topology(spec) for spec in (
+            "two-stars(6,6)", "er(100,0.05,3)", "er(400,0.012,1)", "er(2000,0.006,1)"
+        )]
+        for t in graphs:
+            md = matching_decomposition(t)
+            assert md.edge_matching.tolist() == set_greedy_coloring(t)
+            assert md.r == max(set_greedy_coloring(t), default=-1) + 1
+
     def test_p3_two_matchings(self):
         md = matching_decomposition(p3())
         assert md.r == 2
@@ -113,7 +142,7 @@ class TestMatchaPolicy:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             probs = solve_probabilities(scores, 2.0)
-        hub_subset = part.subset_of[0]
+        hub_subset = part.owner_array[0]
         assert probs[hub_subset] == 1.0
         assert probs.sum() == pytest.approx(1.0)  # leaves stay silent
 
@@ -228,10 +257,12 @@ class TestMatchaPolicy:
         assert np.allclose(policy.expected_laplacian(), expected, rtol=0.0, atol=1e-15)
 
     def test_matchings_must_cover_the_base_edges_once(self):
+        # one matching in 0..r-1 per row of edge_array
         t = p3()
-        for matchings in ((((0, 1),),), (((0, 1),), ((1, 2), (0, 1))), (((0, 2),), ((0, 1), (1, 2)))):
-            with pytest.raises(ValueError):
-                MatchaPolicy(t, matchings, np.full(len(matchings), 0.5), 1.0)
+        MatchaPolicy(t, [0, 1], np.full(2, 0.5), 1.0)
+        for edge_matching in ([0], [0, 1, 0], [0, 2], [-1, 0], [[0, 1]]):
+            with pytest.raises(ValueError, match="edge_matching must give each of the 2"):
+                MatchaPolicy(t, edge_matching, np.full(2, 0.5), 1.0)
 
 
 class TestFullCommPolicy:

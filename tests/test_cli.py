@@ -57,7 +57,9 @@ class TestOptimizeEps:
         s = float([l for l in out.splitlines() if l.startswith("s_star")][0].split("=")[1].split()[0])
         assert eps == pytest.approx(0.5, abs=1e-4)
         assert s == pytest.approx(0.25, abs=1e-6)
-        assert "rho(E[W] - J)" in out
+        # E[L~] = L has eigenvalues 0, 1, 3; the 0 belongs to the ones vector
+        rho = float(out.split("rho(E[W] - J) =")[1].split()[0])
+        assert rho == pytest.approx(max(abs(1.0 - eps * lam) for lam in (1.0, 3.0)), abs=1e-7)
 
     def test_prints_certificate(self, capsys):
         code = main(["optimize-eps", "--topology", "er(60,0.1,2)", "--policy", "bass",

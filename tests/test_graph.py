@@ -14,12 +14,29 @@ from bass import (
     make_topology,
     save_topology,
 )
-from bass.graph import _incident_pairs, _pair_gram
+from bass.graph import _conflicts, _incident_pairs, _pair_gram
 from bass.topologies import ring_topology, star_topology
 
 
 def p3():
     return Topology(3, [(0, 1), (1, 2)])
+
+
+def neighbors(t):
+    """Ascending neighbor lists of every node, read off ``edge_array``."""
+    nbrs = [[] for _ in range(t.n)]
+    for i, j in t.edge_array.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return [sorted(v) for v in nbrs]
+
+
+def conflict_edges(t):
+    """The conflict graph's edges (i, j), i < j, in ``graph._conflicts``'
+    CSR order."""
+    indptr, nbr = _conflicts(t)
+    tail = np.repeat(np.arange(t.n), np.diff(indptr))
+    return [(i, j) for i, j in zip(tail.tolist(), nbr.tolist()) if i < j]
 
 
 def random_connected(rng, n, extra_edges=2):
@@ -41,6 +58,7 @@ def brandes_betweenness(t):
     """Oracle: one pure-Python BFS and back-propagation per source (Brandes),
     normalized like betweenness_centrality."""
     n = t.n
+    nbrs = neighbors(t)
     raw = np.zeros(n)
     for source in range(n):
         dist = [-1] * n
@@ -53,7 +71,7 @@ def brandes_betweenness(t):
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w in t.neighbors[v]:
+            for w in nbrs[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -97,6 +115,7 @@ def brute_force_betweenness(t):
     ordered pairs.
     """
     n = t.n
+    nbrs = neighbors(t)
     dist = np.full((n, n), np.inf)
     for s in range(n):
         dist[s, s] = 0
@@ -105,7 +124,7 @@ def brute_force_betweenness(t):
         while frontier:
             nxt = []
             for v in frontier:
-                for w in t.neighbors[v]:
+                for w in nbrs[v]:
                     if dist[s, w] == np.inf:
                         dist[s, w] = d + 1
                         nxt.append(w)
@@ -116,7 +135,7 @@ def brute_force_betweenness(t):
         if s == targ:
             return [[s]]
         paths = []
-        for prev in t.neighbors[targ]:
+        for prev in nbrs[targ]:
             if dist[s, prev] == dist[s, targ] - 1:
                 paths.extend(p + [targ] for p in all_shortest_paths(s, prev))
         return paths
@@ -138,19 +157,36 @@ class TestTopology:
         t = p3()
         assert list(t.degrees) == [1, 2, 1]
         assert np.array_equal(Topology(3).degrees, np.zeros(3))
-        assert t.neighbors == ((1,), (0, 2), (1,))
+        assert t.edge_array.tolist() == [[0, 1], [1, 2]]
 
     def test_symmetric_pair_dedup(self):
         t = Topology(2, [(0, 1), (1, 0)])
         assert t.edges == ((0, 1),)
 
     def test_out_of_range_endpoint(self):
-        with pytest.raises(ValueError):
-            Topology(3, [(0, 3)])
+        # the first offending edge in input order is named; malformed rows
+        # (non-integral endpoints, rows that are not pairs) fail the same way
+        cases = [
+            ([(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+            ([(0, 1), (-1, 2), (0, 5)], r"edge \(-1, 2\) out of range for n=3"),
+            (np.array([[2, 1], [0, 4]]), r"edge \(0, 4\) out of range for n=3"),
+            ([(0.7, 1.9)], r"edge \(0.7, 1.9\) has a non-integer endpoint"),
+            ([(0, 1), (1.0, 2.5), (0, 3)], r"edge \(1.0, 2.5\) has a non-integer endpoint"),
+            ([(0, float("nan"))], r"non-integer endpoint"),
+            ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of node indices"),
+            ([(0, 1), (1,)], r"edge \(1,\) is not a pair of node indices"),
+            ([(0, "a")], r"edge \(0, 'a'\) is not a pair of node indices"),
+            ([(0, None)], r"edge \(0, None\) is not a pair of node indices"),
+            ((0, 1), r"edge 0 is not a pair of node indices"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Topology(3, edges)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Topology(3, [(1, 1)])
+        for edges in ([(1, 1)], [(0, 1), (1, 1), (0, 3)], iter([(2, 0), (1.0, 1.0)])):
+            with pytest.raises(ValueError, match="self-loop at node 1"):
+                Topology(3, edges)
 
     def test_adjacency_is_readonly(self):
         t = p3()
@@ -166,9 +202,10 @@ class TestTopology:
 
     def test_construction_builds_no_dense_matrix(self):
         t = make_topology("er(400,0.012,1)")
+        edges = t.edges
         tracemalloc.start()
         try:
-            Topology(t.n, t.edges)
+            Topology(t.n, edges)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -177,6 +214,26 @@ class TestTopology:
     def test_equality_and_hash(self):
         assert p3() == Topology(3, [(2, 1), (1, 0)])
         assert hash(p3()) == hash(Topology(3, [(1, 2), (0, 1)]))
+        assert p3() != Topology(4, [(0, 1), (1, 2)])
+        assert p3() != Topology(3, [(0, 1), (0, 2)])
+
+    @settings(derandomize=True, deadline=None, max_examples=80, database=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=3 * n),
+        st.sampled_from(["list", "generator", "array"]),
+    )))
+    def test_matches_set_based_construction(self, case):
+        # duplicates, reversed pairs and isolated nodes, in any input form
+        n, pairs, form = case
+        oracle = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+        given_edges = {"list": pairs, "generator": (e for e in pairs),
+                       "array": np.array(pairs, dtype=int).reshape(-1, 2)}[form]
+        t = Topology(n, given_edges)
+        assert t.edge_array.tolist() == [list(e) for e in oracle]
+        assert t.edges == tuple(oracle)
+        assert t == Topology(n, oracle)
 
 
 class TestIncidentPairs:
@@ -186,7 +243,7 @@ class TestIncidentPairs:
         k, a, b, e, f = _incident_pairs(t)
         expected = [
             (v, x, y, t.edges.index(tuple(sorted((v, x)))), t.edges.index(tuple(sorted((v, y)))))
-            for v in range(t.n) for x in t.neighbors[v] for y in t.neighbors[v]
+            for v, nbrs in enumerate(neighbors(t)) for x in nbrs for y in nbrs
         ]
         assert list(zip(*(arr.tolist() for arr in (k, a, b, e, f)))) == expected
         assert k.size == (t.degrees**2).sum()
@@ -261,9 +318,10 @@ class TestConnectivity:
 
     def test_matches_breadth_first_search(self):
         def bfs_connected(t):
+            nbrs = neighbors(t)
             seen, frontier = {0}, [0]
             while frontier:
-                frontier = [w for v in frontier for w in t.neighbors[v] if w not in seen]
+                frontier = [w for v in frontier for w in nbrs[v] if w not in seen]
                 seen.update(frontier)
             return len(seen) == t.n
 
@@ -283,41 +341,42 @@ class TestAuxiliaryGraph:
     def enumerate_conflicts(self, t):
         """Oracle: pairs that are adjacent or share a common neighbor."""
         pairs = set(t.edges)
+        nbrs = neighbors(t)
         for i, j in itertools.combinations(range(t.n), 2):
-            if set(t.neighbors[i]) & set(t.neighbors[j]):
+            if set(nbrs[i]) & set(nbrs[j]):
                 pairs.add((i, j))
         return pairs
 
     def test_p3_becomes_triangle(self):
-        aux = p3().auxiliary_graph()
-        assert set(aux.edges) == self.enumerate_conflicts(p3())
-        assert aux.edges == ((0, 1), (0, 2), (1, 2))
+        aux = conflict_edges(p3())
+        assert set(aux) == self.enumerate_conflicts(p3())
+        assert aux == [(0, 1), (0, 2), (1, 2)]
 
     def test_star_becomes_complete(self):
         star = Topology(5, [(0, i) for i in range(1, 5)])
-        aux = star.auxiliary_graph()
-        assert set(aux.edges) == {
+        aux = conflict_edges(star)
+        assert set(aux) == {
             (i, j) for i in range(5) for j in range(i + 1, 5)
         }
 
     def test_ring6_chords(self):
         ring = Topology(6, [(i, (i + 1) % 6) for i in range(6)])
-        aux = ring.auxiliary_graph()
-        assert set(aux.edges) == self.enumerate_conflicts(ring)
+        aux = conflict_edges(ring)
+        assert set(aux) == self.enumerate_conflicts(ring)
         # distance-2 chords appear, antipodal pairs stay non-adjacent
-        assert (0, 2) in aux.edges
-        assert (0, 3) not in aux.edges
+        assert (0, 2) in aux
+        assert (0, 3) not in aux
 
     def test_monotone_and_disjoint_neighborhoods(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             t = random_connected(rng, int(rng.integers(3, 14)), extra_edges=3)
-            aux = t.auxiliary_graph()
-            assert set(aux.edges) >= set(t.edges)
-            aux_set = set(aux.edges)
+            aux_set = set(conflict_edges(t))
+            assert aux_set >= set(t.edges)
+            nbrs = neighbors(t)
             for i, j in itertools.combinations(range(t.n), 2):
                 if (i, j) not in aux_set:
-                    assert not set(t.neighbors[i]) & set(t.neighbors[j])
+                    assert not set(nbrs[i]) & set(nbrs[j])
 
 
 class TestBetweenness:
@@ -363,6 +422,7 @@ class TestBetweenness:
             assert np.allclose(b * raw.sum(), raw, atol=1e-9)
             # raw total = number of ordered (s, t) traversals through an
             # interior vertex, counted directly on the unique paths
+            nbrs = neighbors(t)
             dist = np.full((n, n), np.inf)
             for s in range(n):
                 dist[s, s] = 0
@@ -370,7 +430,7 @@ class TestBetweenness:
                 while frontier:
                     nxt = []
                     for v in frontier:
-                        for w in t.neighbors[v]:
+                        for w in nbrs[v]:
                             if dist[s, w] == np.inf:
                                 dist[s, w] = d + 1
                                 nxt.append(w)
@@ -440,7 +500,16 @@ class TestFileFormat:
         assert load_topology(path) == p3()
 
     def test_malformed_line(self, tmp_path):
+        # the file and the line number are named
         path = tmp_path / "bad.txt"
-        path.write_text("3\n0 1 2\n")
-        with pytest.raises(ValueError):
-            load_topology(path)
+        cases = [
+            ("3\n0 1 2\n", r"bad.txt:2: malformed line '0 1 2'"),
+            ("# header\n3\n\n0 1\n1 x\n", r"bad.txt:5: non-integer token in line '1 x'"),
+            ("3\n0 1.5\n", r"bad.txt:2: non-integer token"),
+            ("three\n0 1\n", r"bad.txt:1: non-integer token in line 'three'"),
+            ("3 4\n0 1\n", r"bad.txt:1: malformed line '3 4'"),
+        ]
+        for text, message in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                load_topology(path)

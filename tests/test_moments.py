@@ -23,7 +23,7 @@ def k2():
 
 
 def k2_split():
-    return CollisionFreePartition([[0], [1]])
+    return CollisionFreePartition([0, 1])
 
 
 def ring6_setup():
@@ -109,7 +109,7 @@ class TestExpectedLaplacian:
         assert np.allclose(e_lap, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_k2_same_subset(self):
-        part = CollisionFreePartition([[0, 1]])  # invalid physically, legal input
+        part = CollisionFreePartition([0, 0])  # invalid physically, legal input
         e_lap = expected_laplacian_gram(k2(), part, [0.5, 0.5]).e_laplacian
         # perfectly correlated endpoints: the link is on iff the subset is
         assert np.allclose(e_lap, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
@@ -152,7 +152,7 @@ class TestExpectedGram:
 
     def test_single_node_all_zero(self):
         t = Topology(1)
-        part = CollisionFreePartition([[0]])
+        part = CollisionFreePartition([0])
         ms = expected_laplacian_gram(t, part, [0.7])
         for mat in (ms.e_laplacian, ms.e_gram):
             assert np.array_equal(mat, np.zeros((1, 1)))
@@ -235,7 +235,7 @@ class TestEnumeratedMoments:
 
     def test_too_many_subsets_rejected(self):
         t = Topology(30, [(i, i + 1) for i in range(29)])
-        part = CollisionFreePartition([[i] for i in range(30)])
+        part = CollisionFreePartition(np.arange(30))
         with pytest.raises(ValueError):
             enumerated_moments(t, part, np.full(30, 0.5))
 

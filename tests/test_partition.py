@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bass import (
     CollisionFreePartition,
@@ -9,8 +11,9 @@ from bass import (
     make_topology,
     validate_partition,
 )
+from bass.graph import _conflicts
 
-from .test_graph import p3, random_connected
+from .test_graph import neighbors, p3, random_connected
 
 
 def ring6():
@@ -24,8 +27,8 @@ def star5():
 def set_greedy_partition(t):
     """Oracle: the greedy coloring over a conflict graph of Python sets, base
     edges plus every pair of neighbors of each node."""
-    conflict = [set(nb) for nb in t.neighbors]
-    for nbrs in t.neighbors:
+    conflict = [set(nb) for nb in neighbors(t)]
+    for nbrs in neighbors(t):
         for a in nbrs:
             conflict[a].update(b for b in nbrs if b != a)
     order = sorted(range(t.n), key=lambda v: (-len(conflict[v]), v))
@@ -39,23 +42,43 @@ def set_greedy_partition(t):
     return [[v for v in range(t.n) if color[v] == c] for c in range(max(color) + 1)]
 
 
+def brute_force_valid(t, subsets):
+    """Oracle: the subsets disjointly cover 0..n-1 and no two nodes of one
+    subset are adjacent or have a common neighbor, checked pair by pair on
+    the dense adjacency."""
+    if sorted(v for s in subsets for v in s) != list(range(t.n)):
+        return False
+    adj = t.adjacency
+    common = adj @ adj
+    for s in subsets:
+        for a in range(len(s)):
+            for b in range(a + 1, len(s)):
+                if adj[s[a], s[b]] != 0 or common[s[a], s[b]] != 0:
+                    return False
+    return True
+
+
 class TestCollisionFreePartition:
-    def test_subset_of(self):
-        p = CollisionFreePartition([[0, 3], [1, 4], [2, 5]])
-        assert p.q == 3
-        assert p.subset_of == (0, 1, 2, 0, 1, 2)
+    def test_owner_array_and_subsets(self):
+        p = CollisionFreePartition([0, 1, 2, 0, 1, 2])
+        assert p.q == 3 and p.n == 6
+        assert p.owner_array.tolist() == [0, 1, 2, 0, 1, 2]
+        assert p.subsets == ((0, 3), (1, 4), (2, 5))
+        with pytest.raises(ValueError):
+            p.owner_array[0] = 1
 
     def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            CollisionFreePartition([[0], [2]])
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            CollisionFreePartition([[0, 1], [1, 2]])
+        # subset 1 is numbered but holds no node
+        with pytest.raises(ValueError, match="none empty"):
+            CollisionFreePartition([0, 2, 0])
 
     def test_rejects_empty_subset(self):
-        with pytest.raises(ValueError):
-            CollisionFreePartition([[0, 1], []])
+        for owner in ([1, 1, 2], [0, -1], [0, 10**12]):
+            with pytest.raises(ValueError, match="numbered 0..q-1 with none empty"):
+                CollisionFreePartition(owner)
+        for owner in ([], [[0, 1]], [0.0, 1.0], np.array([True, False])):
+            with pytest.raises(ValueError, match="1-D array of subset indices"):
+                CollisionFreePartition(owner)
 
 
 class TestGreedyPartition:
@@ -84,8 +107,7 @@ class TestGreedyPartition:
             t = random_connected(rng, int(rng.integers(2, 31)), extra_edges=4)
             p = greedy_partition(t)
             assert validate_partition(t, p)
-            aux = t.auxiliary_graph()
-            max_aux_degree = max(len(nb) for nb in aux.neighbors)
+            max_aux_degree = np.diff(_conflicts(t)[0]).max()
             assert p.q <= 1 + max_aux_degree
 
     def test_matches_set_based_coloring(self):
@@ -116,9 +138,48 @@ class TestValidatePartition:
 
     def test_uncovered_node_invalid(self):
         assert not validate_partition(p3(), [[0], [1]])
+        assert not validate_partition(p3(), CollisionFreePartition([0, 1]))
+
+    def test_overlap_invalid(self):
+        # 3 sits in two subsets that are otherwise collision-free
+        assert not validate_partition(ring6(), [[0, 3], [1, 4], [2, 5], [3]])
 
     def test_adjacent_pair_invalid(self):
         assert not validate_partition(p3(), [[0, 1], [2]])
+
+    @settings(derandomize=True, deadline=None, max_examples=120, database=None)
+    @given(st.integers(0, 2**16), st.sampled_from(
+        ["greedy", "labels", "missing", "overlap", "adjacent", "common"]
+    ))
+    def test_matches_brute_force_oracle(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 25))
+        t = random_connected(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+        subsets = [list(s) for s in greedy_partition(t).subsets]
+        if kind == "labels":  # any grouping, usually colliding
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            subsets = [[v for v in range(n) if labels[v] == k] for k in set(labels.tolist())]
+        elif kind == "missing":
+            subsets[int(rng.integers(len(subsets)))].pop()
+        elif kind == "overlap":
+            subsets[int(rng.integers(len(subsets)))].append(int(rng.integers(n)))
+        elif kind in ("adjacent", "common"):  # move one node next to a colliding one
+            i, j = t.edge_array[int(rng.integers(len(t.edge_array)))].tolist()
+            if kind == "common":
+                j = int(rng.choice(neighbors(t)[j]))
+            if i != j:
+                for s in subsets:
+                    if j in s:
+                        s.remove(j)
+                next(s for s in subsets if i in s).append(j)
+        expected = brute_force_valid(t, subsets)
+        assert expected or kind != "greedy"
+        assert validate_partition(t, subsets) == expected
+        if sorted(v for s in subsets for v in s) == list(range(n)):  # as an owner array too
+            owner = np.empty(n, dtype=int)
+            for k, s in enumerate(s for s in subsets if s):
+                owner[s] = k
+            assert validate_partition(t, CollisionFreePartition(owner)) == expected
 
     def test_same_subset_pairs_have_zero_walks(self):
         rng = np.random.default_rng(47)
@@ -139,5 +200,8 @@ class TestDumpFormat:
         p = greedy_partition(ring6())
         text = dump_partition(p)
         assert text == "0 3\n1 4\n2 5\n"
-        parsed = [[int(tok) for tok in line.split()] for line in text.splitlines()]
-        assert CollisionFreePartition(parsed) == p
+        owner = [0] * 6
+        for k, line in enumerate(text.splitlines()):
+            for tok in line.split():
+                owner[int(tok)] = k
+        assert CollisionFreePartition(owner) == p

@@ -60,9 +60,7 @@ def test_probabilities_bounded_and_on_budget(t, frac, floor_share):
 def arbitrary_partitions(draw, n):
     """Any partition of 0..n-1, including ones that put neighbours together."""
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    return CollisionFreePartition(
-        [[v for v in range(n) if labels[v] == k] for k in sorted(set(labels))]
-    )
+    return CollisionFreePartition(np.unique(labels, return_inverse=True)[1])
 
 
 @st.composite
@@ -142,7 +140,7 @@ def test_mixing_matrix_is_written_bit_identically_from_the_surviving_edges(t, ep
     policy = SchedulingPolicy(probs, probs.sum(), epsilon)
     md = matching_decomposition(t)
     match_probs = rng.uniform(0.0, 1.0, md.r)
-    matcha = MatchaPolicy(t, md.matchings, match_probs, 2 * match_probs.sum(), epsilon)
+    matcha = MatchaPolicy(t, md.edge_matching, match_probs, 2 * match_probs.sum(), epsilon)
     for _ in range(5):
         round_ = sample_round(policy, part, t, rng)
         # the 2-D gather the two 1-D gathers replace

@@ -26,7 +26,7 @@ def k2():
 
 class TestSubsetBetweenness:
     def test_p3_mass_on_middle(self):
-        part = CollisionFreePartition([[1], [0], [2]])
+        part = CollisionFreePartition([1, 0, 2])
         b = betweenness_centrality(p3())
         assert np.allclose(subset_betweenness(b, part), [1.0, 0.0, 0.0])
 
@@ -37,7 +37,7 @@ class TestSubsetBetweenness:
         assert np.allclose(subset_betweenness(b, part), [1 / 3, 1 / 3, 1 / 3])
 
     def test_single_subset_total_mass(self):
-        part = CollisionFreePartition([[0]])
+        part = CollisionFreePartition([0])
         assert np.allclose(subset_betweenness(np.array([1.0]), part), [1.0])
 
     def test_always_sums_to_one(self):
@@ -119,7 +119,7 @@ class TestUniformProbabilities:
 
 class TestNodeProbabilities:
     def test_inherit_subset_probability(self):
-        part = CollisionFreePartition([[0, 3], [1, 4], [2, 5]])
+        part = CollisionFreePartition([0, 1, 2, 0, 1, 2])
         node_p = node_probabilities([0.1, 0.5, 0.9], part)
         assert np.allclose(node_p, [0.1, 0.5, 0.9, 0.1, 0.5, 0.9])
 
@@ -140,7 +140,7 @@ class TestSampleRound:
 
     def test_one_sided_broadcast_drops_link(self):
         t = k2()
-        part = CollisionFreePartition([[0], [1]])
+        part = CollisionFreePartition([0, 1])
         policy = self.policy_for(part, [1.0, 0.0])
         act = sample_round(policy, part, t, np.random.default_rng(0))
         assert act.active_edges.tolist() == [False]
@@ -201,7 +201,7 @@ class TestSampleRound:
             for a in range(len(on)):
                 for b in range(a + 1, len(on)):
                     i, j = on[a], on[b]
-                    if part.subset_of[i] == part.subset_of[j]:
+                    if part.owner_array[i] == part.owner_array[j]:
                         assert adj[i, j] == 0 and walks2[i, j] == 0
 
     def test_consumes_q_uniforms_in_subset_order(self):

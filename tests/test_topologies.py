@@ -13,6 +13,8 @@ from bass import (
     two_stars_topology,
 )
 
+from .test_graph import neighbors
+
 
 class TestPresets:
     def test_path(self):
@@ -30,8 +32,8 @@ class TestPresets:
         t = two_stars_topology(4, 4)
         assert t.n == 8
         assert (0, 1) in t.edges
-        assert t.neighbors[0] == (1, 2, 3, 4)
-        assert t.neighbors[1] == (0, 5, 6, 7)
+        assert neighbors(t)[0] == [1, 2, 3, 4]
+        assert neighbors(t)[1] == [0, 5, 6, 7]
         for leaf in range(2, 8):
             assert t.degrees[leaf] == 1
 
