@@ -77,7 +77,6 @@ from .scheduling import (
     sample_round,
     solve_probabilities,
     subset_betweenness,
-    uniform_probabilities,
 )
 from .topologies import (
     er_topology,

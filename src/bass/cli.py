@@ -7,20 +7,21 @@ import sys
 
 import numpy as np
 
-from .baselines import dump_matchings, matching_decomposition
+from .baselines import MatchaPolicy, dump_matchings
 from .experiment import (
     _CONFIG_TYPES,
     ExperimentConfig,
     _convert,
+    _objective,
     _policy_specs,
     _unresolved_policy,
-    build_policy,
     load_config,
     run_experiment,
 )
-from .moments import edge_survival, enumerated_moments, expected_laplacian_gram, monte_carlo_moments
+from .mixing import optimize_epsilon
+from .moments import enumerated_moments, monte_carlo_moments
 from .partition import dump_partition, greedy_partition
-from .scheduling import node_probabilities
+from .scheduling import SchedulingPolicy, node_probabilities
 from .topologies import make_topology
 
 # The config keys that pick one policy; moments-check and optimize-eps take
@@ -35,7 +36,7 @@ _HELP = {
     "budget_sweep": "comma list of budget fractions, one curve each",
     "seeds": "comma list of run seeds",
     "epsilon": "mixing step size, or 'auto' to optimize it",
-    "min_subset_prob": "probability floor redistributed to every subset",
+    "min_subset_prob": "probability floor of every bass or uniform subset",
 }
 
 
@@ -68,7 +69,7 @@ def _single_policy(args):
     cfg = _config(args)
     topology = make_topology(cfg.topology)
     partition = greedy_partition(topology)
-    specs = _policy_specs(cfg, partition, matching_decomposition(topology))
+    specs = _policy_specs(cfg, partition, topology.matching_decomposition)
     if len(specs) != 1:
         raise ValueError(
             f"give exactly one policy and budget, got {', '.join(s.label for s in specs)}"
@@ -117,13 +118,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_moments_check(args) -> int:
     cfg, topology, partition, spec = _single_policy(args)
-    if spec.kind == "matcha":
-        print("moments-check covers subset policies; matcha has no closed form")
-        return 2
     # The moments do not depend on epsilon, so it is left unset.
     policy = _unresolved_policy(spec, topology, partition, cfg)
+    if not isinstance(policy, SchedulingPolicy):
+        print(f"moments-check covers subset policies; {spec.kind} has no closed form")
+        return 2
+    closed = _objective(policy, topology, partition, cfg)
     node_p = node_probabilities(policy.subset_probs, partition)
-    closed = expected_laplacian_gram(topology, partition, node_p)
     rng = np.random.default_rng(args.seed)
     mc = monte_carlo_moments(topology, partition, node_p, args.samples, rng)
     print(f"policy {spec.label} on {cfg.topology}: q={partition.q}, "
@@ -143,7 +144,7 @@ def _cmd_moments_check(args) -> int:
 def _cmd_partition_dump(args) -> int:
     topology = make_topology(args.topology)
     if args.matchings:
-        sys.stdout.write(dump_matchings(matching_decomposition(topology)))
+        sys.stdout.write(dump_matchings(topology.matching_decomposition))
     else:
         sys.stdout.write(dump_partition(greedy_partition(topology)))
     return 0
@@ -151,7 +152,9 @@ def _cmd_partition_dump(args) -> int:
 
 def _cmd_optimize_eps(args) -> int:
     cfg, topology, partition, spec = _single_policy(args)
-    policy, search = build_policy(spec, topology, partition, cfg)
+    policy = _unresolved_policy(spec, topology, partition, cfg)
+    objective = _objective(policy, topology, partition, cfg)
+    search = optimize_epsilon(objective)
     print(f"policy {spec.label} on {cfg.topology}")
     print(f"eps_star = {search.epsilon:.8g}")
     print(f"s_star   = {search.value:.8g}  (largest eigenvalue of E[W^2] - J)")
@@ -161,11 +164,10 @@ def _cmd_optimize_eps(args) -> int:
         print("warning: E[L~] = 0, no expected communication; eps set to 0")
     # Secondary diagnostic: contraction of the mean mixing matrix E[W] - J, which
     # is 0 on the ones vector and 1 - eps * lambda on E[L~]'s other eigenvectors.
-    if spec.kind == "matcha":
+    # matcha's objective holds a Monte Carlo E[L~]; its exact one is cheap.
+    e_lap = objective.e_laplacian
+    if isinstance(policy, MatchaPolicy):
         e_lap = policy.expected_laplacian()
-    else:
-        node_p = node_probabilities(policy.subset_probs, partition)
-        e_lap = topology.laplacian(edge_survival(topology, partition, node_p))
     lam = np.linalg.eigvalsh(e_lap)[1:]
     rho = float(np.abs(1.0 - search.epsilon * lam).max(initial=0.0))
     print(f"rho(E[W] - J) = {rho:.8g}  (mean-matrix contraction, reported only)")

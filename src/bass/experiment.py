@@ -19,7 +19,6 @@ from .baselines import (
     full_comm_policy,
     matcha_policy,
     matcha_spectral_moments,
-    matching_decomposition,
 )
 from .dsgd import MetricsLog, TrainConfig, run_training
 from .graph import Topology
@@ -33,7 +32,6 @@ from .scheduling import (
     node_probabilities,
     solve_probabilities,
     subset_betweenness,
-    uniform_probabilities,
 )
 from .topologies import make_topology
 
@@ -208,22 +206,22 @@ def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
     fracs = cfg.budget_sweep if cfg.budget_sweep else (None,)
     specs = []
     for kind in cfg.policies:
+        # Subset policies switch q units of one slot each, matcha r matchings
+        # of two slots each; full switches every unit on.
+        units, slots_per_unit = (md.r, 2.0) if kind == "matcha" else (partition.q, 1.0)
         for frac in fracs:
-            use_frac = frac
-            if use_frac is None:
-                use_frac = cfg.budget_frac
-                if use_frac is None and cfg.budget is None:
-                    use_frac = 0.5
+            if frac is None:
+                frac = cfg.budget_frac
+                if frac is None and cfg.budget is None:
+                    frac = 0.5
             if kind == "full":
-                slots = float(partition.q)
-                label = "full"
-            elif kind == "matcha":
-                slots = 2.0 * md.r * use_frac if use_frac is not None else float(cfg.budget)
-                label = f"matcha@{use_frac:g}" if use_frac is not None else f"matcha@B{slots:g}"
+                slots, label = slots_per_unit * units, "full"
+            elif frac is not None:
+                slots, label = slots_per_unit * units * frac, f"{kind}@{frac:g}"
             else:
-                slots = partition.q * use_frac if use_frac is not None else float(cfg.budget)
-                label = f"{kind}@{use_frac:g}" if use_frac is not None else f"{kind}@B{slots:g}"
-            specs.append(PolicySpec(label=label, kind=kind, budget_slots=slots, frac=use_frac))
+                slots = float(cfg.budget)
+                label = f"{kind}@B{slots:g}"
+            specs.append(PolicySpec(label=label, kind=kind, budget_slots=slots, frac=frac))
     # A sweep would otherwise duplicate the full-comm curve per fraction.
     unique = {}
     for spec in specs:
@@ -232,20 +230,34 @@ def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
 
 
 def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentConfig):
-    """The policy of one spec, its probabilities set and its epsilon not."""
+    """The policy of one spec, its probabilities set and its epsilon not.
+
+    bass and uniform are one rule with different subset scores; the
+    probability floor ``min_subset_prob`` applies to both, not to matcha or
+    full.
+    """
     if spec.kind == "matcha":
-        return matcha_policy(matching_decomposition(topology), spec.budget_slots, topology)
+        return matcha_policy(topology.matching_decomposition, spec.budget_slots, topology)
     if spec.kind == "full":
         return full_comm_policy(partition)
-    if spec.kind == "uniform":
-        return SchedulingPolicy(
-            uniform_probabilities(partition.q, spec.budget_slots), spec.budget_slots
-        )
     if spec.kind == "bass":
         scores = subset_betweenness(topology.betweenness, partition)
-        probs = solve_probabilities(scores, spec.budget_slots, cfg.min_subset_prob)
-        return SchedulingPolicy(probs, spec.budget_slots)
-    raise ValueError(f"unknown policy kind {spec.kind!r}")
+    elif spec.kind == "uniform":
+        scores = np.ones(partition.q)
+    else:
+        raise ValueError(f"unknown policy kind {spec.kind!r}")
+    probs = solve_probabilities(scores, spec.budget_slots, cfg.min_subset_prob)
+    return SchedulingPolicy(probs, spec.budget_slots)
+
+
+def _objective(policy, topology, partition, cfg: ExperimentConfig) -> SpectralObjective:
+    """The moments E[L~] and E[L~^2] that the epsilon search reads: closed
+    form for subset policies, a fixed-seed Monte Carlo estimate for matcha."""
+    if isinstance(policy, MatchaPolicy):
+        rng = np.random.default_rng(_EPS_MC_SEED)
+        return SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
+    node_p = node_probabilities(policy.subset_probs, partition)
+    return expected_laplacian_gram(topology, partition, node_p)
 
 
 def build_policy(
@@ -260,12 +272,7 @@ def build_policy(
     contraction s(epsilon) is not below one.
     """
     policy = _unresolved_policy(spec, topology, partition, cfg)
-    if isinstance(policy, MatchaPolicy):
-        rng = np.random.default_rng(_EPS_MC_SEED)
-        objective = SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
-    else:
-        node_p = node_probabilities(policy.subset_probs, partition)
-        objective = expected_laplacian_gram(topology, partition, node_p)
+    objective = _objective(policy, topology, partition, cfg)
     if cfg.epsilon == "auto":
         search = optimize_epsilon(objective)
         return policy.with_epsilon(search.epsilon), search
@@ -353,8 +360,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"{topology.n} nodes), got {cfg.n_samples}"
         )
     partition = greedy_partition(topology)
-    md = matching_decomposition(topology)
-    specs = _policy_specs(cfg, partition, md)
+    specs = _policy_specs(cfg, partition, topology.matching_decomposition)
     # Every policy is built before any output, so an infeasible budget fails
     # without leaving partial results behind.
     built = [build_policy(spec, topology, partition, cfg) for spec in specs]

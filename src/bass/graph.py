@@ -17,10 +17,10 @@ class Topology:
 
     The graph is its read-only ``(m, 2)`` ``edge_array``: one row (i, j) with
     i < j per edge, rows in lexicographic order. ``edges``, the same rows as
-    a tuple of pairs, the dense adjacency matrix, the CSR half-edges and the
-    betweenness are derived read-only on first access (threads that race
-    there build equal copies), so instances can be shared freely across
-    threads.
+    a tuple of pairs, the dense adjacency matrix, the CSR half-edges, the
+    betweenness and the matching decomposition are derived read-only on
+    first access (threads that race there build equal copies), so instances
+    can be shared freely across threads.
     """
 
     def __init__(self, n, edges=()):
@@ -68,6 +68,13 @@ class Topology:
     def betweenness(self) -> np.ndarray:
         """``betweenness_centrality(self)``, computed on first access (read-only)."""
         return betweenness_centrality(self)
+
+    @cached_property
+    def matching_decomposition(self):
+        """``baselines.matching_decomposition(self)``, built on first access."""
+        from .baselines import matching_decomposition
+
+        return matching_decomposition(self)
 
     @property
     def degrees(self) -> np.ndarray:

@@ -57,23 +57,14 @@ def subset_probs_from_node_probs(partition: CollisionFreePartition, node_probs) 
     return p[np.unique(partition.owner_array, return_index=True)[1]]
 
 
-def edge_survival(topology: Topology, partition: CollisionFreePartition, node_probs) -> np.ndarray:
-    """E[x_e] per row of ``edge_array``: edge (i, j) survives with p_i, times
-    p_j if i and j lie in different subsets."""
-    p = _checked_probs(partition, node_probs)
-    owner = partition.owner_array
-    i, j = topology.edge_array.T
-    return p[i] * np.where(owner[i] != owner[j], p[j], 1.0)
-
-
 def expected_laplacian_gram(
     topology: Topology, partition: CollisionFreePartition, node_probs
 ) -> SpectralObjective:
     """Closed-form E[L~] and E[L~^T L~].
 
-    E[L~] is the Laplacian weighted by ``edge_survival``, and each incident
-    pair (k, a), (k, b) has weight E[n_k n_a n_b], one factor per distinct
-    subset of k, a and b.
+    E[L~] weighs edge (i, j) by its survival E[x_e], p_i times p_j if i and
+    j lie in different subsets, and each incident pair (k, a), (k, b) has
+    weight E[n_k n_a n_b], one factor per distinct subset of k, a and b.
     """
     p = _checked_probs(partition, node_probs)
     owner = partition.owner_array
@@ -82,7 +73,9 @@ def expected_laplacian_gram(
     w *= np.where((owner[b] != owner[k]) & (owner[b] != owner[a]), p[b], 1.0)
     # E[L~^2] first, so E[L~] is not held while the scatter's n x n terms are.
     e_gram = _pair_gram(topology.n, k, a, b, w)
-    return SpectralObjective(topology.laplacian(edge_survival(topology, partition, p)), e_gram)
+    i, j = topology.edge_array.T
+    e_lap = topology.laplacian(p[i] * np.where(owner[i] != owner[j], p[j], 1.0))
+    return SpectralObjective(e_lap, e_gram)
 
 
 def monte_carlo_moments(

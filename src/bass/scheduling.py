@@ -95,25 +95,31 @@ def subset_betweenness(node_values: np.ndarray, partition: CollisionFreePartitio
 def solve_probabilities(subset_values, budget, min_prob=0.0):
     """Turn per-subset importance scores into activation probabilities.
 
-    Default (``min_prob=0``): probabilities take the min-capped proportional
-    form p_k = min(1, gamma * value_k), with gamma set by cap-aware iteration
-    so the probabilities sum to ``budget``: any subset whose uncapped share
-    reaches 1 is pinned there and the remaining budget is re-spread over the
-    rest. Zero-score subsets get probability zero, so the budget equality can
-    be unattainable (e.g. star leaves); the largest attainable sum is returned
-    in that case with a warning.
+    p_k = clip(gamma * value_k, min_prob, 1), with gamma solved exactly so
+    the probabilities sum to ``budget``. S(gamma) = sum_k p_k is
+    nondecreasing and piecewise linear, with knots where a subset leaves the
+    floor (min_prob / value_k) and where it reaches the cap (1 / value_k):
+    S is evaluated at the sorted knots, the last knot at or below the budget
+    fixes which subsets sit at the floor, at the cap or in between, and that
+    segment is solved for gamma. Equal scores give every subset
+    min(1, budget / q).
 
-    ``min_prob > 0`` switches to p_k = min(1, max(min_prob, gamma * value_k))
-    solved by bisection on gamma, which keeps every subset alive while still
-    meeting the budget. Budget beyond what the proportional form can absorb
-    (every positive-score subset capped at 1) is spread uniformly over the
-    remaining subsets, so any budget up to q is met exactly.
+    Past saturation, every positive-score subset is at 1. With
+    ``min_prob > 0`` the zero-score subsets, all at the floor, are lifted
+    evenly to absorb the rest, so any budget up to q is met exactly. With
+    ``min_prob = 0`` they stay at zero and the largest attainable sum is
+    returned with a warning (e.g. star leaves).
     """
     values = np.asarray(subset_values, dtype=float)
     q = values.size
     budget = float(budget)
     if np.any(values < 0):
         raise ValueError("subset scores must be nonnegative")
+    positive = values > 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lower, upper = min_prob / values, 1.0 / values  # no knots for zero scores
+    if np.isinf(upper[positive]).any():
+        raise ValueError("positive subset scores must have a finite reciprocal")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     if budget > q + BUDGET_TOL:
@@ -121,73 +127,55 @@ def solve_probabilities(subset_values, budget, min_prob=0.0):
     budget = min(budget, float(q))
     if min_prob < 0 or min_prob > 1:
         raise ValueError("min_prob must lie in [0, 1]")
+    if q * min_prob > budget + BUDGET_TOL:
+        raise ValueError(
+            f"floor {min_prob} needs at least {q * min_prob} budget, got {budget}"
+        )
 
-    if min_prob > 0:
-        if q * min_prob > budget + BUDGET_TOL:
-            raise ValueError(
-                f"floor {min_prob} needs at least {q * min_prob} budget, got {budget}"
-            )
-        probs_at = lambda g: np.minimum(1.0, np.maximum(min_prob, g * values))
-        saturated = np.where(values > 0, 1.0, min_prob)
-        if budget >= saturated.sum() - BUDGET_TOL:
-            return _uniform_lift(saturated, budget)
-        lo, hi = 0.0, 1.0
-        while probs_at(hi).sum() < budget:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if probs_at(mid).sum() < budget:
-                lo = mid
-            else:
-                hi = mid
-        return probs_at(hi)
-
-    # Cap-aware iteration. gamma never decreases when a subset is capped, so
-    # capped subsets stay capped and the loop runs at most q times.
+    # S(gamma) at its knots: sorted descending, the scores list their floor
+    # and cap knots in ascending order, so at knot t the first c subsets are
+    # capped, the first l are off the floor, and tail[i] is the mass of v[i:].
+    v = np.sort(values[positive])[::-1]
+    knots = np.unique(np.concatenate([lower[positive], upper[positive]]))
+    tail = np.append(np.cumsum(v[::-1])[::-1], 0.0)
+    c = np.searchsorted(np.sort(upper[positive]), knots, "right")
+    l = np.searchsorted(np.sort(lower[positive]), knots, "right")
+    sums = c + min_prob * (q - l) + knots * (tail[c] - tail[l])
+    j = np.searchsorted(sums, budget, "right") - 1
     capped = np.zeros(q, dtype=bool)
-    probs = np.zeros(q)
-    while True:
-        remaining = budget - capped.sum()
-        mass = values[~capped].sum()
-        if mass <= 0.0:
-            if remaining > BUDGET_TOL:
-                warnings.warn(
-                    f"budget {budget} unattainable: zero-score subsets cannot "
-                    f"absorb the remaining {remaining:.6f} slots"
-                )
-            break
-        gamma = remaining / mass
-        newly = (~capped) & (gamma * values >= 1.0)
-        if not newly.any():
-            probs[~capped] = gamma * values[~capped]
-            break
+    if v.size:
+        if j < 0:
+            return np.full(q, min_prob)
+        # gamma lies at or past knots[j]. Subsets are classified by comparing
+        # knots, never by t * v, which misfiles by one ulp. Those whose cap
+        # knot is knots[j] itself are capped, as by the cap-aware rule, only
+        # if the segment's gamma takes them to 1.
+        capped, floored = upper < knots[j], lower > knots[j]
+        gamma = _segment_gamma(values, budget, min_prob, capped, floored)
+        newly = ~capped & (gamma * values >= 1.0)
         capped |= newly
+    if capped.sum() == v.size:
+        rest = budget - v.size
+        if min_prob == 0.0 and rest > BUDGET_TOL:
+            warnings.warn(
+                f"budget {budget} unattainable: zero-score subsets cannot "
+                f"absorb the remaining {rest:.6f} slots"
+            )
+        lifted = max(min_prob, rest / max(q - v.size, 1)) if min_prob > 0 else 0.0
+        return np.where(capped, 1.0, lifted)
+    # With every subset at a bound, S is flat at the budget and gamma stays.
+    if newly.any() and not (capped | floored).all():
+        gamma = _segment_gamma(values, budget, min_prob, capped, floored)
+    probs = np.clip(gamma * values, min_prob, 1.0)
     probs[capped] = 1.0
     return probs
 
 
-def _uniform_lift(probs: np.ndarray, budget: float) -> np.ndarray:
-    """Raise entries uniformly (water-filling against the cap 1) to sum to budget."""
-    probs = probs.copy()
-    while True:
-        shortfall = budget - probs.sum()
-        open_mask = probs < 1.0 - 1e-15
-        if shortfall <= BUDGET_TOL or not open_mask.any():
-            return probs
-        delta = shortfall / open_mask.sum()
-        headroom = (1.0 - probs[open_mask]).min()
-        if delta <= headroom:
-            probs[open_mask] += delta
-            return probs
-        probs[open_mask] += headroom
-
-
-def uniform_probabilities(q: int, budget: float) -> np.ndarray:
-    """Spread the budget evenly over all subsets."""
-    budget = float(budget)
-    if not 0 < budget <= q + BUDGET_TOL:
-        raise ValueError(f"budget {budget} infeasible for {q} subsets")
-    return np.full(q, min(1.0, budget / q))
+def _segment_gamma(values, budget, min_prob, capped, floored):
+    """The gamma that meets the budget with ``capped`` at 1 and ``floored``
+    at the floor; the other scores are summed in index order."""
+    linear = ~(capped | floored)
+    return (budget - capped.sum() - min_prob * floored.sum()) / values[linear].sum()
 
 
 def node_probabilities(subset_probs, partition: CollisionFreePartition) -> np.ndarray:

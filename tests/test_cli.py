@@ -92,6 +92,20 @@ class TestOptimizeEps:
         assert code == 0
         assert "s_star   = 1 " in capsys.readouterr().out
 
+    def test_uniform_floor_above_its_share_fails(self, capsys):
+        code = main(["optimize-eps", "--topology", "two-stars(6,6)", "--policy", "uniform",
+                     "--budget-frac", "0.05", "--min-subset-prob", "0.5"])
+        assert code == 1
+        assert "error: floor 0.5 needs at least 3.5 budget" in capsys.readouterr().err
+
+    def test_uniform_share_meeting_the_floor_is_unchanged(self, capsys):
+        # q = 7 subsets, budget 3.5: every subset at 0.5 whatever the floor below it
+        common = ["--topology", "two-stars(6,6)", "--policy", "uniform", "--budget-frac", "0.5"]
+        assert main(["optimize-eps"] + common) == 0
+        plain = capsys.readouterr().out
+        assert main(["optimize-eps", "--min-subset-prob", "0.1"] + common) == 0
+        assert capsys.readouterr().out == plain
+
     def test_epsilon_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["optimize-eps", "--topology", "path(3)", "--epsilon", "0.3"])

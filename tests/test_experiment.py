@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bass.baselines
 import bass.graph
 from bass import (
     ExperimentConfig,
@@ -13,6 +14,7 @@ from bass import (
     build_policy,
     greedy_partition,
     load_config,
+    matching_decomposition,
     parse_config_text,
     ring_topology,
     run_experiment,
@@ -274,6 +276,21 @@ class TestRunExperiment:
         cfg = quick_config(
             tmp_path, policies=("bass",), budget_frac=None, budget_sweep=(0.4, 0.6, 0.8),
             seeds=(0,), min_subset_prob=0.2, rounds=2,
+        )
+        assert len(run_experiment(cfg).run_files) == 3
+        assert len(calls) == 1
+
+    def test_budget_sweep_decomposes_matchings_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return matching_decomposition(t)
+
+        monkeypatch.setattr(bass.baselines, "matching_decomposition", counted)
+        cfg = quick_config(
+            tmp_path, policies=("matcha",), budget_frac=None, budget_sweep=(0.4, 0.6, 0.8),
+            seeds=(0,), rounds=2,
         )
         assert len(run_experiment(cfg).run_files) == 3
         assert len(calls) == 1

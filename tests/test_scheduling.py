@@ -1,7 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bass import (
     CollisionFreePartition,
@@ -14,14 +17,130 @@ from bass import (
     sample_round,
     solve_probabilities,
     subset_betweenness,
-    uniform_probabilities,
 )
+from bass.scheduling import BUDGET_TOL
 
 from .test_graph import p3, random_connected
 
 
 def k2():
     return Topology(2, [(0, 1)])
+
+
+def cap_aware_probabilities(values, budget):
+    """Reference for a zero floor: p = min(1, gamma * v) by cap-aware
+    iteration. A subset whose uncapped share reaches 1 is pinned there and
+    the rest of the budget is re-spread; gamma never decreases, so the loop
+    runs at most q times."""
+    q = values.size
+    capped = np.zeros(q, dtype=bool)
+    probs = np.zeros(q)
+    while True:
+        remaining = budget - capped.sum()
+        mass = values[~capped].sum()
+        if mass <= 0.0:
+            if remaining > BUDGET_TOL:
+                warnings.warn(
+                    f"budget {budget} unattainable: zero-score subsets cannot "
+                    f"absorb the remaining {remaining:.6f} slots"
+                )
+            break
+        gamma = remaining / mass
+        newly = (~capped) & (gamma * values >= 1.0)
+        if not newly.any():
+            probs[~capped] = gamma * values[~capped]
+            break
+        capped |= newly
+    probs[capped] = 1.0
+    return probs
+
+
+def bisection_probabilities(values, budget, min_prob):
+    """Reference for a positive floor: p = min(1, max(floor, gamma * v)) by
+    200 halvings of gamma. Past saturation (every positive score at 1) the
+    zero-score subsets are lifted evenly, water-filling against the cap.
+    Both branches meet the budget exactly, as the knot solve does: neither
+    stops at saturation within BUDGET_TOL short of it."""
+    probs_at = lambda g: np.minimum(1.0, np.maximum(min_prob, g * values))
+    probs = np.where(values > 0, 1.0, min_prob)
+    if budget >= probs.sum():
+        while True:
+            shortfall = budget - probs.sum()
+            open_mask = probs < 1.0 - 1e-15
+            if shortfall <= 0.0 or not open_mask.any():
+                return probs
+            delta = shortfall / open_mask.sum()
+            headroom = (1.0 - probs[open_mask]).min()
+            if delta <= headroom:
+                probs[open_mask] += delta
+                return probs
+            probs[open_mask] += headroom
+    lo, hi = 0.0, 1.0
+    while probs_at(hi).sum() < budget:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if probs_at(mid).sum() < budget:
+            lo = mid
+        else:
+            hi = mid
+    return probs_at(hi)
+
+
+def reference_probabilities(values, budget, min_prob):
+    """The checks of ``solve_probabilities``, then one of the two references."""
+    values = np.asarray(values, dtype=float)
+    q = values.size
+    budget = float(budget)
+    if np.any(values < 0):
+        raise ValueError("subset scores must be nonnegative")
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    if budget > q + BUDGET_TOL:
+        raise ValueError(f"budget {budget} infeasible for {q} subsets")
+    budget = min(budget, float(q))
+    if min_prob < 0 or min_prob > 1:
+        raise ValueError("min_prob must lie in [0, 1]")
+    if min_prob == 0:
+        return cap_aware_probabilities(values, budget)
+    if q * min_prob > budget + BUDGET_TOL:
+        raise ValueError(
+            f"floor {min_prob} needs at least {q * min_prob} budget, got {budget}"
+        )
+    return bisection_probabilities(values, budget, min_prob)
+
+
+def outcome(solve, *args):
+    """(probabilities or error message, warning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solve(*args)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+# Scores mix zeros, repeated values and a wide spread of magnitudes; budgets
+# include whole numbers, a fraction of q and the saturation point itself.
+@st.composite
+def probability_problems(draw):
+    pool = draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 1 / 3, 0.5, 1.0]),
+                  st.floats(1e-12, 1e3)),
+        min_size=1, max_size=6,
+    ))
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
+    q = scores.size
+    floor = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0 / q)))
+    saturation = (scores > 0).sum() + floor * (scores == 0).sum()
+    budget = draw(st.one_of(
+        st.integers(1, q).map(float),
+        st.floats(0.0, 1.0).map(lambda f: f * q),
+        st.sampled_from([0.5, 1.0 - 1e-15, 1.0 + 1e-15]).map(lambda f: f * saturation),
+        st.floats(-1.0, q + 1.0),
+    ))
+    return scores, budget, floor
 
 
 class TestSubsetBetweenness:
@@ -68,6 +187,10 @@ class TestSolveProbabilities:
         with pytest.raises(ValueError):
             solve_probabilities([0.5, 0.5], 2.5)
 
+    def test_score_without_finite_reciprocal(self):
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            solve_probabilities([1.0, 1e-310], 1.5)
+
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError):
             solve_probabilities([0.5, 0.5], 0.0)
@@ -107,14 +230,46 @@ class TestSolveProbabilities:
         with pytest.raises(ValueError):
             solve_probabilities([0.5, 0.5], 0.5, min_prob=0.4)
 
+    def test_equal_scores_take_the_budget_share(self):
+        # bit-identical to min(1, B / q) whenever the share meets the floor
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            q = int(rng.integers(1, 40))
+            budget = float(rng.uniform(0.0, q)) or 1.0
+            floor = float(rng.uniform(0.0, budget / q)) if rng.random() < 0.5 else 0.0
+            probs = solve_probabilities(np.ones(q), budget, floor)
+            assert np.array_equal(probs, np.full(q, min(1.0, budget / q)))
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(probability_problems())
+    def test_matches_the_reference_solvers(self, problem):
+        scores, budget, floor = problem
+        probs, warned = outcome(solve_probabilities, scores, budget, floor)
+        expected, expected_warned = outcome(reference_probabilities, scores, budget, floor)
+        assert warned == expected_warned
+        if isinstance(expected, str):
+            assert probs == expected
+            return
+        if floor == 0:
+            assert np.array_equal(probs, expected)
+        else:
+            assert np.abs(probs - expected).max() <= 1e-13
+        budget = min(budget, scores.size)
+        assert warned or abs(probs.sum() - budget) <= BUDGET_TOL
+        assert np.all((floor <= probs) & (probs <= 1.0))
+        order = np.argsort(scores, kind="stable")
+        assert np.all(np.diff(probs[order]) >= 0.0)
+
 
 class TestUniformProbabilities:
+    """The uniform policy is the one rule with equal subset scores."""
+
     def test_spread(self):
-        assert np.allclose(uniform_probabilities(4, 2.0), 0.5)
+        assert np.array_equal(solve_probabilities(np.ones(4), 2.0), np.full(4, 0.5))
 
     def test_infeasible(self):
-        with pytest.raises(ValueError):
-            uniform_probabilities(3, 4.0)
+        with pytest.raises(ValueError, match="infeasible for 3 subsets"):
+            solve_probabilities(np.ones(3), 4.0)
 
 
 class TestNodeProbabilities:
