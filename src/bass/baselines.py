@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Topology, _incident_pairs, _pair_gram
 from .partition import CollisionFreePartition
-from .scheduling import BUDGET_TOL, RoundActivation, SchedulingPolicy
+from .scheduling import BUDGET_TOL, RoundActivation, RoundSampler, SchedulingPolicy
 
 # Rounds of uniforms drawn at once by the matching Monte Carlo; small blocks
 # keep its transient arrays well under a megabyte.
@@ -110,18 +110,17 @@ class MatchaPolicy:
         probability of the one matching that holds it."""
         return self.topology.laplacian(self.match_probs[self.edge_matching])
 
-    def sample_round(self, rng: np.random.Generator) -> RoundActivation:
-        """Draw one round; consumes exactly r uniforms in matching order.
+    def round_sampler(self, partition=None, topology=None) -> RoundSampler:
+        """The prepared sampler of this policy's rounds. An edge survives iff
+        its matching is active, and is used bidirectionally, so a matching
+        costs two slots. The policy carries its own topology; the arguments
+        only keep the signature of ``SchedulingPolicy.round_sampler``."""
+        edge_units = np.stack([self.edge_matching, self.edge_matching])
+        return RoundSampler(self.topology, self.match_probs, edge_units, 2, self.epsilon)
 
-        An edge survives iff its matching is active, and is used
-        bidirectionally, so slots_used counts two per active matching.
-        """
-        if self.epsilon is None:
-            raise ValueError("policy epsilon is not set; run the mixing optimizer first")
-        active = rng.random(self.r) < self.match_probs
-        return RoundActivation.from_edges(
-            self.topology, self.epsilon, active, active[self.edge_matching], 2 * active.sum()
-        )
+    def sample_round(self, rng: np.random.Generator) -> RoundActivation:
+        """Draw one round; consumes exactly r uniforms in matching order."""
+        return self.round_sampler()(rng)
 
 
 def matcha_policy(md: MatchingDecomposition, budget_slots: float, topology: Topology) -> MatchaPolicy:

@@ -12,6 +12,7 @@ from .experiment import (
     _CONFIG_TYPES,
     ExperimentConfig,
     _convert,
+    _decomposition,
     _objective,
     _policy_specs,
     _unresolved_policy,
@@ -69,7 +70,7 @@ def _single_policy(args):
     cfg = _config(args)
     topology = make_topology(cfg.topology)
     partition = greedy_partition(topology)
-    specs = _policy_specs(cfg, partition, topology.matching_decomposition)
+    specs = _policy_specs(cfg, partition, _decomposition(cfg, topology))
     if len(specs) != 1:
         raise ValueError(
             f"give exactly one policy and budget, got {', '.join(s.label for s in specs)}"

@@ -4,11 +4,20 @@ Every round does one stochastic gradient step per node followed by one
 consensus step with that round's sampled mixing matrix. A run is a single
 sequential process driven by one seeded generator, so identical configs
 produce bitwise-identical logs.
+
+``run_training`` prepares the policy's round sampler once per run and takes
+every per-round metric from one network average. Its records and final
+state are bit for bit those of the per-call loop over the public functions:
+``sample_round`` (or the matching policy's ``sample_round``), then
+``gradient_step``, ``consensus_step(state, act.mixing_matrix)``,
+``global_train_loss``, ``obj.test_metric`` and ``consensus_error``, and the
+generator ends in the same state. The tests check that contract.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +25,6 @@ import numpy as np
 from .graph import Topology
 from .objectives import LocalObjective
 from .partition import CollisionFreePartition
-from .scheduling import SchedulingPolicy, sample_round
 
 CSV_HEADER = "round,cum_slots,active_subsets,train_loss,test_metric,consensus_error"
 
@@ -34,8 +42,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.lr_decay < math.inf:
+            raise ValueError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 
@@ -87,8 +97,8 @@ def gradient_step(
     if lr < 0:
         raise ValueError("lr must be nonnegative")
     grads = obj.gradients(state, batch_size, rng)
-    bad = ~np.isfinite(grads).all(axis=1)
-    if bad.any():
+    if not np.isfinite(grads).all():
+        bad = ~np.isfinite(grads).all(axis=1)
         raise RuntimeError(f"non-finite gradient at node {int(bad.argmax())}; aborting run")
     return state - lr * grads
 
@@ -108,21 +118,21 @@ def consensus_step(state: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def consensus_error(state: np.ndarray) -> float:
     """Mean distance of node models from their network average."""
-    dev = state - state.mean(axis=0, keepdims=True)
-    return float(np.linalg.norm(dev, axis=1).mean())
+    return _consensus_error(state, state.mean(axis=0))
+
+
+def _consensus_error(state: np.ndarray, mean: np.ndarray) -> float:
+    """``consensus_error`` given the network average ``mean`` of ``state``:
+    numpy's ``norm(axis=1)`` and ``.mean()`` are the reductions written here,
+    so the two agree to the bit."""
+    dev = state - mean
+    dist = np.sqrt(np.add.reduce(dev * dev, 1))
+    return float(np.add.reduce(dist) / dist.size)
 
 
 def global_train_loss(obj: LocalObjective, state: np.ndarray) -> float:
     """Collaborative objective at the node-averaged model: mean_i F_i(mean_x)."""
     return float(np.mean(obj.local_losses(state.mean(axis=0))))
-
-
-def _round_sampler(topology, policy, partition):
-    if isinstance(policy, SchedulingPolicy):
-        return lambda rng: sample_round(policy, partition, topology, rng)
-    if hasattr(policy, "sample_round"):
-        return policy.sample_round
-    raise TypeError(f"unsupported policy object {policy!r}")
 
 
 def run_training(
@@ -138,6 +148,8 @@ def run_training(
     Per round, in fixed generator order: sample the activation, take one
     gradient step per node, then apply the round's mixing matrix. The model
     starts at zero (all nodes in consensus) unless an initial state is given.
+    ``policy`` is any object whose ``round_sampler(partition, topology)``
+    returns a callable from the generator to a ``RoundActivation``.
     """
     if partition.n != topology.n or obj.num_nodes != topology.n:
         raise ValueError("topology, partition and objective disagree on node count")
@@ -148,22 +160,27 @@ def run_training(
         state = np.array(initial_state, dtype=float)
         if state.shape != (topology.n, obj.dim):
             raise ValueError(f"initial state must have shape ({topology.n}, {obj.dim})")
-    sampler = _round_sampler(topology, policy, partition)
+    sample = policy.round_sampler(partition, topology)
+    n = topology.n
     log = MetricsLog()
     cum_slots = 0
     for t in range(cfg.rounds):
-        activation = sampler(rng)
+        activation = sample(rng)
         state = gradient_step(state, obj, cfg.lr_at(t), cfg.batch_size, rng)
-        state = consensus_step(state, activation.mixing_matrix)
+        # consensus_step without its checks: the sampler writes an n x n W.
+        state = activation.mixing_matrix @ state
         cum_slots += activation.slots_used
+        # state.mean(axis=0) to the bit, taken once for every metric.
+        mean = np.add.reduce(state, 0) / n
+        train_loss, test_metric = obj.network_metrics(state, mean)
         log.records.append(
             RoundRecord(
                 round=t + 1,
                 cum_slots=cum_slots,
-                active_subsets=int(activation.active_subsets.sum()),
-                train_loss=global_train_loss(obj, state),
-                test_metric=obj.test_metric(state),
-                consensus_error=consensus_error(state),
+                active_subsets=int(np.count_nonzero(activation.active_subsets)),
+                train_loss=train_loss,
+                test_metric=test_metric,
+                consensus_error=_consensus_error(state, mean),
             )
         )
     log.final_state = state

@@ -110,10 +110,10 @@ class ExperimentConfig:
                 raise ValueError(f"budget fractions must lie in (0, 1], got {frac}")
         if not 0 <= self.min_subset_prob <= 1:
             raise ValueError(f"min_subset_prob must lie in [0, 1], got {self.min_subset_prob}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not self.lr_decay >= 0:
-            raise ValueError(f"lr_decay must be nonnegative, got {self.lr_decay}")
+        if not 0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.lr_decay < float("inf"):
+            raise ValueError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
         if not 0 <= self.center_spread < float("inf"):
             raise ValueError(
                 f"center_spread must be finite and nonnegative, got {self.center_spread}"
@@ -227,6 +227,12 @@ def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
     for spec in specs:
         unique.setdefault(spec.label, spec)
     return list(unique.values())
+
+
+def _decomposition(cfg: ExperimentConfig, topology: Topology):
+    """The matching decomposition ``_policy_specs`` needs, built only when a
+    matcha curve is requested."""
+    return topology.matching_decomposition if "matcha" in cfg.policies else None
 
 
 def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentConfig):
@@ -360,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"{topology.n} nodes), got {cfg.n_samples}"
         )
     partition = greedy_partition(topology)
-    specs = _policy_specs(cfg, partition, topology.matching_decomposition)
+    specs = _policy_specs(cfg, partition, _decomposition(cfg, topology))
     # Every policy is built before any output, so an infeasible budget fails
     # without leaving partial results behind.
     built = [build_policy(spec, topology, partition, cfg) for spec in specs]

@@ -27,7 +27,7 @@ import numpy as np
 from .graph import Topology, _incident_pairs, _pair_gram
 from .mixing import SpectralObjective
 from .partition import CollisionFreePartition
-from .scheduling import SchedulingPolicy, sample_round
+from .scheduling import SchedulingPolicy
 
 # Monte Carlo rounds per vectorized block are capped so that one block x
 # max(n, incident pairs) array stays under this many elements.
@@ -93,12 +93,14 @@ def monte_carlo_moments(
     stream is identical value-for-value). Blocks of at most ``chunk`` rounds,
     capped by ``_MC_BLOCK_ELEMENTS``, count the surviving edges and incident
     pairs, assembled once at the end; ``chunk=1`` instead sums L~ and L~^2 of
-    the edges ``scheduling.sample_round``, the production sampler, keeps.
+    the edges that the policy's ``round_sampler``, the production sampler,
+    keeps.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     subset_probs = subset_probs_from_node_probs(partition, node_probs)
     policy = SchedulingPolicy(subset_probs, subset_probs.sum(), epsilon=0.0)
+    sample = policy.round_sampler(partition, topology)
     owner = partition.owner_array
     n = topology.n
     i, j = topology.edge_array.T
@@ -112,7 +114,7 @@ def monte_carlo_moments(
     while done < samples:
         block = min(chunk, samples - done)
         if block == 1:
-            round_ = sample_round(policy, partition, topology, rng)
+            round_ = sample(rng)
             lap = topology.laplacian(round_.active_edges)
             s_lap += lap
             s_gram += lap @ lap

@@ -38,6 +38,15 @@ class LocalObjective(ABC):
         """Held-out metric of the node-averaged model, if available."""
         return None
 
+    def network_metrics(self, state: np.ndarray, mean: np.ndarray):
+        """(mean_i F_i(mean), test_metric(state)) for the network average
+        ``mean`` of ``state``: the train loss and test metric of one round.
+
+        An override must return exactly these values; it only saves the work
+        the two have in common.
+        """
+        return float(np.mean(self.local_losses(mean))), self.test_metric(state)
+
 
 class QuadraticObjective(LocalObjective):
     """Each node pulls toward its own target point.
@@ -130,14 +139,17 @@ class LogisticObjective(LocalObjective):
             raise ValueError("every node needs a nonempty shard")
         features = np.asarray(features, dtype=float)
         rows = np.concatenate(shards)
-        self._rows = np.hstack([features[rows], np.ones((rows.size, 1))])
         self._targets = np.asarray(labels, dtype=int)[rows]
         self.shard_sizes = np.array([s.size for s in shards])
         self._starts = np.cumsum(self.shard_sizes) - self.shard_sizes
+        # Equal shards draw their batch indices under one scalar bound, which
+        # consumes the stream exactly as the per-node bounds do, only faster.
+        equal = (self.shard_sizes == self.shard_sizes[0]).all()
+        self._high = int(self.shard_sizes[0]) if equal else self.shard_sizes[:, None]
         # Nodes grouped by shard size, each with a (nodes, size) array of its
-        # row indices, so each shard's loss is numpy's own mean over its rows
-        # (bit-identical to a per-shard .mean(); np.add.reduceat sums in
-        # another order).
+        # row indices: np.add.reduce(axis=1) / size over it is numpy's own
+        # per-shard .mean(), to the bit (np.add.reduceat sums in another
+        # order).
         self._size_groups = []
         for size in np.unique(self.shard_sizes):
             nodes = np.flatnonzero(self.shard_sizes == size)
@@ -150,19 +162,24 @@ class LogisticObjective(LocalObjective):
         self.n_features = features.shape[1]
         self.num_nodes = len(shards)
         self.dim = (self.n_features + 1) * self.n_classes
+        # The train rows, then the test rows: the losses and the test metric
+        # read one softmax over both, whichever of them asks for it.
         if test_features is not None:
             test_features = np.asarray(test_features, dtype=float)
-            self._test_aug = np.hstack(
-                [test_features, np.ones((test_features.shape[0], 1))]
-            )
+            if test_features.shape[0] == 0:
+                raise ValueError("the held-out set is empty; pass None for no test set")
             self._test_labels = np.asarray(test_labels, dtype=int)
+            features = np.vstack([features[rows], test_features])
         else:
-            self._test_aug = None
             self._test_labels = None
+            features = features[rows]
+        self._eval_rows = np.hstack([features, np.ones((features.shape[0], 1))])
+        self._rows = self._eval_rows[: rows.size]
 
-    def _softmax(self, x, rows):
-        """Class probabilities of rows (..., b, n_features + 1) under models
-        x (..., dim), one model per leading index.
+    def _exp_terms(self, x, rows):
+        """The softmax of rows (..., b, n_features + 1) under models x
+        (..., dim), one model per leading index, as its numerators and
+        denominators: the class probabilities are expv / total[..., None].
 
         The row maximum and the denominator are taken one class column at a
         time, as whole-array operations rather than one tiny reduction per
@@ -179,12 +196,17 @@ class LogisticObjective(LocalObjective):
         total = expv[..., 0].copy()
         for c in range(1, self.n_classes):
             total += expv[..., c]
+        return expv, total
+
+    def _softmax(self, x, rows):
+        """Class probabilities of rows under models x; see ``_exp_terms``."""
+        expv, total = self._exp_terms(x, rows)
         return expv / total[..., None]
 
     def gradients(self, state, batch_size, rng):
         """One draw of every node's batch indices, node-major, then one
         stacked softmax and one stacked rows^T @ (P - Y)."""
-        draws = rng.integers(0, self.shard_sizes[:, None], size=(self.num_nodes, batch_size))
+        draws = rng.integers(0, self._high, size=(self.num_nodes, batch_size))
         idx = self._starts[:, None] + draws
         # take() gathers whole rows, several times faster than [idx] here.
         rows = self._rows.take(idx, axis=0)
@@ -194,26 +216,37 @@ class LogisticObjective(LocalObjective):
 
     def local_losses(self, x):
         """Mean cross-entropy of each shard, from one softmax over all rows."""
-        picked = self._softmax(x, self._rows).reshape(-1)[self._pick]
-        row_losses = -np.log(np.maximum(picked, 1e-300))
-        losses = np.empty(self.num_nodes)
-        for nodes, rows in self._size_groups:
-            losses[nodes] = row_losses[rows].mean(axis=1)
-        return losses
+        return self._shard_losses(*self._exp_terms(x, self._eval_rows))
 
     def test_metric(self, state):
         """Accuracy of the node-averaged model on the held-out set."""
-        if self._test_aug is None:
+        if self._test_labels is None:
             return None
-        mean_model = state.mean(axis=0)
-        probs = self._softmax(mean_model, self._test_aug)
-        # Column by column with a strict >, so the first maximum wins, as with
-        # argmax. A row of probabilities is either all NaN or all finite, and
-        # an all-NaN row stays at class 0, which is argmax's answer too.
-        best = probs[:, 0].copy()
-        predicted = np.zeros(probs.shape[0], dtype=int)
-        for c in range(1, self.n_classes):
-            better = probs[:, c] > best
-            predicted[better] = c
-            np.maximum(best, probs[:, c], out=best)
-        return float((predicted == self._test_labels).mean())
+        return self._accuracy(*self._exp_terms(state.mean(axis=0), self._eval_rows))
+
+    def network_metrics(self, state, mean):
+        """Both metrics of the model ``mean`` from one softmax."""
+        expv, total = self._exp_terms(mean, self._eval_rows)
+        losses = self._shard_losses(expv, total)
+        loss = float(np.add.reduce(losses) / losses.size)  # np.mean to the bit
+        return loss, None if self._test_labels is None else self._accuracy(expv, total)
+
+    def _shard_losses(self, expv, total):
+        """Each shard's mean cross-entropy; only the target probabilities are
+        divided out."""
+        picked = expv.reshape(-1).take(self._pick) / total[: self._targets.size]
+        row_losses = -np.log(np.maximum(picked, 1e-300))
+        losses = np.empty(self.num_nodes)
+        for nodes, rows in self._size_groups:
+            losses[nodes] = np.add.reduce(row_losses.take(rows), 1) / rows.shape[1]
+        return losses
+
+    def _accuracy(self, expv, total):
+        """Held-out accuracy from the softmax terms of the stacked rows."""
+        start = self._targets.size
+        probs = expv[start:] / total[start:, None]
+        # argmax takes the first of tied maxima, and class 0 for an all-NaN
+        # row (a row of probabilities is either all NaN or all finite).
+        predicted = probs.argmax(axis=1)
+        # The count over the size is exactly the boolean mean.
+        return float(np.count_nonzero(predicted == self._test_labels) / predicted.size)

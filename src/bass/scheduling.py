@@ -5,6 +5,10 @@ round keeps only bidirectional links, so it is the set of base edges that
 survive it: an edge survives iff both endpoints broadcast. Its mixing matrix
 W = I - eps * L~ is written in one pass from the surviving edges (eps on
 each, 1 - eps * degree on the diagonal) and is symmetric by construction.
+
+A policy's rounds are drawn by a ``RoundSampler``, prepared once per run:
+both the subset policies here and the matching baseline are independent
+Bernoulli units plus a map from each base edge to the units it needs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology, _edge_matrix
+from .graph import Topology
 from .partition import CollisionFreePartition
 
 # Budget equality is enforced to this tolerance where attainable.
@@ -56,6 +60,16 @@ class SchedulingPolicy:
     def with_epsilon(self, epsilon: float) -> "SchedulingPolicy":
         return dataclasses.replace(self, epsilon=float(epsilon))
 
+    def round_sampler(self, partition: CollisionFreePartition, topology: Topology) -> "RoundSampler":
+        """The prepared sampler of this policy's rounds: an edge needs the
+        subsets of both its endpoints, and a subset costs one slot."""
+        if self.q != partition.q:
+            raise ValueError("policy and partition disagree on subset count")
+        if partition.n != topology.n:
+            raise ValueError("partition and topology disagree on node count")
+        edge_units = partition.owner_array[topology.edge_array].T
+        return RoundSampler(topology, self.subset_probs, edge_units, 1, self.epsilon)
+
 
 @dataclass(frozen=True, eq=False)
 class RoundActivation:
@@ -72,14 +86,46 @@ class RoundActivation:
     mixing_matrix: np.ndarray
     slots_used: int
 
-    @classmethod
-    def from_edges(cls, topology: Topology, epsilon, active_units, active_edges, slots_used):
-        """The round whose surviving edges are ``active_edges``, mixing with
-        W = I - epsilon * L~, scattered straight from the surviving edges
-        into one n x n array (bit-identical to that expression, zeros +0.0)."""
-        edges = topology.edge_array[active_edges]
-        mixing = _edge_matrix(topology.n, edges, scale=-epsilon, shift=1.0)
-        return cls(active_units, active_edges, mixing, int(slots_used))
+
+class RoundSampler:
+    """A policy's rounds, with everything that does not change between
+    rounds worked out once.
+
+    Unit u switches on with probability ``probs[u]`` and costs
+    ``slots_per_unit`` slots. Base edge e survives iff units
+    ``edge_units[0, e]`` and ``edge_units[1, e]`` are both on (the owners of
+    its endpoints for subsets, its matching twice for matchings). ``cells``
+    holds each edge's flat positions (i * n + j, j * n + i) in W, and
+    ``diagonal[d]`` is W's diagonal entry 1 - epsilon * d at degree d.
+    """
+
+    def __init__(self, topology: Topology, probs, edge_units, slots_per_unit: int, epsilon):
+        if epsilon is None:
+            raise ValueError("policy epsilon is not set; run the mixing optimizer first")
+        self.n, self.edges = topology.n, topology.edge_array
+        self.probs, self.slots_per_unit, self.epsilon = probs, slots_per_unit, float(epsilon)
+        self.edge_units = np.ascontiguousarray(edge_units)
+        self.cells = self.edges * self.n + self.edges[:, ::-1]
+        self.diagonal = 1.0 - self.epsilon * np.arange(self.n)  # a degree is below n
+
+    def __call__(self, rng: np.random.Generator) -> RoundActivation:
+        """Draw one round; consumes exactly one uniform per unit, in unit order."""
+        active = rng.random(self.probs.size) < self.probs
+        on = active[self.edge_units]
+        kept = on[0] & on[1]
+        slots = self.slots_per_unit * int(np.count_nonzero(active))
+        return RoundActivation(active, kept, self.mixing(kept), slots)
+
+    def mixing(self, kept: np.ndarray) -> np.ndarray:
+        """W = I - epsilon * L~ of the edges in the mask ``kept``: epsilon at
+        (i, j) and (j, i), 1 - epsilon * degree on the diagonal, +0.0 elsewhere
+        (bit-identical to that expression)."""
+        n = self.n
+        rows = kept.nonzero()[0]
+        w = np.zeros(n * n)
+        w[self.cells.take(rows, 0)] = self.epsilon
+        w[:: n + 1] = self.diagonal.take(np.bincount(self.edges.take(rows, 0).ravel(), None, n))
+        return w.reshape(n, n)
 
 
 def subset_betweenness(node_values: np.ndarray, partition: CollisionFreePartition) -> np.ndarray:
@@ -196,16 +242,7 @@ def sample_round(
 
     Consumes exactly q uniforms from ``rng``, one per subset in subset order,
     so runs are bit-reproducible given the generator. Nodes in one subset are
-    perfectly co-activated; distinct subsets are independent.
+    perfectly co-activated; distinct subsets are independent. A loop over
+    rounds should prepare ``policy.round_sampler`` once instead.
     """
-    if policy.epsilon is None:
-        raise ValueError("policy epsilon is not set; run the mixing optimizer first")
-    if policy.q != partition.q:
-        raise ValueError("policy and partition disagree on subset count")
-    if partition.n != topology.n:
-        raise ValueError("partition and topology disagree on node count")
-    active = rng.random(partition.q) < policy.subset_probs
-    owner = partition.owner_array
-    i, j = topology.edge_array.T
-    active_edges = active[owner[i]] & active[owner[j]]
-    return RoundActivation.from_edges(topology, policy.epsilon, active, active_edges, active.sum())
+    return policy.round_sampler(partition, topology)(rng)

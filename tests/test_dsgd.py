@@ -78,6 +78,16 @@ class TestGradientStep:
             gradient_step(np.ones((5, 2)), obj, 0.1, 1, np.random.default_rng(0))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("nan")), ("lr", float("inf")),
+        ("lr_decay", -1.0), ("lr_decay", float("nan")),
+    ])
+    def test_bad_step_size_rejected_at_construction(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            TrainConfig(**{"rounds": 5, "lr": 0.1, key: value})
+
+
 class TestConsensusStep:
     def test_exact_averaging(self):
         w = np.full((2, 2), 0.5)

@@ -21,6 +21,7 @@ from bass import (
     slots_to_reach,
     summarize,
 )
+from bass.cli import main
 
 
 def quick_config(tmp_path, **overrides):
@@ -89,6 +90,7 @@ class TestConfig:
         ("center_spread", -1.0), ("center_spread", float("nan")),
         ("center_spread", float("inf")), ("epsilon", float("nan")), ("epsilon", -0.5),
         ("epsilon", float("inf")), ("epsilon", "fast"), ("seeds", (0, -1)),
+        ("lr", float("inf")), ("lr_decay", float("inf")),
     ])
     def test_out_of_range_training_key_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
@@ -293,6 +295,22 @@ class TestRunExperiment:
             seeds=(0,), rounds=2,
         )
         assert len(run_experiment(cfg).run_files) == 3
+        assert len(calls) == 1
+
+    def test_only_matcha_decomposes_matchings(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return matching_decomposition(t)
+
+        monkeypatch.setattr(bass.baselines, "matching_decomposition", counted)
+        run_experiment(quick_config(tmp_path, policies=("bass",), seeds=(0,), rounds=2))
+        argv = ["optimize-eps", "--topology", "two-stars(4,4)", "--policy", "bass",
+                "--min-subset-prob", "0.1"]
+        assert main(argv) == 0
+        assert calls == []
+        run_experiment(quick_config(tmp_path, policies=("bass", "matcha"), seeds=(0,), rounds=2))
         assert len(calls) == 1
 
     def test_bad_budget_fails_before_any_output(self, tmp_path):

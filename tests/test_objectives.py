@@ -212,6 +212,11 @@ class TestLogistic:
         with pytest.raises(ValueError, match="nonempty shard"):
             LogisticObjective(x, y, [np.arange(6), np.arange(0)], 3)
 
+    def test_empty_test_set_rejected(self):
+        x, y = make_blobs(12, 3, 2, np.random.default_rng(31))
+        with pytest.raises(ValueError, match="held-out set is empty"):
+            LogisticObjective(x, y, [np.arange(6), np.arange(6, 12)], 3, x[:0], y[:0])
+
 
 class TestBatchedLogisticAgainstPerNodeLoop:
     """The batched calls equal the per-node loops: same values, same draws."""
@@ -232,6 +237,18 @@ class TestBatchedLogisticAgainstPerNodeLoop:
             batched = obj.gradients(state, batch_size, batched_rng)
             expected = loop_gradients(x, y, shards, 3, state, batch_size, loop_rng)
             assert batched.shape == (5, obj.dim)
+            np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-12)
+            assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_equal_shards_draw_under_one_scalar_bound(self):
+        x, y, shards = self.data(n=50)  # 50 rows, 10 shards: 10 per node
+        obj = LogisticObjective(x, y, shards, 3)
+        assert obj._high == 10
+        batched_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+        state = np.random.default_rng(43).normal(0, 0.5, (5, obj.dim))
+        for _ in range(3):
+            batched = obj.gradients(state, 7, batched_rng)
+            expected = loop_gradients(x, y, shards, 3, state, 7, loop_rng)
             np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-12)
             assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -271,6 +288,21 @@ def test_batched_logistic_matches_per_node_loop(sizes, batch_size, seed):
     )
 
 
+@pytest.mark.parametrize("size", [1, 2, 10, 25, 2**31 + 3])
+@pytest.mark.parametrize("batch_size", [1, 10])
+def test_scalar_bound_draws_as_the_per_node_loop(size, batch_size):
+    """Equal shards: one integers() call under a scalar bound gives the
+    indices, and leaves the generator in the state, of per-node bounds and of
+    a loop with one call per node."""
+    nodes = 6
+    rngs = [np.random.default_rng(5) for _ in range(3)]
+    scalar = rngs[0].integers(0, size, size=(nodes, batch_size))
+    per_node = rngs[1].integers(0, np.full((nodes, 1), size), size=(nodes, batch_size))
+    loop = np.array([rngs[2].integers(0, size, size=batch_size) for _ in range(nodes)])
+    assert np.array_equal(scalar, per_node) and np.array_equal(scalar, loop)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+
 # --- row-wise class reductions: the reference the class-column kernels match --
 
 
@@ -303,7 +335,8 @@ def rowwise_local_losses(obj, x):
 
 
 def rowwise_test_metric(obj, state):
-    probs = rowwise_softmax(obj, state.mean(axis=0), obj._test_aug)
+    test_rows = obj._eval_rows[obj._targets.size :]
+    probs = rowwise_softmax(obj, state.mean(axis=0), test_rows)
     return float((probs.argmax(axis=1) == obj._test_labels).mean())
 
 

@@ -1,6 +1,7 @@
 """Property tests over random connected Erdos-Renyi graphs with n <= 12."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,17 +10,30 @@ from hypothesis import strategies as st
 
 from bass import (
     CollisionFreePartition,
+    LogisticObjective,
     MatchaPolicy,
+    QuadraticObjective,
     RoundActivation,
+    RoundRecord,
     SchedulingPolicy,
+    TrainConfig,
     betweenness_centrality,
+    consensus_error,
+    consensus_step,
     enumerated_moments,
     er_topology,
     expected_laplacian_gram,
+    full_comm_policy,
+    global_train_loss,
+    gradient_step,
     greedy_partition,
+    make_blobs,
+    matcha_policy,
     matching_decomposition,
     node_probabilities,
+    run_training,
     sample_round,
+    shard_data,
     solve_probabilities,
     subset_betweenness,
     validate_partition,
@@ -133,11 +147,11 @@ def assert_dense_mixing(t, epsilon, round_):
 def test_mixing_matrix_is_written_bit_identically_from_the_surviving_edges(t, epsilon, seed, data):
     rng = np.random.default_rng(seed)
     mask = rng.random(len(t.edges)) < rng.random()
-    assert_dense_mixing(t, epsilon, RoundActivation.from_edges(t, epsilon, None, mask, 0))
-
     part = data.draw(st.one_of(st.just(greedy_partition(t)), arbitrary_partitions(t.n)))
     probs = rng.uniform(0.0, 1.0, part.q)
     policy = SchedulingPolicy(probs, probs.sum(), epsilon)
+    w = policy.round_sampler(part, t).mixing(mask)
+    assert_dense_mixing(t, epsilon, RoundActivation(None, mask, w, 0))
     md = matching_decomposition(t)
     match_probs = rng.uniform(0.0, 1.0, md.r)
     matcha = MatchaPolicy(t, md.edge_matching, match_probs, 2 * match_probs.sum(), epsilon)
@@ -150,3 +164,101 @@ def test_mixing_matrix_is_written_bit_identically_from_the_surviving_edges(t, ep
         round_ = matcha.sample_round(rng)
         assert np.array_equal(round_.active_edges, round_.active_subsets[matcha.edge_matching])
         assert_dense_mixing(t, epsilon, round_)
+
+
+# --- run_training against the per-call loop ----------------------------------
+
+
+def per_call_run(t, part, policy, obj, cfg):
+    """D-SGD round by round through the public per-call functions; returns
+    the records, the final state and the generator."""
+    rng = np.random.default_rng(cfg.seed)
+    state = np.zeros((t.n, obj.dim))
+    records, cum_slots = [], 0
+    for r in range(cfg.rounds):
+        if isinstance(policy, SchedulingPolicy):
+            act = sample_round(policy, part, t, rng)
+        else:
+            act = policy.sample_round(rng)
+        state = gradient_step(state, obj, cfg.lr_at(r), cfg.batch_size, rng)
+        state = consensus_step(state, act.mixing_matrix)
+        cum_slots += act.slots_used
+        records.append(RoundRecord(
+            round=r + 1,
+            cum_slots=cum_slots,
+            active_subsets=int(act.active_subsets.sum()),
+            train_loss=global_train_loss(obj, state),
+            test_metric=obj.test_metric(state),
+            consensus_error=consensus_error(state),
+        ))
+    return records, state, rng
+
+
+def run_training_with_generator(*args):
+    """``run_training`` plus the generator it drew from, caught as it is made."""
+    made, default_rng = [], np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recording):
+        log = run_training(*args)
+    return log, made[0]
+
+
+@st.composite
+def training_cases(draw, kind, objective):
+    t = draw(graphs)
+    part = greedy_partition(t)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    epsilon = draw(st.floats(0.0, 1.0)) / max(1.0, t.degrees.max())
+    frac = draw(st.floats(0.1, 1.0))
+    if kind == "bass":
+        scores = subset_betweenness(betweenness_centrality(t), part)
+        probs = solve_probabilities(scores, frac * part.q, min_prob=0.1 * frac)
+        policy = SchedulingPolicy(probs, frac * part.q, epsilon)
+    elif kind == "full":
+        policy = full_comm_policy(part, epsilon)
+    else:
+        md = matching_decomposition(t)
+        policy = matcha_policy(md, frac * 2 * md.r, t).with_epsilon(epsilon)
+    if objective == "quadratic":
+        obj = QuadraticObjective(rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 3)))))
+    else:
+        # 2n * per + extra rows in 2n shards, two per node: equal shards when
+        # extra = 0, and unequal when n does not divide extra.
+        per, extra = draw(st.integers(1, 4)), 0
+        if objective == "unequal":
+            extra = draw(st.integers(1, t.n - 1))
+        classes = draw(st.integers(2, 4))
+        x, y = make_blobs(2 * t.n * per + extra + 20, classes, 3, rng)
+        train = 2 * t.n * per + extra
+        shards = shard_data(train, y[:train], t.n, rng)
+        test_x, test_y = (None, None) if objective == "no-test" else (x[train:], y[train:])
+        obj = LogisticObjective(x[:train], y[:train], shards, classes, test_x, test_y)
+        assert (len({s.size for s in shards}) == 1) == (objective != "unequal")
+    cfg = TrainConfig(
+        rounds=draw(st.integers(1, 6)),
+        lr=draw(st.floats(0.01, 1.0)),
+        lr_decay=draw(st.floats(0.0, 2.0)),
+        batch_size=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return t, part, policy, obj, cfg
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "equal", "unequal", "no-test"])
+@pytest.mark.parametrize("kind", ["bass", "full", "matcha"])
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(data=st.data())
+def test_run_training_is_the_per_call_loop_bit_for_bit(kind, objective, data):
+    """Records compared with ==, the final state and the generator's state
+    bit for bit; logistic objectives with equal shards, unequal shards and
+    no test set."""
+    t, part, policy, obj, cfg = data.draw(training_cases(kind, objective))
+    log, log_rng = run_training_with_generator(t, policy, part, obj, cfg)
+    records, state, rng = per_call_run(t, part, policy, obj, cfg)
+    assert log.records == records
+    assert log.final_state.tobytes() == state.tobytes()
+    assert log_rng.bit_generator.state == rng.bit_generator.state
