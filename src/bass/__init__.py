@@ -52,10 +52,10 @@ from .mixing import (
     optimize_epsilon,
 )
 from .moments import (
+    closed_form_moments,
     enumerated_moments,
     expected_laplacian_gram,
     monte_carlo_moments,
-    subset_probs_from_node_probs,
 )
 from .objectives import (
     LocalObjective,
@@ -73,6 +73,7 @@ from .partition import (
 from .scheduling import (
     RoundActivation,
     SchedulingPolicy,
+    Units,
     node_probabilities,
     sample_round,
     solve_probabilities,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Topology, _incident_pairs, _pair_gram
 from .partition import CollisionFreePartition
-from .scheduling import BUDGET_TOL, RoundActivation, RoundSampler, SchedulingPolicy
+from .scheduling import BUDGET_TOL, RoundActivation, RoundSampler, SchedulingPolicy, Units, _unit_probs
 
 # Rounds of uniforms drawn at once by the matching Monte Carlo; small blocks
 # keep its transient arrays well under a megabyte.
@@ -83,8 +83,7 @@ class MatchaPolicy:
     epsilon: float | None = None
 
     def __post_init__(self):
-        probs = np.asarray(self.match_probs, dtype=float).copy()
-        probs.setflags(write=False)
+        probs = _unit_probs(self.match_probs, "matching probabilities")
         object.__setattr__(self, "match_probs", probs)
         owner, m = np.array(self.edge_matching, dtype=np.intp), len(self.topology.edge_array)
         if owner.shape != (m,) or np.any((owner < 0) | (owner >= probs.size)):
@@ -95,28 +94,22 @@ class MatchaPolicy:
         object.__setattr__(self, "edge_matching", owner)
 
     @property
-    def r(self) -> int:
-        return self.match_probs.size
-
-    @property
     def expected_slots(self) -> float:
-        return float(2.0 * self.match_probs.sum())
+        return self.units().expected_slots
 
     def with_epsilon(self, epsilon: float) -> "MatchaPolicy":
         return dataclasses.replace(self, epsilon=float(epsilon))
 
-    def expected_laplacian(self) -> np.ndarray:
-        """Exact E[L~] = sum_k p_k L(M_k): each base edge survives with the
-        probability of the one matching that holds it."""
-        return self.topology.laplacian(self.match_probs[self.edge_matching])
+    def units(self, partition=None, topology=None) -> Units:
+        """The matchings as units: an edge needs its matching, and a
+        matching costs two slots, one per direction of its links. The policy
+        carries its own topology; the arguments only keep the signature of
+        ``SchedulingPolicy.units``."""
+        return Units(self.match_probs, np.stack([self.edge_matching, self.edge_matching]), 2)
 
     def round_sampler(self, partition=None, topology=None) -> RoundSampler:
-        """The prepared sampler of this policy's rounds. An edge survives iff
-        its matching is active, and is used bidirectionally, so a matching
-        costs two slots. The policy carries its own topology; the arguments
-        only keep the signature of ``SchedulingPolicy.round_sampler``."""
-        edge_units = np.stack([self.edge_matching, self.edge_matching])
-        return RoundSampler(self.topology, self.match_probs, edge_units, 2, self.epsilon)
+        """The prepared sampler of this policy's rounds."""
+        return RoundSampler(self.topology, self.units(), self.epsilon)
 
     def sample_round(self, rng: np.random.Generator) -> RoundActivation:
         """Draw one round; consumes exactly r uniforms in matching order."""
@@ -134,7 +127,7 @@ def matcha_policy(md: MatchingDecomposition, budget_slots: float, topology: Topo
         raise ValueError("matching decomposition has no matchings")
     if md.topology != topology:
         raise ValueError("the decomposition belongs to a different topology")
-    if budget_slots <= 0 or budget_slots > 2 * md.r + BUDGET_TOL:
+    if not 0 < budget_slots <= 2 * md.r + BUDGET_TOL:
         raise ValueError(
             f"budget {budget_slots} infeasible: need 0 < B <= {2 * md.r} slots"
         )
@@ -162,15 +155,13 @@ def matcha_spectral_moments(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    counts = np.zeros(policy.r, dtype=np.int64)
-    co_counts = np.zeros((policy.r, policy.r), dtype=np.int64)
-    done = 0
-    while done < samples:
-        block = min(_MATCHA_BLOCK, samples - done)
-        active = (rng.random((block, policy.r)) < policy.match_probs).astype(np.int64)
+    p = policy.match_probs
+    counts = np.zeros(p.size, dtype=np.int64)
+    co_counts = np.zeros((p.size, p.size), dtype=np.int64)
+    for done in range(0, samples, _MATCHA_BLOCK):
+        active = (rng.random((min(_MATCHA_BLOCK, samples - done), p.size)) < p).astype(np.int64)
         counts += active.sum(axis=0)
         co_counts += active.T @ active
-        done += block
     t, m = policy.topology, policy.edge_matching
     k, a, b, e, f = _incident_pairs(t)
     s_gram = _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]])

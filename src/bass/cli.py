@@ -7,10 +7,11 @@ import sys
 
 import numpy as np
 
-from .baselines import MatchaPolicy, dump_matchings
+from .baselines import dump_matchings
 from .experiment import (
     _CONFIG_TYPES,
     ExperimentConfig,
+    _budget_note,
     _convert,
     _decomposition,
     _objective,
@@ -20,9 +21,8 @@ from .experiment import (
     run_experiment,
 )
 from .mixing import optimize_epsilon
-from .moments import enumerated_moments, monte_carlo_moments
+from .moments import closed_form_moments, enumerated_moments, monte_carlo_moments
 from .partition import dump_partition, greedy_partition
-from .scheduling import SchedulingPolicy, node_probabilities
 from .topologies import make_topology
 
 # The config keys that pick one policy; moments-check and optimize-eps take
@@ -120,23 +120,21 @@ def _cmd_run(args) -> int:
 def _cmd_moments_check(args) -> int:
     cfg, topology, partition, spec = _single_policy(args)
     # The moments do not depend on epsilon, so it is left unset.
-    policy = _unresolved_policy(spec, topology, partition, cfg)
-    if not isinstance(policy, SchedulingPolicy):
-        print(f"moments-check covers subset policies; {spec.kind} has no closed form")
-        return 2
-    closed = _objective(policy, topology, partition, cfg)
-    node_p = node_probabilities(policy.subset_probs, partition)
+    units = _unresolved_policy(spec, topology, partition, cfg).units(partition, topology)
+    closed = closed_form_moments(topology, units)
     rng = np.random.default_rng(args.seed)
-    mc = monte_carlo_moments(topology, partition, node_p, args.samples, rng)
+    mc = monte_carlo_moments(topology, units, args.samples, rng)
     print(f"policy {spec.label} on {cfg.topology}: q={partition.q}, "
           f"samples={args.samples}")
     print(f"max |closed - MC| E[L~]      : {np.abs(closed.e_laplacian - mc.e_laplacian).max():.3e}")
     print(f"max |closed - MC| E[L~^T L~] : {np.abs(closed.e_gram - mc.e_gram).max():.3e}")
-    # Enumeration costs 2^q rounds of dense n x n products: about 2^q * n^3.
-    if 2**partition.q * topology.n**3 > 2**32:
-        print(f"enumeration skipped: 2^q * n^3 = 2^{partition.q} * {topology.n}^3 exceeds 2^32")
+    # Enumeration costs 2^units rounds of dense n x n products: about
+    # 2^units * n^3. The policy's units are its q subsets or r matchings.
+    count = units.probs.size
+    if 2**count * topology.n**3 > 2**32:
+        print(f"enumeration skipped: 2^q * n^3 = 2^{count} * {topology.n}^3 exceeds 2^32")
     else:
-        exact = enumerated_moments(topology, partition, node_p)
+        exact = enumerated_moments(topology, units)
         print(f"max |closed - enum| E[L~]      : {np.abs(closed.e_laplacian - exact.e_laplacian).max():.3e}")
         print(f"max |closed - enum| E[L~^T L~] : {np.abs(closed.e_gram - exact.e_gram).max():.3e}")
     return 0
@@ -154,9 +152,13 @@ def _cmd_partition_dump(args) -> int:
 def _cmd_optimize_eps(args) -> int:
     cfg, topology, partition, spec = _single_policy(args)
     policy = _unresolved_policy(spec, topology, partition, cfg)
+    units = policy.units(partition, topology)
     objective = _objective(policy, topology, partition, cfg)
     search = optimize_epsilon(objective)
     print(f"policy {spec.label} on {cfg.topology}")
+    budget_note = _budget_note(spec, units)
+    if budget_note is not None:
+        print(budget_note)
     print(f"eps_star = {search.epsilon:.8g}")
     print(f"s_star   = {search.value:.8g}  (largest eigenvalue of E[W^2] - J)")
     print(f"s_lower  = {search.lower:.8g}  (certified lower bound on min s)")
@@ -165,11 +167,8 @@ def _cmd_optimize_eps(args) -> int:
         print("warning: E[L~] = 0, no expected communication; eps set to 0")
     # Secondary diagnostic: contraction of the mean mixing matrix E[W] - J, which
     # is 0 on the ones vector and 1 - eps * lambda on E[L~]'s other eigenvectors.
-    # matcha's objective holds a Monte Carlo E[L~]; its exact one is cheap.
-    e_lap = objective.e_laplacian
-    if isinstance(policy, MatchaPolicy):
-        e_lap = policy.expected_laplacian()
-    lam = np.linalg.eigvalsh(e_lap)[1:]
+    # It reads the closed-form E[L~], which matcha's objective only estimates.
+    lam = np.linalg.eigvalsh(closed_form_moments(topology, units).e_laplacian)[1:]
     rho = float(np.abs(1.0 - search.epsilon * lam).max(initial=0.0))
     print(f"rho(E[W] - J) = {rho:.8g}  (mean-matrix contraction, reported only)")
     return 0

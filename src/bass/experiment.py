@@ -23,13 +23,13 @@ from .baselines import (
 from .dsgd import MetricsLog, TrainConfig, run_training
 from .graph import Topology
 from .mixing import SpectralObjective, contracts, optimize_epsilon
-from .moments import expected_laplacian_gram
+from .moments import closed_form_moments
 from .objectives import LogisticObjective, QuadraticObjective, make_blobs, shard_data
 from .partition import CollisionFreePartition, greedy_partition
 from .scheduling import (
     BUDGET_TOL,
     SchedulingPolicy,
-    node_probabilities,
+    Units,
     solve_probabilities,
     subset_betweenness,
 )
@@ -257,13 +257,22 @@ def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentCon
 
 
 def _objective(policy, topology, partition, cfg: ExperimentConfig) -> SpectralObjective:
-    """The moments E[L~] and E[L~^2] that the epsilon search reads: closed
-    form for subset policies, a fixed-seed Monte Carlo estimate for matcha."""
+    """The moments E[L~] and E[L~^2] that the epsilon search reads: the
+    closed form over the policy's units, except for matcha, whose epsilon
+    still reads a fixed-seed Monte Carlo estimate."""
     if isinstance(policy, MatchaPolicy):
         rng = np.random.default_rng(_EPS_MC_SEED)
         return SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
-    node_p = node_probabilities(policy.subset_probs, partition)
-    return expected_laplacian_gram(topology, partition, node_p)
+    return closed_form_moments(topology, policy.units(partition, topology))
+
+
+def _budget_note(spec: PolicySpec, units: Units) -> str | None:
+    """``budget B slots, achieved A slots`` when the policy's expected slots
+    per round A miss the requested B, else None."""
+    achieved = units.expected_slots
+    if abs(achieved - spec.budget_slots) > BUDGET_TOL:
+        return f"budget {spec.budget_slots:g} slots, achieved {achieved:g} slots"
+    return None
 
 
 def build_policy(
@@ -381,10 +390,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if search.degenerate:
                 eps_note += ", degenerate: no expected communication"
             eps_note += ")"
-        achieved = policy.expected_slots if spec.kind == "matcha" else policy.achieved_budget
-        budget_note = f"budget {spec.budget_slots:g} slots"
-        if abs(achieved - spec.budget_slots) > BUDGET_TOL:
-            budget_note += f", achieved {achieved:g} slots"
+        budget_note = _budget_note(spec, policy.units(partition, topology))
+        budget_note = budget_note or f"budget {spec.budget_slots:g} slots"
         result.report.append(f"{spec.label}: {budget_note}, {eps_note}")
         result.run_files[spec.label] = {}
         result.logs[spec.label] = {}

@@ -83,9 +83,15 @@ class Topology:
     def laplacian(self, weights=None) -> np.ndarray:
         """Weighted-edge Laplacian sum_e w_e (u_i - u_j)(u_i - u_j)^T, one
         weight per row of ``edge_array`` (a boolean mask keeps the masked
-        edges); ``None`` weighs every edge 1, giving degree minus adjacency."""
+        edges); ``None`` weighs every edge 1, giving degree minus adjacency.
+        It is written into one zeroed n x n array: -w_e at (i, j) and (j, i),
+        the weighted degree on the diagonal, +0.0 off the edges."""
+        n, (i, j) = self.n, self.edge_array.T
         w = None if weights is None else np.asarray(weights, dtype=float)
-        return _edge_matrix(self.n, self.edge_array, w)
+        out = np.zeros((n, n))
+        out[i, j] = out[j, i] = -(1.0 if w is None else w)
+        out.flat[:: n + 1] = np.bincount(i, w, n) + np.bincount(j, w, n)
+        return out
 
     def is_connected(self) -> bool:
         return _connected(self.n, self.edge_array)
@@ -149,19 +155,6 @@ def _connected(n, edges) -> bool:
         if np.array_equal(new, labels):
             return not labels.any()
         labels = new
-
-
-def _edge_matrix(n, edges, weights=None, scale=1.0, shift=0.0) -> np.ndarray:
-    """shift * I + scale * L_w for the (k, 2) ``edges`` with weights w
-    (``None``: all 1), written into one zeroed n x n array: -scale * w_e at
-    (i, j) and (j, i), shift + scale * deg_w on the diagonal. Entries off the
-    given edges stay +0.0."""
-    i, j = edges.T
-    off = -scale * (1.0 if weights is None else weights)
-    out = np.zeros((n, n))
-    out[i, j] = out[j, i] = off
-    out.flat[:: n + 1] = shift + scale * (np.bincount(i, weights, n) + np.bincount(j, weights, n))
-    return out
 
 
 def _incident_pairs(topology: Topology):

@@ -1,23 +1,28 @@
 """The two activation moments of the effective Laplacian, E[L~] and E[L~^2].
 
 They are all the epsilon search reads (``mixing.SpectralObjective``), and
-each of the three routes below returns them as one.
+each of the three routes below returns them as one, for any policy stated as
+its ``scheduling.Units``: independent Bernoulli units, and for each base
+edge e the two units it needs, u0(e) and u1(e) (the subsets of its
+endpoints, or its matching twice).
 
-Node activations are Bernoulli variables, perfectly correlated inside a
-subset and independent across subsets. A round keeps edge e = (i, j) iff
-x_e = n_i n_j = 1, so E[L~] = sum_e E[x_e] L_e, and since L_e L_f vanishes
-unless e and f share a node, E[L~^2] = sum E[x_e x_f] L_e L_f runs over the
-O(sum_k deg_k^2) incident edge pairs e = (k, a), f = (k, b) of
+A round keeps edge e iff x_e = 1, x_e being the product of the on
+indicators of its units, so E[L~] = sum_e E[x_e] L_e, and since L_e L_f
+vanishes unless e and f share a node, E[L~^2] = sum E[x_e x_f] L_e L_f runs
+over the O(sum_k deg_k^2) incident edge pairs e = (k, a), f = (k, b) of
 ``graph._incident_pairs``, which ``graph._pair_gram`` scatters into one
 n x n array. The routes differ only in their weights:
 
-- ``expected_laplacian_gram``, the closed form used in production, takes
-  E[x_e x_f] = E[n_k n_a n_b], the product of p over the distinct subsets
-  of k, a and b.
+- ``closed_form_moments``, used in production, takes E[x_e] as the product
+  of p over the distinct units of e, and E[x_e x_f] as the product over the
+  distinct units of e and f.
 - ``monte_carlo_moments`` counts the sampled rounds in which each edge and
   each incident pair survives.
 - ``enumerated_moments``, an exact test oracle independent of both, sums
-  w L~ and w L~^2 over the 2^q activation patterns.
+  w L~ and w L~^2 over the 2^units activation patterns.
+
+``expected_laplacian_gram`` is the closed form of a subset policy given by
+per-node probabilities.
 """
 
 from __future__ import annotations
@@ -27,19 +32,37 @@ import numpy as np
 from .graph import Topology, _incident_pairs, _pair_gram
 from .mixing import SpectralObjective
 from .partition import CollisionFreePartition
-from .scheduling import SchedulingPolicy
+from .scheduling import SchedulingPolicy, Units, _unit_probs
 
 # Monte Carlo rounds per vectorized block are capped so that one block x
-# max(n, incident pairs) array stays under this many elements.
+# max(units, incident pairs) array stays under this many elements.
 _MC_BLOCK_ELEMENTS = 1 << 20
 
 
+def closed_form_moments(topology: Topology, units: Units) -> SpectralObjective:
+    """Closed-form E[L~] and E[L~^T L~] of a policy's units.
+
+    E[x_e] is p[u0(e)], times p[u1(e)] if that is another unit. The weight
+    E[x_e x_f] of an incident pair multiplies E[x_e] by p of each unit of f
+    that is not already a unit of e.
+    """
+    p, (u0, u1) = units.probs, units.edge_units
+    x = p[u0] * np.where(u1 != u0, p[u1], 1.0)
+    k, a, b, e, f = _incident_pairs(topology)
+    e0, e1, f0, f1 = u0[e], u1[e], u0[f], u1[f]
+    w = x[e] * np.where((f0 != e0) & (f0 != e1), p[f0], 1.0)
+    w *= np.where((f1 != e0) & (f1 != e1) & (f1 != f0), p[f1], 1.0)
+    # E[L~^2] first, so E[L~] is not held while the scatter's n x n terms are.
+    e_gram = _pair_gram(topology.n, k, a, b, w)
+    return SpectralObjective(topology.laplacian(x), e_gram)
+
+
 def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
-    p = np.asarray(node_probs, dtype=float)
+    """The per-subset probabilities behind per-node ones, which must agree
+    (to 1e-12) on the nodes of each subset."""
+    p = _unit_probs(node_probs, "node probabilities")
     if p.shape != (partition.n,):
         raise ValueError(f"expected {partition.n} node probabilities, got {p.shape}")
-    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-        raise ValueError("node probabilities must lie in [0, 1]")
     owner, q = partition.owner_array, partition.q
     hi, lo = np.full(q, -np.inf), np.full(q, np.inf)
     np.maximum.at(hi, owner, p)
@@ -47,114 +70,71 @@ def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
     spread = np.flatnonzero(hi - lo > 1e-12)
     if spread.size:
         raise ValueError(f"nodes of subset {partition.subsets[spread[0]]} carry different probabilities")
-    return np.clip(p, 0.0, 1.0)
-
-
-def subset_probs_from_node_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
-    """Recover per-subset probabilities, validating within-subset consistency:
-    each subset takes the probability of its lowest-numbered node."""
-    p = _checked_probs(partition, node_probs)
-    return p[np.unique(partition.owner_array, return_index=True)[1]]
+    return hi
 
 
 def expected_laplacian_gram(
     topology: Topology, partition: CollisionFreePartition, node_probs
 ) -> SpectralObjective:
-    """Closed-form E[L~] and E[L~^T L~].
-
-    E[L~] weighs edge (i, j) by its survival E[x_e], p_i times p_j if i and
-    j lie in different subsets, and each incident pair (k, a), (k, b) has
-    weight E[n_k n_a n_b], one factor per distinct subset of k, a and b.
-    """
-    p = _checked_probs(partition, node_probs)
-    owner = partition.owner_array
-    k, a, b, _, _ = _incident_pairs(topology)
-    w = p[k] * np.where(owner[a] != owner[k], p[a], 1.0)
-    w *= np.where((owner[b] != owner[k]) & (owner[b] != owner[a]), p[b], 1.0)
-    # E[L~^2] first, so E[L~] is not held while the scatter's n x n terms are.
-    e_gram = _pair_gram(topology.n, k, a, b, w)
-    i, j = topology.edge_array.T
-    e_lap = topology.laplacian(p[i] * np.where(owner[i] != owner[j], p[j], 1.0))
-    return SpectralObjective(e_lap, e_gram)
+    """``closed_form_moments`` of the subset policy whose nodes broadcast
+    with probabilities ``node_probs``."""
+    probs = _checked_probs(partition, node_probs)
+    return closed_form_moments(topology, SchedulingPolicy(probs, probs.sum()).units(partition, topology))
 
 
 def monte_carlo_moments(
-    topology: Topology,
-    partition: CollisionFreePartition,
-    node_probs,
-    samples: int,
-    rng: np.random.Generator,
-    chunk: int = 8192,
+    topology: Topology, units: Units, samples: int, rng: np.random.Generator
 ) -> SpectralObjective:
-    """Empirical moments over i.i.d. sampled rounds.
+    """Empirical moments over ``samples`` i.i.d. rounds.
 
-    Consumes the generator exactly like ``scheduling.sample_round``: q
-    uniforms per round in subset order (chunked draws fill row-major, so the
-    stream is identical value-for-value). Blocks of at most ``chunk`` rounds,
-    capped by ``_MC_BLOCK_ELEMENTS``, count the surviving edges and incident
-    pairs, assembled once at the end; ``chunk=1`` instead sums L~ and L~^2 of
-    the edges that the policy's ``round_sampler``, the production sampler,
-    keeps.
+    Draws what ``scheduling.RoundSampler`` draws, one uniform per unit per
+    round in unit order (blocks of rounds fill row-major, so the stream is
+    the same value for value), and counts the rounds in which each edge and
+    each incident pair survives. The counts are exact integers, scattered
+    once at the end.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    subset_probs = subset_probs_from_node_probs(partition, node_probs)
-    policy = SchedulingPolicy(subset_probs, subset_probs.sum(), epsilon=0.0)
-    sample = policy.round_sampler(partition, topology)
-    owner = partition.owner_array
-    n = topology.n
-    i, j = topology.edge_array.T
+    p, (u0, u1) = units.probs, units.edge_units
     k, a, b, e, f = _incident_pairs(topology)
-    chunk = min(chunk, max(1, _MC_BLOCK_ELEMENTS // max(n, k.size)))
-    edge_counts = np.zeros(i.size, dtype=np.int64)
+    block = max(1, _MC_BLOCK_ELEMENTS // max(p.size, k.size))
+    edge_counts = np.zeros(u0.size, dtype=np.int64)
     pair_counts = np.zeros(k.size, dtype=np.int64)
-    s_lap = np.zeros((n, n))
-    s_gram = np.zeros((n, n))
-    done = 0
-    while done < samples:
-        block = min(chunk, samples - done)
-        if block == 1:
-            round_ = sample(rng)
-            lap = topology.laplacian(round_.active_edges)
-            s_lap += lap
-            s_gram += lap @ lap
-        else:
-            draws = rng.random((block, subset_probs.size))
-            on = (draws < subset_probs[None, :])[:, owner]
-            kept = on[:, i] & on[:, j]  # (block, m): edge survives the round
-            edge_counts += kept.sum(axis=0)
-            pair_counts += (kept[:, e] & kept[:, f]).sum(axis=0)
-        done += block
-    s_lap += topology.laplacian(edge_counts)
-    s_gram += _pair_gram(n, k, a, b, pair_counts)
-    return SpectralObjective(s_lap / samples, s_gram / samples)
+    for done in range(0, samples, block):
+        on = rng.random((min(block, samples - done), p.size)) < p
+        kept = on[:, u0] & on[:, u1]  # (block, m): edge survives the round
+        edge_counts += kept.sum(axis=0)
+        pair_counts += (kept[:, e] & kept[:, f]).sum(axis=0)
+    e_gram = _pair_gram(topology.n, k, a, b, pair_counts) / samples
+    return SpectralObjective(topology.laplacian(edge_counts) / samples, e_gram)
 
 
-def enumerated_moments(
-    topology: Topology, partition: CollisionFreePartition, node_probs
-) -> SpectralObjective:
-    """Exact moments by exhaustive enumeration of all 2^q activation patterns.
+def enumerated_moments(topology: Topology, units: Units) -> SpectralObjective:
+    """Exact moments by exhaustive enumeration of all 2^units activation
+    patterns.
 
     Straight-line oracle, deliberately independent of both the closed-form
     code path and the sampling path: each pattern's probability is the plain
-    Bernoulli product and the effective Laplacian is rebuilt inline.
+    Bernoulli product and the effective Laplacian is rebuilt inline from the
+    edges the pattern keeps.
     """
-    subset_probs = subset_probs_from_node_probs(partition, node_probs)
-    q = subset_probs.size
-    if q > 20:
-        raise ValueError(f"2^{q} activation patterns is too many to enumerate")
-    adj = topology.adjacency
+    p, (u0, u1) = units.probs, units.edge_units
+    count = p.size
+    if count > 20:
+        raise ValueError(f"2^{count} activation patterns is too many to enumerate")
     n = topology.n
+    i, j = topology.edge_array.T
     s_lap = np.zeros((n, n))
     s_gram = np.zeros((n, n))
-    for pattern in range(1 << q):
+    for pattern in range(1 << count):
         weight = 1.0
-        for k in range(q):
-            weight *= subset_probs[k] if pattern >> k & 1 else 1.0 - subset_probs[k]
+        for u in range(count):
+            weight *= p[u] if pattern >> u & 1 else 1.0 - p[u]
         if weight == 0.0:
             continue
-        mask = (pattern >> partition.owner_array & 1).astype(float)
-        a_t = adj * np.outer(mask, mask)
+        on = pattern >> np.arange(count) & 1
+        a_t = np.zeros((n, n))
+        a_t[i, j] = a_t[j, i] = on[u0] & on[u1]
         lap = np.diag(a_t.sum(axis=1)) - a_t
         s_lap += weight * lap
         s_gram += weight * (lap @ lap)

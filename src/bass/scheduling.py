@@ -6,9 +6,10 @@ survive it: an edge survives iff both endpoints broadcast. Its mixing matrix
 W = I - eps * L~ is written in one pass from the surviving edges (eps on
 each, 1 - eps * degree on the diagonal) and is symmetric by construction.
 
-A policy's rounds are drawn by a ``RoundSampler``, prepared once per run:
-both the subset policies here and the matching baseline are independent
-Bernoulli units plus a map from each base edge to the units it needs.
+Both the subset policies here and the matching baseline state their
+``Units``: independent Bernoulli units plus a map from each base edge to the
+units it needs. A policy's rounds are drawn by a ``RoundSampler`` of its
+units, prepared once per run, and ``moments`` reads the same units.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,35 @@ from .partition import CollisionFreePartition
 
 # Budget equality is enforced to this tolerance where attainable.
 BUDGET_TOL = 1e-9
+
+
+def _unit_probs(probs, name: str) -> np.ndarray:
+    """``probs`` as a read-only float copy, checked to be a nonempty 1-D
+    array in [0, 1] (within 1e-12, then clipped); ``name`` names them."""
+    p = np.array(probs, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {p.shape}")
+    if not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    p.setflags(write=False)
+    return p
+
+
+class Units(NamedTuple):
+    """A policy as independent Bernoulli units: unit u is on with probability
+    ``probs[u]`` and costs ``slots_per_unit`` slots, and base edge e survives
+    a round iff both units ``edge_units[:, e]`` are on (the subsets of its
+    endpoints, or its matching twice)."""
+
+    probs: np.ndarray
+    edge_units: np.ndarray
+    slots_per_unit: int
+
+    @property
+    def expected_slots(self) -> float:
+        """Expected transmission slots per round."""
+        return self.slots_per_unit * float(self.probs.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,18 +70,7 @@ class SchedulingPolicy:
     epsilon: float | None = None
 
     def __post_init__(self):
-        probs = np.asarray(self.subset_probs, dtype=float).copy()
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("subset_probs must be a nonempty 1-D array")
-        if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
-            raise ValueError("subset probabilities must lie in [0, 1]")
-        probs = np.clip(probs, 0.0, 1.0)
-        probs.setflags(write=False)
-        object.__setattr__(self, "subset_probs", probs)
-
-    @property
-    def q(self) -> int:
-        return self.subset_probs.size
+        object.__setattr__(self, "subset_probs", _unit_probs(self.subset_probs, "subset probabilities"))
 
     @property
     def achieved_budget(self) -> float:
@@ -60,15 +80,18 @@ class SchedulingPolicy:
     def with_epsilon(self, epsilon: float) -> "SchedulingPolicy":
         return dataclasses.replace(self, epsilon=float(epsilon))
 
-    def round_sampler(self, partition: CollisionFreePartition, topology: Topology) -> "RoundSampler":
-        """The prepared sampler of this policy's rounds: an edge needs the
-        subsets of both its endpoints, and a subset costs one slot."""
-        if self.q != partition.q:
+    def units(self, partition: CollisionFreePartition, topology: Topology) -> Units:
+        """The subsets as units: an edge needs the subsets of both its
+        endpoints, and a subset costs one slot."""
+        if self.subset_probs.size != partition.q:
             raise ValueError("policy and partition disagree on subset count")
         if partition.n != topology.n:
             raise ValueError("partition and topology disagree on node count")
-        edge_units = partition.owner_array[topology.edge_array].T
-        return RoundSampler(topology, self.subset_probs, edge_units, 1, self.epsilon)
+        return Units(self.subset_probs, partition.owner_array[topology.edge_array].T, 1)
+
+    def round_sampler(self, partition: CollisionFreePartition, topology: Topology) -> "RoundSampler":
+        """The prepared sampler of this policy's rounds."""
+        return RoundSampler(topology, self.units(partition, topology), self.epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,20 +114,18 @@ class RoundSampler:
     """A policy's rounds, with everything that does not change between
     rounds worked out once.
 
-    Unit u switches on with probability ``probs[u]`` and costs
-    ``slots_per_unit`` slots. Base edge e survives iff units
-    ``edge_units[0, e]`` and ``edge_units[1, e]`` are both on (the owners of
-    its endpoints for subsets, its matching twice for matchings). ``cells``
-    holds each edge's flat positions (i * n + j, j * n + i) in W, and
-    ``diagonal[d]`` is W's diagonal entry 1 - epsilon * d at degree d.
+    The round switches ``units`` on independently and keeps the base edges
+    whose units are both on. ``cells`` holds each edge's flat positions
+    (i * n + j, j * n + i) in W, and ``diagonal[d]`` is W's diagonal entry
+    1 - epsilon * d at degree d.
     """
 
-    def __init__(self, topology: Topology, probs, edge_units, slots_per_unit: int, epsilon):
+    def __init__(self, topology: Topology, units: Units, epsilon):
         if epsilon is None:
             raise ValueError("policy epsilon is not set; run the mixing optimizer first")
         self.n, self.edges = topology.n, topology.edge_array
-        self.probs, self.slots_per_unit, self.epsilon = probs, slots_per_unit, float(epsilon)
-        self.edge_units = np.ascontiguousarray(edge_units)
+        self.probs, self.slots_per_unit, self.epsilon = units.probs, units.slots_per_unit, float(epsilon)
+        self.edge_units = np.ascontiguousarray(units.edge_units)
         self.cells = self.edges * self.n + self.edges[:, ::-1]
         self.diagonal = 1.0 - self.epsilon * np.arange(self.n)  # a degree is below n
 
@@ -159,6 +180,8 @@ def solve_probabilities(subset_values, budget, min_prob=0.0):
     values = np.asarray(subset_values, dtype=float)
     q = values.size
     budget = float(budget)
+    if not np.isfinite(values).all():
+        raise ValueError("subset scores must be finite")
     if np.any(values < 0):
         raise ValueError("subset scores must be nonnegative")
     positive = values > 0
@@ -166,12 +189,14 @@ def solve_probabilities(subset_values, budget, min_prob=0.0):
         lower, upper = min_prob / values, 1.0 / values  # no knots for zero scores
     if np.isinf(upper[positive]).any():
         raise ValueError("positive subset scores must have a finite reciprocal")
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     if budget > q + BUDGET_TOL:
         raise ValueError(f"budget {budget} infeasible for {q} subsets")
     budget = min(budget, float(q))
-    if min_prob < 0 or min_prob > 1:
+    if not 0 <= min_prob <= 1:
         raise ValueError("min_prob must lie in [0, 1]")
     if q * min_prob > budget + BUDGET_TOL:
         raise ValueError(

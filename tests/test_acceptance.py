@@ -113,15 +113,16 @@ def test_c01_moment_formula_equivalence():
         t = random_connected(rng, n, int(rng.integers(0, 3)), max_degree=3)
         part = greedy_partition(t)
         assert part.q <= 12
-        node_p = node_probabilities(rng.uniform(0.05, 0.45, part.q), part)
-        closed = expected_laplacian_gram(t, part, node_p)
-        exact = enumerated_moments(t, part, node_p)
+        probs = rng.uniform(0.05, 0.45, part.q)
+        units = SchedulingPolicy(probs, probs.sum()).units(part, t)
+        closed = expected_laplacian_gram(t, part, node_probabilities(probs, part))
+        exact = enumerated_moments(t, units)
         worst_enum = max(
             worst_enum,
             np.abs(closed.e_laplacian - exact.e_laplacian).max(),
             np.abs(closed.e_gram - exact.e_gram).max(),
         )
-        mc = monte_carlo_moments(t, part, node_p, 100_000, np.random.default_rng(1000 + k))
+        mc = monte_carlo_moments(t, units, 100_000, np.random.default_rng(1000 + k))
         worst_mc = max(
             worst_mc,
             np.abs(closed.e_laplacian - mc.e_laplacian).max(),

@@ -5,6 +5,7 @@ from bass import (
     MatchaPolicy,
     SpectralObjective,
     Topology,
+    closed_form_moments,
     dump_matchings,
     full_comm_policy,
     greedy_partition,
@@ -153,6 +154,20 @@ class TestMatchaPolicy:
         with pytest.raises(ValueError):
             matcha_policy(md, 0.0, p3())
 
+    def test_non_finite_budget_rejected(self):
+        md = matching_decomposition(p3())
+        with pytest.raises(ValueError, match="budget nan infeasible"):
+            matcha_policy(md, np.nan, p3())
+
+    @pytest.mark.parametrize("probs", [[2.0, -1.0, 0.5, 0.5, 0.5, 0.5], np.full((6, 1), 0.5),
+                                       np.full(6, np.nan)], ids=["out-of-range", "2-D", "nan"])
+    def test_bad_matching_probabilities_rejected(self, probs):
+        t = two_stars_topology(6, 6)
+        md = matching_decomposition(t)
+        assert md.r == 6
+        with pytest.raises(ValueError, match="matching probabilities must"):
+            MatchaPolicy(t, md.edge_matching, probs, 3.0)
+
     def test_requires_epsilon_to_sample(self):
         md = matching_decomposition(p3())
         policy = matcha_policy(md, 2.0, p3())
@@ -254,7 +269,8 @@ class TestMatchaPolicy:
         expected = sum(
             p * Topology(t.n, m).laplacian() for p, m in zip(policy.match_probs, md.matchings)
         )
-        assert np.allclose(policy.expected_laplacian(), expected, rtol=0.0, atol=1e-15)
+        e_lap = closed_form_moments(t, policy.units()).e_laplacian
+        assert np.allclose(e_lap, expected, rtol=0.0, atol=1e-15)
 
     def test_matchings_must_cover_the_base_edges_once(self):
         # one matching in 0..r-1 per row of edge_array

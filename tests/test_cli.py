@@ -43,9 +43,17 @@ class TestMomentsCheck:
         assert "closed - enum" not in out
         assert out.count("closed - MC") == 2
 
-    def test_matcha_unsupported(self, capsys):
-        code = main(["moments-check", "--topology", "ring(6)", "--policy", "matcha"])
-        assert code == 2
+    def test_matcha_against_both_oracles(self, capsys):
+        # two-stars(6,6) has r = 6 matchings: 2^6 patterns are enumerated
+        code = main(["moments-check", "--topology", "two-stars(6,6)", "--policy", "matcha",
+                     "--budget-frac", "0.5", "--samples", "2000"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("policy matcha@0.5 on two-stars(6,6): ")
+        devs = [float(line.rsplit(":", 1)[1]) for line in out.strip().splitlines()[1:]]
+        assert len(devs) == 4
+        assert max(devs[2:]) <= 1e-12
+        assert max(devs[:2]) < 0.2
 
 
 class TestOptimizeEps:
@@ -92,6 +100,15 @@ class TestOptimizeEps:
         assert code == 0
         assert "s_star   = 1 " in capsys.readouterr().out
 
+    def test_unmet_budget_reported(self, capsys):
+        # the leaves' subsets score 0, so only the two hubs' subsets spend slots
+        with pytest.warns(UserWarning, match="unattainable"):
+            code = main(["optimize-eps", "--topology", "two-stars(6,6)", "--policy", "bass",
+                         "--budget", "7"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["policy bass@B7 on two-stars(6,6)", "budget 7 slots, achieved 2 slots"]
+
     def test_uniform_floor_above_its_share_fails(self, capsys):
         code = main(["optimize-eps", "--topology", "two-stars(6,6)", "--policy", "uniform",
                      "--budget-frac", "0.05", "--min-subset-prob", "0.5"])
@@ -120,6 +137,7 @@ class TestOptimizeEps:
     (["--policy", "uniform", "--budget", "2"], "uniform@B2"),
     (["--policy", "bass", "--budget-frac", "0.4", "--min-subset-prob", "0.1"], "bass@0.4"),
     (["--policy", "full"], "full"),
+    (["--policy", "matcha"], "matcha@0.5"),
 ])
 def test_same_spec_label_in_every_command(tmp_path, capsys, flags, label):
     common = ["--topology", "ring(6)"] + flags

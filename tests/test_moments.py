@@ -5,14 +5,18 @@ import pytest
 
 from bass import (
     CollisionFreePartition,
+    MatchaPolicy,
+    SchedulingPolicy,
     Topology,
+    closed_form_moments,
     enumerated_moments,
     expected_laplacian_gram,
     greedy_partition,
     make_topology,
+    matching_decomposition,
     monte_carlo_moments,
     node_probabilities,
-    subset_probs_from_node_probs,
+    two_stars_topology,
 )
 
 from .test_graph import random_connected
@@ -31,11 +35,16 @@ def ring6_setup():
     return t, greedy_partition(t)
 
 
+def subset_units(t, part, subset_probs):
+    subset_probs = np.asarray(subset_probs, float)
+    return SchedulingPolicy(subset_probs, subset_probs.sum()).units(part, t)
+
+
 def random_fixture(rng, n_lo=3, n_hi=10):
     t = random_connected(rng, int(rng.integers(n_lo, n_hi)), extra_edges=2)
     part = greedy_partition(t)
     subset_probs = rng.uniform(0.1, 0.9, part.q)
-    return t, part, node_probabilities(subset_probs, part)
+    return t, part, node_probabilities(subset_probs, part), subset_units(t, part, subset_probs)
 
 
 MOMENT_FIELDS = ("e_laplacian", "e_gram")
@@ -126,7 +135,7 @@ class TestExpectedLaplacian:
     def test_zero_row_sums_and_symmetry(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            t, part, node_p = random_fixture(rng)
+            t, part, node_p, _ = random_fixture(rng)
             e_lap = expected_laplacian_gram(t, part, node_p).e_laplacian
             assert np.abs(e_lap - e_lap.T).max() < 1e-14
             assert np.abs(e_lap @ np.ones(t.n)).max() < 1e-12
@@ -134,7 +143,7 @@ class TestExpectedLaplacian:
     def test_inconsistent_subset_probs_rejected(self):
         t, part = ring6_setup()
         bad = np.array([0.5, 0.5, 0.5, 0.6, 0.5, 0.5])  # node 3 differs from 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"nodes of subset \(0, 3\) carry different probabilities"):
             expected_laplacian_gram(t, part, bad)
 
 
@@ -160,7 +169,7 @@ class TestExpectedGram:
     def test_decomposition_identity(self):
         rng = np.random.default_rng(59)
         for _ in range(10):
-            t, part, node_p = random_fixture(rng)
+            t, part, node_p, _ = random_fixture(rng)
             # the (k, b) and (a, k) terms of the pair scatter mirror each
             # other: the reversed pair (k, b), (k, a) carries the same weight
             ms = expected_laplacian_gram(t, part, node_p)
@@ -169,7 +178,7 @@ class TestExpectedGram:
     def test_gram_is_psd_and_annihilates_ones(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
-            t, part, node_p = random_fixture(rng)
+            t, part, node_p, _ = random_fixture(rng)
             ms = expected_laplacian_gram(t, part, node_p)
             eigs = np.linalg.eigvalsh(ms.e_gram)
             assert eigs.min() >= -1e-10
@@ -178,9 +187,9 @@ class TestExpectedGram:
     def test_matches_enumeration_exactly(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
-            t, part, node_p = random_fixture(rng, n_hi=9)
+            t, part, node_p, units = random_fixture(rng, n_hi=9)
             ms = expected_laplacian_gram(t, part, node_p)
-            exact = enumerated_moments(t, part, node_p)
+            exact = enumerated_moments(t, units)
             assert np.abs(ms.e_laplacian - exact.e_laplacian).max() < 1e-12
             assert np.abs(ms.e_gram - exact.e_gram).max() < 1e-12
 
@@ -189,7 +198,7 @@ class TestExpectedGram:
         # probability products; catches mishandled same-subset indicators
         rng = np.random.default_rng(71)
         for _ in range(10):
-            t, part, node_p = random_fixture(rng, n_hi=9)
+            t, part, node_p, _ = random_fixture(rng, n_hi=9)
             ms = expected_laplacian_gram(t, part, node_p)
             oracle_lap, oracle_gram = reduced_product_moments(t, part, node_p)
             assert np.abs(ms.e_laplacian - oracle_lap).max() < 1e-12
@@ -201,10 +210,10 @@ class TestExpectedGram:
         t = make_topology("ring(200)")
         part = greedy_partition(t)
         assert part.q <= 20
-        node_p = node_probabilities(np.random.default_rng(83).uniform(0.1, 0.9, part.q), part)
-        ms, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_p)
+        probs = np.random.default_rng(83).uniform(0.1, 0.9, part.q)
+        ms, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_probabilities(probs, part))
         assert peak_mb < 16
-        exact = enumerated_moments(t, part, node_p)
+        exact = enumerated_moments(t, subset_units(t, part, probs))
         for name in MOMENT_FIELDS:
             assert np.abs(getattr(ms, name) - getattr(exact, name)).max() < 1e-12, name
 
@@ -227,9 +236,39 @@ class TestExpectedGram:
         assert peak_mb * 2**20 < 3.5 * t.n**2 * 8
 
 
+class TestClosedFormOverUnits:
+    def test_subset_units_are_the_node_probability_form_bit_for_bit(self):
+        rng = np.random.default_rng(101)
+        for _ in range(10):
+            t, part, node_p, units = random_fixture(rng)
+            by_nodes = expected_laplacian_gram(t, part, node_p)
+            by_units = closed_form_moments(t, units)
+            for name in MOMENT_FIELDS:
+                got, expected = getattr(by_units, name), getattr(by_nodes, name)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_matching_units_give_the_linear_form(self):
+        # one matching per edge, at most one per node: E[L~^2] is
+        # E[L~]^2 + sum_k p_k (1 - p_k) L_k^2 with L_k the matching's Laplacian
+        t = two_stars_topology(4, 5)
+        md = matching_decomposition(t)
+        probs = np.random.default_rng(103).uniform(0.0, 1.0, md.r)
+        units = MatchaPolicy(t, md.edge_matching, probs, 2 * probs.sum()).units()
+        ms = closed_form_moments(t, units)
+        laps = [t.laplacian(md.edge_matching == k) for k in range(md.r)]
+        e_lap = sum(p * lap for p, lap in zip(probs, laps))
+        e_gram = e_lap @ e_lap + sum(p * (1 - p) * lap @ lap for p, lap in zip(probs, laps))
+        assert np.abs(ms.e_laplacian - e_lap).max() < 1e-14
+        assert np.abs(ms.e_gram - e_gram).max() < 1e-13
+        exact = enumerated_moments(t, units)
+        for name in MOMENT_FIELDS:
+            assert np.abs(getattr(ms, name) - getattr(exact, name)).max() < 1e-12
+
+
 class TestEnumeratedMoments:
     def test_k2_by_hand(self):
-        ms = enumerated_moments(k2(), k2_split(), [0.5, 0.5])
+        ms = enumerated_moments(k2(), subset_units(k2(), k2_split(), [0.5, 0.5]))
         assert np.allclose(ms.e_laplacian, 0.25 * np.array([[1, -1], [-1, 1]]))
         assert np.allclose(ms.e_gram, 0.25 * np.array([[2, -2], [-2, 2]]))
 
@@ -237,70 +276,48 @@ class TestEnumeratedMoments:
         t = Topology(30, [(i, i + 1) for i in range(29)])
         part = CollisionFreePartition(np.arange(30))
         with pytest.raises(ValueError):
-            enumerated_moments(t, part, np.full(30, 0.5))
+            enumerated_moments(t, subset_units(t, part, np.full(30, 0.5)))
 
 
 class TestMonteCarloMoments:
     def test_deterministic_when_all_on(self):
         t, part = ring6_setup()
-        ms = monte_carlo_moments(t, part, np.ones(t.n), 10, np.random.default_rng(0))
+        ms = monte_carlo_moments(t, subset_units(t, part, np.ones(part.q)), 10, np.random.default_rng(0))
         lap = t.laplacian()
         assert np.array_equal(ms.e_laplacian, lap)
         assert np.allclose(ms.e_gram, lap @ lap, atol=1e-12)
 
     def test_zero_probabilities_give_zero(self):
         t, part = ring6_setup()
-        ms = monte_carlo_moments(t, part, np.zeros(t.n), 10, np.random.default_rng(0))
+        ms = monte_carlo_moments(t, subset_units(t, part, np.zeros(part.q)), 10, np.random.default_rng(0))
         assert np.array_equal(ms.e_laplacian, np.zeros((6, 6)))
         assert np.array_equal(ms.e_gram, np.zeros((6, 6)))
 
     def test_reproducible_given_seed(self):
         t, part = ring6_setup()
-        node_p = node_probabilities([0.3, 0.6, 0.9], part)
-        a = monte_carlo_moments(t, part, node_p, 500, np.random.default_rng(5))
-        b = monte_carlo_moments(t, part, node_p, 500, np.random.default_rng(5))
+        units = subset_units(t, part, [0.3, 0.6, 0.9])
+        a = monte_carlo_moments(t, units, 500, np.random.default_rng(5))
+        b = monte_carlo_moments(t, units, 500, np.random.default_rng(5))
         assert np.array_equal(a.e_gram, b.e_gram)
-
-    def test_chunked_equals_per_round_production_path(self):
-        # the vectorized accumulation must consume the identical uniform
-        # stream and produce the same sums as the sample_round-style loop
-        rng = np.random.default_rng(79)
-        for _ in range(5):
-            t, part, node_p = random_fixture(rng, n_hi=9)
-            fast = monte_carlo_moments(t, part, node_p, 700, np.random.default_rng(8))
-            slow = monte_carlo_moments(
-                t, part, node_p, 700, np.random.default_rng(8), chunk=1
-            )
-            for name in MOMENT_FIELDS:
-                # both divide sums of integers, which are exact
-                assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
     def test_block_memory_is_bounded(self):
         t = make_topology("ring(60)")
         part = greedy_partition(t)
-        node_p = node_probabilities([0.3, 0.6, 0.9], part)
         _, peak_mb = traced_peak_mb(
-            monte_carlo_moments, t, part, node_p, 8192, np.random.default_rng(0)
+            monte_carlo_moments, t, subset_units(t, part, [0.3, 0.6, 0.9]), 8192,
+            np.random.default_rng(0),
         )
         assert peak_mb < 64
 
     def test_close_to_closed_form(self):
         rng = np.random.default_rng(73)
-        t, part, node_p = random_fixture(rng, n_lo=6, n_hi=10)
+        t, part, node_p, units = random_fixture(rng, n_lo=6, n_hi=10)
         ms = expected_laplacian_gram(t, part, node_p)
-        mc = monte_carlo_moments(t, part, node_p, 40000, np.random.default_rng(99))
+        mc = monte_carlo_moments(t, units, 40000, np.random.default_rng(99))
         assert np.abs(ms.e_laplacian - mc.e_laplacian).max() < 0.05
         assert np.abs(ms.e_gram - mc.e_gram).max() < 0.15
 
     def test_requires_positive_samples(self):
         t, part = ring6_setup()
         with pytest.raises(ValueError):
-            monte_carlo_moments(t, part, np.ones(6), 0, np.random.default_rng(0))
-
-
-class TestSubsetProbsFromNodeProbs:
-    def test_round_trip(self):
-        _, part = ring6_setup()
-        subset_p = np.array([0.2, 0.5, 0.8])
-        node_p = node_probabilities(subset_p, part)
-        assert np.allclose(subset_probs_from_node_probs(part, node_p), subset_p)
+            monte_carlo_moments(t, subset_units(t, part, np.ones(part.q)), 0, np.random.default_rng(0))

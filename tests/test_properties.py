@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bass import moments
 from bass import (
     CollisionFreePartition,
     LogisticObjective,
@@ -18,19 +19,20 @@ from bass import (
     SchedulingPolicy,
     TrainConfig,
     betweenness_centrality,
+    closed_form_moments,
     consensus_error,
     consensus_step,
     enumerated_moments,
     er_topology,
-    expected_laplacian_gram,
     full_comm_policy,
     global_train_loss,
     gradient_step,
     greedy_partition,
     make_blobs,
     matcha_policy,
+    matcha_spectral_moments,
     matching_decomposition,
-    node_probabilities,
+    monte_carlo_moments,
     run_training,
     sample_round,
     shard_data,
@@ -77,22 +79,70 @@ def arbitrary_partitions(draw, n):
     return CollisionFreePartition(np.unique(labels, return_inverse=True)[1])
 
 
+# --- the three moment routes over a policy's units ---------------------------
+
+
 @st.composite
-def graphs_with_probs(draw):
-    t = draw(graphs)
+def unit_policies(draw, maps=("subsets", "matchings")):
+    """(topology, partition, policy) on a random connected graph with n <= 9,
+    the policy's units being subsets of any partition or the matchings, with
+    probabilities that include 0 and 1."""
+    t = draw(st.builds(er_topology, n=st.integers(2, 9), p=st.floats(0.3, 1.0),
+                       seed=st.integers(0, 2**16)))
     part = draw(st.one_of(st.just(greedy_partition(t)), arbitrary_partitions(t.n)))
-    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=part.q, max_size=part.q))
-    return t, part, node_probabilities(probs, part)
+    kind = draw(st.sampled_from(maps))
+    count = part.q if kind == "subsets" else matching_decomposition(t).r
+    probs = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                   min_size=count, max_size=count)))
+    if kind == "subsets":
+        return t, part, SchedulingPolicy(probs, probs.sum())
+    return t, part, MatchaPolicy(t, matching_decomposition(t).edge_matching, probs, 2 * probs.sum())
 
 
 @PROPERTY
-@given(graphs_with_probs())
+@given(unit_policies())
 def test_closed_form_moments_match_enumeration(case):
-    t, part, node_p = case
-    closed = expected_laplacian_gram(t, part, node_p)
-    exact = enumerated_moments(t, part, node_p)
+    t, part, policy = case
+    units = policy.units(part, t)
+    closed = closed_form_moments(t, units)
+    exact = enumerated_moments(t, units)
     for name in ("e_laplacian", "e_gram"):
         assert np.abs(getattr(closed, name) - getattr(exact, name)).max() <= 1e-12, name
+
+
+@PROPERTY
+@given(unit_policies(maps=("matchings",)), st.integers(1, 2500), st.integers(0, 2**16))
+def test_monte_carlo_oracle_on_matchings_is_matcha_spectral_moments(case, samples, seed):
+    t, part, policy = case
+    oracle = monte_carlo_moments(t, policy.units(part, t), samples, np.random.default_rng(seed))
+    estimate = matcha_spectral_moments(policy, samples, np.random.default_rng(seed))
+    for got, expected in zip((oracle.e_laplacian, oracle.e_gram), estimate):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@PROPERTY
+@given(unit_policies(), st.integers(1, 300), st.integers(0, 2**16))
+def test_monte_carlo_oracle_counts_the_round_samplers_rounds(case, samples, seed):
+    """The oracle draws the production sampler's uniform stream, in blocks
+    (made small here so that a run spans several), and its moments are the
+    sums of L~ and L~^2 over the sampler's rounds, divided by the sample
+    count; the generator ends in the same state."""
+    t, part, policy = case
+    rng = np.random.default_rng(seed)
+    sample = policy.with_epsilon(0.0).round_sampler(part, t)
+    s_lap, s_gram = np.zeros((t.n, t.n)), np.zeros((t.n, t.n))
+    for _ in range(samples):
+        lap = t.laplacian(sample(rng).active_edges)
+        s_lap += lap
+        s_gram += lap @ lap
+    oracle_rng = np.random.default_rng(seed)
+    with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", 1000):
+        oracle = monte_carlo_moments(t, policy.units(part, t), samples, oracle_rng)
+    # Sums of integer matrices, hence exact.
+    assert np.array_equal(oracle.e_laplacian, s_lap / samples)
+    assert np.array_equal(oracle.e_gram, s_gram / samples)
+    assert oracle_rng.bit_generator.state == rng.bit_generator.state
 
 
 @PROPERTY

@@ -191,6 +191,15 @@ class TestSolveProbabilities:
         with pytest.raises(ValueError, match="finite reciprocal"):
             solve_probabilities([1.0, 1e-310], 1.5)
 
+    @pytest.mark.parametrize("args, message", [
+        (([np.nan, 1.0, 1.0], 1.0), "subset scores must be finite"),
+        (([1.0, 2.0], np.nan), "budget must be finite, got nan"),
+        (([1.0, 2.0], 1.0, np.nan), r"min_prob must lie in \[0, 1\]"),
+    ], ids=["score", "budget", "floor"])
+    def test_non_finite_input_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            solve_probabilities(*args)
+
     def test_nonpositive_budget(self):
         with pytest.raises(ValueError):
             solve_probabilities([0.5, 0.5], 0.0)
@@ -402,6 +411,10 @@ class TestSchedulingPolicy:
     def test_probability_bounds_enforced(self):
         with pytest.raises(ValueError):
             SchedulingPolicy(np.array([0.5, 1.2]), 1.7)
+
+    def test_non_finite_probabilities_rejected(self):
+        with pytest.raises(ValueError, match=r"subset probabilities must lie in \[0, 1\]"):
+            SchedulingPolicy(np.full(3, np.nan), 1.0)
 
     def test_achieved_budget(self):
         policy = SchedulingPolicy(np.array([0.5, 0.25]), 0.75)
