@@ -124,15 +124,16 @@ def _cmd_moments_check(args) -> int:
     closed = closed_form_moments(topology, units)
     rng = np.random.default_rng(args.seed)
     mc = monte_carlo_moments(topology, units, args.samples, rng)
-    print(f"policy {spec.label} on {cfg.topology}: q={partition.q}, "
+    # The policy's units are its q subsets or its r matchings.
+    count = units.probs.size
+    print(f"policy {spec.label} on {cfg.topology}: units={count}, "
           f"samples={args.samples}")
     print(f"max |closed - MC| E[L~]      : {np.abs(closed.e_laplacian - mc.e_laplacian).max():.3e}")
     print(f"max |closed - MC| E[L~^T L~] : {np.abs(closed.e_gram - mc.e_gram).max():.3e}")
     # Enumeration costs 2^units rounds of dense n x n products: about
-    # 2^units * n^3. The policy's units are its q subsets or r matchings.
-    count = units.probs.size
+    # 2^units * n^3.
     if 2**count * topology.n**3 > 2**32:
-        print(f"enumeration skipped: 2^q * n^3 = 2^{count} * {topology.n}^3 exceeds 2^32")
+        print(f"enumeration skipped: 2^units * n^3 = 2^{count} * {topology.n}^3 exceeds 2^32")
     else:
         exact = enumerated_moments(topology, units)
         print(f"max |closed - enum| E[L~]      : {np.abs(closed.e_laplacian - exact.e_laplacian).max():.3e}")

@@ -5,9 +5,12 @@ consensus step with that round's sampled mixing matrix. A run is a single
 sequential process driven by one seeded generator, so identical configs
 produce bitwise-identical logs.
 
-``run_training`` prepares the policy's round sampler once per run and takes
-every per-round metric from one network average. Its records and final
-state are bit for bit those of the per-call loop over the public functions:
+``run_training`` prepares the policy's round sampler once per run and mixes
+every round through the one n x n W buffer that sampler keeps. It copies
+each round's state into a block of at most 2^14 floats and takes the train
+losses, test metrics and consensus errors of a whole block at once, whenever
+the block fills and at the end of the run. Its records and final state are
+bit for bit those of the per-call loop over the public functions:
 ``sample_round`` (or the matching policy's ``sample_round``), then
 ``gradient_step``, ``consensus_step(state, act.mixing_matrix)``,
 ``global_train_loss``, ``obj.test_metric`` and ``consensus_error``, and the
@@ -27,6 +30,10 @@ from .objectives import LocalObjective
 from .partition import CollisionFreePartition
 
 CSV_HEADER = "round,cum_slots,active_subsets,train_loss,test_metric,consensus_error"
+
+# Most floats of round states ``run_training`` buffers before it takes their
+# metrics; a block holds at least one round.
+_METRIC_BLOCK_FLOATS = 2**14
 
 
 @dataclass
@@ -118,16 +125,7 @@ def consensus_step(state: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def consensus_error(state: np.ndarray) -> float:
     """Mean distance of node models from their network average."""
-    return _consensus_error(state, state.mean(axis=0))
-
-
-def _consensus_error(state: np.ndarray, mean: np.ndarray) -> float:
-    """``consensus_error`` given the network average ``mean`` of ``state``:
-    numpy's ``norm(axis=1)`` and ``.mean()`` are the reductions written here,
-    so the two agree to the bit."""
-    dev = state - mean
-    dist = np.sqrt(np.add.reduce(dev * dev, 1))
-    return float(np.add.reduce(dist) / dist.size)
+    return float(np.mean(np.linalg.norm(state - state.mean(axis=0), axis=1)))
 
 
 def global_train_loss(obj: LocalObjective, state: np.ndarray) -> float:
@@ -149,7 +147,7 @@ def run_training(
     gradient step per node, then apply the round's mixing matrix. The model
     starts at zero (all nodes in consensus) unless an initial state is given.
     ``policy`` is any object whose ``round_sampler(partition, topology)``
-    returns a callable from the generator to a ``RoundActivation``.
+    returns a ``scheduling.RoundSampler``.
     """
     if partition.n != topology.n or obj.num_nodes != topology.n:
         raise ValueError("topology, partition and objective disagree on node count")
@@ -160,28 +158,39 @@ def run_training(
         state = np.array(initial_state, dtype=float)
         if state.shape != (topology.n, obj.dim):
             raise ValueError(f"initial state must have shape ({topology.n}, {obj.dim})")
-    sample = policy.round_sampler(partition, topology)
-    n = topology.n
+    sampler = policy.round_sampler(partition, topology)
     log = MetricsLog()
+    per_block = _METRIC_BLOCK_FLOATS // max(state.size, 1)
+    block = np.empty((max(1, min(cfg.rounds, per_block)), *state.shape))
+    counts = []  # (cum_slots, active units) of each buffered round
     cum_slots = 0
     for t in range(cfg.rounds):
-        activation = sample(rng)
+        active, kept = sampler.draw(rng)
         state = gradient_step(state, obj, cfg.lr_at(t), cfg.batch_size, rng)
-        # consensus_step without its checks: the sampler writes an n x n W.
-        state = activation.mixing_matrix @ state
-        cum_slots += activation.slots_used
-        # state.mean(axis=0) to the bit, taken once for every metric.
-        mean = np.add.reduce(state, 0) / n
-        train_loss, test_metric = obj.network_metrics(state, mean)
-        log.records.append(
-            RoundRecord(
-                round=t + 1,
-                cum_slots=cum_slots,
-                active_subsets=int(np.count_nonzero(activation.active_subsets)),
-                train_loss=train_loss,
-                test_metric=test_metric,
-                consensus_error=_consensus_error(state, mean),
-            )
-        )
+        state = sampler.mix(kept, state)
+        on = int(np.count_nonzero(active))
+        cum_slots += sampler.slots_per_unit * on
+        block[len(counts)] = state
+        counts.append((cum_slots, on))
+        if len(counts) == len(block) or t + 1 == cfg.rounds:
+            for count, *metrics in zip(counts, *_block_metrics(obj, block[: len(counts)])):
+                log.records.append(RoundRecord(len(log.records) + 1, *count, *metrics))
+            counts = []
     log.final_state = state
     return log
+
+
+def _block_metrics(obj: LocalObjective, states: np.ndarray):
+    """The train losses, test metrics and consensus errors of the stacked
+    round states (T, n, dim), as three lists, overwriting ``states``: those
+    of ``global_train_loss``, ``obj.test_metric`` and ``consensus_error`` at
+    every round, to the bit."""
+    n = states.shape[1]
+    # state.mean(axis=0) of every round to the bit
+    means = np.add.reduce(states, 1) / n
+    losses, tests = obj.network_metrics(states, means)
+    # numpy's norm(axis=1) and .mean(), reduced along the same contiguous axes
+    np.subtract(states, means[:, None], out=states)
+    np.multiply(states, states, out=states)
+    dist = np.sqrt(np.add.reduce(states, 2))
+    return losses, tests, (np.add.reduce(dist, 1) / n).tolist()

@@ -6,6 +6,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+# Elements of the class-major softmax chunks ``LogisticObjective`` takes the
+# metrics of a block of rounds over.
+_EVAL_CHUNK = 2**14
+
 
 class LocalObjective(ABC):
     """Per-node loss family, evaluated for every node in one call.
@@ -38,14 +42,15 @@ class LocalObjective(ABC):
         """Held-out metric of the node-averaged model, if available."""
         return None
 
-    def network_metrics(self, state: np.ndarray, mean: np.ndarray):
-        """(mean_i F_i(mean), test_metric(state)) for the network average
-        ``mean`` of ``state``: the train loss and test metric of one round.
+    def network_metrics(self, states: np.ndarray, means: np.ndarray):
+        """The train losses mean_i F_i(means[t]) and the test metrics
+        test_metric(states[t]) of a block of T rounds, as two lists: the
+        stacked states (T, n, dim) and their network averages (T, dim).
 
-        An override must return exactly these values; it only saves the work
-        the two have in common.
+        An override must return exactly these values; it only saves work.
         """
-        return float(np.mean(self.local_losses(mean))), self.test_metric(state)
+        losses = [float(np.mean(self.local_losses(mean))) for mean in means]
+        return losses, [self.test_metric(state) for state in states]
 
 
 class QuadraticObjective(LocalObjective):
@@ -155,10 +160,8 @@ class LogisticObjective(LocalObjective):
             nodes = np.flatnonzero(self.shard_sizes == size)
             self._size_groups.append((nodes, self._starts[nodes, None] + np.arange(size)))
         self.n_classes = int(n_classes)
-        # Each row's one-hot target and the flat index of its target
-        # probability in a C-ordered (rows, n_classes) array.
+        # Each train row's one-hot target.
         self._onehot = self._targets[:, None] == np.arange(self.n_classes)
-        self._pick = np.arange(self._targets.size) * self.n_classes + self._targets
         self.n_features = features.shape[1]
         self.num_nodes = len(shards)
         self.dim = (self.n_features + 1) * self.n_classes
@@ -175,11 +178,13 @@ class LogisticObjective(LocalObjective):
             features = features[rows]
         self._eval_rows = np.hstack([features, np.ones((features.shape[0], 1))])
         self._rows = self._eval_rows[: rows.size]
+        # The flat index of each train row's target probability in a
+        # class-major (n_classes, eval rows) array.
+        self._pick = self._targets * self._eval_rows.shape[0] + np.arange(rows.size)
 
-    def _exp_terms(self, x, rows):
-        """The softmax of rows (..., b, n_features + 1) under models x
-        (..., dim), one model per leading index, as its numerators and
-        denominators: the class probabilities are expv / total[..., None].
+    def _softmax(self, x, rows):
+        """The class probabilities of rows (..., b, n_features + 1) under
+        models x (..., dim), one model per leading index.
 
         The row maximum and the denominator are taken one class column at a
         time, as whole-array operations rather than one tiny reduction per
@@ -196,11 +201,6 @@ class LogisticObjective(LocalObjective):
         total = expv[..., 0].copy()
         for c in range(1, self.n_classes):
             total += expv[..., c]
-        return expv, total
-
-    def _softmax(self, x, rows):
-        """Class probabilities of rows under models x; see ``_exp_terms``."""
-        expv, total = self._exp_terms(x, rows)
         return expv / total[..., None]
 
     def gradients(self, state, batch_size, rng):
@@ -216,37 +216,70 @@ class LogisticObjective(LocalObjective):
 
     def local_losses(self, x):
         """Mean cross-entropy of each shard, from one softmax over all rows."""
-        return self._shard_losses(*self._exp_terms(x, self._eval_rows))
+        return self._node_losses(*self._eval_terms(x[None]))[0]
 
     def test_metric(self, state):
         """Accuracy of the node-averaged model on the held-out set."""
         if self._test_labels is None:
             return None
-        return self._accuracy(*self._exp_terms(state.mean(axis=0), self._eval_rows))
+        return self._accuracies(*self._eval_terms(state.mean(axis=0)[None]))[0]
 
-    def network_metrics(self, state, mean):
-        """Both metrics of the model ``mean`` from one softmax."""
-        expv, total = self._exp_terms(mean, self._eval_rows)
-        losses = self._shard_losses(expv, total)
-        loss = float(np.add.reduce(losses) / losses.size)  # np.mean to the bit
-        return loss, None if self._test_labels is None else self._accuracy(expv, total)
+    def network_metrics(self, states, means):
+        """Both metrics of every model in ``means`` from one softmax each,
+        taken over chunks of rounds of about ``_EVAL_CHUNK`` elements."""
+        losses, accuracies = [], []
+        step = max(1, _EVAL_CHUNK // (self.n_classes * self._eval_rows.shape[0]))
+        for start in range(0, len(means), step):
+            expv, total = self._eval_terms(means[start : start + step])
+            node_losses = self._node_losses(expv, total)
+            # np.mean of each round's node losses, to the bit
+            losses += (np.add.reduce(node_losses, 1) / self.num_nodes).tolist()
+            if self._test_labels is not None:
+                accuracies += self._accuracies(expv, total)
+        if self._test_labels is None:
+            accuracies = [None] * len(means)
+        return losses, accuracies
 
-    def _shard_losses(self, expv, total):
-        """Each shard's mean cross-entropy; only the target probabilities are
-        divided out."""
-        picked = expv.reshape(-1).take(self._pick) / total[: self._targets.size]
+    def _eval_terms(self, means):
+        """The softmax of the train rows stacked on the test rows under each
+        model of ``means`` (T, dim), class-major: numerators (T, n_classes,
+        rows) and denominators (T, rows), the probabilities being
+        expv / total[:, None].
+
+        Each model keeps its own gemm of ``_softmax``'s shape (one fused gemm
+        need not give the same bits); the class maxima, exponentials and
+        running class sums are ``_softmax``'s, elementwise along the rows.
+        Class-major, each class step runs over contiguous rows; the same
+        block taken row-major is slower than one softmax per round.
+        """
+        weights = means.reshape(len(means), self.n_features + 1, self.n_classes)
+        expv = np.ascontiguousarray((self._eval_rows @ weights).transpose(0, 2, 1))
+        top = expv[:, 0].copy()
+        for c in range(1, self.n_classes):
+            np.maximum(top, expv[:, c], out=top)
+        expv -= top[:, None]
+        np.exp(expv, out=expv)
+        total = expv[:, 0].copy()
+        for c in range(1, self.n_classes):
+            total += expv[:, c]
+        return expv, total
+
+    def _node_losses(self, expv, total):
+        """Each shard's mean cross-entropy under each model, (T, n); only
+        the target probabilities are divided out."""
+        picked = expv.reshape(len(expv), -1).take(self._pick, 1) / total[:, : self._targets.size]
         row_losses = -np.log(np.maximum(picked, 1e-300))
-        losses = np.empty(self.num_nodes)
+        losses = np.empty((len(expv), self.num_nodes))
         for nodes, rows in self._size_groups:
-            losses[nodes] = np.add.reduce(row_losses.take(rows), 1) / rows.shape[1]
+            losses[:, nodes] = np.add.reduce(row_losses.take(rows, 1), 2) / rows.shape[1]
         return losses
 
-    def _accuracy(self, expv, total):
-        """Held-out accuracy from the softmax terms of the stacked rows."""
+    def _accuracies(self, expv, total):
+        """The held-out accuracy under each model, as a list."""
         start = self._targets.size
-        probs = expv[start:] / total[start:, None]
+        probs = expv[:, :, start:] / total[:, None, start:]
         # argmax takes the first of tied maxima, and class 0 for an all-NaN
         # row (a row of probabilities is either all NaN or all finite).
         predicted = probs.argmax(axis=1)
         # The count over the size is exactly the boolean mean.
-        return float(np.count_nonzero(predicted == self._test_labels) / predicted.size)
+        return (np.count_nonzero(predicted == self._test_labels, 1) / predicted.shape[1]).tolist()

@@ -128,25 +128,47 @@ class RoundSampler:
         self.edge_units = np.ascontiguousarray(units.edge_units)
         self.cells = self.edges * self.n + self.edges[:, ::-1]
         self.diagonal = 1.0 - self.epsilon * np.arange(self.n)  # a degree is below n
+        self._w = None  # the buffer of ``mix``, made at its first call
 
     def __call__(self, rng: np.random.Generator) -> RoundActivation:
-        """Draw one round; consumes exactly one uniform per unit, in unit order."""
-        active = rng.random(self.probs.size) < self.probs
-        on = active[self.edge_units]
-        kept = on[0] & on[1]
+        """Draw one round with a fresh mixing matrix."""
+        active, kept = self.draw(rng)
         slots = self.slots_per_unit * int(np.count_nonzero(active))
         return RoundActivation(active, kept, self.mixing(kept), slots)
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One round's (active units, kept edges mask); consumes exactly one
+        uniform per unit, in unit order."""
+        active = rng.random(self.probs.size) < self.probs
+        on = active[self.edge_units]
+        return active, on[0] & on[1]
 
     def mixing(self, kept: np.ndarray) -> np.ndarray:
         """W = I - epsilon * L~ of the edges in the mask ``kept``: epsilon at
         (i, j) and (j, i), 1 - epsilon * degree on the diagonal, +0.0 elsewhere
         (bit-identical to that expression)."""
-        n = self.n
+        w = np.zeros(self.n * self.n)
+        self._write(w, kept)
+        return w.reshape(self.n, self.n)
+
+    def mix(self, kept: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """``mixing(kept) @ state`` to the bit, with W written into one n x n
+        buffer this sampler keeps: each call puts +0.0 back only on the
+        previous call's edge cells, then writes W as ``mixing`` does."""
+        if self._w is None:
+            self._w, self._cells = np.zeros(self.n * self.n), self.cells[:0]
+        self._w[self._cells] = 0.0
+        self._cells = self._write(self._w, kept)
+        return self._w.reshape(self.n, self.n) @ state
+
+    def _write(self, w: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Write W's edge cells and whole diagonal into the flat ``w``, which
+        is +0.0 off them; returns the edge cells written."""
         rows = kept.nonzero()[0]
-        w = np.zeros(n * n)
-        w[self.cells.take(rows, 0)] = self.epsilon
-        w[:: n + 1] = self.diagonal.take(np.bincount(self.edges.take(rows, 0).ravel(), None, n))
-        return w.reshape(n, n)
+        cells = self.cells.take(rows, 0)
+        w[cells] = self.epsilon
+        w[:: self.n + 1] = self.diagonal.take(np.bincount(self.edges.take(rows, 0).ravel(), None, self.n))
+        return cells
 
 
 def subset_betweenness(node_values: np.ndarray, partition: CollisionFreePartition) -> np.ndarray:

@@ -39,7 +39,7 @@ class TestMomentsCheck:
         code = main(["moments-check", "--topology", "er(400,0.012,1)", "--samples", "200"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "enumeration skipped: 2^q * n^3 = 2^13 * 400^3 exceeds 2^32" in out
+        assert "enumeration skipped: 2^units * n^3 = 2^13 * 400^3 exceeds 2^32" in out
         assert "closed - enum" not in out
         assert out.count("closed - MC") == 2
 

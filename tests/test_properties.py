@@ -1,5 +1,7 @@
 """Property tests over random connected Erdos-Renyi graphs with n <= 12."""
 
+import dataclasses
+import math
 import warnings
 from unittest import mock
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bass import moments
+from bass import dsgd, moments, objectives
 from bass import (
     CollisionFreePartition,
     LogisticObjective,
@@ -216,6 +218,102 @@ def test_mixing_matrix_is_written_bit_identically_from_the_surviving_edges(t, ep
         assert_dense_mixing(t, epsilon, round_)
 
 
+@PROPERTY
+@given(
+    graphs,
+    st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 2**16),
+)
+def test_mix_reuses_one_buffer_bit_for_bit(t, epsilon, seed):
+    """Consecutive mixes over different masks are ``state`` times a fresh
+    ``mixing(kept)`` to the bit, and the buffer they reuse holds that W, signs
+    of zero included (a -0.0 epsilon leaves -0.0 on last round's edges
+    unless they are put back to +0.0). Fresh mixing matrices never alias it."""
+    rng = np.random.default_rng(seed)
+    part = greedy_partition(t)
+    md = matching_decomposition(t)
+    probs, match_probs = rng.uniform(0.0, 1.0, part.q), rng.uniform(0.0, 1.0, md.r)
+    for policy in (
+        SchedulingPolicy(probs, probs.sum(), epsilon),
+        MatchaPolicy(t, md.edge_matching, match_probs, 2 * match_probs.sum(), epsilon),
+    ):
+        sampler = policy.round_sampler(part, t)
+        state = rng.normal(0.0, 1.0, (t.n, 3))
+        fresh = []
+        for share in (1.0, 0.0, 0.5, rng.random(), 1.0, rng.random()):
+            kept = rng.random(len(t.edges)) < share
+            mixed = sampler.mix(kept, state)
+            w = sampler.mixing(kept)
+            assert mixed.tobytes() == (w @ state).tobytes()
+            buffer = sampler._w.reshape(t.n, t.n)
+            assert np.array_equal(buffer, w)
+            assert np.array_equal(np.signbit(buffer), np.signbit(w))
+            fresh.append(sampler(rng).mixing_matrix)
+            if isinstance(policy, SchedulingPolicy):
+                fresh.append(sample_round(policy, part, t, rng).mixing_matrix)
+            else:
+                fresh.append(policy.sample_round(rng).mixing_matrix)
+            state = mixed
+        assert not any(np.shares_memory(m, sampler._w) for m in fresh)
+        assert not any(np.shares_memory(a, b) for a, b in zip(fresh, fresh[1:]))
+
+
+# --- block metrics against the per-call metrics ------------------------------
+
+
+def same(a, b):
+    """== for metrics, with NaN equal to NaN and None to None."""
+    return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["quadratic", "equal", "unequal", "no-test"]),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_block_metrics_are_the_per_call_metrics(objective, seed, data):
+    """Each round's train loss, test metric and consensus error from one
+    block equal, with ==, global_train_loss, obj.test_metric and
+    consensus_error of that round; the logistic softmax is taken over chunks
+    of 1 to 4 rounds. A NaN model row makes its round's softmax all NaN, and
+    its accuracy is that of predicting class 0."""
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(2 if objective == "unequal" else 1, 8))
+    if objective == "quadratic":
+        obj = QuadraticObjective(rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 4)))))
+    else:
+        classes, per = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 4))
+        extra = data.draw(st.integers(1, n - 1)) if objective == "unequal" else 0
+        train = 2 * n * per + extra
+        features = data.draw(st.integers(1, 4))
+        x, y = make_blobs(train + data.draw(st.integers(1, 30)), classes, features, rng)
+        shards = shard_data(train, y[:train], n, rng)
+        assert (len({s.size for s in shards}) == 1) == (objective != "unequal")
+        test_x, test_y = (None, None) if objective == "no-test" else (x[train:], y[train:])
+        obj = LogisticObjective(x[:train], y[:train], shards, classes, test_x, test_y)
+    rounds = data.draw(st.integers(1, 9))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    states = rng.normal(0.0, scale, (rounds, n, obj.dim))
+    nan_round = data.draw(st.one_of(st.none(), st.integers(0, rounds - 1)))
+    if nan_round is not None:
+        states[nan_round, data.draw(st.integers(0, n - 1))] = np.nan
+    chunk = objectives._EVAL_CHUNK
+    if objective != "quadratic":
+        chunk = data.draw(st.integers(1, 4)) * obj.n_classes * obj._eval_rows.shape[0]
+    with np.errstate(invalid="ignore", over="ignore"), \
+            mock.patch.object(objectives, "_EVAL_CHUNK", chunk):
+        losses, tests, errors = dsgd._block_metrics(obj, states.copy())
+        expected = [
+            (global_train_loss(obj, s), obj.test_metric(s), consensus_error(s)) for s in states
+        ]
+    assert len(losses) == len(tests) == len(errors) == rounds
+    for got, want in zip(zip(losses, tests, errors), expected):
+        assert all(same(a, b) for a, b in zip(got, want)), (got, want)
+    if nan_round is not None and objective in ("equal", "unequal"):
+        assert tests[nan_round] == float(np.mean(obj._test_labels == 0))
+
+
 # --- run_training against the per-call loop ----------------------------------
 
 
@@ -305,10 +403,21 @@ def training_cases(draw, kind, objective):
 def test_run_training_is_the_per_call_loop_bit_for_bit(kind, objective, data):
     """Records compared with ==, the final state and the generator's state
     bit for bit; logistic objectives with equal shards, unequal shards and
-    no test set."""
+    no test set. The metric blocks are cut to 1 to 3 states, and the runs
+    take 0 rounds, 1, one block, one block + 1 and the drawn count; with a
+    cap below one state every block holds one round."""
     t, part, policy, obj, cfg = data.draw(training_cases(kind, objective))
-    log, log_rng = run_training_with_generator(t, policy, part, obj, cfg)
-    records, state, rng = per_call_run(t, part, policy, obj, cfg)
-    assert log.records == records
-    assert log.final_state.tobytes() == state.tobytes()
-    assert log_rng.bit_generator.state == rng.bit_generator.state
+    size = t.n * obj.dim
+    per_block = data.draw(st.integers(1, 3))
+    runs = [(per_block * size, per_block, r) for r in (0, 1, per_block, per_block + 1, cfg.rounds)]
+    runs.append((data.draw(st.integers(0, size - 1)), 1, 3))
+    for cap, held, rounds in runs:
+        run_cfg = dataclasses.replace(cfg, rounds=rounds)
+        with mock.patch.object(dsgd, "_METRIC_BLOCK_FLOATS", cap), \
+                mock.patch.object(dsgd, "_block_metrics", wraps=dsgd._block_metrics) as blocks:
+            log, log_rng = run_training_with_generator(t, policy, part, obj, run_cfg)
+        assert blocks.call_count == -(-rounds // held)
+        records, state, rng = per_call_run(t, part, policy, obj, run_cfg)
+        assert log.records == records
+        assert log.final_state.tobytes() == state.tobytes()
+        assert log_rng.bit_generator.state == rng.bit_generator.state
