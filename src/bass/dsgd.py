@@ -9,7 +9,12 @@ produce bitwise-identical logs.
 every round through the one n x n W buffer that sampler keeps. It copies
 each round's state into a block of at most 2^14 floats and takes the train
 losses, test metrics and consensus errors of a whole block at once, whenever
-the block fills and at the end of the run. Its records and final state are
+the block fills and at the end of the run. The quadratic and logistic
+objectives take their block metrics in stacked array operations; any other
+``LocalObjective`` gets the base-class loop over rounds. A consensus error
+sums its coordinates column by column below 8 of them, which is numpy's own
+sequential order there, and with numpy's reduction from 8 up, where numpy
+sums pairwise. Its records and final state are
 bit for bit those of the per-call loop over the public functions:
 ``sample_round`` (or the matching policy's ``sample_round``), then
 ``gradient_step``, ``consensus_step(state, act.mixing_matrix)``,
@@ -182,15 +187,27 @@ def run_training(
 
 def _block_metrics(obj: LocalObjective, states: np.ndarray):
     """The train losses, test metrics and consensus errors of the stacked
-    round states (T, n, dim), as three lists, overwriting ``states``: those
-    of ``global_train_loss``, ``obj.test_metric`` and ``consensus_error`` at
-    every round, to the bit."""
+    round states (T, n, dim), as three lists, which may overwrite
+    ``states``: those of ``global_train_loss``, ``obj.test_metric`` and
+    ``consensus_error`` at every round, to the bit. Below 8 coordinates
+    numpy sums in order, so the squared deviations are taken and added one
+    coordinate column at a time, cheaper than its reduction over a short
+    axis; from 8 up numpy sums pairwise and its reduction is kept."""
     n = states.shape[1]
     # state.mean(axis=0) of every round to the bit
     means = np.add.reduce(states, 1) / n
     losses, tests = obj.network_metrics(states, means)
-    # numpy's norm(axis=1) and .mean(), reduced along the same contiguous axes
-    np.subtract(states, means[:, None], out=states)
-    np.multiply(states, states, out=states)
-    dist = np.sqrt(np.add.reduce(states, 2))
+    # numpy's norm(axis=1) and .mean(), in its own summation orders
+    dim = states.shape[2]
+    if dim < 8:
+        dist = np.square(states[..., 0] - means[:, None, 0])
+        for c in range(1, dim):
+            dev = states[..., c] - means[:, None, c]
+            dev *= dev
+            dist += dev
+    else:
+        np.subtract(states, means[:, None], out=states)
+        np.multiply(states, states, out=states)
+        dist = np.add.reduce(states, 2)
+    np.sqrt(dist, out=dist)
     return losses, tests, (np.add.reduce(dist, 1) / n).tolist()

@@ -48,6 +48,8 @@ class LocalObjective(ABC):
         stacked states (T, n, dim) and their network averages (T, dim).
 
         An override must return exactly these values; it only saves work.
+        The quadratic and logistic objectives override it; this loop over
+        rounds serves every other objective.
         """
         losses = [float(np.mean(self.local_losses(mean))) for mean in means]
         return losses, [self.test_metric(state) for state in states]
@@ -59,6 +61,8 @@ class QuadraticObjective(LocalObjective):
     The collaborative optimum is the mean of the targets, which makes this
     the exactness anchor for convergence tests. Gradients are deterministic
     (full batch): grad = x - c_i. The optimum is taken once, read-only.
+    The metrics of a block of rounds come from one stacked product each, and
+    ``local_losses`` and ``test_metric`` are the one-round case of that code.
     """
 
     def __init__(self, centers):
@@ -73,17 +77,33 @@ class QuadraticObjective(LocalObjective):
         return state - self.centers
 
     def local_losses(self, x):
-        diff = x - self.centers
-        # A stacked (1 x dim) @ (dim x 1) product is numpy's dot per node, so
-        # each loss equals 0.5 * diff_i @ diff_i to the last bit.
-        return 0.5 * (diff[:, None, :] @ diff[:, :, None]).ravel()
+        return self._node_losses(np.reshape(x, (1, -1)))[0]
 
     def known_optimum(self):
         return self._optimum
 
     def test_metric(self, state):
         """Distance of the node-averaged model from the analytic optimum."""
-        return float(np.linalg.norm(state.mean(axis=0) - self._optimum))
+        return self._distances(state.mean(axis=0)[None])[0]
+
+    def network_metrics(self, states, means):
+        # np.mean of each round's node losses, to the bit
+        losses = np.add.reduce(self._node_losses(means), 1) / self.num_nodes
+        return losses.tolist(), self._distances(means)
+
+    def _node_losses(self, means):
+        """Every node's loss under each model of ``means`` (T, dim): (T, n)."""
+        diff = means[:, None, :] - self.centers
+        # A stacked (1 x dim) @ (dim x 1) product is numpy's dot per node, so
+        # each loss equals 0.5 * diff_i @ diff_i to the last bit.
+        return 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+
+    def _distances(self, means):
+        """norm(mean - optimum) of each model of ``means``, as a list: the
+        norm of a vector is sqrt(x.dot(x)), and a stacked (1 x dim) @
+        (dim x 1) product is that dot."""
+        off = means - self._optimum
+        return np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]).tolist()
 
 
 def make_blobs(

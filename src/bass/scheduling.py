@@ -140,7 +140,7 @@ class RoundSampler:
         """One round's (active units, kept edges mask); consumes exactly one
         uniform per unit, in unit order."""
         active = rng.random(self.probs.size) < self.probs
-        on = active[self.edge_units]
+        on = active.take(self.edge_units)  # faster than [] at hundreds of edges
         return active, on[0] & on[1]
 
     def mixing(self, kept: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ from bass import (
     Topology,
     TrainConfig,
     betweenness_centrality,
+    consensus_error,
     consensus_step,
+    dsgd,
     expected_laplacian_gram,
     gradient_step,
     greedy_partition,
@@ -200,6 +202,19 @@ class TestRunTraining:
         log = run_training(t, policy, part, obj, TrainConfig(rounds=100, lr=0.3, seed=0))
         assert abs(log.final_state[0, 0] - 4.0) < 1e-9
         assert log.records[-1].consensus_error == 0.0
+
+
+@pytest.mark.parametrize("dim", range(1, 12))
+@pytest.mark.parametrize("n", [1, 5, 400])
+def test_block_consensus_errors_are_the_per_call_errors(n, dim):
+    """Below 8 coordinates the block sums them column by column, from 8 up
+    with np.add.reduce; either way each error is consensus_error's, to the
+    bit, with magnitudes spread so that the summation order shows."""
+    rng = np.random.default_rng(dim)
+    states = rng.normal(size=(6, n, dim)) * 10.0 ** rng.integers(-4, 5, size=(6, n, dim))
+    obj = QuadraticObjective(np.zeros((n, dim)))
+    errors = dsgd._block_metrics(obj, states.copy())[2]
+    assert errors == [consensus_error(state) for state in states]
 
 
 class TestConsensusContraction:

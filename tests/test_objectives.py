@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bass import LogisticObjective, QuadraticObjective, make_blobs, shard_data
+from bass import LocalObjective, LogisticObjective, QuadraticObjective, make_blobs, shard_data
 
 # --- per-node oracles: the loops the batched objectives replace -------------
 
@@ -91,6 +91,22 @@ class TestQuadratic:
         obj = QuadraticObjective(centers)
         expected = [float(0.5 * (x - c) @ (x - c)) for c in centers]
         assert obj.local_losses(x).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "n, rounds, dim", [(9, 1, 2), (6, 4, 1), (5, 7, 3), (1, 1, 4), (1, 5, 2), (4, 3, 7), (3, 6, 9)]
+    )
+    def test_network_metrics_are_the_base_class_loop(self, n, rounds, dim):
+        """The block override returns, bit for bit, what the base-class loop
+        over local_losses and test_metric returns for each round."""
+        rng = np.random.default_rng(10 * n + dim)
+        obj = QuadraticObjective(rng.normal(size=(n, dim)))
+        states = rng.normal(size=(rounds, n, dim)) * 10.0 ** rng.integers(-3, 4, size=(rounds, n, dim))
+        means = np.add.reduce(states, 1) / n
+        losses, tests = obj.network_metrics(states, means)
+        want_losses, want_tests = LocalObjective.network_metrics(obj, states, means)
+        assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+        assert np.array(tests).tobytes() == np.array(want_tests).tobytes()
+        assert len(losses) == len(tests) == rounds
 
 
 class TestShardData:

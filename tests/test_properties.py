@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bass import dsgd, moments, objectives
 from bass import (
     CollisionFreePartition,
+    LocalObjective,
     LogisticObjective,
     MatchaPolicy,
     QuadraticObjective,
@@ -266,22 +267,49 @@ def same(a, b):
     return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
 
 
+class LogCoshObjective(LocalObjective):
+    """An objective from outside the package, with no ``network_metrics`` of
+    its own: its block metrics are the base-class loop over rounds. Its
+    gradients draw from the generator."""
+
+    def __init__(self, centers):
+        self.centers = centers
+        self.num_nodes, self.dim = centers.shape
+
+    def gradients(self, state, batch_size, rng):
+        return np.tanh(state - self.centers) + rng.normal(0.0, 0.1, state.shape) / batch_size
+
+    def local_losses(self, x):
+        return np.log(np.cosh(x - self.centers)).sum(axis=1)
+
+    def test_metric(self, state):
+        return float(np.abs(state.mean(axis=0)).max())
+
+
+OBJECTIVES = ["quadratic", "equal", "unequal", "no-test", "log-cosh"]
+
+
 @PROPERTY
 @given(
-    st.sampled_from(["quadratic", "equal", "unequal", "no-test"]),
+    st.sampled_from(OBJECTIVES),
     st.integers(0, 2**16),
     st.data(),
 )
 def test_block_metrics_are_the_per_call_metrics(objective, seed, data):
     """Each round's train loss, test metric and consensus error from one
     block equal, with ==, global_train_loss, obj.test_metric and
-    consensus_error of that round; the logistic softmax is taken over chunks
-    of 1 to 4 rounds. A NaN model row makes its round's softmax all NaN, and
-    its accuracy is that of predicting class 0."""
+    consensus_error of that round; the quadratic dimension spans both sides
+    of the 8-coordinate rule of the consensus errors, and the logistic
+    softmax is taken over chunks of 1 to 4 rounds. A NaN model row makes its
+    round's softmax all NaN, and its accuracy is that of predicting class 0;
+    the quadratic and log-cosh objectives also take a NaN or ±inf in one
+    coordinate or in the whole row of a node."""
     rng = np.random.default_rng(seed)
     n = data.draw(st.integers(2 if objective == "unequal" else 1, 8))
     if objective == "quadratic":
-        obj = QuadraticObjective(rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 4)))))
+        obj = QuadraticObjective(rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 10)))))
+    elif objective == "log-cosh":
+        obj = LogCoshObjective(rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 10)))))
     else:
         classes, per = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 4))
         extra = data.draw(st.integers(1, n - 1)) if objective == "unequal" else 0
@@ -297,9 +325,14 @@ def test_block_metrics_are_the_per_call_metrics(objective, seed, data):
     states = rng.normal(0.0, scale, (rounds, n, obj.dim))
     nan_round = data.draw(st.one_of(st.none(), st.integers(0, rounds - 1)))
     if nan_round is not None:
-        states[nan_round, data.draw(st.integers(0, n - 1))] = np.nan
+        row = states[nan_round, data.draw(st.integers(0, n - 1))]
+        if objective in ("quadratic", "log-cosh"):
+            coords = data.draw(st.one_of(st.just(slice(None)), st.integers(0, obj.dim - 1)))
+            row[coords] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:
+            row[:] = np.nan
     chunk = objectives._EVAL_CHUNK
-    if objective != "quadratic":
+    if isinstance(obj, LogisticObjective):
         chunk = data.draw(st.integers(1, 4)) * obj.n_classes * obj._eval_rows.shape[0]
     with np.errstate(invalid="ignore", over="ignore"), \
             mock.patch.object(objectives, "_EVAL_CHUNK", chunk):
@@ -372,7 +405,9 @@ def training_cases(draw, kind, objective):
         md = matching_decomposition(t)
         policy = matcha_policy(md, frac * 2 * md.r, t).with_epsilon(epsilon)
     if objective == "quadratic":
-        obj = QuadraticObjective(rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 3)))))
+        obj = QuadraticObjective(rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 10)))))
+    elif objective == "log-cosh":
+        obj = LogCoshObjective(rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 10)))))
     else:
         # 2n * per + extra rows in 2n shards, two per node: equal shards when
         # extra = 0, and unequal when n does not divide extra.
@@ -396,16 +431,18 @@ def training_cases(draw, kind, objective):
     return t, part, policy, obj, cfg
 
 
-@pytest.mark.parametrize("objective", ["quadratic", "equal", "unequal", "no-test"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("kind", ["bass", "full", "matcha"])
 @settings(derandomize=True, deadline=None, max_examples=12, database=None)
 @given(data=st.data())
 def test_run_training_is_the_per_call_loop_bit_for_bit(kind, objective, data):
     """Records compared with ==, the final state and the generator's state
-    bit for bit; logistic objectives with equal shards, unequal shards and
-    no test set. The metric blocks are cut to 1 to 3 states, and the runs
-    take 0 rounds, 1, one block, one block + 1 and the drawn count; with a
-    cap below one state every block holds one round."""
+    bit for bit; quadratic objectives of dimension 1 to 10, logistic
+    objectives with equal shards, unequal shards and no test set, and an
+    objective that takes the base-class block metrics. The metric blocks are
+    cut to 1 to 3 states, and the runs take 0 rounds, 1, one block, one
+    block + 1 and the drawn count; with a cap below one state every block
+    holds one round."""
     t, part, policy, obj, cfg = data.draw(training_cases(kind, objective))
     size = t.n * obj.dim
     per_block = data.draw(st.integers(1, 3))
