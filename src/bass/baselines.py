@@ -148,20 +148,28 @@ def matcha_spectral_moments(
     Draws the same r uniforms per round, in matching order, as
     ``MatchaPolicy.sample_round``, in blocks of at most ``_MATCHA_BLOCK``
     rounds. Edge e survives iff its matching m(e) is active, so the sums
-    over rounds need only the activation counts c_k and co-activation counts
-    C_kl = sum_s z_sk z_sl: sum_s L~ = L(c_m(e)), and sum_s L~^2 is the
-    incident-pair sum of ``moments`` with weights C_m(e)m(f). Every partial
-    sum is an integer below 2^53, hence exact.
+    over rounds need only the co-activation counts C_kl = sum_s z_sk z_sl;
+    the activation counts c_k are their diagonal, since z^2 = z for a 0/1
+    activation. Then sum_s L~ = L(c_m(e)), and sum_s L~^2 is the
+    incident-pair sum of ``moments`` with weights C_m(e)m(f).
+
+    Each block fills one reused float buffer with the uniforms, thresholds
+    it in place to 0.0/1.0 and adds its float product z^T z into an int64
+    accumulator. The product's entries are integers of at most the block
+    size, so BLAS computes them exactly in any summation order; the int64
+    sums stay exact for any ``samples``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     p = policy.match_probs
-    counts = np.zeros(p.size, dtype=np.int64)
     co_counts = np.zeros((p.size, p.size), dtype=np.int64)
+    block = np.empty((min(_MATCHA_BLOCK, samples), p.size))
     for done in range(0, samples, _MATCHA_BLOCK):
-        active = (rng.random((min(_MATCHA_BLOCK, samples - done), p.size)) < p).astype(np.int64)
-        counts += active.sum(axis=0)
-        co_counts += active.T @ active
+        on = block[: samples - done]
+        rng.random(out=on)
+        np.less(on, p, out=on)
+        co_counts += (on.T @ on).astype(np.int64)
+    counts = co_counts.diagonal()
     t, m = policy.topology, policy.edge_matching
     k, a, b, e, f = _incident_pairs(t)
     s_gram = _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]])

@@ -16,8 +16,7 @@ class Topology:
     """Immutable undirected graph on nodes 0..n-1, no self-loops, no multi-edges.
 
     The graph is its read-only ``(m, 2)`` ``edge_array``: one row (i, j) with
-    i < j per edge, rows in lexicographic order. ``edges``, the same rows as
-    a tuple of pairs, the dense adjacency matrix, the CSR half-edges, the
+    i < j per edge, rows in lexicographic order. The CSR half-edges, the
     betweenness and the matching decomposition are derived read-only on
     first access (threads that race there build equal copies), so instances
     can be shared freely across threads.
@@ -34,20 +33,6 @@ class Topology:
         self.n = n
         self.edge_array = np.column_stack([keys // n, keys % n])
         self.edge_array.setflags(write=False)
-
-    @cached_property
-    def edges(self) -> tuple:
-        """The rows of ``edge_array`` as a tuple of (i, j) pairs."""
-        return tuple(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix with zero diagonal (read-only)."""
-        adj = np.zeros((self.n, self.n))
-        i, j = self.edge_array.T
-        adj[i, j] = adj[j, i] = 1.0
-        adj.setflags(write=False)
-        return adj
 
     @cached_property
     def _half_edges(self):
@@ -75,10 +60,6 @@ class Topology:
         from .baselines import matching_decomposition
 
         return matching_decomposition(self)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(float)
 
     def laplacian(self, weights=None) -> np.ndarray:
         """Weighted-edge Laplacian sum_e w_e (u_i - u_j)(u_i - u_j)^T, one

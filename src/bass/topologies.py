@@ -51,7 +51,9 @@ def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
     Each attempt draws one uniform per node pair in lexicographic order, a
     block of whole rows i (the pairs (i, j > i)) at a time, so the result is
     deterministic given (n, p, seed) and a draw needs O(_DRAW_BLOCK + m)
-    memory. Connectivity is tested on the drawn edges, and only the accepted
+    memory. Connectivity is tested on the drawn edges, after a cheap test
+    that rejects a draw with an isolated node (every uniform of the attempt
+    is drawn by then, so the stream does not change), and only the accepted
     draw is built into a Topology.
     """
     if n < 1:
@@ -69,7 +71,8 @@ def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
             row = np.searchsorted(starts, hits, side="right") - 1
             blocks.append(np.column_stack([lo + row, lo + row + 1 + hits - starts[row]]))
         edges = np.concatenate(blocks)
-        if _connected(n, edges):
+        isolated = n > 1 and not np.bincount(edges.ravel(), minlength=n).all()
+        if not isolated and _connected(n, edges):
             return Topology(n, edges)
     raise ValueError(
         f"no connected graph in {max_tries} draws of er(n={n}, p={p}); try a larger p"

@@ -41,6 +41,8 @@ from bass import (
 )
 from bass.graph import _conflicts
 
+from .graph_helpers import adjacency
+
 FIXTURE_SEED = 20260808
 
 
@@ -148,7 +150,7 @@ def test_c02_mixing_matrix_invariants():
         part = greedy_partition(t)
         probs = rng.uniform(0.1, 0.9, part.q)
         policy = SchedulingPolicy(probs, float(probs.sum()), epsilon=0.3)
-        adj = t.adjacency
+        adj = adjacency(t)
         i, j = t.edge_array.T
         off_base = (adj == 0) & ~np.eye(t.n, dtype=bool)
         ones = np.ones(t.n)

@@ -18,7 +18,9 @@ from bass import (
     two_stars_topology,
 )
 from bass.baselines import _MATCHA_BLOCK
+from bass.graph import _incident_pairs, _pair_gram
 
+from .graph_helpers import adjacency, degrees, edge_pairs
 from .test_graph import p3, random_connected
 
 
@@ -36,7 +38,7 @@ def assert_valid_decomposition(t, md):
         endpoints = [v for e in m for v in e]
         assert len(endpoints) == len(set(endpoints)), "shared endpoint in matching"
         seen.extend(m)
-    assert sorted(seen) == sorted(t.edges), "matchings must cover each edge once"
+    assert sorted(seen) == sorted(edge_pairs(t)), "matchings must cover each edge once"
 
 
 def set_greedy_coloring(t):
@@ -44,7 +46,7 @@ def set_greedy_coloring(t):
     at each node, edges in lexicographic order."""
     colors_at = [set() for _ in range(t.n)]
     colors = []
-    for i, j in t.edges:
+    for i, j in edge_pairs(t):
         c = 0
         while c in colors_at[i] or c in colors_at[j]:
             c += 1
@@ -91,7 +93,7 @@ class TestMatchingDecomposition:
             t = random_connected(rng, int(rng.integers(3, 16)), extra_edges=4)
             md = matching_decomposition(t)
             assert_valid_decomposition(t, md)
-            max_degree = int(t.degrees.max())
+            max_degree = int(degrees(t).max())
             assert md.r <= 2 * max_degree - 1
 
     def test_dump_format(self):
@@ -193,7 +195,7 @@ class TestMatchaPolicy:
                 for a, b in md.matchings[k]:
                     adj_t[a, b] = adj_t[b, a] = 1.0
             # active graph is a subgraph of the base topology
-            assert np.all(adj_t <= t.adjacency)
+            assert np.all(adj_t <= adjacency(t))
             assert np.array_equal(act.active_edges, adj_t[i, j] == 1.0)
             assert np.array_equal(
                 w, np.eye(t.n) - 0.2 * (np.diag(adj_t.sum(axis=1)) - adj_t)
@@ -230,7 +232,7 @@ class TestMatchaPolicy:
             policy, 40000, np.random.default_rng(3)
         )
         expected = np.zeros((5, 5))
-        for (i, j) in t.edges:
+        for (i, j) in edge_pairs(t):
             lap = np.zeros((5, 5))
             lap[i, i] = lap[j, j] = 1.0
             lap[i, j] = lap[j, i] = -1.0
@@ -244,23 +246,58 @@ class TestMatchaPolicy:
     @pytest.mark.parametrize("t", [Topology(7, [(i, (i + 1) % 7) for i in range(7)]),
                                    two_stars_topology(4, 5), make_topology("er(30,0.2,1)")])
     def test_spectral_moments_equal_a_loop_over_rounds(self, t):
+        # Sample counts on both sides of each block edge: the moments and the
+        # generator's end state are the per-round loop's after that many rounds.
         md = matching_decomposition(t)
         assert md.r >= 3
         policy = matcha_policy(md, 0.8 * md.r, t).with_epsilon(0.1)
-        samples = 3 * _MATCHA_BLOCK + 75
+        checks = (1, _MATCHA_BLOCK - 1, _MATCHA_BLOCK, _MATCHA_BLOCK + 1, 3 * _MATCHA_BLOCK + 75)
         rng = np.random.default_rng(13)
         s_lap = np.zeros((t.n, t.n))
         s_gram = np.zeros((t.n, t.n))
-        for _ in range(samples):
+        for done in range(1, checks[-1] + 1):
             edges = t.edge_array[policy.sample_round(rng).active_edges]
             adj = np.zeros((t.n, t.n))
             adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = 1.0
             lap = np.diag(adj.sum(axis=1)) - adj
             s_lap += lap
             s_gram += lap @ lap
-        e_lap, e_gram = matcha_spectral_moments(policy, samples, np.random.default_rng(13))
-        assert np.array_equal(e_lap, s_lap / samples)
-        assert np.array_equal(e_gram, s_gram / samples)
+            if done in checks:
+                mc_rng = np.random.default_rng(13)
+                e_lap, e_gram = matcha_spectral_moments(policy, done, mc_rng)
+                assert np.array_equal(e_lap, s_lap / done), done
+                assert np.array_equal(e_gram, s_gram / done), done
+                assert mc_rng.bit_generator.state == rng.bit_generator.state, done
+
+    @pytest.mark.parametrize("budget_frac", [0.3, 1.0])
+    def test_spectral_moments_equal_an_int64_counter(self, budget_frac):
+        # The co-activation counts of a product of 0/1 int64 arrays per block,
+        # over r = 12 matchings and six blocks; at budget_frac 1 every
+        # matching is active every round, so each block adds its full size.
+        t = make_topology("er(30,0.2,1)")
+        md = matching_decomposition(t)
+        assert md.r >= 12
+        policy = matcha_policy(md, budget_frac * 2 * md.r, t)
+        samples = 5 * _MATCHA_BLOCK + 300
+        rng = np.random.default_rng(5)
+        p = policy.match_probs
+        counts = np.zeros(p.size, dtype=np.int64)
+        co_counts = np.zeros((p.size, p.size), dtype=np.int64)
+        for done in range(0, samples, _MATCHA_BLOCK):
+            active = (rng.random((min(_MATCHA_BLOCK, samples - done), p.size)) < p).astype(np.int64)
+            counts += active.sum(axis=0)
+            co_counts += active.T @ active
+        m = policy.edge_matching
+        k, a, b, e, f = _incident_pairs(t)
+        expected = (t.laplacian(counts[m]) / samples,
+                    _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]]) / samples)
+        mc_rng = np.random.default_rng(5)
+        for got, want in zip(matcha_spectral_moments(policy, samples, mc_rng), expected):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert mc_rng.bit_generator.state == rng.bit_generator.state
+        if budget_frac == 1.0:
+            assert np.all(co_counts == samples)
 
     def test_expected_laplacian_sums_matching_laplacians(self):
         t = two_stars_topology(4, 5)

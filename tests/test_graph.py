@@ -17,6 +17,8 @@ from bass import (
 from bass.graph import _conflicts, _incident_pairs, _pair_gram
 from bass.topologies import ring_topology, star_topology
 
+from .graph_helpers import degrees, edge_pairs
+
 
 def p3():
     return Topology(3, [(0, 1), (1, 2)])
@@ -155,13 +157,13 @@ def brute_force_betweenness(t):
 class TestTopology:
     def test_p3_degrees(self):
         t = p3()
-        assert list(t.degrees) == [1, 2, 1]
-        assert np.array_equal(Topology(3).degrees, np.zeros(3))
+        assert list(degrees(t)) == [1, 2, 1]
+        assert np.array_equal(degrees(Topology(3)), np.zeros(3))
         assert t.edge_array.tolist() == [[0, 1], [1, 2]]
 
     def test_symmetric_pair_dedup(self):
         t = Topology(2, [(0, 1), (1, 0)])
-        assert t.edges == ((0, 1),)
+        assert edge_pairs(t) == ((0, 1),)
 
     def test_out_of_range_endpoint(self):
         # the first offending edge in input order is named; malformed rows
@@ -188,11 +190,6 @@ class TestTopology:
             with pytest.raises(ValueError, match="self-loop at node 1"):
                 Topology(3, edges)
 
-    def test_adjacency_is_readonly(self):
-        t = p3()
-        with pytest.raises(ValueError):
-            t.adjacency[0, 0] = 5.0
-
     def test_edge_array_is_readonly_and_sorted(self):
         t = Topology(4, [(3, 1), (0, 2), (1, 0)])
         assert t.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
@@ -202,7 +199,7 @@ class TestTopology:
 
     def test_construction_builds_no_dense_matrix(self):
         t = make_topology("er(400,0.012,1)")
-        edges = t.edges
+        edges = edge_pairs(t)
         tracemalloc.start()
         try:
             Topology(t.n, edges)
@@ -232,7 +229,7 @@ class TestTopology:
                        "array": np.array(pairs, dtype=int).reshape(-1, 2)}[form]
         t = Topology(n, given_edges)
         assert t.edge_array.tolist() == [list(e) for e in oracle]
-        assert t.edges == tuple(oracle)
+        assert edge_pairs(t) == tuple(oracle)
         assert t == Topology(n, oracle)
 
 
@@ -241,12 +238,13 @@ class TestIncidentPairs:
     def test_every_pair_of_edges_meeting_at_a_node(self, n, extra):
         t = random_connected(np.random.default_rng(n), n, extra_edges=extra)
         k, a, b, e, f = _incident_pairs(t)
+        pairs = edge_pairs(t)
         expected = [
-            (v, x, y, t.edges.index(tuple(sorted((v, x)))), t.edges.index(tuple(sorted((v, y)))))
+            (v, x, y, pairs.index(tuple(sorted((v, x)))), pairs.index(tuple(sorted((v, y)))))
             for v, nbrs in enumerate(neighbors(t)) for x in nbrs for y in nbrs
         ]
         assert list(zip(*(arr.tolist() for arr in (k, a, b, e, f)))) == expected
-        assert k.size == (t.degrees**2).sum()
+        assert k.size == (degrees(t)**2).sum()
 
     def test_scatter_sums_edge_laplacian_products(self):
         # sum over incident pairs of w_ef L_e L_f; with unit weights, L^2
@@ -255,11 +253,11 @@ class TestIncidentPairs:
         k, a, b, e, f = _incident_pairs(t)
         lap = t.laplacian()
         assert np.array_equal(_pair_gram(t.n, k, a, b, np.ones(k.size)), lap @ lap)
-        pair_w = rng.uniform(0.0, 1.0, (len(t.edges),) * 2)
+        pair_w = rng.uniform(0.0, 1.0, (len(t.edge_array),) * 2)
         pair_w += pair_w.T
-        laps = [t.laplacian(np.arange(len(t.edges)) == g) for g in range(len(t.edges))]
+        laps = [t.laplacian(np.arange(len(t.edge_array)) == g) for g in range(len(t.edge_array))]
         expected = sum(pair_w[g, h] * laps[g] @ laps[h]
-                       for g in range(len(t.edges)) for h in range(len(t.edges)))
+                       for g in range(len(t.edge_array)) for h in range(len(t.edge_array)))
         got = _pair_gram(t.n, k, a, b, pair_w[e, f])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
@@ -281,9 +279,9 @@ class TestLaplacian:
         # sum_e w_e (u_i - u_j)(u_i - u_j)^T, one term per row of edge_array
         rng = np.random.default_rng(5)
         t = random_connected(rng, 9, extra_edges=4)
-        weights = rng.uniform(0.0, 2.0, len(t.edges))
+        weights = rng.uniform(0.0, 2.0, len(t.edge_array))
         expected = np.zeros((t.n, t.n))
-        for w, (i, j) in zip(weights, t.edges):
+        for w, (i, j) in zip(weights, edge_pairs(t)):
             u = np.zeros(t.n)
             u[i], u[j] = 1.0, -1.0
             expected += w * np.outer(u, u)
@@ -333,14 +331,14 @@ class TestConnectivity:
                      if rng.random() < rng.uniform(0.05, 0.5)]
             t = Topology(n, pairs)
             verdicts.add(t.is_connected())
-            assert t.is_connected() == bfs_connected(t), t.edges
+            assert t.is_connected() == bfs_connected(t), edge_pairs(t)
         assert verdicts == {True, False}
 
 
 class TestAuxiliaryGraph:
     def enumerate_conflicts(self, t):
         """Oracle: pairs that are adjacent or share a common neighbor."""
-        pairs = set(t.edges)
+        pairs = set(edge_pairs(t))
         nbrs = neighbors(t)
         for i, j in itertools.combinations(range(t.n), 2):
             if set(nbrs[i]) & set(nbrs[j]):
@@ -372,7 +370,7 @@ class TestAuxiliaryGraph:
         for _ in range(20):
             t = random_connected(rng, int(rng.integers(3, 14)), extra_edges=3)
             aux_set = set(conflict_edges(t))
-            assert aux_set >= set(t.edges)
+            assert aux_set >= set(edge_pairs(t))
             nbrs = neighbors(t)
             for i, j in itertools.combinations(range(t.n), 2):
                 if (i, j) not in aux_set:
@@ -480,7 +478,7 @@ class TestBetweenness:
         rng = np.random.default_rng(29)
         t = random_connected(rng, 9, extra_edges=3)
         perm = rng.permutation(9)
-        relabeled = Topology(9, [(perm[i], perm[j]) for i, j in t.edges])
+        relabeled = Topology(9, [(perm[i], perm[j]) for i, j in edge_pairs(t)])
         b = betweenness_centrality(t)
         rb = betweenness_centrality(relabeled)
         assert np.allclose(rb[perm], b, atol=1e-12)

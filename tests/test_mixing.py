@@ -21,6 +21,7 @@ from bass import (
 from bass import mixing
 from bass.topologies import er_topology, ring_topology, star_topology, two_stars_topology
 
+from .graph_helpers import adjacency
 from .test_graph import p3, random_connected
 
 
@@ -317,5 +318,5 @@ class TestFixedWeightMatrix:
         t = random_connected(rng, 9, extra_edges=3)
         w = fixed_weight_matrix(t, 0.13)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        off_support = (t.adjacency == 0) & ~np.eye(t.n, dtype=bool)
+        off_support = (adjacency(t) == 0) & ~np.eye(t.n, dtype=bool)
         assert np.all(w[off_support] == 0.0)

@@ -19,6 +19,7 @@ from bass import (
     two_stars_topology,
 )
 
+from .graph_helpers import adjacency
 from .test_graph import random_connected
 
 
@@ -70,7 +71,7 @@ def reduced_product_moments(t, part, node_probs):
     nodes involved. Straight-line triple loops, no max terms.
     """
     p = np.asarray(node_probs, float)
-    adj = t.adjacency
+    adj = adjacency(t)
     n = t.n
 
     def prob(*nodes):

@@ -13,6 +13,7 @@ from bass import (
 )
 from bass.graph import _conflicts
 
+from .graph_helpers import adjacency
 from .test_graph import neighbors, p3, random_connected
 
 
@@ -48,7 +49,7 @@ def brute_force_valid(t, subsets):
     the dense adjacency."""
     if sorted(v for s in subsets for v in s) != list(range(t.n)):
         return False
-    adj = t.adjacency
+    adj = adjacency(t)
     common = adj @ adj
     for s in subsets:
         for a in range(len(s)):
@@ -186,7 +187,7 @@ class TestValidatePartition:
         for _ in range(10):
             t = random_connected(rng, int(rng.integers(3, 20)), extra_edges=3)
             p = greedy_partition(t)
-            adj = t.adjacency
+            adj = adjacency(t)
             walks2 = adj @ adj
             for s in p.subsets:
                 for a in range(len(s)):

@@ -20,6 +20,7 @@ from bass import (
 )
 from bass.scheduling import BUDGET_TOL
 
+from .graph_helpers import adjacency
 from .test_graph import p3, random_connected
 
 
@@ -345,7 +346,7 @@ class TestSampleRound:
                 assert np.abs(w @ ones - ones).max() <= 1e-12
                 assert np.abs(ones @ w - ones).max() <= 1e-12
                 mask = act.active_subsets[part.owner_array]
-                adj_t = t.adjacency * np.outer(mask, mask)
+                adj_t = adjacency(t) * np.outer(mask, mask)
                 i, j = t.edge_array.T
                 assert np.array_equal(act.active_edges, mask[i] & mask[j])
                 assert np.array_equal(
@@ -357,7 +358,7 @@ class TestSampleRound:
         t = random_connected(rng, 12, extra_edges=5)
         part = greedy_partition(t)
         policy = self.policy_for(part, np.full(part.q, 0.6))
-        adj = t.adjacency
+        adj = adjacency(t)
         walks2 = adj @ adj
         for _ in range(100):
             act = sample_round(policy, part, t, rng)

@@ -12,30 +12,32 @@ from bass import (
     star_topology,
     two_stars_topology,
 )
+from bass.graph import _connected
 
+from .graph_helpers import degrees, edge_pairs
 from .test_graph import neighbors
 
 
 class TestPresets:
     def test_path(self):
-        assert path_topology(4).edges == ((0, 1), (1, 2), (2, 3))
+        assert edge_pairs(path_topology(4)) == ((0, 1), (1, 2), (2, 3))
 
     def test_ring6(self):
         assert ring_topology(6) == Topology(6, [(i, (i + 1) % 6) for i in range(6)])
 
     def test_star(self):
         t = star_topology(5)
-        assert t.degrees[0] == 4
-        assert all(t.degrees[i] == 1 for i in range(1, 5))
+        assert degrees(t)[0] == 4
+        assert all(degrees(t)[i] == 1 for i in range(1, 5))
 
     def test_two_stars_4_4(self):
         t = two_stars_topology(4, 4)
         assert t.n == 8
-        assert (0, 1) in t.edges
+        assert (0, 1) in edge_pairs(t)
         assert neighbors(t)[0] == [1, 2, 3, 4]
         assert neighbors(t)[1] == [0, 5, 6, 7]
         for leaf in range(2, 8):
-            assert t.degrees[leaf] == 1
+            assert degrees(t)[leaf] == 1
 
     def test_er_deterministic_and_connected(self):
         a = er_topology(10, 0.4, seed=7)
@@ -56,7 +58,7 @@ class TestPresets:
                 break
         if seed == 1:
             assert attempt > 0  # er(12, 0.2, 1) needs 1 resample, er(20, 0.12, 1) 10
-        assert er_topology(n, p, seed).edges == reference.edges
+        assert edge_pairs(er_topology(n, p, seed)) == edge_pairs(reference)
 
     def test_er_draw_blocks_keep_the_stream(self, monkeypatch):
         # 40 uniforms per block: one row per block at n = 100, several rows
@@ -65,6 +67,35 @@ class TestPresets:
         whole = [er_topology(*case) for case in cases]
         monkeypatch.setattr(topologies, "_DRAW_BLOCK", 40)
         assert [er_topology(*case) for case in cases] == whole
+
+    def test_er_isolated_node_pretest_keeps_every_draw(self):
+        # The loop without the isolated-node pretest, as an oracle: the same
+        # graph, or the same failure, and the pretest skips no uniforms.
+        def reference(n, p, seed, max_tries=100):
+            rng = np.random.default_rng(seed)
+            step = max(1, topologies._DRAW_BLOCK // n)
+            for _ in range(max_tries):
+                blocks = []
+                for lo in range(0, n, step):
+                    counts = n - 1 - np.arange(lo, min(n, lo + step))
+                    starts = np.cumsum(counts) - counts
+                    hits = np.flatnonzero(rng.random(counts.sum()) < p)
+                    row = np.searchsorted(starts, hits, side="right") - 1
+                    blocks.append(np.column_stack([lo + row, lo + row + 1 + hits - starts[row]]))
+                edges = np.concatenate(blocks)
+                if _connected(n, edges):
+                    return Topology(n, edges)
+            return None
+
+        for n in (1, 2, 3, 12, 60, 400):
+            for p in (0.0, 0.012, 0.1, 0.5, 1.0):
+                for seed in (0, 1, 7):
+                    expected = reference(n, p, seed)
+                    if expected is None:
+                        with pytest.raises(ValueError, match="no connected graph"):
+                            er_topology(n, p, seed)
+                    else:
+                        assert er_topology(n, p, seed) == expected, (n, p, seed)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_er_needs_a_node(self, n):
