@@ -6,18 +6,18 @@ sequential process driven by one seeded generator, so identical configs
 produce bitwise-identical logs.
 
 ``run_training`` prepares the policy's round sampler once per run and mixes
-every round through the one n x n W buffer that sampler keeps. It copies
-each round's state into a block of at most 2^14 floats and takes the train
-losses, test metrics and consensus errors of a whole block at once, whenever
-the block fills and at the end of the run. The quadratic and logistic
-objectives take their block metrics in stacked array operations; any other
-``LocalObjective`` gets the base-class loop over rounds. A consensus error
-sums its coordinates column by column below 8 of them, which is numpy's own
-sequential order there, and with numpy's reduction from 8 up, where numpy
-sums pairwise. Its records and final state are
-bit for bit those of the per-call loop over the public functions:
-``sample_round`` (or the matching policy's ``sample_round``), then
-``gradient_step``, ``consensus_step(state, act.mixing_matrix)``,
+every round over the half-edges that survive it (``RoundSampler.mix``), so
+it holds no n x n array. It copies each round's state into a block of at
+most 2^14 floats and takes the train losses, test metrics and consensus
+errors of a whole block at once, whenever the block fills and at the end of
+the run. The quadratic and logistic objectives take their block metrics in
+stacked array operations; any other ``LocalObjective`` gets the base-class
+loop over rounds. A consensus error sums its coordinates column by column
+below 8 of them, which is numpy's own sequential order there, and with
+numpy's reduction from 8 up, where numpy sums pairwise. Its records and
+final state are bit for bit those of the per-call loop over the public
+functions: ``sample_round`` (or the matching policy's ``sample_round``),
+then ``gradient_step``, ``consensus_step(state, act.mixing_matrix)``,
 ``global_train_loss``, ``obj.test_metric`` and ``consensus_error``, and the
 generator ends in the same state. The tests check that contract.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _edge_product, _row_slots
 from .objectives import LocalObjective
 from .partition import CollisionFreePartition
 
@@ -118,14 +118,28 @@ def gradient_step(
 def consensus_step(state: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Mix node models with the round's weight matrix: state <- w @ state.
 
-    A doubly stochastic w preserves the network-average model exactly.
+    Row i is w_ii * x_i plus the terms w_ij * x_j of the nonzero off-diagonal
+    w_ij, summed from +0.0 in column order; zero weights are skipped, so an
+    infinite x_j reaches only the rows that weigh it. The result is within
+    rounding of the BLAS product, not its bits. A doubly stochastic w
+    preserves the network-average model up to that rounding.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (state.shape[0], state.shape[0]):
         raise ValueError(
             f"mixing matrix shape {w.shape} does not match {state.shape[0]} nodes"
         )
-    return w @ state
+    n = len(w)
+    x = np.asarray(state, dtype=float).reshape(n, -1)
+    # The off-diagonal nonzeros in row-major order are the half-edges in
+    # (tail, head) order; a bool mask finds them far faster than w.nonzero().
+    nonzero = w != 0.0
+    nonzero.flat[:: n + 1] = False
+    flat = np.flatnonzero(nonzero)
+    tail, head = np.divmod(flat, n)
+    weights = w.ravel().take(flat)[:, None]
+    out = _edge_product(x, w.diagonal(), _row_slots(tail, x.shape[1]), head, weights)
+    return out.reshape(state.shape)
 
 
 def consensus_error(state: np.ndarray) -> float:

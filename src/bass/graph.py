@@ -185,6 +185,29 @@ def _pair_gram(n, k, a, b, w) -> np.ndarray:
     return flat.reshape(n, n)
 
 
+def _row_slots(tail, dim) -> np.ndarray:
+    """The flat positions tail * dim + c, c < dim, of the rows ``tail`` of an
+    (n, dim) array, on a new last axis."""
+    return tail[..., None] * dim + np.arange(dim)
+
+
+def _edge_product(x, diagonal, slots, head, weight) -> np.ndarray:
+    """diagonal_i * x_i + sum_j w_ij * x_j for every row i of the float
+    (n, d) ``x``, the sum over half-edges i -> j: ``slots`` holds each one's
+    tail row as ``_row_slots(tail, d)``, ``head`` its head and ``weight``
+    its weight (a scalar, or one per half-edge broadcast against the rows).
+
+    Each row's terms w_ij * x_j are summed from +0.0 in half-edge order by
+    one np.bincount, then added to diagonal_i * x_i; a weight absent from the
+    half-edges multiplies nothing."""
+    terms = x.take(head, 0)
+    terms *= weight
+    out = diagonal[:, None] * x
+    # (with no half-edges np.bincount returns integer zeros)
+    out += np.bincount(slots.ravel(), terms.ravel(), x.size).reshape(x.shape)
+    return out
+
+
 def betweenness_centrality(t: Topology) -> np.ndarray:
     """Shortest-path betweenness, normalized so the entries sum to one.
 

@@ -180,8 +180,8 @@ class LogisticObjective(LocalObjective):
             nodes = np.flatnonzero(self.shard_sizes == size)
             self._size_groups.append((nodes, self._starts[nodes, None] + np.arange(size)))
         self.n_classes = int(n_classes)
-        # Each train row's one-hot target.
-        self._onehot = self._targets[:, None] == np.arange(self.n_classes)
+        # Each train row's one-hot target, class-major: (n_classes, rows).
+        self._onehot = np.arange(self.n_classes)[:, None] == self._targets
         self.n_features = features.shape[1]
         self.num_nodes = len(shards)
         self.dim = (self.n_features + 1) * self.n_classes
@@ -206,22 +206,29 @@ class LogisticObjective(LocalObjective):
         """The class probabilities of rows (..., b, n_features + 1) under
         models x (..., dim), one model per leading index.
 
-        The row maximum and the denominator are taken one class column at a
-        time, as whole-array operations rather than one tiny reduction per
-        row. The maximum is exact. The denominator is a running sum over the
-        columns, which is numpy's own .sum(axis=-1) order below 8 classes;
-        from 8 up numpy sums pairwise, so the two can differ in the last bits.
+        The logits are copied class-major, so the row maximum and the
+        denominator are taken one class at a time over contiguous rows
+        rather than as one tiny reduction per row; the probabilities are a
+        row-major view of that array. The maximum is exact. The denominator
+        is a running sum over the classes, which is numpy's own
+        .sum(axis=-1) order below 8 classes; from 8 up numpy sums pairwise,
+        so the two can differ in the last bits.
         """
         weights = x.reshape(*x.shape[:-1], self.n_features + 1, self.n_classes)
         logits = rows @ weights
-        top = logits[..., 0].copy()
+        # (classes, rows), copied from .T of the flat rows: np.moveaxis
+        # costs microseconds a call here
+        expv = logits.reshape(-1, self.n_classes).T.copy()
+        top = expv[0].copy()
         for c in range(1, self.n_classes):
-            np.maximum(top, logits[..., c], out=top)
-        expv = np.exp(logits - top[..., None])
-        total = expv[..., 0].copy()
+            np.maximum(top, expv[c], out=top)
+        expv -= top
+        np.exp(expv, out=expv)
+        total = expv[0].copy()
         for c in range(1, self.n_classes):
-            total += expv[..., c]
-        return expv / total[..., None]
+            total += expv[c]
+        expv /= total
+        return expv.T.reshape(logits.shape)
 
     def gradients(self, state, batch_size, rng):
         """One draw of every node's batch indices, node-major, then one
@@ -230,7 +237,10 @@ class LogisticObjective(LocalObjective):
         idx = self._starts[:, None] + draws
         # take() gathers whole rows, several times faster than [idx] here.
         rows = self._rows.take(idx, axis=0)
-        residual = self._softmax(state, rows) - self._onehot.take(idx, axis=0)
+        residual = self._softmax(state, rows)
+        # P - Y on the softmax's own class-major array, contiguous per class
+        class_major = residual.transpose(2, 0, 1)
+        class_major -= self._onehot.take(idx, axis=1)
         grads = rows.transpose(0, 2, 1) @ residual / batch_size
         return grads.reshape(self.num_nodes, self.dim)
 

@@ -3,8 +3,10 @@
 Each collision-free subset is an independent Bernoulli coin per round. A
 round keeps only bidirectional links, so it is the set of base edges that
 survive it: an edge survives iff both endpoints broadcast. Its mixing matrix
-W = I - eps * L~ is written in one pass from the surviving edges (eps on
-each, 1 - eps * degree on the diagonal) and is symmetric by construction.
+is W = I - eps * L~ of the surviving edges (eps on each, 1 - eps * degree on
+the diagonal), symmetric by construction. A training loop never forms W: it
+mixes over the surviving half-edges alone, to the bit what the per-call
+``consensus_step`` with the dense W computes.
 
 Both the subset policies here and the matching baseline state their
 ``Units``: independent Bernoulli units plus a map from each base edge to the
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _edge_product, _row_slots
 from .partition import CollisionFreePartition
 
 # Budget equality is enforced to this tolerance where attainable.
@@ -115,9 +117,10 @@ class RoundSampler:
     rounds worked out once.
 
     The round switches ``units`` on independently and keeps the base edges
-    whose units are both on. ``cells`` holds each edge's flat positions
-    (i * n + j, j * n + i) in W, and ``diagonal[d]`` is W's diagonal entry
-    1 - epsilon * d at degree d.
+    whose units are both on. ``mix`` gossips over the kept edges' half-edges
+    with weight epsilon; ``mixing`` writes the dense W of the per-call API,
+    where ``cells`` holds each edge's flat positions (i * n + j, j * n + i).
+    ``diagonal[d]`` is W's diagonal entry 1 - epsilon * d at degree d.
     """
 
     def __init__(self, topology: Topology, units: Units, epsilon):
@@ -128,7 +131,17 @@ class RoundSampler:
         self.edge_units = np.ascontiguousarray(units.edge_units)
         self.cells = self.edges * self.n + self.edges[:, ::-1]
         self.diagonal = 1.0 - self.epsilon * np.arange(self.n)  # a degree is below n
-        self._w = None  # the buffer of ``mix``, made at its first call
+        # Edge e's half-edges (i, j) and (j, i): tails ``edges[e]``, heads
+        # ``_heads[e]``. Taken in edge order, each node's come in ascending
+        # head order, as W's row-major nonzeros; at epsilon +-0.0 W has none
+        # off the diagonal, and every edge has no half-edges.
+        live = slice(None) if self.epsilon != 0.0 else slice(0)
+        self._tails = self.edges[:, live]
+        self._heads = np.ascontiguousarray(self.edges[:, ::-1][:, live])
+        # The tails' rows in the state ``mix`` saw last, remade when its
+        # width changes.
+        self._slots = _row_slots(self._tails, 0)
+        self._weight = np.array(self.epsilon)  # multiplies faster than a float
 
     def __call__(self, rng: np.random.Generator) -> RoundActivation:
         """Draw one round with a fresh mixing matrix."""
@@ -147,28 +160,23 @@ class RoundSampler:
         """W = I - epsilon * L~ of the edges in the mask ``kept``: epsilon at
         (i, j) and (j, i), 1 - epsilon * degree on the diagonal, +0.0 elsewhere
         (bit-identical to that expression)."""
+        rows = kept.nonzero()[0]
         w = np.zeros(self.n * self.n)
-        self._write(w, kept)
+        w[self.cells.take(rows, 0)] = self.epsilon
+        w[:: self.n + 1] = self.diagonal.take(np.bincount(self.edges.take(rows, 0).ravel(), None, self.n))
         return w.reshape(self.n, self.n)
 
     def mix(self, kept: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """``mixing(kept) @ state`` to the bit, with W written into one n x n
-        buffer this sampler keeps: each call puts +0.0 back only on the
-        previous call's edge cells, then writes W as ``mixing`` does."""
-        if self._w is None:
-            self._w, self._cells = np.zeros(self.n * self.n), self.cells[:0]
-        self._w[self._cells] = 0.0
-        self._cells = self._write(self._w, kept)
-        return self._w.reshape(self.n, self.n) @ state
-
-    def _write(self, w: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """Write W's edge cells and whole diagonal into the flat ``w``, which
-        is +0.0 off them; returns the edge cells written."""
+        """``dsgd.consensus_step(state, self.mixing(kept))`` to the bit for
+        the float (n, d) ``state``, over the kept half-edges alone: no n x n
+        array is made."""
         rows = kept.nonzero()[0]
-        cells = self.cells.take(rows, 0)
-        w[cells] = self.epsilon
-        w[:: self.n + 1] = self.diagonal.take(np.bincount(self.edges.take(rows, 0).ravel(), None, self.n))
-        return cells
+        heads = self._heads.take(rows, 0).ravel()
+        # an edge's two heads are its two tails: heads count the degrees
+        diagonal = self.diagonal.take(np.bincount(heads, None, self.n))
+        if self._slots.shape[-1] != state.shape[1]:
+            self._slots = _row_slots(self._tails, state.shape[1])
+        return _edge_product(state, diagonal, self._slots.take(rows, 0), heads, self._weight)
 
 
 def subset_betweenness(node_values: np.ndarray, partition: CollisionFreePartition) -> np.ndarray:

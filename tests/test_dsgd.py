@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ class TestConsensusStep:
     def test_exact_averaging(self):
         w = np.full((2, 2), 0.5)
         out = consensus_step(np.array([[0.0], [2.0]]), w)
-        assert np.allclose(out, [[1.0], [1.0]])
+        assert np.array_equal(out, [[1.0], [1.0]])
 
     def test_identity_is_noop(self):
         state = np.array([[1.0], [5.0]])
@@ -107,7 +109,7 @@ class TestConsensusStep:
         lap = np.diag(adj.sum(axis=1)) - adj
         w = np.eye(3) - 0.5 * lap
         out = consensus_step(np.array([[0.0], [2.0], [5.0]]), w)
-        assert np.allclose(out, [[1.0], [1.0], [5.0]])
+        assert np.array_equal(out, [[1.0], [1.0], [5.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,6 +204,21 @@ class TestRunTraining:
         log = run_training(t, policy, part, obj, TrainConfig(rounds=100, lr=0.3, seed=0))
         assert abs(log.final_state[0, 0] - 4.0) < 1e-9
         assert log.records[-1].consensus_error == 0.0
+
+    def test_rounds_hold_no_dense_mixing_matrix(self):
+        # a 3000 x 3000 W alone is 69 MB; the rounds mix over the kept edges
+        n = 3000
+        t = Topology(n, [(i, (i + 1) % n) for i in range(n)])
+        part = greedy_partition(t)
+        policy = SchedulingPolicy(np.full(part.q, 0.5), 0.5 * part.q, epsilon=0.3)
+        obj = QuadraticObjective(np.random.default_rng(0).normal(size=(n, 2)))
+        tracemalloc.start()
+        try:
+            run_training(t, policy, part, obj, TrainConfig(rounds=3, lr=0.1, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("dim", range(1, 12))

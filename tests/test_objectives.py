@@ -392,6 +392,62 @@ def test_class_columns_equal_rowwise_reductions(classes, features, sizes, batch_
     assert obj.test_metric(state) == rowwise_test_metric(obj, state)
 
 
+def rowmajor_softmax(obj, x, rows):
+    """The class-column softmax taken row-major, (..., b, n_classes): each
+    class step reads a strided column. The class-major ``_softmax`` must
+    give its bits for any class count."""
+    weights = x.reshape(*x.shape[:-1], obj.n_features + 1, obj.n_classes)
+    logits = rows @ weights
+    top = logits[..., 0].copy()
+    for c in range(1, obj.n_classes):
+        np.maximum(top, logits[..., c], out=top)
+    expv = np.exp(logits - top[..., None])
+    total = expv[..., 0].copy()
+    for c in range(1, obj.n_classes):
+        total += expv[..., c]
+    return expv / total[..., None]
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    classes=st.integers(2, 9),
+    features=st.integers(1, 5),
+    nodes=st.integers(1, 6),
+    equal=st.booleans(),
+    batch_size=st.integers(1, 9),
+    nan_row=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_softmax_is_the_row_major_class_columns(
+    classes, features, nodes, equal, batch_size, nan_row, seed
+):
+    """The class-major softmax and the gradient read through its row-major
+    view give the bits of the row-major class columns, equal and unequal
+    shards, a NaN model row included."""
+    rng = np.random.default_rng(seed)
+    sizes = [7] * nodes if equal else list(rng.integers(1, 30, nodes))
+    obj = random_logistic(rng, sizes, classes, features)
+    state = rng.normal(0, 3.0, (nodes, obj.dim))
+    if nan_row:
+        state[rng.integers(nodes)] = np.nan
+    batch = obj._rows[rng.integers(0, obj._rows.shape[0], size=(nodes, batch_size))]
+    assert same_bits(obj._softmax(state, batch), rowmajor_softmax(obj, state, batch))
+    assert same_bits(obj._softmax(state[0], obj._rows), rowmajor_softmax(obj, state[0], obj._rows))
+    rngs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    draws = rngs[1].integers(0, obj._high, size=(nodes, batch_size))
+    idx = obj._starts[:, None] + draws
+    rows = obj._rows[idx]
+    onehot = obj._targets[idx][..., None] == np.arange(classes)
+    expected = rows.transpose(0, 2, 1) @ (rowmajor_softmax(obj, state, rows) - onehot) / batch_size
+    grads = obj.gradients(state, batch_size, rngs[0])
+    assert same_bits(grads, expected.reshape(nodes, obj.dim))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 @pytest.mark.parametrize("bias", [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (2.0, 1.0, 2.0), (0.5, 0.5, 0.0)])
 def test_test_metric_ties_go_to_the_first_class(bias):
     # zero feature weights: every logit row is the bias, so every row

@@ -226,41 +226,73 @@ def test_mixing_matrix_is_written_bit_identically_from_the_surviving_edges(t, ep
 @PROPERTY
 @given(
     graphs,
-    st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0.0, 1.0, exclude_min=True)),
+    st.integers(1, 10),
+    st.booleans(),
     st.integers(0, 2**16),
 )
-def test_mix_reuses_one_buffer_bit_for_bit(t, epsilon, seed):
-    """Consecutive mixes over different masks are ``state`` times a fresh
-    ``mixing(kept)`` to the bit, and the buffer they reuse holds that W, signs
-    of zero included (a -0.0 epsilon leaves -0.0 on last round's edges
-    unless they are put back to +0.0). Fresh mixing matrices never alias it."""
+def test_mix_is_consensus_step_with_the_dense_mixing_matrix_bit_for_bit(t, epsilon, dim, blown, seed):
+    """``mix(kept, state)`` has the bytes of ``consensus_step(state,
+    mixing(kept))``, signs of zero included, for subset and matching units
+    and all, no, random and sampled masks. The states hold zeros of both
+    signs and, if ``blown``, one infinite coordinate: at epsilon +-0.0
+    neither side has an off-diagonal term, so 0 * inf never arises."""
     rng = np.random.default_rng(seed)
     part = greedy_partition(t)
     md = matching_decomposition(t)
     probs, match_probs = rng.uniform(0.0, 1.0, part.q), rng.uniform(0.0, 1.0, md.r)
+    m = len(t.edge_array)
     for policy in (
         SchedulingPolicy(probs, probs.sum(), epsilon),
         MatchaPolicy(t, md.edge_matching, match_probs, 2 * match_probs.sum(), epsilon),
     ):
         sampler = policy.round_sampler(part, t)
-        state = rng.normal(0.0, 1.0, (t.n, 3))
-        fresh = []
-        for share in (1.0, 0.0, 0.5, rng.random(), 1.0, rng.random()):
-            kept = rng.random(len(t.edge_array)) < share
-            mixed = sampler.mix(kept, state)
-            w = sampler.mixing(kept)
-            assert mixed.tobytes() == (w @ state).tobytes()
-            buffer = sampler._w.reshape(t.n, t.n)
-            assert np.array_equal(buffer, w)
-            assert np.array_equal(np.signbit(buffer), np.signbit(w))
-            fresh.append(sampler(rng).mixing_matrix)
-            if isinstance(policy, SchedulingPolicy):
-                fresh.append(sample_round(policy, part, t, rng).mixing_matrix)
-            else:
-                fresh.append(policy.sample_round(rng).mixing_matrix)
+        state = rng.normal(0.0, 1.0, (t.n, dim))
+        state[rng.random(state.shape) < 0.2] = 0.0
+        state[rng.random(state.shape) < 0.2] = -0.0
+        if blown:
+            state[rng.integers(t.n), rng.integers(dim)] = np.inf
+        masks = [np.ones(m, bool), np.zeros(m, bool), rng.random(m) < rng.random()]
+        for kept in masks + [sampler.draw(rng)[1] for _ in range(3)]:
+            with np.errstate(invalid="ignore"):
+                mixed = sampler.mix(kept, state)
+                expected = consensus_step(state, sampler.mixing(kept))
+            assert mixed.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(mixed), np.signbit(expected))
             state = mixed
-        assert not any(np.shares_memory(m, sampler._w) for m in fresh)
-        assert not any(np.shares_memory(a, b) for a, b in zip(fresh, fresh[1:]))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**16),
+)
+def test_consensus_step_is_within_rounding_of_the_dense_product(n, dim, density, seed):
+    """Each entry of ``consensus_step(state, w)`` and of ``w @ state`` sums
+    at most n products, so both lie within gamma_n = n u / (1 - n u) of the
+    exact sum, relative to |w| @ |state| (u = eps / 2, in any order and with
+    or without FMA): they differ by at most (n + 1) eps of it. Zero weights,
+    on the diagonal too, are skipped off the diagonal: an infinite
+    coordinate x_jc reaches column c of node j and of the rows that weigh
+    j, and no other entry moves."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+    state = rng.normal(0.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    out = consensus_step(state, w)
+    bound = (n + 1) * np.finfo(float).eps * (np.abs(w) @ np.abs(state))
+    assert (np.abs(out - w @ state) <= bound).all()
+    j, c = rng.integers(n), rng.integers(dim)
+    blown = state.copy()
+    blown[j, c] = np.inf
+    reach = w[:, j] != 0.0
+    reach[j] = True  # w_jj * inf is inf, or NaN at w_jj = 0
+    with np.errstate(invalid="ignore"):
+        moved = consensus_step(blown, w)
+    assert not np.isfinite(moved[reach, c]).any()
+    moved[reach, c] = out[reach, c]
+    assert moved.tobytes() == out.tobytes()
 
 
 # --- block metrics against the per-call metrics ------------------------------
