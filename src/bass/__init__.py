@@ -37,14 +37,12 @@ from .experiment import (
     load_config,
     parse_config_text,
     run_experiment,
-    slots_to_reach,
     summarize,
 )
 from .graph import (
     Topology,
     betweenness_centrality,
     load_topology,
-    save_topology,
 )
 from .mixing import (
     EpsilonSearch,
@@ -68,7 +66,6 @@ from .partition import (
     CollisionFreePartition,
     dump_partition,
     greedy_partition,
-    validate_partition,
 )
 from .scheduling import (
     RoundActivation,

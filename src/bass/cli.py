@@ -9,18 +9,15 @@ import numpy as np
 
 from .baselines import dump_matchings
 from .experiment import (
-    _CONFIG_TYPES,
+    _CONFIG_PARSERS,
     ExperimentConfig,
     _budget_note,
-    _convert,
-    _decomposition,
-    _objective,
-    _policy_specs,
+    _setup,
     _unresolved_policy,
+    build_policy,
     load_config,
     run_experiment,
 )
-from .mixing import optimize_epsilon
 from .moments import closed_form_moments, enumerated_moments, monte_carlo_moments
 from .partition import dump_partition, greedy_partition
 from .topologies import make_topology
@@ -43,7 +40,7 @@ _HELP = {
 
 def _config_type(key):
     def convert(raw):
-        return _convert(key, raw)
+        return _CONFIG_PARSERS[key](raw)
 
     convert.__name__ = key  # names the key in argparse's "invalid value" error
     return convert
@@ -60,7 +57,7 @@ def _add_config_flags(parser, keys):
 
 def _config(args) -> ExperimentConfig:
     """The config file, if given, with every command-line flag merged over it."""
-    values = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
+    values = {key: value for key, value in vars(args).items() if key in _CONFIG_PARSERS}
     if getattr(args, "config", None) is not None:
         return load_config(args.config, values)
     return ExperimentConfig(**values)
@@ -68,9 +65,7 @@ def _config(args) -> ExperimentConfig:
 
 def _single_policy(args):
     cfg = _config(args)
-    topology = make_topology(cfg.topology)
-    partition = greedy_partition(topology)
-    specs = _policy_specs(cfg, partition, _decomposition(cfg, topology))
+    topology, partition, specs = _setup(cfg)
     if len(specs) != 1:
         raise ValueError(
             f"give exactly one policy and budget, got {', '.join(s.label for s in specs)}"
@@ -89,7 +84,7 @@ def _build_parser():
     run = sub.add_parser("run", help="run a training experiment", allow_abbrev=False)
     run.add_argument("--config", default=None,
                      help="flat key = value config file; flags given here override it")
-    _add_config_flags(run, _CONFIG_TYPES)
+    _add_config_flags(run, _CONFIG_PARSERS)
 
     mom = sub.add_parser("moments-check", allow_abbrev=False,
                          help="closed-form moments vs Monte Carlo (and enumeration)")
@@ -152,10 +147,9 @@ def _cmd_partition_dump(args) -> int:
 
 def _cmd_optimize_eps(args) -> int:
     cfg, topology, partition, spec = _single_policy(args)
-    policy = _unresolved_policy(spec, topology, partition, cfg)
+    # optimize-eps takes no --epsilon, so the search always runs.
+    policy, search = build_policy(spec, topology, partition, cfg)
     units = policy.units(partition, topology)
-    objective = _objective(policy, topology, partition, cfg)
-    search = optimize_epsilon(objective)
     print(f"policy {spec.label} on {cfg.topology}")
     budget_note = _budget_note(spec, units)
     if budget_note is not None:

@@ -121,8 +121,10 @@ def consensus_step(state: np.ndarray, w: np.ndarray) -> np.ndarray:
     Row i is w_ii * x_i plus the terms w_ij * x_j of the nonzero off-diagonal
     w_ij, summed from +0.0 in column order; zero weights are skipped, so an
     infinite x_j reaches only the rows that weigh it. The result is within
-    rounding of the BLAS product, not its bits. A doubly stochastic w
-    preserves the network-average model up to that rounding.
+    rounding of the BLAS product, not its bits. A symmetric w whose rows and
+    columns sum to one preserves the network-average model up to that
+    rounding; its entries need not be nonnegative (at the optimized epsilon
+    the diagonal 1 - epsilon * deg~_i is often negative).
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (state.shape[0], state.shape[0]):

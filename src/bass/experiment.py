@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -85,6 +86,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.policies:
             raise ValueError("give at least one policy")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policies must not repeat, got {self.policies}")
+        if self.budget_sweep is not None and not self.budget_sweep:
+            raise ValueError(f"budget_sweep must be one or more fractions, got {self.budget_sweep}")
+        if self.budget_sweep and len(set(self.budget_sweep)) != len(self.budget_sweep):
+            raise ValueError(f"budget_sweep must not repeat, got {self.budget_sweep}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more nonnegative integers, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
@@ -123,47 +130,30 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
 
+def _list_of(convert):
+    """Parser of a comma list, ``convert`` applied to each nonblank item."""
+    return lambda raw: tuple(convert(tok) for tok in raw.split(",") if tok.strip())
 
-_CONFIG_TYPES = {
-    "topology": str,
-    "policies": "strlist",
-    "budget": float,
-    "budget_frac": float,
-    "budget_sweep": "floatlist",
-    "rounds": int,
-    "seeds": "intlist",
-    "objective": str,
-    "lr": float,
-    "lr_decay": float,
-    "batch_size": int,
-    "dim": int,
-    "epsilon": "epsilon",
-    "min_subset_prob": float,
-    "out_dir": str,
-    "n_samples": int,
-    "n_classes": int,
-    "n_features": int,
-    "test_samples": int,
-    "center_spread": float,
-    "eps_mc_samples": int,
+
+# One text parser per ExperimentConfig field type; a field of any other type
+# fails here, at import.
+_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    float | None: float,
+    float | str: lambda raw: "auto" if raw.strip() == "auto" else float(raw),
+    tuple[str, ...]: _list_of(str.strip),
+    tuple[int, ...]: _list_of(int),
+    tuple[float, ...] | None: _list_of(float),
 }
-
-
-def _convert(key: str, raw: str):
-    kind = _CONFIG_TYPES[key]
-    if kind == "strlist":
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    if kind == "floatlist":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if kind == "intlist":
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    if kind == "epsilon":
-        return "auto" if raw.strip() == "auto" else float(raw)
-    return kind(raw)
+_CONFIG_PARSERS = {key: _PARSERS[hint] for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat ``key = value`` config format ('#' starts a comment)."""
+    """Parse the flat ``key = value`` config format ('#' starts a comment).
+    The keys are the ExperimentConfig fields; each value is parsed by its
+    field's type."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -175,10 +165,10 @@ def parse_config_text(text: str) -> dict:
         key = key.replace("-", "_")
         if key == "policy":
             key = "policies"
-        if key not in _CONFIG_TYPES:
+        if key not in _CONFIG_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _convert(key, raw)
+            values[key] = _CONFIG_PARSERS[key](raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return values
@@ -229,10 +219,19 @@ def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
     return list(unique.values())
 
 
-def _decomposition(cfg: ExperimentConfig, topology: Topology):
-    """The matching decomposition ``_policy_specs`` needs, built only when a
-    matcha curve is requested."""
-    return topology.matching_decomposition if "matcha" in cfg.policies else None
+def _setup(cfg: ExperimentConfig):
+    """The topology, its partition and the policy specs of a config: the one
+    set-up of ``run_experiment`` and the CLI. The matching decomposition is
+    built only when a matcha curve is requested."""
+    topology = make_topology(cfg.topology)
+    if cfg.objective == "logistic" and cfg.n_samples < 2 * topology.n:
+        raise ValueError(
+            f"n_samples must be at least {2 * topology.n} (two shards for each of "
+            f"{topology.n} nodes), got {cfg.n_samples}"
+        )
+    partition = greedy_partition(topology)
+    md = topology.matching_decomposition if "matcha" in cfg.policies else None
+    return topology, partition, _policy_specs(cfg, partition, md)
 
 
 def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentConfig):
@@ -256,16 +255,6 @@ def _unresolved_policy(spec: PolicySpec, topology, partition, cfg: ExperimentCon
     return SchedulingPolicy(probs, spec.budget_slots)
 
 
-def _objective(policy, topology, partition, cfg: ExperimentConfig) -> SpectralObjective:
-    """The moments E[L~] and E[L~^2] that the epsilon search reads: the
-    closed form over the policy's units, except for matcha, whose epsilon
-    still reads a fixed-seed Monte Carlo estimate."""
-    if isinstance(policy, MatchaPolicy):
-        rng = np.random.default_rng(_EPS_MC_SEED)
-        return SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
-    return closed_form_moments(topology, policy.units(partition, topology))
-
-
 def _budget_note(spec: PolicySpec, units: Units) -> str | None:
     """``budget B slots, achieved A slots`` when the policy's expected slots
     per round A miss the requested B, else None."""
@@ -287,7 +276,13 @@ def build_policy(
     contraction s(epsilon) is not below one.
     """
     policy = _unresolved_policy(spec, topology, partition, cfg)
-    objective = _objective(policy, topology, partition, cfg)
+    # The moments E[L~] and E[L~^2] that epsilon reads: the closed form over
+    # the policy's units, except matcha's fixed-seed Monte Carlo estimate.
+    if isinstance(policy, MatchaPolicy):
+        rng = np.random.default_rng(_EPS_MC_SEED)
+        objective = SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
+    else:
+        objective = closed_form_moments(topology, policy.units(partition, topology))
     if cfg.epsilon == "auto":
         search = optimize_epsilon(objective)
         return policy.with_epsilon(search.epsilon), search
@@ -368,14 +363,7 @@ def summarize(logs_by_seed: dict[int, MetricsLog]):
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (policy, seed) combination and write per-run plus summary CSVs."""
-    topology = make_topology(cfg.topology)
-    if cfg.objective == "logistic" and cfg.n_samples < 2 * topology.n:
-        raise ValueError(
-            f"n_samples must be at least {2 * topology.n} (two shards for each of "
-            f"{topology.n} nodes), got {cfg.n_samples}"
-        )
-    partition = greedy_partition(topology)
-    specs = _policy_specs(cfg, partition, _decomposition(cfg, topology))
+    topology, partition, specs = _setup(cfg)
     # Every policy is built before any output, so an infeasible budget fails
     # without leaving partial results behind.
     built = [build_policy(spec, topology, partition, cfg) for spec in specs]
@@ -425,17 +413,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def slots_to_reach(log: MetricsLog, target_loss: float):
-    """Cumulative slots at the first round whose train loss <= target, else None."""
-    for rec in log.records:
-        if rec.train_loss <= target_loss:
-            return rec.cum_slots
-    return None
-
-
 def _sweep_report(curves: dict, specs) -> list[str]:
     """Per-slot efficiency observation across budget fractions, one
-    comparison per policy kind, from the label -> ``summarize`` curve map that
+    comparison per policy kind but full, whose one curve spends every slot
+    whatever the fraction, from the label -> ``summarize`` curve map that
     ``summary.csv`` was written from.
 
     Efficiency is measured as the median final train loss at the largest
@@ -444,7 +425,7 @@ def _sweep_report(curves: dict, specs) -> list[str]:
     """
     by_kind = {}
     for spec in specs:
-        if spec.frac is not None and "@" in spec.label:
+        if spec.kind != "full":
             rows = by_kind.setdefault(spec.kind, {})
             if curves[spec.label]:
                 rows[spec.frac] = curves[spec.label]

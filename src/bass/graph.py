@@ -300,10 +300,3 @@ def load_topology(path) -> Topology:
     if not values:
         raise ValueError(f"no content in topology file {path}")
     return Topology(values[0][0], np.array(values[1:], dtype=np.intp).reshape(-1, 2))
-
-
-def save_topology(t: Topology, path) -> None:
-    """Write the plain-text format understood by :func:`load_topology`."""
-    lines = [str(t.n)]
-    lines.extend(f"{i} {j}" for i, j in t.edge_array.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")

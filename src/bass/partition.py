@@ -69,29 +69,6 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
     return CollisionFreePartition(color)
 
 
-def validate_partition(t: Topology, partition) -> bool:
-    """True iff the subsets disjointly cover all nodes and no conflict edge
-    (two nodes adjacent or sharing a common neighbor) lies inside a subset.
-
-    Accepts a :class:`CollisionFreePartition` or a raw list of node sets, so
-    deliberately broken inputs (missing nodes, overlapping subsets, colliding
-    pairs) can be probed.
-    """
-    if isinstance(partition, CollisionFreePartition):
-        owner = partition.owner_array
-        if owner.size != t.n:
-            return False
-    else:
-        subsets = [list(s) for s in partition]
-        nodes = np.array([v for s in subsets for v in s], dtype=np.intp)
-        if not np.array_equal(np.sort(nodes), np.arange(t.n)):
-            return False
-        owner = np.empty(t.n, dtype=np.intp)
-        owner[nodes] = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
-    indptr, nbr = _conflicts(t)
-    return not np.any(np.repeat(owner, np.diff(indptr)) == owner[nbr])
-
-
 def dump_partition(partition: CollisionFreePartition) -> str:
     """One line per subset, space-separated node indices."""
     return "\n".join(" ".join(map(str, s)) for s in partition.subsets) + "\n"

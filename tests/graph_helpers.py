@@ -1,10 +1,17 @@
-"""Dense and tuple views of a ``Topology`` that only the tests read.
+"""Helpers that only the tests read: dense and tuple views of a ``Topology``,
+a topology file writer, a collision-free partition checker and a
+slots-to-target reader of a training log.
 
 The library keeps a graph as its ``edge_array``; these views rebuild the
 forms a hand-written oracle compares against.
 """
 
+from pathlib import Path
+
 import numpy as np
+
+from bass.graph import _conflicts
+from bass.partition import CollisionFreePartition
 
 
 def edge_pairs(t) -> tuple:
@@ -23,3 +30,41 @@ def adjacency(t) -> np.ndarray:
 def degrees(t) -> np.ndarray:
     """Node degrees as floats."""
     return np.bincount(t.edge_array.ravel(), minlength=t.n).astype(float)
+
+
+def save_topology(t, path) -> None:
+    """Write the plain-text format understood by ``bass.load_topology``."""
+    lines = [str(t.n)]
+    lines.extend(f"{i} {j}" for i, j in t.edge_array.tolist())
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def validate_partition(t, partition) -> bool:
+    """True iff the subsets disjointly cover all nodes and no conflict edge
+    (two nodes adjacent or sharing a common neighbor) lies inside a subset.
+
+    Accepts a :class:`CollisionFreePartition` or a raw list of node sets, so
+    deliberately broken inputs (missing nodes, overlapping subsets, colliding
+    pairs) can be probed.
+    """
+    if isinstance(partition, CollisionFreePartition):
+        owner = partition.owner_array
+        if owner.size != t.n:
+            return False
+    else:
+        subsets = [list(s) for s in partition]
+        nodes = np.array([v for s in subsets for v in s], dtype=np.intp)
+        if not np.array_equal(np.sort(nodes), np.arange(t.n)):
+            return False
+        owner = np.empty(t.n, dtype=np.intp)
+        owner[nodes] = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    indptr, nbr = _conflicts(t)
+    return not np.any(np.repeat(owner, np.diff(indptr)) == owner[nbr])
+
+
+def slots_to_reach(log, target_loss: float):
+    """Cumulative slots at the first round whose train loss <= target, else None."""
+    for rec in log.records:
+        if rec.train_loss <= target_loss:
+            return rec.cum_slots
+    return None

@@ -34,14 +34,12 @@ from bass import (
     run_training,
     sample_round,
     shard_data,
-    slots_to_reach,
     solve_probabilities,
     subset_betweenness,
-    validate_partition,
 )
 from bass.graph import _conflicts
 
-from .graph_helpers import adjacency
+from .graph_helpers import adjacency, slots_to_reach, validate_partition
 
 FIXTURE_SEED = 20260808
 

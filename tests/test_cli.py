@@ -1,7 +1,44 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bass.cli import main
+from bass import ExperimentConfig, build_policy, greedy_partition, load_config, make_topology
+from bass.cli import _build_parser, _config, main
+from bass.experiment import POLICY_KINDS, _policy_specs
+
+# Every ExperimentConfig key set to a value other than its default, written
+# the same way in a config file and on the command line. budget, budget_frac
+# and budget_sweep exclude one another, so a config takes one of them.
+EVERY_KEY = {
+    "topology": "ring(6)",
+    "policies": "uniform, full",
+    "budget": "2.5",
+    "budget_frac": "0.4",
+    "budget_sweep": "0.3, 0.6",
+    "rounds": "7",
+    "seeds": "3, 1",
+    "objective": "logistic",
+    "lr": "0.2",
+    "lr_decay": "0.05",
+    "batch_size": "4",
+    "dim": "3",
+    "epsilon": "0.25",
+    "min_subset_prob": "0.05",
+    "out_dir": "elsewhere",
+    "n_samples": "120",
+    "n_classes": "4",
+    "n_features": "5",
+    "test_samples": "50",
+    "center_spread": "2.0",
+    "eps_mc_samples": "500",
+}
+BUDGET_KEYS = ("budget", "budget_frac", "budget_sweep")
+
+
+def run_flags(values):
+    flag = lambda key: "--policy" if key == "policies" else "--" + key.replace("_", "-")
+    return [token for key, raw in values.items() for token in (flag(key), raw)]
 
 
 class TestPartitionDump:
@@ -126,6 +163,23 @@ class TestOptimizeEps:
     def test_epsilon_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["optimize-eps", "--topology", "path(3)", "--epsilon", "0.3"])
+
+    @pytest.mark.parametrize("topology", ["two-stars(6,6)", "er(30,0.2,1)"])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_prints_the_search_of_build_policy(self, capsys, topology, kind):
+        assert main(["optimize-eps", "--topology", topology, "--policy", kind,
+                     "--budget-frac", "0.5", "--min-subset-prob", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = ExperimentConfig(topology=topology, policies=(kind,), budget_frac=0.5,
+                               min_subset_prob=0.1)
+        t = make_topology(topology)
+        partition = greedy_partition(t)
+        (spec,) = _policy_specs(cfg, partition, t.matching_decomposition)
+        _, search = build_policy(spec, t, partition, cfg)
+        assert f"eps_star = {search.epsilon:.8g}" in lines
+        for printed in (f"s_star   = {search.value:.8g}  (", f"s_lower  = {search.lower:.8g}  (",
+                        f"evaluations = {search.evaluations}  ("):
+            assert sum(line.startswith(printed) for line in lines) == 1, printed
 
     def test_several_policies_rejected(self, capsys):
         code = main(["optimize-eps", "--topology", "path(3)", "--policy", "bass,full"])
@@ -270,6 +324,25 @@ class TestRun:
             expected = f"budget-sweep {kind}: median train loss at horizon {horizon} slots: {losses}"
             assert expected in lines
             assert sum(line.startswith(f"budget-sweep {kind}: best fraction") for line in lines) == 1
+
+    def test_empty_budget_sweep_fails_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        code = main(["run", "--budget-sweep", "", "--rounds", "3", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "error: budget_sweep must be one or more fractions" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_file_and_flags_parse_every_key_alike(self, tmp_path):
+        assert set(EVERY_KEY) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        default = ExperimentConfig()
+        for budget_key in BUDGET_KEYS:
+            values = {key: raw for key, raw in EVERY_KEY.items()
+                      if key not in BUDGET_KEYS or key == budget_key}
+            path = tmp_path / f"{budget_key}.cfg"
+            path.write_text("".join(f"{key} = {raw}\n" for key, raw in values.items()))
+            from_file = load_config(path)
+            assert from_file == _config(_build_parser().parse_args(["run", *run_flags(values)]))
+            assert [key for key in values if getattr(from_file, key) == getattr(default, key)] == []
 
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -18,10 +18,11 @@ from bass import (
     parse_config_text,
     ring_topology,
     run_experiment,
-    slots_to_reach,
     summarize,
 )
 from bass.cli import main
+
+from .graph_helpers import slots_to_reach
 
 
 def quick_config(tmp_path, **overrides):
@@ -90,7 +91,8 @@ class TestConfig:
         ("center_spread", -1.0), ("center_spread", float("nan")),
         ("center_spread", float("inf")), ("epsilon", float("nan")), ("epsilon", -0.5),
         ("epsilon", float("inf")), ("epsilon", "fast"), ("seeds", (0, -1)),
-        ("lr", float("inf")), ("lr_decay", float("inf")),
+        ("lr", float("inf")), ("lr_decay", float("inf")), ("budget_sweep", ()),
+        ("budget_sweep", (0.4, 0.8, 0.4)), ("policies", ("bass", "full", "bass")),
     ])
     def test_out_of_range_training_key_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
@@ -266,6 +268,17 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert set(result.run_files) == {"bass@0.4", "bass@0.8"}
         assert any("budget-sweep" in line for line in result.report)
+
+    def test_budget_sweep_runs_full_once_and_compares_only_the_fractions(self, tmp_path):
+        cfg = quick_config(
+            tmp_path, policies=("bass", "full"), budget_frac=None, budget_sweep=(0.4, 0.8),
+            seeds=(0,), rounds=4,
+        )
+        result = run_experiment(cfg)
+        assert list(result.run_files) == ["bass@0.4", "bass@0.8", "full"]
+        sweep = [line for line in result.report if line.startswith("budget-sweep")]
+        assert len(sweep) == 2
+        assert all(line.startswith("budget-sweep bass: ") for line in sweep)
 
     def test_budget_sweep_computes_centrality_once(self, tmp_path, monkeypatch):
         calls = []

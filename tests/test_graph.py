@@ -12,12 +12,11 @@ from bass import (
     betweenness_centrality,
     load_topology,
     make_topology,
-    save_topology,
 )
 from bass.graph import _conflicts, _incident_pairs, _pair_gram
 from bass.topologies import ring_topology, star_topology
 
-from .graph_helpers import degrees, edge_pairs
+from .graph_helpers import degrees, edge_pairs, save_topology
 
 
 def p3():

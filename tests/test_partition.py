@@ -9,11 +9,10 @@ from bass import (
     dump_partition,
     greedy_partition,
     make_topology,
-    validate_partition,
 )
 from bass.graph import _conflicts
 
-from .graph_helpers import adjacency
+from .graph_helpers import adjacency, validate_partition
 from .test_graph import neighbors, p3, random_connected
 
 

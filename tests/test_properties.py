@@ -41,10 +41,9 @@ from bass import (
     shard_data,
     solve_probabilities,
     subset_betweenness,
-    validate_partition,
 )
 
-from .graph_helpers import adjacency, degrees
+from .graph_helpers import adjacency, degrees, validate_partition
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 

@@ -8,13 +8,12 @@ from bass import (
     make_topology,
     path_topology,
     ring_topology,
-    save_topology,
     star_topology,
     two_stars_topology,
 )
 from bass.graph import _connected
 
-from .graph_helpers import degrees, edge_pairs
+from .graph_helpers import degrees, edge_pairs, save_topology
 from .test_graph import neighbors
 
 
