@@ -3,7 +3,9 @@
 The matching baseline decomposes the edge set into matchings by greedy edge
 coloring and activates each matching independently per round. A matching
 needs two transmission slots for a bidirectional exchange, which is exactly
-where broadcast scheduling gains its per-slot advantage.
+where broadcast scheduling gains its per-slot advantage. Its moments, like
+every policy's, come from ``moments`` over its units;
+``matcha_spectral_moments`` returns the Monte Carlo estimate as a pair.
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology, _incident_pairs, _pair_gram
+from .graph import Topology
+from .moments import monte_carlo_moments
 from .partition import CollisionFreePartition
 from .scheduling import BUDGET_TOL, RoundActivation, RoundSampler, SchedulingPolicy, Units, _unit_probs
-
-# Rounds of uniforms drawn at once by the matching Monte Carlo; small blocks
-# keep its transient arrays well under a megabyte.
-_MATCHA_BLOCK = 1024
 
 
 class MatchingDecomposition:
@@ -140,40 +139,10 @@ def matcha_policy(md: MatchingDecomposition, budget_slots: float, topology: Topo
     )
 
 
-def matcha_spectral_moments(
-    policy: MatchaPolicy, samples: int, rng: np.random.Generator
-):
-    """(E[L~], E[L~^T L~]) for the matching policy, by Monte Carlo.
-
-    Draws the same r uniforms per round, in matching order, as
-    ``MatchaPolicy.sample_round``, in blocks of at most ``_MATCHA_BLOCK``
-    rounds. Edge e survives iff its matching m(e) is active, so the sums
-    over rounds need only the co-activation counts C_kl = sum_s z_sk z_sl;
-    the activation counts c_k are their diagonal, since z^2 = z for a 0/1
-    activation. Then sum_s L~ = L(c_m(e)), and sum_s L~^2 is the
-    incident-pair sum of ``moments`` with weights C_m(e)m(f).
-
-    Each block fills one reused float buffer with the uniforms, thresholds
-    it in place to 0.0/1.0 and adds its float product z^T z into an int64
-    accumulator. The product's entries are integers of at most the block
-    size, so BLAS computes them exactly in any summation order; the int64
-    sums stay exact for any ``samples``.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    p = policy.match_probs
-    co_counts = np.zeros((p.size, p.size), dtype=np.int64)
-    block = np.empty((min(_MATCHA_BLOCK, samples), p.size))
-    for done in range(0, samples, _MATCHA_BLOCK):
-        on = block[: samples - done]
-        rng.random(out=on)
-        np.less(on, p, out=on)
-        co_counts += (on.T @ on).astype(np.int64)
-    counts = co_counts.diagonal()
-    t, m = policy.topology, policy.edge_matching
-    k, a, b, e, f = _incident_pairs(t)
-    s_gram = _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]])
-    return t.laplacian(counts[m]) / samples, s_gram / samples
+def matcha_spectral_moments(policy: MatchaPolicy, samples: int, rng: np.random.Generator):
+    """``monte_carlo_moments`` of the matching policy's units, as a pair."""
+    ms = monte_carlo_moments(policy.topology, policy.units(), samples, rng)
+    return ms.e_laplacian, ms.e_gram
 
 
 def full_comm_policy(partition: CollisionFreePartition, epsilon: float | None = None) -> SchedulingPolicy:

@@ -8,6 +8,7 @@ f * 2r expected slots. Absolute slot budgets are supported too.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,16 +16,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .baselines import (
-    MatchaPolicy,
-    full_comm_policy,
-    matcha_policy,
-    matcha_spectral_moments,
-)
+from .baselines import MatchaPolicy, full_comm_policy, matcha_policy
 from .dsgd import MetricsLog, TrainConfig, run_training
 from .graph import Topology
-from .mixing import SpectralObjective, contracts, optimize_epsilon
-from .moments import closed_form_moments
+from .mixing import contracts, optimize_epsilon
+from .moments import closed_form_moments, monte_carlo_moments
 from .objectives import LogisticObjective, QuadraticObjective, make_blobs, shard_data
 from .partition import CollisionFreePartition, greedy_partition
 from .scheduling import (
@@ -84,6 +80,13 @@ class ExperimentConfig:
     eps_mc_samples: int = 100_000
 
     def __post_init__(self):
+        for key in ("policies", "seeds", "budget_sweep"):
+            value = getattr(self, key)
+            if not (isinstance(value, (tuple, list)) or (key == "budget_sweep" and value is None)):
+                raise ValueError(f"{key} must be a tuple or list, got {value!r}")
+        for key, value in [(k, getattr(self, k)) for k in _INT_KEYS] + [("seeds", s) for s in self.seeds]:
+            if not _is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if not self.policies:
             raise ValueError("give at least one policy")
         if len(set(self.policies)) != len(self.policies):
@@ -128,6 +131,19 @@ class ExperimentConfig:
         for key, least in _LOWER_BOUNDS.items():
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+
+
+# The int keys; seeds, a tuple of ints, is checked item by item.
+_INT_KEYS = [key for key, hint in get_type_hints(ExperimentConfig).items() if hint is int]
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an index (an int or numpy integer), not a bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def _list_of(convert):
@@ -278,11 +294,12 @@ def build_policy(
     policy = _unresolved_policy(spec, topology, partition, cfg)
     # The moments E[L~] and E[L~^2] that epsilon reads: the closed form over
     # the policy's units, except matcha's fixed-seed Monte Carlo estimate.
+    units = policy.units(partition, topology)
     if isinstance(policy, MatchaPolicy):
         rng = np.random.default_rng(_EPS_MC_SEED)
-        objective = SpectralObjective(*matcha_spectral_moments(policy, cfg.eps_mc_samples, rng))
+        objective = monte_carlo_moments(topology, units, cfg.eps_mc_samples, rng)
     else:
-        objective = closed_form_moments(topology, policy.units(partition, topology))
+        objective = closed_form_moments(topology, units)
     if cfg.epsilon == "auto":
         search = optimize_epsilon(objective)
         return policy.with_epsilon(search.epsilon), search

@@ -17,7 +17,9 @@ n x n array. The routes differ only in their weights:
   of p over the distinct units of e, and E[x_e x_f] as the product over the
   distinct units of e and f.
 - ``monte_carlo_moments`` counts the sampled rounds in which each edge and
-  each incident pair survives.
+  each incident pair survives. It is the one estimator, behind the test
+  oracle, ``moments-check`` and matcha's epsilon in
+  ``experiment.build_policy``.
 - ``enumerated_moments``, an exact test oracle independent of both, sums
   w L~ and w L~^2 over the 2^units activation patterns.
 
@@ -34,9 +36,9 @@ from .mixing import SpectralObjective
 from .partition import CollisionFreePartition
 from .scheduling import SchedulingPolicy, Units, _unit_probs
 
-# Monte Carlo rounds per vectorized block are capped so that one block x
-# max(units, incident pairs) array stays under this many elements.
-_MC_BLOCK_ELEMENTS = 1 << 20
+# Monte Carlo rounds per block are capped so that one block x max(units,
+# edge classes) array stays under this many elements.
+_MC_BLOCK_ELEMENTS = 1 << 14
 
 
 def closed_form_moments(topology: Topology, units: Units) -> SpectralObjective:
@@ -89,24 +91,33 @@ def monte_carlo_moments(
 
     Draws what ``scheduling.RoundSampler`` draws, one uniform per unit per
     round in unit order (blocks of rounds fill row-major, so the stream is
-    the same value for value), and counts the rounds in which each edge and
-    each incident pair survives. The counts are exact integers, scattered
-    once at the end.
+    the same value for value). The edges of a class, the unordered pair of
+    units they need, survive together, so the counts are C_cd, the rounds
+    in which classes c and d both survive: C_cc for an edge of class c, and
+    C of their classes for an incident pair. Each block adds the float
+    product x^T x of its 0/1 class columns to int64 C; its entries are
+    integers of at most the block's rounds, hence exact in any BLAS order.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     p, (u0, u1) = units.probs, units.edge_units
+    keys, cls = np.unique(np.minimum(u0, u1) * p.size + np.maximum(u0, u1), return_inverse=True)
+    first, second = np.divmod(keys, p.size)
+    # When the classes are the units in order, each needed twice (as a
+    # matching is), a class's column is its unit's: x is the block itself.
+    x_is_on = np.array_equal(keys, np.arange(p.size) * (p.size + 1))
+    rows = max(1, _MC_BLOCK_ELEMENTS // max(1, p.size, keys.size))
+    block = np.empty((min(rows, samples), p.size))
+    co = np.zeros((keys.size, keys.size), dtype=np.int64)
+    for done in range(0, samples, rows):
+        on = block[: samples - done]
+        rng.random(out=on)
+        np.less(on, p, out=on)
+        x = on if x_is_on else on[:, first] * on[:, second]
+        co += (x.T @ x).astype(np.int64)
     k, a, b, e, f = _incident_pairs(topology)
-    block = max(1, _MC_BLOCK_ELEMENTS // max(p.size, k.size))
-    edge_counts = np.zeros(u0.size, dtype=np.int64)
-    pair_counts = np.zeros(k.size, dtype=np.int64)
-    for done in range(0, samples, block):
-        on = rng.random((min(block, samples - done), p.size)) < p
-        kept = on[:, u0] & on[:, u1]  # (block, m): edge survives the round
-        edge_counts += kept.sum(axis=0)
-        pair_counts += (kept[:, e] & kept[:, f]).sum(axis=0)
-    e_gram = _pair_gram(topology.n, k, a, b, pair_counts) / samples
-    return SpectralObjective(topology.laplacian(edge_counts) / samples, e_gram)
+    e_gram = _pair_gram(topology.n, k, a, b, co[cls[e], cls[f]]) / samples
+    return SpectralObjective(topology.laplacian(co.diagonal()[cls]) / samples, e_gram)
 
 
 def enumerated_moments(topology: Topology, units: Units) -> SpectralObjective:

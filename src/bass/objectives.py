@@ -11,6 +11,23 @@ import numpy as np
 _EVAL_CHUNK = 2**14
 
 
+def _class_major_exp(expv: np.ndarray) -> np.ndarray:
+    """Softmax numerators, in place of the class-major logits ``expv``
+    (classes, ..., rows), less each row's exact class maximum; returns the
+    denominators (..., rows), a running sum over the classes. That is
+    numpy's .sum(axis=-1) order below 8 classes; from 8 up numpy sums
+    pairwise, so the two can differ in the last bits."""
+    top = expv[0].copy()
+    for c in range(1, len(expv)):
+        np.maximum(top, expv[c], out=top)
+    expv -= top
+    np.exp(expv, out=expv)
+    total = expv[0].copy()
+    for c in range(1, len(expv)):
+        total += expv[c]
+    return total
+
+
 class LocalObjective(ABC):
     """Per-node loss family, evaluated for every node in one call.
 
@@ -206,28 +223,17 @@ class LogisticObjective(LocalObjective):
         """The class probabilities of rows (..., b, n_features + 1) under
         models x (..., dim), one model per leading index.
 
-        The logits are copied class-major, so the row maximum and the
-        denominator are taken one class at a time over contiguous rows
-        rather than as one tiny reduction per row; the probabilities are a
-        row-major view of that array. The maximum is exact. The denominator
-        is a running sum over the classes, which is numpy's own
-        .sum(axis=-1) order below 8 classes; from 8 up numpy sums pairwise,
-        so the two can differ in the last bits.
+        The logits are copied class-major, so ``_class_major_exp`` takes the
+        row maximum and the denominator one class at a time over contiguous
+        rows rather than as one tiny reduction per row; the probabilities
+        are a row-major view of that array.
         """
         weights = x.reshape(*x.shape[:-1], self.n_features + 1, self.n_classes)
         logits = rows @ weights
         # (classes, rows), copied from .T of the flat rows: np.moveaxis
         # costs microseconds a call here
         expv = logits.reshape(-1, self.n_classes).T.copy()
-        top = expv[0].copy()
-        for c in range(1, self.n_classes):
-            np.maximum(top, expv[c], out=top)
-        expv -= top
-        np.exp(expv, out=expv)
-        total = expv[0].copy()
-        for c in range(1, self.n_classes):
-            total += expv[c]
-        expv /= total
+        expv /= _class_major_exp(expv)
         return expv.T.reshape(logits.shape)
 
     def gradients(self, state, batch_size, rng):
@@ -277,22 +283,14 @@ class LogisticObjective(LocalObjective):
         expv / total[:, None].
 
         Each model keeps its own gemm of ``_softmax``'s shape (one fused gemm
-        need not give the same bits); the class maxima, exponentials and
-        running class sums are ``_softmax``'s, elementwise along the rows.
-        Class-major, each class step runs over contiguous rows; the same
-        block taken row-major is slower than one softmax per round.
+        need not give the same bits), and ``_class_major_exp`` is the one
+        gradients use. Class-major, each class step runs over contiguous
+        rows; the same block taken row-major is slower than one softmax per
+        round.
         """
         weights = means.reshape(len(means), self.n_features + 1, self.n_classes)
         expv = np.ascontiguousarray((self._eval_rows @ weights).transpose(0, 2, 1))
-        top = expv[:, 0].copy()
-        for c in range(1, self.n_classes):
-            np.maximum(top, expv[:, c], out=top)
-        expv -= top[:, None]
-        np.exp(expv, out=expv)
-        total = expv[:, 0].copy()
-        for c in range(1, self.n_classes):
-            total += expv[:, c]
-        return expv, total
+        return expv, _class_major_exp(expv.transpose(1, 0, 2))
 
     def _node_losses(self, expv, total):
         """Each shard's mean cross-entropy under each model, (T, n); only

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from bass import moments
 from bass import (
     MatchaPolicy,
     SpectralObjective,
@@ -17,7 +20,6 @@ from bass import (
     sample_round,
     two_stars_topology,
 )
-from bass.baselines import _MATCHA_BLOCK
 from bass.graph import _incident_pairs, _pair_gram
 
 from .graph_helpers import adjacency, degrees, edge_pairs
@@ -248,10 +250,12 @@ class TestMatchaPolicy:
     def test_spectral_moments_equal_a_loop_over_rounds(self, t):
         # Sample counts on both sides of each block edge: the moments and the
         # generator's end state are the per-round loop's after that many rounds.
+        # The r matchings are r edge classes, so a block holds `block` rounds.
         md = matching_decomposition(t)
-        assert md.r >= 3
+        assert md.r >= 3 and np.unique(md.edge_matching).size == md.r
         policy = matcha_policy(md, 0.8 * md.r, t).with_epsilon(0.1)
-        checks = (1, _MATCHA_BLOCK - 1, _MATCHA_BLOCK, _MATCHA_BLOCK + 1, 3 * _MATCHA_BLOCK + 75)
+        block = 1024
+        checks = (1, block - 1, block, block + 1, 3 * block + 75)
         rng = np.random.default_rng(13)
         s_lap = np.zeros((t.n, t.n))
         s_gram = np.zeros((t.n, t.n))
@@ -264,7 +268,8 @@ class TestMatchaPolicy:
             s_gram += lap @ lap
             if done in checks:
                 mc_rng = np.random.default_rng(13)
-                e_lap, e_gram = matcha_spectral_moments(policy, done, mc_rng)
+                with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", block * md.r):
+                    e_lap, e_gram = matcha_spectral_moments(policy, done, mc_rng)
                 assert np.array_equal(e_lap, s_lap / done), done
                 assert np.array_equal(e_gram, s_gram / done), done
                 assert mc_rng.bit_generator.state == rng.bit_generator.state, done
@@ -276,15 +281,16 @@ class TestMatchaPolicy:
         # matching is active every round, so each block adds its full size.
         t = make_topology("er(30,0.2,1)")
         md = matching_decomposition(t)
-        assert md.r >= 12
+        assert md.r >= 12 and np.unique(md.edge_matching).size == md.r
         policy = matcha_policy(md, budget_frac * 2 * md.r, t)
-        samples = 5 * _MATCHA_BLOCK + 300
+        block = 1024
+        samples = 5 * block + 300
         rng = np.random.default_rng(5)
         p = policy.match_probs
         counts = np.zeros(p.size, dtype=np.int64)
         co_counts = np.zeros((p.size, p.size), dtype=np.int64)
-        for done in range(0, samples, _MATCHA_BLOCK):
-            active = (rng.random((min(_MATCHA_BLOCK, samples - done), p.size)) < p).astype(np.int64)
+        for done in range(0, samples, block):
+            active = (rng.random((min(block, samples - done), p.size)) < p).astype(np.int64)
             counts += active.sum(axis=0)
             co_counts += active.T @ active
         m = policy.edge_matching
@@ -292,7 +298,9 @@ class TestMatchaPolicy:
         expected = (t.laplacian(counts[m]) / samples,
                     _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]]) / samples)
         mc_rng = np.random.default_rng(5)
-        for got, want in zip(matcha_spectral_moments(policy, samples, mc_rng), expected):
+        with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", block * md.r):
+            estimate = matcha_spectral_moments(policy, samples, mc_rng)
+        for got, want in zip(estimate, expected):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         assert mc_rng.bit_generator.state == rng.bit_generator.state

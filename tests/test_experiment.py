@@ -93,6 +93,9 @@ class TestConfig:
         ("epsilon", float("inf")), ("epsilon", "fast"), ("seeds", (0, -1)),
         ("lr", float("inf")), ("lr_decay", float("inf")), ("budget_sweep", ()),
         ("budget_sweep", (0.4, 0.8, 0.4)), ("policies", ("bass", "full", "bass")),
+        ("rounds", 2.5), ("seeds", (0.5,)), ("seeds", (0, True)), ("batch_size", 2.5),
+        ("dim", True), ("eps_mc_samples", "100"), ("policies", "bass"), ("seeds", "01"),
+        ("budget_sweep", "0.4"),
     ])
     def test_out_of_range_training_key_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
@@ -103,6 +106,10 @@ class TestConfig:
             lr=1e-9, lr_decay=0.0, batch_size=1, dim=1, n_classes=2, n_features=1,
             eps_mc_samples=1, test_samples=0,
         )
+
+    def test_numpy_integers_and_lists_accepted(self):
+        ExperimentConfig(rounds=np.int64(3), dim=np.int32(2), seeds=[np.int64(0), 1],
+                         policies=["bass", "full"], budget_sweep=[0.5, 1.0])
 
     def test_parse_config_text(self):
         text = """

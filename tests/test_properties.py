@@ -21,6 +21,7 @@ from bass import (
     RoundRecord,
     SchedulingPolicy,
     TrainConfig,
+    Units,
     betweenness_centrality,
     closed_form_moments,
     consensus_error,
@@ -42,6 +43,7 @@ from bass import (
     solve_probabilities,
     subset_betweenness,
 )
+from bass.scheduling import RoundSampler
 
 from .graph_helpers import adjacency, degrees, validate_partition
 
@@ -127,6 +129,17 @@ def test_monte_carlo_oracle_on_matchings_is_matcha_spectral_moments(case, sample
     assert oracle_rng.bit_generator.state == rng.bit_generator.state
 
 
+def summed_rounds(t, sample, samples, rng):
+    """The sums of L~ and L~^2 over ``samples`` rounds of the sampler
+    ``sample``."""
+    s_lap, s_gram = np.zeros((t.n, t.n)), np.zeros((t.n, t.n))
+    for _ in range(samples):
+        lap = t.laplacian(sample(rng).active_edges)
+        s_lap += lap
+        s_gram += lap @ lap
+    return s_lap, s_gram
+
+
 @PROPERTY
 @given(unit_policies(), st.integers(1, 300), st.integers(0, 2**16))
 def test_monte_carlo_oracle_counts_the_round_samplers_rounds(case, samples, seed):
@@ -137,15 +150,52 @@ def test_monte_carlo_oracle_counts_the_round_samplers_rounds(case, samples, seed
     t, part, policy = case
     rng = np.random.default_rng(seed)
     sample = policy.with_epsilon(0.0).round_sampler(part, t)
-    s_lap, s_gram = np.zeros((t.n, t.n)), np.zeros((t.n, t.n))
-    for _ in range(samples):
-        lap = t.laplacian(sample(rng).active_edges)
-        s_lap += lap
-        s_gram += lap @ lap
+    s_lap, s_gram = summed_rounds(t, sample, samples, rng)
     oracle_rng = np.random.default_rng(seed)
     with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", 1000):
         oracle = monte_carlo_moments(t, policy.units(part, t), samples, oracle_rng)
     # Sums of integer matrices, hence exact.
+    assert np.array_equal(oracle.e_laplacian, s_lap / samples)
+    assert np.array_equal(oracle.e_gram, s_gram / samples)
+    assert oracle_rng.bit_generator.state == rng.bit_generator.state
+
+
+@st.composite
+def shared_class_units(draw):
+    """(topology, units) on a random connected graph with 4 <= n <= 9, each
+    edge needing two of 2..5 units drawn at random, so that edges share
+    classes (unordered unit pairs). Edge 0 needs one unit twice, edge 1 two
+    distinct units, and edge 2 edge 1's units in the other order."""
+    t = draw(st.builds(er_topology, n=st.integers(4, 9), p=st.floats(0.5, 1.0),
+                       seed=st.integers(0, 2**16)))
+    count, m = draw(st.integers(2, 5)), len(t.edge_array)
+    u0, u1 = (draw(st.lists(st.integers(0, count - 1), min_size=m, max_size=m)) for _ in range(2))
+    u1[0] = u0[0]
+    if u1[1] == u0[1]:
+        u1[1] = (u0[1] + 1) % count
+    u0[2], u1[2] = u1[1], u0[1]
+    probs = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                   min_size=count, max_size=count)))
+    return t, Units(probs, np.array([u0, u1], dtype=np.intp), 1)
+
+
+@PROPERTY
+@given(shared_class_units(), st.sampled_from([None, -1, 0, 1]), st.integers(0, 2**16))
+def test_monte_carlo_oracle_counts_shared_edge_classes(case, offset, seed):
+    """Edges of one class survive together: over a map mixing u0 = u1 with
+    u0 != u1, at 1 sample and at a block's rounds - 1, + 0 and + 1, the
+    oracle's moments are the round sampler's sums and the generator ends in
+    the same state."""
+    t, units = case
+    classes = {tuple(sorted(pair)) for pair in units.edge_units.T.tolist()}
+    block = 1000 // max(units.probs.size, len(classes))
+    samples = 1 if offset is None else block + offset
+    rng = np.random.default_rng(seed)
+    sample = RoundSampler(t, units, 0.0)
+    s_lap, s_gram = summed_rounds(t, sample, samples, rng)
+    oracle_rng = np.random.default_rng(seed)
+    with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", 1000):
+        oracle = monte_carlo_moments(t, units, samples, oracle_rng)
     assert np.array_equal(oracle.e_laplacian, s_lap / samples)
     assert np.array_equal(oracle.e_gram, s_gram / samples)
     assert oracle_rng.bit_generator.state == rng.bit_generator.state
