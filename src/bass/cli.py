@@ -40,7 +40,7 @@ _HELP = {
 
 def _config_type(key):
     def convert(raw):
-        return _CONFIG_PARSERS[key](raw)
+        return _CONFIG_PARSERS[key][0](raw)
 
     convert.__name__ = key  # names the key in argparse's "invalid value" error
     return convert

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
-from .graph import Topology, _edge_product, _row_slots
+from .graph import Topology, _edge_product, _is_int, _row_slots
 from .objectives import LocalObjective
 from .partition import CollisionFreePartition
 
@@ -41,9 +43,28 @@ CSV_HEADER = "round,cum_slots,active_subsets,train_loss,test_metric,consensus_er
 _METRIC_BLOCK_FLOATS = 2**14
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's included), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Per numeric field type: its text parser, what a value must be and its check.
+_NUMBER_TYPES = {int: (int, "an integer", _is_int), float: (float, "a real number", _is_real)}
+
+
+def _check_types(config, types: dict) -> None:
+    """Raise ``<key> must be <what>`` at the first field failing its ``types`` check."""
+    for key, (_, what, check) in types.items():
+        value = getattr(config, key)
+        if not check(value):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
-    """Run parameters; the step size decays as lr / (1 + lr_decay * t)."""
+    """Run parameters; the step size decays as lr / (1 + lr_decay * t). The
+    one check of the training keys: each field's type from its annotation
+    (numpy scalars pass, bools do not), then its range."""
 
     rounds: int
     lr: float
@@ -52,17 +73,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self, _TRAIN_TYPES)
         if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative")
+            raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.lr_decay < math.inf:
             raise ValueError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
     def lr_at(self, t: int) -> float:
         return self.lr / (1.0 + self.lr_decay * t)
+
+
+_TRAIN_TYPES = {key: _NUMBER_TYPES[hint] for key, hint in get_type_hints(TrainConfig).items()}
 
 
 @dataclass(frozen=True)

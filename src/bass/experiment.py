@@ -8,7 +8,7 @@ f * 2r expected slots. Absolute slot budgets are supported too.
 
 from __future__ import annotations
 
-import operator
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .baselines import MatchaPolicy, full_comm_policy, matcha_policy
-from .dsgd import MetricsLog, TrainConfig, run_training
+from .dsgd import _NUMBER_TYPES, MetricsLog, TrainConfig, _check_types, _is_real, run_training
 from .graph import Topology
 from .mixing import contracts, optimize_epsilon
 from .moments import closed_form_moments, monte_carlo_moments
@@ -41,21 +41,15 @@ _EPS_MC_SEED = 0xBA55
 
 POLICY_KINDS = ("bass", "uniform", "full", "matcha")
 
-# Least allowed value of each integer training/data key; test_samples = 0
-# means no held-out set.
-_LOWER_BOUNDS = {
-    "batch_size": 1,
-    "dim": 1,
-    "n_classes": 2,
-    "n_features": 1,
-    "eps_mc_samples": 1,
-    "test_samples": 0,
-}
+# Least value of each integer data key; test_samples = 0 means no held-out set.
+_LOWER_BOUNDS = {"dim": 1, "n_classes": 2, "n_features": 1, "eps_mc_samples": 1, "test_samples": 0}
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description, mirroring the CLI flags."""
+    """Flat experiment description, mirroring the CLI flags. Each field's
+    type is checked from its annotation (see ``_PARSERS``), then its range:
+    the training keys' by ``TrainConfig``, the others' here."""
 
     topology: str = "two-stars(4,4)"
     policies: tuple[str, ...] = ("bass",)
@@ -71,7 +65,7 @@ class ExperimentConfig:
     dim: int = 2
     epsilon: float | str = "auto"
     min_subset_prob: float = 0.0
-    out_dir: str = "runs"
+    out_dir: str | os.PathLike = "runs"
     n_samples: int = 600
     n_classes: int = 3
     n_features: int = 4
@@ -80,50 +74,35 @@ class ExperimentConfig:
     eps_mc_samples: int = 100_000
 
     def __post_init__(self):
-        for key in ("policies", "seeds", "budget_sweep"):
-            value = getattr(self, key)
-            if not (isinstance(value, (tuple, list)) or (key == "budget_sweep" and value is None)):
-                raise ValueError(f"{key} must be a tuple or list, got {value!r}")
-        for key, value in [(k, getattr(self, k)) for k in _INT_KEYS] + [("seeds", s) for s in self.seeds]:
-            if not _is_int(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+        _check_types(self, _CONFIG_PARSERS)
+        TrainConfig(self.rounds, self.lr, self.lr_decay, self.batch_size)
         if not self.policies:
             raise ValueError("give at least one policy")
-        if len(set(self.policies)) != len(self.policies):
-            raise ValueError(f"policies must not repeat, got {self.policies}")
         if self.budget_sweep is not None and not self.budget_sweep:
             raise ValueError(f"budget_sweep must be one or more fractions, got {self.budget_sweep}")
-        if self.budget_sweep and len(set(self.budget_sweep)) != len(self.budget_sweep):
-            raise ValueError(f"budget_sweep must not repeat, got {self.budget_sweep}")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more nonnegative integers, got {self.seeds}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must not repeat, got {self.seeds}")
+        for key in ("policies", "budget_sweep", "seeds"):
+            values = getattr(self, key) or ()
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat, got {values}")
         eps = self.epsilon
-        if eps != "auto" and (isinstance(eps, str) or not 0 <= eps < float("inf")):
+        if eps != "auto" and not 0 <= eps < float("inf"):
             raise ValueError(f"epsilon must be 'auto' or a finite number >= 0, got {eps!r}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
         for kind in self.policies:
             if kind not in POLICY_KINDS:
                 raise ValueError(f"unknown policy {kind!r}; choose from {POLICY_KINDS}")
         if self.objective not in ("quadratic", "logistic"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.budget is not None and self.budget_frac is not None:
-            raise ValueError("give either budget or budget_frac, not both")
-        if self.budget is not None and not self.budget > 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
-        if self.budget_sweep and (self.budget is not None or self.budget_frac is not None):
-            raise ValueError("budget_sweep sets every budget; drop budget and budget_frac")
+        if sum(v is not None for v in (self.budget, self.budget_frac, self.budget_sweep)) > 1:
+            raise ValueError("give at most one of budget, budget_frac and budget_sweep")
+        if self.budget is not None and not 0 < self.budget < float("inf"):
+            raise ValueError(f"budget must be positive and finite, got {self.budget}")
         for frac in (self.budget_frac, *(self.budget_sweep or ())):
             if frac is not None and not 0 < frac <= 1:
                 raise ValueError(f"budget fractions must lie in (0, 1], got {frac}")
         if not 0 <= self.min_subset_prob <= 1:
             raise ValueError(f"min_subset_prob must lie in [0, 1], got {self.min_subset_prob}")
-        if not 0 < self.lr < float("inf"):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.lr_decay < float("inf"):
-            raise ValueError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
         if not 0 <= self.center_spread < float("inf"):
             raise ValueError(
                 f"center_spread must be finite and nonnegative, got {self.center_spread}"
@@ -133,35 +112,32 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
 
-# The int keys; seeds, a tuple of ints, is checked item by item.
-_INT_KEYS = [key for key, hint in get_type_hints(ExperimentConfig).items() if hint is int]
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an index (an int or numpy integer), not a bool."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
-
-
 def _list_of(convert):
     """Parser of a comma list, ``convert`` applied to each nonblank item."""
     return lambda raw: tuple(convert(tok) for tok in raw.split(",") if tok.strip())
 
 
-# One text parser per ExperimentConfig field type; a field of any other type
-# fails here, at import.
+def _seq_of(item):
+    """Check of a tuple or list whose every item passes the check of type ``item``."""
+    return lambda value: isinstance(value, (tuple, list)) and all(map(_PARSERS[item][2], value))
+
+
+# Per ExperimentConfig field type: its text parser, what a value must be and
+# its check; a field of any other type fails here, at import.
 _PARSERS = {
-    str: str,
-    int: int,
-    float: float,
-    float | None: float,
-    float | str: lambda raw: "auto" if raw.strip() == "auto" else float(raw),
-    tuple[str, ...]: _list_of(str.strip),
-    tuple[int, ...]: _list_of(int),
-    tuple[float, ...] | None: _list_of(float),
+    **_NUMBER_TYPES,
+    str: (str, "a string", lambda v: isinstance(v, str)),
+    str | os.PathLike: (str, "a string or path", lambda v: isinstance(v, (str, os.PathLike))),
+    float | None: (float, "a real number or None", lambda v: v is None or _is_real(v)),
+    float | str: (
+        lambda raw: "auto" if raw.strip() == "auto" else float(raw),
+        "'auto' or a real number",
+        lambda v: v == "auto" if isinstance(v, str) else _is_real(v),
+    ),
+    tuple[str, ...]: (_list_of(str.strip), "a tuple or list of strings", _seq_of(str)),
+    tuple[int, ...]: (_list_of(int), "a tuple or list of integers", _seq_of(int)),
+    tuple[float, ...] | None: (_list_of(float), "None or a tuple or list of real numbers",
+                               lambda v: v is None or _seq_of(float)(v)),
 }
 _CONFIG_PARSERS = {key: _PARSERS[hint] for key, hint in get_type_hints(ExperimentConfig).items()}
 
@@ -184,7 +160,7 @@ def parse_config_text(text: str) -> dict:
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](raw)
+            values[key] = _CONFIG_PARSERS[key][0](raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return values
@@ -209,30 +185,27 @@ class PolicySpec:
 
 
 def _policy_specs(cfg: ExperimentConfig, partition, md) -> list[PolicySpec]:
-    fracs = cfg.budget_sweep if cfg.budget_sweep else (None,)
+    """The curves of a config in policy order: one per budget (the sweep's
+    fractions, else budget or budget_frac, else 0.5) of each policy but full,
+    whose one curve has frac None. Curves that share a label are rejected."""
+    # budget_sweep, budget and budget_frac exclude one another.
+    fracs = cfg.budget_sweep or ((None,) if cfg.budget is not None else (cfg.budget_frac or 0.5,))
     specs = []
     for kind in cfg.policies:
-        # Subset policies switch q units of one slot each, matcha r matchings
-        # of two slots each; full switches every unit on.
-        units, slots_per_unit = (md.r, 2.0) if kind == "matcha" else (partition.q, 1.0)
+        # Every unit on: q subsets of one slot each, or r matchings of two.
+        all_slots = 2.0 * md.r if kind == "matcha" else 1.0 * partition.q
+        if kind == "full":
+            specs.append(PolicySpec("full", kind, all_slots, None))
+            continue
         for frac in fracs:
-            if frac is None:
-                frac = cfg.budget_frac
-                if frac is None and cfg.budget is None:
-                    frac = 0.5
-            if kind == "full":
-                slots, label = slots_per_unit * units, "full"
-            elif frac is not None:
-                slots, label = slots_per_unit * units * frac, f"{kind}@{frac:g}"
-            else:
-                slots = float(cfg.budget)
-                label = f"{kind}@B{slots:g}"
-            specs.append(PolicySpec(label=label, kind=kind, budget_slots=slots, frac=frac))
-    # A sweep would otherwise duplicate the full-comm curve per fraction.
-    unique = {}
-    for spec in specs:
-        unique.setdefault(spec.label, spec)
-    return list(unique.values())
+            slots = float(cfg.budget) if frac is None else all_slots * frac
+            label = f"{kind}@B{slots:g}" if frac is None else f"{kind}@{frac:g}"
+            specs.append(PolicySpec(label, kind, slots, frac))
+    labels = [spec.label for spec in specs]
+    clash = sorted({spec.frac for spec in specs if labels.count(spec.label) > 1})
+    if clash:
+        raise ValueError(f"budget_sweep must label each curve apart; {clash} share a label")
+    return specs
 
 
 def _setup(cfg: ExperimentConfig):
@@ -337,10 +310,6 @@ class ExperimentResult:
     report: list[str] = field(default_factory=list)
 
 
-def _safe_name(label: str) -> str:
-    return label.replace("@", "-")
-
-
 def summarize(logs_by_seed: dict[int, MetricsLog]):
     """Median metric curves across seeds, aligned on cumulative slots.
 
@@ -402,15 +371,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         result.logs[spec.label] = {}
         for seed in cfg.seeds:
             obj = _build_objective(cfg, topology.n, seed)
-            train_cfg = TrainConfig(
-                rounds=cfg.rounds,
-                lr=cfg.lr,
-                lr_decay=cfg.lr_decay,
-                batch_size=cfg.batch_size,
-                seed=seed,
-            )
+            train_cfg = TrainConfig(cfg.rounds, cfg.lr, cfg.lr_decay, cfg.batch_size, seed)
             log = run_training(topology, policy, partition, obj, train_cfg)
-            path = out_dir / f"{_safe_name(spec.label)}_seed{seed}.csv"
+            path = out_dir / f"{spec.label.replace('@', '-')}_seed{seed}.csv"
             log.write_csv(path)
             result.run_files[spec.label][seed] = path
             result.logs[spec.label][seed] = log

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from pathlib import Path
 
@@ -23,9 +24,9 @@ class Topology:
     """
 
     def __init__(self, n, edges=()):
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"node count must be a positive integer, got {n!r}")
+        n = operator.index(n)
         i, j = _endpoints(n, edges).T
         keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
         # Deduplicated by hand: np.unique is many times slower than a sort here.
@@ -89,6 +90,15 @@ class Topology:
 
     def __repr__(self):
         return f"Topology(n={self.n}, edges={len(self.edge_array)})"
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an index (an int or numpy integer), not a bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def _endpoints(n, edges) -> np.ndarray:

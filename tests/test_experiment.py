@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import types
+import typing
 import warnings
 
 import numpy as np
@@ -10,6 +14,7 @@ from bass import (
     MetricsLog,
     PolicySpec,
     RoundRecord,
+    TrainConfig,
     betweenness_centrality,
     build_policy,
     greedy_partition,
@@ -21,6 +26,7 @@ from bass import (
     summarize,
 )
 from bass.cli import main
+from bass.experiment import _CONFIG_PARSERS, _setup
 
 from .graph_helpers import slots_to_reach
 
@@ -405,3 +411,180 @@ class TestRunExperiment:
         # identity mixing: gradients pull the nodes apart and nothing mixes
         errs = [r.consensus_error for r in result.logs["bass@0.5"][0].records]
         assert errs == sorted(errs) and errs[-1] > 0
+
+
+# Both config classes, with the least keyword arguments each one needs.
+_CONFIG_CLASSES = [(ExperimentConfig, {}), (TrainConfig, {"rounds": 5, "lr": 0.1})]
+_FIELDS = [
+    pytest.param(cls, base, f.name, typing.get_type_hints(cls)[f.name], id=f"{cls.__name__}.{f.name}")
+    for cls, base in _CONFIG_CLASSES
+    for f in dataclasses.fields(cls)
+]
+
+
+def _united(hint):
+    """The types a field of type ``hint`` unites."""
+    return typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+
+
+def _is_tuple(hint) -> bool:
+    return any(typing.get_origin(m) is tuple for m in _united(hint))
+
+
+def _members(hint):
+    """The types a field of type ``hint`` unites, tuple item types unwrapped."""
+    return {typing.get_args(m)[0] if typing.get_origin(m) is tuple else m for m in _united(hint)}
+
+
+def _wrong_values(hint):
+    """Values of the wrong kind for a field of type ``hint``: a bool for a
+    numeric field, a float for an int field, an int for a str field, a str
+    for a numeric field and None where None is not allowed; a tuple field
+    gets each as its one item."""
+    members = _members(hint)
+    wrong = []
+    if members & {int, float}:
+        wrong += [True, "1"]
+    if int in members:
+        wrong.append(2.5)
+    if str in members and not members & {int, float}:
+        wrong.append(5)
+    if _is_tuple(hint):
+        wrong = [(value,) for value in wrong]
+    if type(None) not in members:
+        wrong.append(None)
+    return wrong
+
+
+def _numpy_value(value):
+    """``value`` with numpy scalars for its numbers and lists for its tuples."""
+    if isinstance(value, tuple):
+        return [_numpy_value(item) for item in value]
+    if isinstance(value, int):
+        return np.int64(value)
+    if isinstance(value, float):
+        return np.float32(value)
+    return value
+
+
+# A sample token of each key; a key not named here takes its type's token.
+_TOKENS = {"policies": "bass, full", "objective": "logistic", "out_dir": "runs"}
+_TYPE_TOKENS = {
+    int: "3", float: "0.5", str: "ring(6)", float | None: "0.5", float | str: "0.25",
+    tuple[int, ...]: "0, 1", tuple[float, ...] | None: "0.4, 0.8",
+}
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("cls,base,key,hint", _FIELDS)
+    def test_a_value_of_the_wrong_kind_names_its_key(self, cls, base, key, hint):
+        wrong = _wrong_values(hint)
+        assert wrong
+        for value in wrong:
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                cls(**{**base, key: value})
+
+    @pytest.mark.parametrize("key", list(_CONFIG_PARSERS))
+    def test_parsed_tokens_numpy_scalars_and_lists_accepted(self, key):
+        parse = _CONFIG_PARSERS[key][0]
+        hint = typing.get_type_hints(ExperimentConfig)[key]
+        value = parse(_TOKENS.get(key, _TYPE_TOKENS.get(hint, "")))
+        for accepted in (value, _numpy_value(value)):
+            assert getattr(ExperimentConfig(**{key: accepted}), key) is accepted
+
+    @pytest.mark.parametrize(
+        "cls,base,key,hint", [p for p in _FIELDS if _members(p.values[3]) & {int, float}]
+    )
+    def test_ints_and_numpy_numbers_accepted(self, cls, base, key, hint):
+        if float in _members(hint):
+            values = [1, np.int64(1), np.float64(1.0), np.float32(1.0)]
+        else:
+            values = [3, np.int32(3), np.uint16(3)]
+        if _is_tuple(hint):
+            values = [[v] for v in values] + [tuple(values[:1])]
+        for value in values:
+            cls(**{**base, key: value})
+
+    def test_epsilon_auto_and_a_path_out_dir_accepted(self, tmp_path):
+        assert ExperimentConfig(epsilon=_CONFIG_PARSERS["epsilon"][0](" auto ")).epsilon == "auto"
+        cfg = quick_config(tmp_path, out_dir=tmp_path / "out", policies=("full",), seeds=(0,),
+                           rounds=2)
+        assert isinstance(cfg.out_dir, os.PathLike)
+        assert run_without_warnings(cfg).run_files["full"][0] == tmp_path / "out" / "full_seed0.csv"
+
+    @pytest.mark.parametrize("bad", [
+        dict(epsilon=True), dict(lr=True), dict(min_subset_prob=False), dict(topology=5),
+        dict(budget_frac=True), dict(budget_sweep=(True,)), dict(budget=float("inf")),
+        dict(out_dir=b"runs"), dict(policies=("bass", 5)),
+    ])
+    def test_values_accepted_before_are_rejected(self, bad):
+        (key,) = bad
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(rounds=2.5), dict(lr=True), dict(batch_size=2.5), dict(seed=1.0), dict(seed=True),
+        dict(rounds=-1), dict(batch_size=0),
+    ])
+    def test_train_config_is_the_check_of_the_training_keys(self, bad):
+        (key,) = bad
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            TrainConfig(**{"rounds": 5, "lr": 0.1, **bad})
+        if key != "seed":
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                ExperimentConfig(**bad)
+
+
+def _specs(**fields):
+    return [(s.label, s.kind, s.budget_slots, s.frac) for s in _setup(ExperimentConfig(**fields))[2]]
+
+
+class TestPolicySpecs:
+    @pytest.mark.parametrize("fields,expected", [
+        # the headline, large-er and sweep benchmark workloads, then an
+        # absolute budget: the labels, order and slots of the earlier rule
+        (dict(topology="two-stars(6,6)", policies=("bass", "matcha", "full"), budget_frac=0.5),
+         [("bass@0.5", 3.5), ("matcha@0.5", 6.0), ("full", 7.0)]),
+        (dict(topology="er(400,0.012,1)", budget_frac=0.5), [("bass@0.5", 6.5)]),
+        (dict(topology="er(100,0.05,3)", budget_sweep=(0.2, 0.4, 0.6, 0.8, 1.0)),
+         [("bass@0.2", 3.0), ("bass@0.4", 6.0), ("bass@0.6", 9.0), ("bass@0.8", 12.0),
+          ("bass@1", 15.0)]),
+        (dict(topology="two-stars(6,6)", policies=("bass", "uniform", "matcha", "full"),
+              budget=2.5),
+         [("bass@B2.5", 2.5), ("uniform@B2.5", 2.5), ("matcha@B2.5", 2.5), ("full", 7.0)]),
+        (dict(topology="two-stars(4,4)", policies=("full", "bass", "matcha"),
+              budget_sweep=(0.3, 0.7)),
+         [("full", 5.0), ("bass@0.3", 1.5), ("bass@0.7", 3.5), ("matcha@0.3", 2.4),
+          ("matcha@0.7", 5.6)]),
+    ])
+    def test_labels_order_and_slots(self, fields, expected):
+        assert [(label, slots) for label, _, slots, _ in _specs(**fields)] == expected
+
+    def test_full_once_with_no_fraction_in_a_sweep(self):
+        specs = _specs(policies=("bass", "full"), budget_sweep=(0.4, 0.8))
+        assert specs == [("bass@0.4", "bass", 2.0, 0.4), ("bass@0.8", "bass", 4.0, 0.8),
+                         ("full", "full", 5.0, None)]
+
+    def test_default_fraction_is_a_half(self):
+        assert _specs() == [("bass@0.5", "bass", 2.5, 0.5)]
+
+    def test_colliding_labels_rejected_before_any_output(self, tmp_path):
+        cfg = ExperimentConfig(
+            policies=("bass", "full"), budget_sweep=(0.1, 0.1000001, 0.5),
+            min_subset_prob=0.01, out_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(ValueError, match=r"^budget_sweep must.*\[0\.1, 0\.1000001\]"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_colliding_labels_fail_the_cli(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--rounds", "5", "--policy", "bass", "--budget-sweep", "0.1,0.1000001",
+                "--min-subset-prob", "0.01", "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert "budget_sweep must" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run", "--rounds", "5", "--policy", "full", "--budget", "inf",
+                     "--out-dir", str(out)]) == 1
+        assert "budget must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()

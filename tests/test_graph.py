@@ -189,6 +189,17 @@ class TestTopology:
             with pytest.raises(ValueError, match="self-loop at node 1"):
                 Topology(3, edges)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None, 0, -2, np.float64(3)])
+    def test_node_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^node count must"):
+            Topology(n)
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integer_node_counts_accepted(self, n):
+        t = Topology(n, [(0, 1), (1, 2)])
+        assert t.n == 3 and type(t.n) is int
+        assert t == p3()
+
     def test_edge_array_is_readonly_and_sorted(self):
         t = Topology(4, [(3, 1), (0, 2), (1, 0)])
         assert t.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
