@@ -10,16 +10,23 @@ every round over the half-edges that survive it (``RoundSampler.mix``), so
 it holds no n x n array. It copies each round's state into a block of at
 most 2^14 floats and takes the train losses, test metrics and consensus
 errors of a whole block at once, whenever the block fills and at the end of
-the run. The quadratic and logistic objectives take their block metrics in
-stacked array operations; any other ``LocalObjective`` gets the base-class
-loop over rounds. A consensus error sums its coordinates column by column
-below 8 of them, which is numpy's own sequential order there, and with
-numpy's reduction from 8 up, where numpy sums pairwise. Its records and
-final state are bit for bit those of the per-call loop over the public
-functions: ``sample_round`` (or the matching policy's ``sample_round``),
-then ``gradient_step``, ``consensus_step(state, act.mixing_matrix)``,
-``global_train_loss``, ``obj.test_metric`` and ``consensus_error``, and the
-generator ends in the same state. The tests check that contract.
+the run. The network averages are one reduction over the block's node axis,
+from 2 coordinates up over a contiguous node-major copy. A train loss is
+the objective's per-model ``train_loss`` at the network average, the mean
+of its local losses unless the objective overrides it; an override must
+return exactly what its block ``network_metrics`` returns. The quadratic
+and logistic objectives take their block metrics in stacked array
+operations (the quadratic train loss in closed form, from the same dot as
+its test distance); any other ``LocalObjective`` gets the base-class loop
+over rounds, which reads ``train_loss`` and ``test_metric``. A consensus
+error sums its coordinates column by column below 8 of them, which is
+numpy's own sequential order there, and with numpy's reduction from 8 up,
+where numpy sums pairwise. Its records and final state are bit for bit
+those of the per-call loop over the public functions: ``sample_round`` (or
+the matching policy's ``sample_round``), then ``gradient_step``,
+``consensus_step(state, act.mixing_matrix)``, ``global_train_loss``,
+``obj.test_metric`` and ``consensus_error``, and the generator ends in the
+same state. The tests check that contract.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -82,6 +89,8 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be nonnegative and finite, got {self.lr_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def lr_at(self, t: int) -> float:
         return self.lr / (1.0 + self.lr_decay * t)
@@ -90,8 +99,7 @@ class TrainConfig:
 _TRAIN_TYPES = {key: _NUMBER_TYPES[hint] for key, hint in get_type_hints(TrainConfig).items()}
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round: int
     cum_slots: int
     active_subsets: int
@@ -175,8 +183,10 @@ def consensus_error(state: np.ndarray) -> float:
 
 
 def global_train_loss(obj: LocalObjective, state: np.ndarray) -> float:
-    """Collaborative objective at the node-averaged model: mean_i F_i(mean_x)."""
-    return float(np.mean(obj.local_losses(state.mean(axis=0))))
+    """Collaborative objective at the node-averaged model, mean_i F_i(mean_x):
+    ``obj.train_loss``, which an objective may override with exactly what its
+    block ``network_metrics`` returns."""
+    return obj.train_loss(state.mean(axis=0))
 
 
 def run_training(
@@ -233,13 +243,18 @@ def _block_metrics(obj: LocalObjective, states: np.ndarray):
     ``consensus_error`` at every round, to the bit. Below 8 coordinates
     numpy sums in order, so the squared deviations are taken and added one
     coordinate column at a time, cheaper than its reduction over a short
-    axis; from 8 up numpy sums pairwise and its reduction is kept."""
-    n = states.shape[1]
+    axis; from 8 up numpy sums pairwise and its reduction is kept. The
+    network averages are summed over a contiguous node-major copy from 2
+    coordinates up, one long inner loop rather than a dim-long one per node;
+    a lone coordinate keeps numpy's reduction, which sums it pairwise."""
+    n, dim = states.shape[1:]
     # state.mean(axis=0) of every round to the bit
-    means = np.add.reduce(states, 1) / n
+    if dim == 1:
+        means = np.add.reduce(states, 1) / n
+    else:
+        means = np.add.reduce(np.ascontiguousarray(states.transpose(1, 0, 2)), 0) / n
     losses, tests = obj.network_metrics(states, means)
     # numpy's norm(axis=1) and .mean(), in its own summation orders
-    dim = states.shape[2]
     if dim < 8:
         dist = np.square(states[..., 0] - means[:, None, 0])
         for c in range(1, dim):

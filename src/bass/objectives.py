@@ -34,8 +34,9 @@ class LocalObjective(ABC):
     Implementations expose ``num_nodes`` and ``dim`` attributes.
     ``gradients`` draws one stochastic gradient per node at that node's row of
     the state; ``local_losses`` evaluates every node's objective exactly at
-    one shared model. ``known_optimum``/``test_metric`` are optional
-    capabilities.
+    one shared model, and ``train_loss`` is the collaborative objective at
+    one model, their mean unless overridden. ``known_optimum``/``test_metric``
+    are optional capabilities.
     """
 
     num_nodes: int
@@ -51,6 +52,14 @@ class LocalObjective(ABC):
     def local_losses(self, x: np.ndarray) -> np.ndarray:
         """Every node's exact local loss at the one model x: (n,)."""
 
+    def train_loss(self, x: np.ndarray) -> float:
+        """The collaborative objective mean_i F_i(x) at the one model x.
+
+        An override must return exactly what its block ``network_metrics``
+        returns for that model; this default serves every other objective.
+        """
+        return float(np.mean(self.local_losses(x)))
+
     def known_optimum(self):
         """Analytic minimizer of the collaborative objective, if available."""
         return None
@@ -60,7 +69,7 @@ class LocalObjective(ABC):
         return None
 
     def network_metrics(self, states: np.ndarray, means: np.ndarray):
-        """The train losses mean_i F_i(means[t]) and the test metrics
+        """The train losses train_loss(means[t]) and the test metrics
         test_metric(states[t]) of a block of T rounds, as two lists: the
         stacked states (T, n, dim) and their network averages (T, dim).
 
@@ -68,18 +77,23 @@ class LocalObjective(ABC):
         The quadratic and logistic objectives override it; this loop over
         rounds serves every other objective.
         """
-        losses = [float(np.mean(self.local_losses(mean))) for mean in means]
-        return losses, [self.test_metric(state) for state in states]
+        return [self.train_loss(mean) for mean in means], [self.test_metric(s) for s in states]
 
 
 class QuadraticObjective(LocalObjective):
     """Each node pulls toward its own target point.
 
-    The collaborative optimum is the mean of the targets, which makes this
-    the exactness anchor for convergence tests. Gradients are deterministic
-    (full batch): grad = x - c_i. The optimum is taken once, read-only.
-    The metrics of a block of rounds come from one stacked product each, and
-    ``local_losses`` and ``test_metric`` are the one-round case of that code.
+    The collaborative optimum c̄ is the mean of the targets c_i, which makes
+    this the exactness anchor for convergence tests. Gradients are
+    deterministic (full batch): grad = x - c_i. The optimum is taken once,
+    read-only. The train loss is in closed form, O(dim) per model:
+    mean_i ½‖x - c_i‖² = ½‖x - c̄‖² - (x - c̄)·r + K, with K = mean_i
+    ½‖c_i - c̄‖² and r = mean_i(c_i - c̄) taken once. The drift r is what the
+    rounded c̄ misses of the exact mean; without it the form loses digits
+    when the centers cluster far from the origin. The loss and the test
+    distance ‖x - c̄‖ share the offset x - c̄ and take one stacked dot each
+    over a block of rounds; ``train_loss`` and ``test_metric`` are the
+    one-round case of that code.
     """
 
     def __init__(self, centers):
@@ -89,37 +103,44 @@ class QuadraticObjective(LocalObjective):
         self.dim = centers.shape[1]
         self._optimum = centers.mean(axis=0)
         self._optimum.setflags(write=False)
+        self._min_loss = float(np.mean(self.local_losses(self._optimum)))
+        self._residual = (centers - self._optimum).mean(axis=0)
 
     def gradients(self, state, batch_size, rng):
         return state - self.centers
 
     def local_losses(self, x):
-        return self._node_losses(np.reshape(x, (1, -1)))[0]
+        diff = np.reshape(x, (1, -1)) - self.centers
+        # A stacked (1 x dim) @ (dim x 1) product is numpy's dot per node, so
+        # each loss equals 0.5 * diff_i @ diff_i to the last bit.
+        return 0.5 * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+
+    def train_loss(self, x):
+        return self._losses(np.reshape(x, (1, -1)) - self._optimum)[0]
 
     def known_optimum(self):
         return self._optimum
 
     def test_metric(self, state):
         """Distance of the node-averaged model from the analytic optimum."""
-        return self._distances(state.mean(axis=0)[None])[0]
+        return self._distances(state.mean(axis=0)[None] - self._optimum)[0]
 
     def network_metrics(self, states, means):
-        # np.mean of each round's node losses, to the bit
-        losses = np.add.reduce(self._node_losses(means), 1) / self.num_nodes
-        return losses.tolist(), self._distances(means)
-
-    def _node_losses(self, means):
-        """Every node's loss under each model of ``means`` (T, dim): (T, n)."""
-        diff = means[:, None, :] - self.centers
-        # A stacked (1 x dim) @ (dim x 1) product is numpy's dot per node, so
-        # each loss equals 0.5 * diff_i @ diff_i to the last bit.
-        return 0.5 * (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-
-    def _distances(self, means):
-        """norm(mean - optimum) of each model of ``means``, as a list: the
-        norm of a vector is sqrt(x.dot(x)), and a stacked (1 x dim) @
-        (dim x 1) product is that dot."""
         off = means - self._optimum
+        return self._losses(off), self._distances(off)
+
+    def _losses(self, off):
+        """The train loss ½‖off‖² - off·r + K of each model's offset from
+        the optimum in ``off`` (T, dim), as a list: one stacked dot of
+        off·(½off - r), whose terms share the sign of an infinite
+        coordinate's square."""
+        half = 0.5 * off - self._residual
+        return ((off[:, None, :] @ half[:, :, None])[:, 0, 0] + self._min_loss).tolist()
+
+    def _distances(self, off):
+        """The norm of each model's offset from the optimum in ``off``
+        (T, dim), as a list: the norm of a vector is sqrt(x.dot(x)), and a
+        stacked (1 x dim) @ (dim x 1) product is that dot."""
         return np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]).tolist()
 
 

@@ -13,6 +13,7 @@ from bass import (
     consensus_step,
     dsgd,
     expected_laplacian_gram,
+    global_train_loss,
     gradient_step,
     greedy_partition,
     node_probabilities,
@@ -24,6 +25,7 @@ from bass import (
 )
 
 from .test_graph import p3
+from .test_properties import LogCoshObjective
 
 
 def ring6():
@@ -90,6 +92,33 @@ class TestTrainConfig:
     def test_bad_step_size_rejected_at_construction(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
             TrainConfig(**{"rounds": 5, "lr": 0.1, key: value})
+
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            TrainConfig(rounds=5, lr=0.1, seed=-1)
+        assert TrainConfig(rounds=5, lr=0.1, seed=np.int64(0)).seed == 0
+
+
+class TestGlobalTrainLoss:
+    def state(self):
+        return np.random.default_rng(13).normal(size=(4, 3))
+
+    def test_reads_the_objectives_train_loss(self):
+        class Shifted(QuadraticObjective):
+            def train_loss(self, x):
+                return super().train_loss(x) + 1.0
+
+        obj = Shifted(np.random.default_rng(14).normal(size=(4, 3)))
+        state = self.state()
+        closed = QuadraticObjective.train_loss(obj, state.mean(axis=0))
+        assert global_train_loss(obj, state) == closed + 1.0
+        assert global_train_loss(QuadraticObjective(obj.centers), state) == closed
+
+    def test_without_an_override_the_mean_of_the_local_losses(self):
+        obj = LogCoshObjective(np.random.default_rng(15).normal(size=(4, 3)))
+        state = self.state()
+        want = float(np.mean(obj.local_losses(state.mean(axis=0))))
+        assert global_train_loss(obj, state) == want
 
 
 class TestConsensusStep:

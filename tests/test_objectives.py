@@ -108,6 +108,33 @@ class TestQuadratic:
         assert np.array(tests).tobytes() == np.array(want_tests).tobytes()
         assert len(losses) == len(tests) == rounds
 
+    @pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (1e3, 1e-3)])
+    def test_train_loss_is_the_mean_of_the_node_losses(self, offset, spread):
+        """The closed form ½‖x - c̄‖² - (x - c̄)·r + K equals np.mean of the
+        node losses within (dim + n + 2) machine epsilons of the loss: the
+        first-order rounding of a dim-term dot and an n-term mean, taken
+        both ways. Models near and away from the optimum, at scales 1e-3 to
+        30; centers clustered far from the origin need the drift term r."""
+        rng = np.random.default_rng(11)
+        for dim in range(1, 11):
+            for n in range(1, 10):
+                obj = QuadraticObjective(offset + rng.normal(0.0, spread, (n, dim)))
+                for scale in (1e-3, 1.0, 30.0):
+                    for base in (obj.known_optimum(), np.zeros(dim)):
+                        x = base + rng.normal(0.0, scale, dim)
+                        got, want = obj.train_loss(x), float(np.mean(obj.local_losses(x)))
+                        assert abs(got - want) <= (dim + n + 2) * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("x", [
+        [np.nan, 0.5, -1.0], [np.inf, 0.5, -1.0], [0.5, -np.inf, -1.0], [np.nan] * 3,
+        [np.inf] * 3, [-np.inf] * 3, [np.inf, -np.inf, -1.0], [np.nan, np.inf, -1.0],
+    ])
+    def test_non_finite_train_loss_is_the_node_losses_mean(self, x):
+        obj = QuadraticObjective(np.random.default_rng(12).normal(size=(5, 3)))
+        got, want = obj.train_loss(np.array(x)), float(np.mean(obj.local_losses(np.array(x))))
+        assert not np.isfinite(got)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
 
 class TestShardData:
     def test_eight_samples_two_nodes(self):
