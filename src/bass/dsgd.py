@@ -11,22 +11,20 @@ it holds no n x n array. It copies each round's state into a block of at
 most 2^14 floats and takes the train losses, test metrics and consensus
 errors of a whole block at once, whenever the block fills and at the end of
 the run. The network averages are one reduction over the block's node axis,
-from 2 coordinates up over a contiguous node-major copy. A train loss is
-the objective's per-model ``train_loss`` at the network average, the mean
-of its local losses unless the objective overrides it; an override must
-return exactly what its block ``network_metrics`` returns. The quadratic
-and logistic objectives take their block metrics in stacked array
-operations (the quadratic train loss in closed form, from the same dot as
-its test distance); any other ``LocalObjective`` gets the base-class loop
-over rounds, which reads ``train_loss`` and ``test_metric``. A consensus
-error sums its coordinates column by column below 8 of them, which is
-numpy's own sequential order there, and with numpy's reduction from 8 up,
-where numpy sums pairwise. Its records and final state are bit for bit
-those of the per-call loop over the public functions: ``sample_round`` (or
-the matching policy's ``sample_round``), then ``gradient_step``,
-``consensus_step(state, act.mixing_matrix)``, ``global_train_loss``,
-``obj.test_metric`` and ``consensus_error``, and the generator ends in the
-same state. The tests check that contract.
+from 2 coordinates up over a contiguous node-major copy. The train losses
+and test metrics are the objective's one hook ``obj.metrics(means)`` at
+those averages: the quadratic and logistic objectives take it in stacked
+array operations (the quadratic train loss in closed form, from the same
+dot as its test distance); the base-class default is the mean of the local
+losses and no test metric. A consensus error sums its coordinates column
+by column below 8 of them, which is numpy's own sequential order there,
+and with numpy's reduction from 8 up, where numpy sums pairwise. Its
+records and final state are bit for bit those of the per-call loop over
+the public functions: ``sample_round`` (or the matching policy's
+``sample_round``), then ``gradient_step``, ``consensus_step(state,
+act.mixing_matrix)``, ``global_train_loss``, ``obj.test_metric`` and
+``consensus_error``, and the generator ends in the same state. The tests
+check that contract.
 """
 
 from __future__ import annotations
@@ -184,9 +182,8 @@ def consensus_error(state: np.ndarray) -> float:
 
 def global_train_loss(obj: LocalObjective, state: np.ndarray) -> float:
     """Collaborative objective at the node-averaged model, mean_i F_i(mean_x):
-    ``obj.train_loss``, which an objective may override with exactly what its
-    block ``network_metrics`` returns."""
-    return obj.train_loss(state.mean(axis=0))
+    the one-model case of ``obj.metrics``."""
+    return obj.metrics(state.mean(axis=0)[None])[0][0]
 
 
 def run_training(
@@ -253,7 +250,7 @@ def _block_metrics(obj: LocalObjective, states: np.ndarray):
         means = np.add.reduce(states, 1) / n
     else:
         means = np.add.reduce(np.ascontiguousarray(states.transpose(1, 0, 2)), 0) / n
-    losses, tests = obj.network_metrics(states, means)
+    losses, tests = obj.metrics(means)
     # numpy's norm(axis=1) and .mean(), in its own summation orders
     if dim < 8:
         dist = np.square(states[..., 0] - means[:, None, 0])

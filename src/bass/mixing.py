@@ -349,8 +349,8 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> Epsilo
     no step size contracts. So does a search that reaches its evaluation cap
     with the gap still above tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     buf = np.empty((objective.n, objective.n))
     if not objective.e_laplacian.any():
         value = float(np.linalg.eigvalsh(objective.contraction_matrix(0.0, out=buf))[-1])

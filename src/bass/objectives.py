@@ -34,9 +34,9 @@ class LocalObjective(ABC):
     Implementations expose ``num_nodes`` and ``dim`` attributes.
     ``gradients`` draws one stochastic gradient per node at that node's row of
     the state; ``local_losses`` evaluates every node's objective exactly at
-    one shared model, and ``train_loss`` is the collaborative objective at
-    one model, their mean unless overridden. ``known_optimum``/``test_metric``
-    are optional capabilities.
+    one shared model. ``metrics`` is the one hook for what a round records:
+    the train loss and test metric of each model in a block. The per-call
+    ``test_metric`` and ``dsgd.global_train_loss`` are its one-model case.
     """
 
     num_nodes: int
@@ -52,32 +52,16 @@ class LocalObjective(ABC):
     def local_losses(self, x: np.ndarray) -> np.ndarray:
         """Every node's exact local loss at the one model x: (n,)."""
 
-    def train_loss(self, x: np.ndarray) -> float:
-        """The collaborative objective mean_i F_i(x) at the one model x.
-
-        An override must return exactly what its block ``network_metrics``
-        returns for that model; this default serves every other objective.
-        """
-        return float(np.mean(self.local_losses(x)))
-
-    def known_optimum(self):
-        """Analytic minimizer of the collaborative objective, if available."""
-        return None
+    def metrics(self, means: np.ndarray):
+        """The train losses mean_i F_i(x) and the held-out test metrics (None
+        without a test set) of each model x in ``means`` (T, dim), as two
+        lists. This default is the mean of the local losses and no test
+        metric."""
+        return [float(np.mean(self.local_losses(x))) for x in means], [None] * len(means)
 
     def test_metric(self, state: np.ndarray):
-        """Held-out metric of the node-averaged model, if available."""
-        return None
-
-    def network_metrics(self, states: np.ndarray, means: np.ndarray):
-        """The train losses train_loss(means[t]) and the test metrics
-        test_metric(states[t]) of a block of T rounds, as two lists: the
-        stacked states (T, n, dim) and their network averages (T, dim).
-
-        An override must return exactly these values; it only saves work.
-        The quadratic and logistic objectives override it; this loop over
-        rounds serves every other objective.
-        """
-        return [self.train_loss(mean) for mean in means], [self.test_metric(s) for s in states]
+        """Held-out metric of the node-averaged model of ``state``, or None."""
+        return self.metrics(state.mean(axis=0)[None])[1][0]
 
 
 class QuadraticObjective(LocalObjective):
@@ -86,14 +70,13 @@ class QuadraticObjective(LocalObjective):
     The collaborative optimum c̄ is the mean of the targets c_i, which makes
     this the exactness anchor for convergence tests. Gradients are
     deterministic (full batch): grad = x - c_i. The optimum is taken once,
-    read-only. The train loss is in closed form, O(dim) per model:
-    mean_i ½‖x - c_i‖² = ½‖x - c̄‖² - (x - c̄)·r + K, with K = mean_i
+    read-only. ``metrics`` takes the train loss in closed form, O(dim) per
+    model: mean_i ½‖x - c_i‖² = ½‖x - c̄‖² - (x - c̄)·r + K, with K = mean_i
     ½‖c_i - c̄‖² and r = mean_i(c_i - c̄) taken once. The drift r is what the
     rounded c̄ misses of the exact mean; without it the form loses digits
-    when the centers cluster far from the origin. The loss and the test
-    distance ‖x - c̄‖ share the offset x - c̄ and take one stacked dot each
-    over a block of rounds; ``train_loss`` and ``test_metric`` are the
-    one-round case of that code.
+    when the centers cluster far from the origin. The test metric is the
+    distance ‖x - c̄‖; both share the offset x - c̄ and take one stacked dot
+    each over a block of models.
     """
 
     def __init__(self, centers):
@@ -115,33 +98,19 @@ class QuadraticObjective(LocalObjective):
         # each loss equals 0.5 * diff_i @ diff_i to the last bit.
         return 0.5 * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
-    def train_loss(self, x):
-        return self._losses(np.reshape(x, (1, -1)) - self._optimum)[0]
-
     def known_optimum(self):
+        """The collaborative optimum c̄, read-only."""
         return self._optimum
 
-    def test_metric(self, state):
-        """Distance of the node-averaged model from the analytic optimum."""
-        return self._distances(state.mean(axis=0)[None] - self._optimum)[0]
-
-    def network_metrics(self, states, means):
+    def metrics(self, means):
+        """The train loss ½‖off‖² - off·r + K and the test distance
+        sqrt(off·off) of each model, from its offset off = x - c̄: one stacked
+        (1 x dim) @ (dim x 1) product each, which is numpy's dot. The terms of
+        off·(½off - r) share the sign of an infinite coordinate's square."""
         off = means - self._optimum
-        return self._losses(off), self._distances(off)
-
-    def _losses(self, off):
-        """The train loss ½‖off‖² - off·r + K of each model's offset from
-        the optimum in ``off`` (T, dim), as a list: one stacked dot of
-        off·(½off - r), whose terms share the sign of an infinite
-        coordinate's square."""
         half = 0.5 * off - self._residual
-        return ((off[:, None, :] @ half[:, :, None])[:, 0, 0] + self._min_loss).tolist()
-
-    def _distances(self, off):
-        """The norm of each model's offset from the optimum in ``off``
-        (T, dim), as a list: the norm of a vector is sqrt(x.dot(x)), and a
-        stacked (1 x dim) @ (dim x 1) product is that dot."""
-        return np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]).tolist()
+        losses = (off[:, None, :] @ half[:, :, None])[:, 0, 0] + self._min_loss
+        return losses.tolist(), np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]).tolist()
 
 
 def make_blobs(
@@ -193,16 +162,38 @@ class LogisticObjective(LocalObjective):
     The model vector is a flattened (n_features + 1) x n_classes weight
     matrix whose last row is the bias. Shards may differ in size and may
     overlap; their rows are gathered once, node after node, into one array.
-    Mini-batches are drawn with replacement from each node's shard.
+    Mini-batches are drawn with replacement from each node's shard. Labels
+    are classes 0..n_classes-1, with n_classes >= 2 and one test label per
+    test row.
     """
 
     def __init__(self, features, labels, shards, n_classes, test_features=None, test_labels=None):
         shards = [np.asarray(s, dtype=int) for s in shards]
         if not shards or any(s.size == 0 for s in shards):
             raise ValueError("every node needs a nonempty shard")
+        self.n_classes = int(n_classes)
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be at least 2, got {n_classes}")
+        labels = np.asarray(labels, dtype=int)
+        named = [("labels", labels)]
+        if test_features is not None:
+            test_features = np.asarray(test_features, dtype=float)
+            if test_features.shape[0] == 0:
+                raise ValueError("the held-out set is empty; pass None for no test set")
+            test_labels = np.asarray(test_labels, dtype=int)
+            if test_labels.shape != test_features.shape[:1]:
+                raise ValueError(
+                    f"test_labels must hold one label per test row ({len(test_features)}), "
+                    f"got shape {test_labels.shape}"
+                )
+            named.append(("test_labels", test_labels))
+        for name, values in named:
+            bad = (values < 0) | (values >= self.n_classes)
+            if bad.any():
+                raise ValueError(f"{name} must lie in 0..{self.n_classes - 1}, got {values[bad][0]}")
         features = np.asarray(features, dtype=float)
         rows = np.concatenate(shards)
-        self._targets = np.asarray(labels, dtype=int)[rows]
+        self._targets = labels[rows]
         self.shard_sizes = np.array([s.size for s in shards])
         self._starts = np.cumsum(self.shard_sizes) - self.shard_sizes
         # Equal shards draw their batch indices under one scalar bound, which
@@ -217,7 +208,6 @@ class LogisticObjective(LocalObjective):
         for size in np.unique(self.shard_sizes):
             nodes = np.flatnonzero(self.shard_sizes == size)
             self._size_groups.append((nodes, self._starts[nodes, None] + np.arange(size)))
-        self.n_classes = int(n_classes)
         # Each train row's one-hot target, class-major: (n_classes, rows).
         self._onehot = np.arange(self.n_classes)[:, None] == self._targets
         self.n_features = features.shape[1]
@@ -226,10 +216,7 @@ class LogisticObjective(LocalObjective):
         # The train rows, then the test rows: the losses and the test metric
         # read one softmax over both, whichever of them asks for it.
         if test_features is not None:
-            test_features = np.asarray(test_features, dtype=float)
-            if test_features.shape[0] == 0:
-                raise ValueError("the held-out set is empty; pass None for no test set")
-            self._test_labels = np.asarray(test_labels, dtype=int)
+            self._test_labels = test_labels
             features = np.vstack([features[rows], test_features])
         else:
             self._test_labels = None
@@ -275,15 +262,10 @@ class LogisticObjective(LocalObjective):
         """Mean cross-entropy of each shard, from one softmax over all rows."""
         return self._node_losses(*self._eval_terms(x[None]))[0]
 
-    def test_metric(self, state):
-        """Accuracy of the node-averaged model on the held-out set."""
-        if self._test_labels is None:
-            return None
-        return self._accuracies(*self._eval_terms(state.mean(axis=0)[None]))[0]
-
-    def network_metrics(self, states, means):
-        """Both metrics of every model in ``means`` from one softmax each,
-        taken over chunks of rounds of about ``_EVAL_CHUNK`` elements."""
+    def metrics(self, means):
+        """The train loss and held-out accuracy of every model in ``means``
+        from one softmax each, taken over chunks of rounds of about
+        ``_EVAL_CHUNK`` elements."""
         losses, accuracies = [], []
         step = max(1, _EVAL_CHUNK // (self.n_classes * self._eval_rows.shape[0]))
         for start in range(0, len(means), step):

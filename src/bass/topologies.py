@@ -19,14 +19,14 @@ def path_topology(n: int) -> Topology:
 
 def ring_topology(n: int) -> Topology:
     if n < 3:
-        raise ValueError("a ring needs at least 3 nodes")
+        raise ValueError(f"a ring needs node count n >= 3, got {n}")
     return Topology(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_topology(n: int) -> Topology:
     """Center 0 with n - 1 leaves."""
     if n < 2:
-        raise ValueError("a star needs at least 2 nodes")
+        raise ValueError(f"a star needs node count n >= 2, got {n}")
     return Topology(n, [(0, i) for i in range(1, n)])
 
 
@@ -38,7 +38,7 @@ def two_stars_topology(n1: int, n2: int) -> Topology:
     nodes including its center).
     """
     if n1 < 1 or n2 < 1:
-        raise ValueError("each star needs at least its center")
+        raise ValueError(f"each star needs at least its center, got n1 = {n1}, n2 = {n2}")
     edges = [(0, 1)]
     edges.extend((0, v) for v in range(2, n1 + 1))
     edges.extend((1, v) for v in range(n1 + 1, n1 + n2))
@@ -57,9 +57,11 @@ def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
     draw is built into a Topology.
     """
     if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
+        raise ValueError(f"node count n must be >= 1, got {n}")
     if not 0 <= p <= 1:
-        raise ValueError("edge probability must lie in [0, 1]")
+        raise ValueError(f"edge probability p must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     step = max(1, _DRAW_BLOCK // n)
     for _ in range(max_tries):
@@ -86,7 +88,9 @@ def make_topology(spec: str) -> Topology:
     """Build a topology from a preset string or a file path.
 
     Presets: ``path(n)``, ``ring(n)``, ``star(n)``, ``two-stars(n1,n2)``,
-    ``er(n,p,seed)``. Anything else is treated as a topology file path.
+    ``er(n,p,seed)``. Anything else is treated as a topology file path. An
+    argument that does not parse or is out of range fails with a message
+    naming the preset and the argument.
     """
     match = _PRESET_RE.match(spec)
     if not match:
@@ -96,16 +100,27 @@ def make_topology(spec: str) -> Topology:
         raise ValueError(f"unknown topology spec {spec!r} (and no such file)")
     name = match.group(1).lower().replace("_", "-")
     args = [a.strip() for a in match.group(2).split(",") if a.strip()]
+    # Each preset's builder and its arguments' names and types, in order.
     builders = {
-        "path": (1, lambda a: path_topology(int(a[0]))),
-        "ring": (1, lambda a: ring_topology(int(a[0]))),
-        "star": (1, lambda a: star_topology(int(a[0]))),
-        "two-stars": (2, lambda a: two_stars_topology(int(a[0]), int(a[1]))),
-        "er": (3, lambda a: er_topology(int(a[0]), float(a[1]), int(a[2]))),
+        "path": (path_topology, (("n", int),)),
+        "ring": (ring_topology, (("n", int),)),
+        "star": (star_topology, (("n", int),)),
+        "two-stars": (two_stars_topology, (("n1", int), ("n2", int))),
+        "er": (er_topology, (("n", int), ("p", float), ("seed", int))),
     }
     if name not in builders:
         raise ValueError(f"unknown topology preset {name!r}")
-    arity, build = builders[name]
-    if len(args) != arity:
-        raise ValueError(f"preset {name!r} takes {arity} argument(s), got {len(args)}")
-    return build(args)
+    build, params = builders[name]
+    if len(args) != len(params):
+        raise ValueError(f"preset {name!r} takes {len(params)} argument(s), got {len(args)}")
+    values = []
+    for (key, kind), text in zip(params, args):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            what = "an integer" if kind is int else "a real number"
+            raise ValueError(f"preset {name!r}: {key} must be {what}, got {text!r}") from None
+    try:
+        return build(*values)
+    except ValueError as err:
+        raise ValueError(f"preset {name!r}: {err}") from None

@@ -105,12 +105,13 @@ class TestGlobalTrainLoss:
 
     def test_reads_the_objectives_train_loss(self):
         class Shifted(QuadraticObjective):
-            def train_loss(self, x):
-                return super().train_loss(x) + 1.0
+            def metrics(self, means):
+                losses, tests = super().metrics(means)
+                return [loss + 1.0 for loss in losses], tests
 
         obj = Shifted(np.random.default_rng(14).normal(size=(4, 3)))
         state = self.state()
-        closed = QuadraticObjective.train_loss(obj, state.mean(axis=0))
+        closed = QuadraticObjective.metrics(obj, state.mean(axis=0)[None])[0][0]
         assert global_train_loss(obj, state) == closed + 1.0
         assert global_train_loss(QuadraticObjective(obj.centers), state) == closed
 

@@ -189,8 +189,9 @@ class TestOptimizeEpsilon:
             assert res.value - res.lower <= 1e-12
 
     def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            optimize_epsilon(full_comm_objective(p3()), tol=0.0)
+        for tol in (0.0, -1e-12, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+                optimize_epsilon(full_comm_objective(p3()), tol=tol)
 
     def test_small_graphs_need_two_evaluations(self):
         # up to 41 nodes the Ritz model is s itself

@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bass import LocalObjective, LogisticObjective, QuadraticObjective, make_blobs, shard_data
+from bass import (
+    LogisticObjective,
+    QuadraticObjective,
+    global_train_loss,
+    make_blobs,
+    shard_data,
+)
 
 # --- per-node oracles: the loops the batched objectives replace -------------
 
@@ -92,22 +100,6 @@ class TestQuadratic:
         expected = [float(0.5 * (x - c) @ (x - c)) for c in centers]
         assert obj.local_losses(x).tolist() == expected
 
-    @pytest.mark.parametrize(
-        "n, rounds, dim", [(9, 1, 2), (6, 4, 1), (5, 7, 3), (1, 1, 4), (1, 5, 2), (4, 3, 7), (3, 6, 9)]
-    )
-    def test_network_metrics_are_the_base_class_loop(self, n, rounds, dim):
-        """The block override returns, bit for bit, what the base-class loop
-        over local_losses and test_metric returns for each round."""
-        rng = np.random.default_rng(10 * n + dim)
-        obj = QuadraticObjective(rng.normal(size=(n, dim)))
-        states = rng.normal(size=(rounds, n, dim)) * 10.0 ** rng.integers(-3, 4, size=(rounds, n, dim))
-        means = np.add.reduce(states, 1) / n
-        losses, tests = obj.network_metrics(states, means)
-        want_losses, want_tests = LocalObjective.network_metrics(obj, states, means)
-        assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
-        assert np.array(tests).tobytes() == np.array(want_tests).tobytes()
-        assert len(losses) == len(tests) == rounds
-
     @pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (1e3, 1e-3)])
     def test_train_loss_is_the_mean_of_the_node_losses(self, offset, spread):
         """The closed form ½‖x - c̄‖² - (x - c̄)·r + K equals np.mean of the
@@ -122,7 +114,8 @@ class TestQuadratic:
                 for scale in (1e-3, 1.0, 30.0):
                     for base in (obj.known_optimum(), np.zeros(dim)):
                         x = base + rng.normal(0.0, scale, dim)
-                        got, want = obj.train_loss(x), float(np.mean(obj.local_losses(x)))
+                        got = global_train_loss(obj, x[None])
+                        want = float(np.mean(obj.local_losses(x)))
                         assert abs(got - want) <= (dim + n + 2) * np.finfo(float).eps * want
 
     @pytest.mark.parametrize("x", [
@@ -131,7 +124,8 @@ class TestQuadratic:
     ])
     def test_non_finite_train_loss_is_the_node_losses_mean(self, x):
         obj = QuadraticObjective(np.random.default_rng(12).normal(size=(5, 3)))
-        got, want = obj.train_loss(np.array(x)), float(np.mean(obj.local_losses(np.array(x))))
+        x = np.array(x)
+        got, want = global_train_loss(obj, x[None]), float(np.mean(obj.local_losses(x)))
         assert not np.isfinite(got)
         assert got == want or (np.isnan(got) and np.isnan(want))
 
@@ -259,6 +253,25 @@ class TestLogistic:
         x, y = make_blobs(12, 3, 2, np.random.default_rng(31))
         with pytest.raises(ValueError, match="held-out set is empty"):
             LogisticObjective(x, y, [np.arange(6), np.arange(6, 12)], 3, x[:0], y[:0])
+
+    @pytest.mark.parametrize("override, message", [
+        ({"labels": [0, 1, 2, 0, -1, 2, 0, 1, 2, 0, 1, 2]}, "labels must lie in 0..2, got -1"),
+        ({"labels": [0, 1, 2, 0, 3, 2, 0, 1, 2, 0, 1, 2]}, "labels must lie in 0..2, got 3"),
+        ({"test_labels": [0, 1, 7, 0]}, "test_labels must lie in 0..2, got 7"),
+        ({"test_labels": [0, -2, 1, 0]}, "test_labels must lie in 0..2, got -2"),
+        ({"n_classes": 1, "labels": [0] * 12, "test_labels": [0] * 4},
+         "n_classes must be at least 2, got 1"),
+        ({"test_labels": [0, 1, 2]}, "test_labels must hold one label per test row (4), got shape (3,)"),
+    ])
+    def test_unreadable_labels_rejected(self, override, message):
+        """A label outside 0..n_classes-1, fewer than 2 classes or a test
+        label count that differs from the test rows fails by name."""
+        x = np.random.default_rng(31).normal(size=(16, 2))
+        args = dict(features=x[:12], labels=np.arange(12) % 3, shards=[np.arange(6), np.arange(6, 12)],
+                    n_classes=3, test_features=x[12:], test_labels=np.arange(4) % 3)
+        LogisticObjective(**args)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LogisticObjective(**{**args, **override})
 
 
 class TestBatchedLogisticAgainstPerNodeLoop:

@@ -353,9 +353,9 @@ def same(a, b):
 
 
 class LogCoshObjective(LocalObjective):
-    """An objective from outside the package, with no ``network_metrics`` of
-    its own: its block metrics are the base-class loop over rounds. Its
-    gradients draw from the generator."""
+    """An objective from outside the package, with no ``metrics`` of its
+    own: its block metrics are the base-class default, the mean of its local
+    losses and no test metric. Its gradients draw from the generator."""
 
     def __init__(self, centers):
         self.centers = centers
@@ -367,11 +367,18 @@ class LogCoshObjective(LocalObjective):
     def local_losses(self, x):
         return np.log(np.cosh(x - self.centers)).sum(axis=1)
 
-    def test_metric(self, state):
-        return float(np.abs(state.mean(axis=0)).max())
+
+class HeldOutObjective(LogCoshObjective):
+    """An objective from outside the package whose ``metrics`` adds a
+    held-out metric: the largest coordinate magnitude of each network
+    average."""
+
+    def metrics(self, means):
+        return super().metrics(means)[0], np.abs(means).max(axis=1).tolist()
 
 
-OBJECTIVES = ["quadratic", "equal", "unequal", "no-test", "log-cosh"]
+OUTSIDE = {"log-cosh": LogCoshObjective, "held-out": HeldOutObjective}
+OBJECTIVES = ["quadratic", "equal", "unequal", "no-test", *OUTSIDE]
 
 
 @PROPERTY
@@ -387,14 +394,14 @@ def test_block_metrics_are_the_per_call_metrics(objective, seed, data):
     of the 8-coordinate rule of the consensus errors, and the logistic
     softmax is taken over chunks of 1 to 4 rounds. A NaN model row makes its
     round's softmax all NaN, and its accuracy is that of predicting class 0;
-    the quadratic and log-cosh objectives also take a NaN or ±inf in one
+    the quadratic and outside objectives also take a NaN or ±inf in one
     coordinate or in the whole row of a node."""
     rng = np.random.default_rng(seed)
     n = data.draw(st.integers(2 if objective == "unequal" else 1, 8))
     if objective == "quadratic":
         obj = QuadraticObjective(rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 10)))))
-    elif objective == "log-cosh":
-        obj = LogCoshObjective(rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 10)))))
+    elif objective in OUTSIDE:
+        obj = OUTSIDE[objective](rng.normal(0.0, 1.0, (n, data.draw(st.integers(1, 10)))))
     else:
         classes, per = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 4))
         extra = data.draw(st.integers(1, n - 1)) if objective == "unequal" else 0
@@ -411,7 +418,7 @@ def test_block_metrics_are_the_per_call_metrics(objective, seed, data):
     nan_round = data.draw(st.one_of(st.none(), st.integers(0, rounds - 1)))
     if nan_round is not None:
         row = states[nan_round, data.draw(st.integers(0, n - 1))]
-        if objective in ("quadratic", "log-cosh"):
+        if objective == "quadratic" or objective in OUTSIDE:
             coords = data.draw(st.one_of(st.just(slice(None)), st.integers(0, obj.dim - 1)))
             row[coords] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         else:
@@ -491,8 +498,8 @@ def training_cases(draw, kind, objective):
         policy = matcha_policy(md, frac * 2 * md.r, t).with_epsilon(epsilon)
     if objective == "quadratic":
         obj = QuadraticObjective(rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 10)))))
-    elif objective == "log-cosh":
-        obj = LogCoshObjective(rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 10)))))
+    elif objective in OUTSIDE:
+        obj = OUTSIDE[objective](rng.normal(0.0, 1.0, (t.n, draw(st.integers(1, 10)))))
     else:
         # 2n * per + extra rows in 2n shards, two per node: equal shards when
         # extra = 0, and unequal when n does not divide extra.
@@ -523,8 +530,9 @@ def training_cases(draw, kind, objective):
 def test_run_training_is_the_per_call_loop_bit_for_bit(kind, objective, data):
     """Records compared with ==, the final state and the generator's state
     bit for bit; quadratic objectives of dimension 1 to 10, logistic
-    objectives with equal shards, unequal shards and no test set, and an
-    objective that takes the base-class block metrics. The metric blocks are
+    objectives with equal shards, unequal shards and no test set, and two
+    objectives from outside the package, one with the base-class metrics and
+    one with its own held-out metric. The metric blocks are
     cut to 1 to 3 states, and the runs take 0 rounds, 1, one block, one
     block + 1 and the drawn count; with a cap below one state every block
     holds one round."""

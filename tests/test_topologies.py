@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,18 @@ class TestMakeTopology:
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
             make_topology("ring(6,7)")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("ring(1.5)", "preset 'ring': n must be an integer, got '1.5'"),
+        ("two-stars(3,x)", "preset 'two-stars': n2 must be an integer, got 'x'"),
+        ("er(10,x,1)", "preset 'er': p must be a real number, got 'x'"),
+        ("er(10,0.3,-1)", "preset 'er': seed must be nonnegative, got -1"),
+        ("er(10,nan,1)", "preset 'er': edge probability p must lie in [0, 1], got nan"),
+        ("er(0,0.3,1)", "preset 'er': node count n must be >= 1, got 0"),
+        ("ring(2)", "preset 'ring': a ring needs node count n >= 3, got 2"),
+        ("star(1)", "preset 'star': a star needs node count n >= 2, got 1"),
+        ("two-stars(3,0)", "preset 'two-stars': each star needs at least its center, got n1 = 3, n2 = 0"),
+    ])
+    def test_bad_argument_names_the_preset_and_the_argument(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_topology(spec)
