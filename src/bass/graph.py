@@ -10,7 +10,7 @@ import numpy as np
 
 # (source, node) entries per block of sources in betweenness_centrality; the
 # block's temporaries stay within a small multiple of this whatever n is.
-_BFS_BLOCK_ELEMENTS = 2**14
+_BFS_BLOCK_ELEMENTS = 2**15
 
 
 class Topology:

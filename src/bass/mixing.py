@@ -15,22 +15,40 @@ makes the search certified: `optimize_epsilon` returns, beside eps* and
 s* = s(eps*), a lower bound on min s, and stops when the two are within
 `tol`. Its loop:
 
-1. Evaluates s exactly at the current eps: M is written into one reused
+1. Evaluates s exactly at the first eps: M is written into one reused
    n x n buffer and `eigvalsh` gives its whole spectrum.
 2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
    nodes U is all of the complement of the ones vector from the first step,
-   so the model below is s itself and the second evaluation normally ends
-   the search. Otherwise a Chebyshev filter of the buffer (matmuls only;
-   the spectrum places the cut-off in a gap) adds a block of approximate
-   top eigenvectors, and a thick restart keeps U at most `_BASIS_CAP`
-   columns wide.
+   so the model below is s itself, every point gets its exact spectrum, and
+   the second evaluation normally ends the search. Otherwise a Chebyshev
+   filter of the buffer (matmuls only) adds a block of approximate top
+   eigenvectors, and a thick restart keeps U at most `_BASIS_CAP` columns
+   wide. An exact spectrum places the filter's cut-off in a gap; without
+   one, the model's Ritz values stand in, the floor is 0 (M is PSD) and the
+   top a Gershgorin bound.
 3. Minimizes the Ritz model m_U(eps) = lambda_max(U^T M(eps) U) <= s(eps), a
    problem of at most `_BASIS_CAP` columns, by the cuts q_v of its top
    eigenvectors v. The least maximum of all cuts so far is the certified
    lower bound; the next eps is the model's best point.
-4. Stops once the best exact value minus the lower bound is at most `tol`.
+4. Above `_BASIS_CAP` + 1 nodes, tests the model's top Ritz pair at that
+   point against M with one product: once its residual is small against
+   the Ritz gap, one Cholesky factor of (lower + tol) I - M, formed in the
+   buffer, certifies s(eps) < lower + tol and ends the search. The factor
+   exists iff that holds, up to its backward error of about n e (e the
+   machine epsilon; near the boundary the shifted matrix has norm at most
+   lower + tol <= 1 + tol, as M is PSD): 9e-14 at n = 400 and 4e-13 at
+   n = 2000. The level is lowered by that estimate, and above about 4500
+   nodes, where it no longer fits inside the default tol of 1e-12, every
+   point gets its spectrum as in step 1. A residual that fails the test
+   grows the basis by a Ritz-shaped filter while it shrinks; a factor
+   that fails, or a residual that stops shrinking, gets the exact spectrum
+   there, as in step 1.
+5. Stops once the best exact value minus the lower bound is at most `tol`.
 
-No bracket is needed, because the cuts grow without bound in eps.
+An evaluation is one dense factorization of the buffer: an `eigvalsh`
+spectrum or a Cholesky certificate. `_MAX_EVALUATIONS` caps the passes of the
+loop, each of which makes at most one factorization or one filter step. No
+bracket is needed, because the cuts grow without bound in eps.
 """
 
 from __future__ import annotations
@@ -46,7 +64,9 @@ _CHECK_BLOCK = 2**15
 # Columns of the Ritz basis: the model eigenproblems are at most this size,
 # and up to this many nodes plus one the basis is exact.
 _BASIS_CAP = 40
-# Exact evaluations before the search gives up and warns with its gap.
+# Passes of the search before it gives up and warns with its gap. A pass
+# makes at most one dense factorization (a spectrum or a Cholesky
+# certificate) or one Ritz-shaped filter step, so this caps both.
 _MAX_EVALUATIONS = 30
 # Model eigenproblems per exact evaluation.
 _MODEL_STEPS = 60
@@ -128,8 +148,12 @@ def contracts(value: float) -> bool:
 @dataclass(frozen=True)
 class EpsilonSearch:
     """Result of the 1-D mixing-parameter optimization: eps*, s* = s(eps*),
-    a certified lower bound on min s, and the number of exact evaluations
-    of s the search made."""
+    a certified lower bound on min s, and the number of dense
+    factorizations the search made (``eigvalsh`` spectra plus Cholesky
+    certificates).
+
+    A search that ends on a certificate knows s(eps*) only to within tol:
+    s* is then the top Ritz value clipped to [lower, lower + tol]."""
 
     epsilon: float
     value: float
@@ -205,6 +229,9 @@ class _RitzBasis:
             self.u = np.empty((n, 0))
         self.r1 = self.u.T @ (objective.e_laplacian @ self.u)
         self.r2 = self.u.T @ (objective.e_gram @ self.u)
+        # Degree of the last filter shaped by an exact spectrum: the cap of
+        # the filters shaped by Ritz values.
+        self.degree = _MAX_FILTER_DEGREE
 
     def model(self, eps: float) -> np.ndarray:
         r1, r2 = self.r1, self.r2
@@ -212,36 +239,73 @@ class _RitzBasis:
         h.reshape(-1)[:: r1.shape[0] + 1] += 1.0
         return h
 
-    def extend(self, mat: np.ndarray, spectrum: np.ndarray, eps: float):
+    def top_pair(self, mat: np.ndarray, eps: float) -> tuple[float, float, float]:
+        """The model's top Ritz value theta at eps, the squared residual
+        ||r||^2 of its Ritz vector x against ``mat`` = M(eps), r = M x - theta x,
+        and the gap g from theta to the nearest Ritz value more than ||r||
+        below it (to the floor 0 if there is none).
+
+        theta is then within about ||r||^2 / g of s(eps), and a degenerate
+        top cluster, whose Ritz values lie within ||r|| of theta, does not
+        shrink g.
+        """
+        vals, y = np.linalg.eigh(self.model(eps))
+        theta = float(vals[-1])
+        x = self.u @ y[:, -1]
+        r = mat @ x - theta * x
+        residual = float(r @ r)
+        below = vals[vals < theta - math.sqrt(residual)]
+        return theta, residual, theta - below[-1] if below.size else theta
+
+    def extend(self, mat: np.ndarray, eps: float, spectrum: np.ndarray | None = None):
         """Add filtered approximations to the top eigenvectors of ``mat`` =
-        M(eps), whose ascending eigenvalues are ``spectrum``."""
+        M(eps).
+
+        Given the ascending eigenvalues ``spectrum`` of ``mat``, the filter
+        is shaped by them. Without it, the model's Ritz values at eps stand
+        in: the floor is 0 (M is PSD), the top a Gershgorin bound of
+        ``mat``, and the degree at most that of the last exact-shaped filter.
+        A lone Ritz value theta shapes a one-vector filter that damps
+        [0, theta].
+        """
         n = self.objective.n
         k = self.u.shape[1]
         if k == n - 1:
             return
-        p, degree = _filter_shape(spectrum)
+        vals, y = np.linalg.eigh(self.model(eps)) if k else (None, None)
+        if spectrum is None:
+            p, degree = _filter_shape(0.0, vals, self.degree)
+            low, cut, top = 0.0, vals[-p - 1], _row_bound(mat)
+        else:
+            p, degree = _filter_shape(spectrum[0], spectrum, _MAX_FILTER_DEGREE)
+            self.degree = degree
+            low, cut, top = spectrum[0], spectrum[-p - 1], spectrum[-1]
         if k:
             # Start from the model's top Ritz vectors plus one random vector;
             # restart to the top ones when the block would overflow the cap.
-            _, y = np.linalg.eigh(self.model(eps))
             ritz = self.u @ y
             if k + p > _BASIS_CAP:
                 y = y[:, k + p - _BASIS_CAP :]
                 self.u = ritz[:, k + p - _BASIS_CAP :]
                 self.r1 = y.T @ self.r1 @ y
                 self.r2 = y.T @ self.r2 @ y
-            start = np.hstack([ritz[:, 1 - p :], self.rng.standard_normal((n, 1))])
+            start = np.hstack([ritz[:, max(k + 1 - p, 0) :], self.rng.standard_normal((n, 1))])
         else:
             start = self.rng.standard_normal((n, p))
-        block = _chebyshev_filter(mat, spectrum, start, n - 1 - p, degree)
+        block = _chebyshev_filter(mat, start, low, cut, top, degree)
         # Two passes of projection and QR keep U orthonormal and mean-free to
-        # rounding; columns that the first pass finds dependent are dropped.
-        for _ in range(2):
+        # rounding. The first drops columns dependent on the block's others.
+        # The second, whose input columns are unit, drops those that shrink
+        # by more than sqrt(2) in it (Kahan and Parlett's "twice is enough"):
+        # only rounding was left of them after the first pass, and it would
+        # compound U's own rounding error if it joined U.
+        for second in (False, True):
             block -= block.mean(axis=0)
             block -= self.u @ (self.u.T @ block)
             block, r = np.linalg.qr(block)
             diag = np.abs(np.diag(r))
-            block = block[:, diag > 1e-8 * diag.max(initial=0.0)]
+            floor = math.sqrt(0.5) if second else 1e-8 * diag.max(initial=0.0)
+            block = block[:, diag > floor]
         e_lap, e_gram = self.objective.e_laplacian, self.objective.e_gram
         self.r1 = _bordered(self.r1, self.u, block, e_lap @ block)
         self.r2 = _bordered(self.r2, self.u, block, e_gram @ block)
@@ -292,19 +356,23 @@ def _bordered(r: np.ndarray, u: np.ndarray, block: np.ndarray, image: np.ndarray
     return np.block([[r, side], [side.T, corner]])
 
 
-def _filter_shape(spectrum: np.ndarray) -> tuple[int, int]:
-    """Block size p and degree of the Chebyshev filter for a spectrum.
+def _filter_shape(low: float, values: np.ndarray, max_degree: int) -> tuple[int, int]:
+    """Block size p and degree of the Chebyshev filter for ascending
+    eigenvalue estimates ``values`` above a floor ``low`` of the spectrum.
 
-    The filter damps [spectrum[0], cut-off], the cut-off being the (p+1)-th
-    largest eigenvalue. The degree that damps it by _FILTER_DAMPING relative
-    to the p-th largest is acosh(1 / damping) / acosh(t_p), t_p the p-th
-    eigenvalue mapped onto the Chebyshev variable; p minimizes the matmul
-    columns p * degree, which puts the cut-off in a gap of the spectrum,
-    never inside a degenerate cluster.
+    The filter damps [low, cut-off], the cut-off being the (p+1)-th largest
+    value. The degree that damps it by _FILTER_DAMPING relative to the p-th
+    largest is acosh(1 / damping) / acosh(t_p), t_p that value mapped onto
+    the Chebyshev variable, capped at ``max_degree``; p minimizes the matmul
+    columns p * degree, which puts the cut-off in a gap of the values, never
+    inside a degenerate cluster. Block sizes run up to one less than the
+    number of values, so that every cut-off is one of them; a single value
+    gives p = 0, a cut-off at that value and the degree ``max_degree``.
     """
-    best = (_BLOCK_SIZES[0], _MAX_FILTER_DEGREE)
-    for p in _BLOCK_SIZES:
-        low, cut, weakest = spectrum[0], spectrum[-p - 1], spectrum[-p]
+    sizes = range(min(_BLOCK_SIZES[0], values.size - 1), min(_BLOCK_SIZES[-1] + 1, values.size))
+    best = (sizes[0], max_degree)
+    for p in sizes:
+        cut, weakest = values[-p - 1], values[-p]
         half = 0.5 * (cut - low)
         if half <= 0.0:
             # Only the block's eigenvalues are above the bottom of the
@@ -315,21 +383,29 @@ def _filter_shape(spectrum: np.ndarray) -> tuple[int, int]:
         else:
             t = (weakest - 0.5 * (cut + low)) / half
             degree = math.ceil(math.acosh(1.0 / _FILTER_DAMPING) / math.acosh(t))
-            degree = min(degree, _MAX_FILTER_DEGREE)
+            degree = min(degree, max_degree)
         if p * degree < best[0] * best[1]:
             best = (p, degree)
     return best
 
 
-def _chebyshev_filter(mat, spectrum, block, cut_index, degree):
+def _row_bound(mat: np.ndarray) -> float:
+    """Gershgorin bound max_i sum_j |mat_ij| on the spectrum of ``mat``, in
+    row blocks of at most _CHECK_BLOCK entries."""
+    rows = max(1, _CHECK_BLOCK // mat.shape[1])
+    return max(
+        float(np.abs(mat[r : r + rows]).sum(axis=1).max()) for r in range(0, mat.shape[0], rows)
+    )
+
+
+def _chebyshev_filter(mat, block, low, cut, top, degree):
     """Chebyshev polynomial of ``mat`` applied to ``block``: it damps the
-    eigenvalues in [spectrum[0], spectrum[cut_index]] and is scaled to 1 at
-    the top eigenvalue (Zhou & Saad's scaled three-term recurrence)."""
-    low, cut = spectrum[0], spectrum[cut_index]
+    eigenvalues in [low, cut] and is scaled to 1 at ``top`` (Zhou & Saad's
+    scaled three-term recurrence)."""
     center, half = 0.5 * (cut + low), 0.5 * (cut - low)
-    sigma = first = half / (spectrum[-1] - center)
+    sigma = first = half / (top - center)
     prev = block
-    block = (mat @ block - center * block) / (spectrum[-1] - center)
+    block = (mat @ block - center * block) / (top - center)
     for _ in range(degree - 1):
         sigma_next = 1.0 / (2.0 / first - sigma)
         nxt = mat @ block
@@ -340,14 +416,32 @@ def _chebyshev_filter(mat, spectrum, block, cut_index, degree):
     return block
 
 
+def _certifies(mat: np.ndarray, level: float) -> bool:
+    """True iff level * I - M has a Cholesky factor for ``mat`` = M(eps),
+    i.e. s < level up to the factor's backward error. The difference
+    overwrites ``mat``."""
+    np.negative(mat, out=mat)
+    mat.reshape(-1)[:: mat.shape[0] + 1] += level
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> EpsilonSearch:
     """Minimize the expected contraction factor s over the step size, to a
     certified gap: s(epsilon) - lower <= tol, with lower <= min s.
 
+    Each evaluation is one dense factorization of M(eps): an ``eigvalsh``
+    spectrum, or above 41 nodes a Cholesky factor of (lower + tol) I - M
+    that certifies s(eps) < lower + tol (see the module docstring).
+
     A degenerate result (eps = 0) is returned when E[L~] vanishes, i.e. no
     link is ever activated bidirectionally. A result with value >= 1 warns:
-    no step size contracts. So does a search that reaches its evaluation cap
-    with the gap still above tol.
+    no step size contracts. So does a search that reaches its cap
+    (`_MAX_EVALUATIONS` passes, each at most one factorization or one filter
+    step) with the gap still above tol.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -363,20 +457,52 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> Epsilo
     cuts = _Cuts()
     best_value, best_eps = np.inf, eps
     lower = 0.0  # M is PSD
-    for evaluations in range(1, _MAX_EVALUATIONS + 1):
-        spectrum = np.linalg.eigvalsh(objective.contraction_matrix(eps, out=buf))
-        if spectrum[-1] < best_value:
-            best_value, best_eps = float(spectrum[-1]), eps
-        if best_value - lower <= tol:
-            break
-        basis.extend(buf, spectrum, eps)
+    # Up to _BASIS_CAP + 1 nodes the model is s itself, and every point gets
+    # its spectrum. Above, later points are certified by a Cholesky factor of
+    # A = (lower + tol) I - M, whose backward error is about n e ||A|| (e the
+    # machine epsilon) with ||A|| <= lower + tol <= 1 + tol, as M is PSD and
+    # lower <= s(0) = 1. The certificate's level is lowered by that much, and
+    # where it does not fit inside tol (above about 4500 nodes at the default
+    # tol) every point gets its spectrum again.
+    slack = objective.n * np.finfo(float).eps * (1.0 + tol)
+    ritz_steps = objective.n - 1 > _BASIS_CAP and slack < tol
+    take_spectrum = True
+    evaluations = 0
+    for _ in range(_MAX_EVALUATIONS):
+        objective.contraction_matrix(eps, out=buf)
+        if take_spectrum:
+            spectrum = np.linalg.eigvalsh(buf)
+            evaluations += 1
+            if spectrum[-1] < best_value:
+                best_value, best_eps = float(spectrum[-1]), eps
+            if best_value - lower <= tol:
+                break
+            basis.extend(buf, eps, spectrum)
+            last_residual = math.inf
+        else:
+            theta, residual, gap = basis.top_pair(buf, eps)
+            if residual <= tol * gap:
+                evaluations += 1
+                if _certifies(buf, lower + tol - slack):
+                    best_value, best_eps = min(max(theta, lower), lower + tol), eps
+                    break
+                take_spectrum = True
+                continue
+            # A Ritz-shaped filter step only while the residual shrinks; the
+            # spectrum at this point otherwise.
+            if residual >= last_residual:
+                take_spectrum = True
+                continue
+            basis.extend(buf, eps)
+            last_residual = residual
         eps, model_lower = basis.minimize(cuts, eps, 0.5 * tol)
         lower = max(lower, model_lower)
         if best_value - lower <= tol:
             break
+        take_spectrum = not ritz_steps
     else:
         warnings.warn(
-            f"epsilon search stopped after {_MAX_EVALUATIONS} evaluations with "
+            f"epsilon search stopped after {evaluations} evaluations with "
             f"s(eps) - lower bound = {best_value - lower:.3g} > tol = {tol:g}"
         )
     if not contracts(best_value):

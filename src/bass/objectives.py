@@ -164,7 +164,7 @@ class LogisticObjective(LocalObjective):
     overlap; their rows are gathered once, node after node, into one array.
     Mini-batches are drawn with replacement from each node's shard. Labels
     are classes 0..n_classes-1, with n_classes >= 2 and one test label per
-    test row.
+    test row; the test rows and labels are passed together or not at all.
     """
 
     def __init__(self, features, labels, shards, n_classes, test_features=None, test_labels=None):
@@ -176,6 +176,9 @@ class LogisticObjective(LocalObjective):
             raise ValueError(f"n_classes must be at least 2, got {n_classes}")
         labels = np.asarray(labels, dtype=int)
         named = [("labels", labels)]
+        if (test_features is None) != (test_labels is None):
+            missing = "test_labels" if test_labels is None else "test_features"
+            raise ValueError(f"{missing} is missing: pass test_features and test_labels together")
         if test_features is not None:
             test_features = np.asarray(test_features, dtype=float)
             if test_features.shape[0] == 0:

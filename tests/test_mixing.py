@@ -200,14 +200,71 @@ class TestOptimizeEpsilon:
             obj = subset_objective(random_connected(rng, n, extra_edges=n), seed=n)
             assert optimize_epsilon(obj).evaluations == 2
 
-    def test_growing_basis_needs_few_evaluations(self):
-        # the bass policy of the large-er benchmark: golden section needed 45
+    def test_growing_basis_needs_few_evaluations(self, monkeypatch):
+        # the bass policy of the large-er benchmark: golden section needed 45,
+        # and a dense spectrum at every model point 5
         t = er_topology(400, 0.012, 1)
         part = greedy_partition(t)
         scores = subset_betweenness(betweenness_centrality(t), part)
         obj = subset_objective(t, solve_probabilities(scores, 0.5 * part.q, 0.01))
+        eigvalsh, spectra = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))
         res = optimize_epsilon(obj)
+        monkeypatch.undo()
+        assert spectra == [(t.n, t.n)] * len(spectra)
+        assert len(spectra) <= 3
         assert res.evaluations <= 8
+        assert_certified(obj, res)
+
+    def test_failed_certificate_falls_back_to_the_spectrum(self, monkeypatch):
+        # a Cholesky factor that fails once hands its point to eigvalsh
+        obj = subset_objective(er_topology(100, 0.05, 3), seed=3)
+        cholesky, eigvalsh, calls = np.linalg.cholesky, np.linalg.eigvalsh, []
+
+        def fails_once(a):
+            calls.append("cholesky")
+            if calls.count("cholesky") == 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+        res = optimize_epsilon(obj)
+        monkeypatch.undo()
+        assert calls[calls.index("cholesky") + 1] == "eigvalsh"
+        assert res.evaluations == len(calls)
+        assert_certified(obj, res)
+
+    def test_filter_steps_count_toward_the_cap(self, monkeypatch):
+        # a residual that keeps shrinking but never passes the test: every
+        # pass after the first spectrum is a filter step, and the cap ends
+        # them; the filter steps at one point must not bend the lower bound
+        obj = subset_objective(er_topology(100, 0.05, 3), seed=3)
+        tests = []
+
+        def never_passes(self, mat, eps):
+            tests.append(eps)
+            assert len(tests) < 100
+            return 0.5, 1.0 / len(tests), 0.0
+
+        monkeypatch.setattr(mixing._RitzBasis, "top_pair", never_passes)
+        with pytest.warns(UserWarning, match=r"after 1 evaluations with s\(eps\) - lower"):
+            res = optimize_epsilon(obj)
+        assert len(tests) == mixing._MAX_EVALUATIONS - 1
+        assert res.evaluations == 1
+        monkeypatch.undo()
+        assert res.lower <= optimize_epsilon(obj).value
+
+    def test_no_certificate_below_its_rounding(self, monkeypatch):
+        # at n = 100 the Cholesky factor's backward error, about 100 e, does
+        # not fit inside tol = 1e-14: every point gets its spectrum
+        obj = subset_objective(er_topology(100, 0.05, 3), seed=3)
+        cholesky, calls = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        res = optimize_epsilon(obj, tol=1e-14)
+        monkeypatch.undo()
+        assert calls == []
+        assert res.value - res.lower <= 1e-14
         assert_certified(obj, res)
 
     def test_evaluation_cap_warns_with_gap(self, monkeypatch):
@@ -232,14 +289,18 @@ class TestOptimizeEpsilon:
             ring_topology(200),
             star_topology(10),
             two_stars_topology(6, 6),
+            two_stars_topology(40, 40),
             Topology(9, list(itertools.combinations(range(9), 2))),
             Topology(50, list(itertools.combinations(range(50), 2))),
         ],
-        ids=["ring(200)", "star(10)", "two-stars(6,6)", "complete(9)", "complete(50)"],
+        ids=["ring(200)", "star(10)", "two-stars(6,6)", "two-stars(40,40)", "complete(9)",
+             "complete(50)"],
     )
     def test_full_communication_closed_form(self, topology):
         # ring(200)'s spectrum is degenerate pairs; a complete graph's is one
-        # eigenvalue of multiplicity n - 1, and s* = 0
+        # eigenvalue of multiplicity n - 1, and s* = 0; two-stars(40,40)'s
+        # first filter keeps one column, and its lone Ritz value shapes a
+        # one-vector filter
         res = optimize_epsilon(full_comm_objective(topology))
         eigs = np.linalg.eigvalsh(topology.laplacian())
         lam2, lam_n = eigs[1], eigs[-1]

@@ -262,10 +262,13 @@ class TestLogistic:
         ({"n_classes": 1, "labels": [0] * 12, "test_labels": [0] * 4},
          "n_classes must be at least 2, got 1"),
         ({"test_labels": [0, 1, 2]}, "test_labels must hold one label per test row (4), got shape (3,)"),
+        ({"test_labels": None}, "test_labels is missing: pass test_features and test_labels together"),
+        ({"test_features": None}, "test_features is missing: pass test_features and test_labels together"),
     ])
     def test_unreadable_labels_rejected(self, override, message):
-        """A label outside 0..n_classes-1, fewer than 2 classes or a test
-        label count that differs from the test rows fails by name."""
+        """A label outside 0..n_classes-1, fewer than 2 classes, a test
+        label count that differs from the test rows or half of the held-out
+        pair fails by name."""
         x = np.random.default_rng(31).normal(size=(16, 2))
         args = dict(features=x[:12], labels=np.arange(12) % 3, shards=[np.arange(6), np.arange(6, 12)],
                     n_classes=3, test_features=x[12:], test_labels=np.arange(4) % 3)
