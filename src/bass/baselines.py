@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, _greedy_colors
 from .moments import monte_carlo_moments
 from .partition import CollisionFreePartition
 from .scheduling import BUDGET_TOL, RoundActivation, RoundSampler, SchedulingPolicy, Units, _unit_probs
@@ -50,15 +50,7 @@ def matching_decomposition(t: Topology) -> MatchingDecomposition:
     """Greedy edge coloring: each edge takes the smallest color free at both
     endpoints, processing edges in lexicographic order, so the colors in use
     are 0..r-1 with r at most 2 * max_degree - 1."""
-    used = [0] * t.n  # bit c of used[v]: color c is taken at node v
-    colors = []
-    for i, j in t.edge_array.tolist():
-        taken = used[i] | used[j]
-        bit = ~taken & (taken + 1)  # lowest clear bit
-        colors.append(bit.bit_length() - 1)
-        used[i] |= bit
-        used[j] |= bit
-    return MatchingDecomposition(t, colors)
+    return MatchingDecomposition(t, _greedy_colors(t.edge_array.tolist(), t.n))
 
 
 def dump_matchings(md: MatchingDecomposition) -> str:
@@ -145,8 +137,7 @@ def matcha_spectral_moments(policy: MatchaPolicy, samples: int, rng: np.random.G
     return ms.e_laplacian, ms.e_gram
 
 
-def full_comm_policy(partition: CollisionFreePartition, epsilon: float | None = None) -> SchedulingPolicy:
-    """Every subset on every round: q slots per round, fixed mixing matrix."""
-    return SchedulingPolicy(
-        subset_probs=np.ones(partition.q), budget=float(partition.q), epsilon=epsilon
-    )
+def full_comm_policy(partition: CollisionFreePartition) -> SchedulingPolicy:
+    """Every subset on every round: q slots per round, fixed mixing matrix.
+    The policy's epsilon is unset; ``with_epsilon`` sets it."""
+    return SchedulingPolicy(subset_probs=np.ones(partition.q), budget=float(partition.q))

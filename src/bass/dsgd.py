@@ -192,25 +192,19 @@ def run_training(
     partition: CollisionFreePartition,
     obj: LocalObjective,
     cfg: TrainConfig,
-    initial_state: np.ndarray | None = None,
 ) -> MetricsLog:
     """Run D-SGD for cfg.rounds rounds and collect per-round metrics.
 
     Per round, in fixed generator order: sample the activation, take one
     gradient step per node, then apply the round's mixing matrix. The model
-    starts at zero (all nodes in consensus) unless an initial state is given.
+    starts at zero, all nodes in consensus.
     ``policy`` is any object whose ``round_sampler(partition, topology)``
     returns a ``scheduling.RoundSampler``.
     """
     if partition.n != topology.n or obj.num_nodes != topology.n:
         raise ValueError("topology, partition and objective disagree on node count")
     rng = np.random.default_rng(cfg.seed)
-    if initial_state is None:
-        state = np.zeros((topology.n, obj.dim))
-    else:
-        state = np.array(initial_state, dtype=float)
-        if state.shape != (topology.n, obj.dim):
-            raise ValueError(f"initial state must have shape ({topology.n}, {obj.dim})")
+    state = np.zeros((topology.n, obj.dim))
     sampler = policy.round_sampler(partition, topology)
     log = MetricsLog()
     per_block = _METRIC_BLOCK_FLOATS // max(state.size, 1)

@@ -49,7 +49,9 @@ _LOWER_BOUNDS = {"dim": 1, "n_classes": 2, "n_features": 1, "eps_mc_samples": 1,
 class ExperimentConfig:
     """Flat experiment description, mirroring the CLI flags. Each field's
     type is checked from its annotation (see ``_PARSERS``), then its range:
-    the training keys' by ``TrainConfig``, the others' here."""
+    the training keys' by ``TrainConfig``, the others' here.
+    ``center_spread`` spreads only the quadratic targets; the logistic
+    blobs keep class-mean spread 3 whatever it is."""
 
     topology: str = "two-stars(4,4)"
     policies: tuple[str, ...] = ("bass",)
@@ -144,9 +146,9 @@ _CONFIG_PARSERS = {key: _PARSERS[hint] for key, hint in get_type_hints(Experimen
 
 def parse_config_text(text: str) -> dict:
     """Parse the flat ``key = value`` config format ('#' starts a comment).
-    The keys are the ExperimentConfig fields; each value is parsed by its
-    field's type."""
-    values = {}
+    The keys are the ExperimentConfig fields, each given at most once; each
+    value is parsed by its field's type."""
+    values, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -159,6 +161,9 @@ def parse_config_text(text: str) -> dict:
             key = "policies"
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _CONFIG_PARSERS[key][0](raw)
         except ValueError as exc:

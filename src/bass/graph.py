@@ -181,6 +181,23 @@ def _conflicts(topology: Topology):
     return out, keys % n
 
 
+def _greedy_colors(groups, n) -> list:
+    """Greedy coloring of ``groups`` (node sequences) in order: each takes
+    the smallest color not yet taken at any of its nodes, so groups that
+    share a node never share a color; the colors in use are 0..c-1."""
+    used = [0] * n  # bit c of used[v]: color c is taken at node v
+    colors = []
+    for group in groups:
+        taken = 0
+        for v in group:
+            taken |= used[v]
+        bit = ~taken & (taken + 1)  # lowest clear bit
+        colors.append(bit.bit_length() - 1)
+        for v in group:
+            used[v] |= bit
+    return colors
+
+
 def _pair_gram(n, k, a, b, w) -> np.ndarray:
     """sum_p w_p (u_k - u_a)(u_k - u_b)^T over incident pairs p, in one n x n
     array: L_(k,a) L_(k,b) for a != b, and L_e^2 = 2 L_e from both ends of e."""

@@ -19,30 +19,30 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    n x n buffer and `eigvalsh` gives its whole spectrum.
 2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
    nodes U is all of the complement of the ones vector from the first step,
-   so the model below is s itself, every point gets its exact spectrum, and
-   the second evaluation normally ends the search. Otherwise a Chebyshev
-   filter of the buffer (matmuls only) adds a block of approximate top
-   eigenvectors, and a thick restart keeps U at most `_BASIS_CAP` columns
-   wide. An exact spectrum places the filter's cut-off in a gap; without
-   one, the model's Ritz values stand in, the floor is 0 (M is PSD) and the
-   top a Gershgorin bound.
+   so the model below is s itself and step 4's certificate normally ends the
+   search at the second evaluation. Otherwise a Chebyshev filter of the
+   buffer (matmuls only) adds a block of approximate top eigenvectors, and a
+   thick restart keeps U at most `_BASIS_CAP` columns wide. An exact
+   spectrum places the filter's cut-off in a gap; without one, the model's
+   Ritz values stand in, the floor is 0 (M is PSD) and the top a Gershgorin
+   bound.
 3. Minimizes the Ritz model m_U(eps) = lambda_max(U^T M(eps) U) <= s(eps), a
    problem of at most `_BASIS_CAP` columns, by the cuts q_v of its top
    eigenvectors v. The least maximum of all cuts so far is the certified
    lower bound; the next eps is the model's best point.
-4. Above `_BASIS_CAP` + 1 nodes, tests the model's top Ritz pair at that
-   point against M with one product: once its residual is small against
-   the Ritz gap, one Cholesky factor of (lower + tol) I - M, formed in the
-   buffer, certifies s(eps) < lower + tol and ends the search. The factor
-   exists iff that holds, up to its backward error of about n e (e the
-   machine epsilon; near the boundary the shifted matrix has norm at most
-   lower + tol <= 1 + tol, as M is PSD): 9e-14 at n = 400 and 4e-13 at
-   n = 2000. The level is lowered by that estimate, and above about 4500
-   nodes, where it no longer fits inside the default tol of 1e-12, every
-   point gets its spectrum as in step 1. A residual that fails the test
-   grows the basis by a Ritz-shaped filter while it shrinks; a factor
-   that fails, or a residual that stops shrinking, gets the exact spectrum
-   there, as in step 1.
+4. Tests the model's top Ritz pair at that point against M with one
+   product: once its residual is small against the Ritz gap, one Cholesky
+   factor of (lower + tol) I - M, formed in the buffer, certifies
+   s(eps) < lower + tol and ends the search. The factor exists iff that
+   holds, up to its backward error of about n e (e the machine epsilon;
+   near the boundary the shifted matrix has norm at most lower + tol <=
+   1 + tol, as M is PSD): 9e-14 at n = 400 and 4e-13 at n = 2000. The level
+   is lowered by that estimate, and above about 4500 nodes, where it no
+   longer fits inside the default tol of 1e-12, every point gets its
+   spectrum as in step 1. A residual that fails the test grows the basis by
+   a Ritz-shaped filter while it shrinks; a factor that fails, or a
+   residual that stops shrinking, gets the exact spectrum there, as in
+   step 1.
 5. Stops once the best exact value minus the lower bound is at most `tol`.
 
 An evaluation is one dense factorization of the buffer: an `eigvalsh`
@@ -274,6 +274,10 @@ class _RitzBasis:
             return
         vals, y = np.linalg.eigh(self.model(eps)) if k else (None, None)
         if spectrum is None:
+            # Scaled at the Gershgorin bound: the top Ritz value can lie below
+            # s(eps), and scaled there the filter overflowed on two-stars(40,40)
+            # and put the lower bound above min s on er(100,0.05,3). At the
+            # degree cap the block there still reads >= 1e-47, far from 0.
             p, degree = _filter_shape(0.0, vals, self.degree)
             low, cut, top = 0.0, vals[-p - 1], _row_bound(mat)
         else:
@@ -434,8 +438,8 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> Epsilo
     certified gap: s(epsilon) - lower <= tol, with lower <= min s.
 
     Each evaluation is one dense factorization of M(eps): an ``eigvalsh``
-    spectrum, or above 41 nodes a Cholesky factor of (lower + tol) I - M
-    that certifies s(eps) < lower + tol (see the module docstring).
+    spectrum, or a Cholesky factor of (lower + tol) I - M that certifies
+    s(eps) < lower + tol (see the module docstring).
 
     A degenerate result (eps = 0) is returned when E[L~] vanishes, i.e. no
     link is ever activated bidirectionally. A result with value >= 1 warns:
@@ -457,15 +461,14 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> Epsilo
     cuts = _Cuts()
     best_value, best_eps = np.inf, eps
     lower = 0.0  # M is PSD
-    # Up to _BASIS_CAP + 1 nodes the model is s itself, and every point gets
-    # its spectrum. Above, later points are certified by a Cholesky factor of
+    # Points after the first are certified by a Cholesky factor of
     # A = (lower + tol) I - M, whose backward error is about n e ||A|| (e the
     # machine epsilon) with ||A|| <= lower + tol <= 1 + tol, as M is PSD and
     # lower <= s(0) = 1. The certificate's level is lowered by that much, and
     # where it does not fit inside tol (above about 4500 nodes at the default
     # tol) every point gets its spectrum again.
     slack = objective.n * np.finfo(float).eps * (1.0 + tol)
-    ritz_steps = objective.n - 1 > _BASIS_CAP and slack < tol
+    ritz_steps = slack < tol
     take_spectrum = True
     evaluations = 0
     for _ in range(_MAX_EVALUATIONS):

@@ -69,8 +69,8 @@ class QuadraticObjective(LocalObjective):
 
     The collaborative optimum c̄ is the mean of the targets c_i, which makes
     this the exactness anchor for convergence tests. Gradients are
-    deterministic (full batch): grad = x - c_i. The optimum is taken once,
-    read-only. ``metrics`` takes the train loss in closed form, O(dim) per
+    deterministic (full batch): grad = x - c_i. The optimum is taken once.
+    ``metrics`` takes the train loss in closed form, O(dim) per
     model: mean_i ½‖x - c_i‖² = ½‖x - c̄‖² - (x - c̄)·r + K, with K = mean_i
     ½‖c_i - c̄‖² and r = mean_i(c_i - c̄) taken once. The drift r is what the
     rounded c̄ misses of the exact mean; without it the form loses digits
@@ -85,7 +85,6 @@ class QuadraticObjective(LocalObjective):
         self.num_nodes = centers.shape[0]
         self.dim = centers.shape[1]
         self._optimum = centers.mean(axis=0)
-        self._optimum.setflags(write=False)
         self._min_loss = float(np.mean(self.local_losses(self._optimum)))
         self._residual = (centers - self._optimum).mean(axis=0)
 
@@ -98,10 +97,6 @@ class QuadraticObjective(LocalObjective):
         # each loss equals 0.5 * diff_i @ diff_i to the last bit.
         return 0.5 * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
-    def known_optimum(self):
-        """The collaborative optimum c̄, read-only."""
-        return self._optimum
-
     def metrics(self, means):
         """The train loss ½‖off‖² - off·r + K and the test distance
         sqrt(off·off) of each model, from its offset off = x - c̄: one stacked
@@ -113,21 +108,15 @@ class QuadraticObjective(LocalObjective):
         return losses.tolist(), np.sqrt((off[:, None, :] @ off[:, :, None])[:, 0, 0]).tolist()
 
 
-def make_blobs(
-    n_samples: int,
-    n_classes: int,
-    n_features: int,
-    rng: np.random.Generator,
-    center_spread: float = 3.0,
-    noise: float = 1.0,
-):
-    """Synthetic Gaussian-blob classification data, deterministic given rng.
+def make_blobs(n_samples: int, n_classes: int, n_features: int, rng: np.random.Generator):
+    """Synthetic Gaussian-blob classification data, deterministic given rng:
+    class means drawn with spread 3, unit-variance noise around them.
 
     Labels are balanced (round-robin) before any sharding reorders them.
     """
-    means = rng.normal(0.0, center_spread, size=(n_classes, n_features))
+    means = rng.normal(0.0, 3.0, size=(n_classes, n_features))
     labels = np.arange(n_samples) % n_classes
-    features = means[labels] + rng.normal(0.0, noise, size=(n_samples, n_features))
+    features = means[labels] + rng.normal(0.0, 1.0, size=(n_samples, n_features))
     return features, labels
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Topology, _conflicts
+from .graph import Topology, _conflicts, _greedy_colors
 
 
 class CollisionFreePartition:
@@ -47,25 +47,22 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
 
     Nodes are processed by descending conflict degree, ties broken by
     ascending index; each takes the smallest color absent among its
-    already-colored conflict neighbors, so the colors in use are 0..q-1 and
-    the color array is the partition's owner array. Nodes sharing a color
-    are neither adjacent nor sharing a common neighbor in the base topology,
-    so they can all broadcast in the same slot. No minimality claim: optimal
-    partitioning is NP-hard and the order is fixed purely for
+    already-colored conflict neighbors, the nodes whose closed neighborhoods
+    meet its own (``_greedy_colors`` of the closed neighborhoods). So the
+    colors in use are 0..q-1, the color array is the partition's owner
+    array, and nodes sharing a color are neither adjacent nor sharing a
+    common neighbor: they can all broadcast in the same slot. No minimality
+    claim: optimal partitioning is NP-hard and the order is fixed purely for
     reproducibility.
     """
     if not t.is_connected():
         raise ValueError("greedy_partition requires a connected topology")
-    indptr, nbr = _conflicts(t)
-    order = np.argsort(-np.diff(indptr), kind="stable").tolist()
-    ptr, nbr = indptr.tolist(), nbr.tolist()
-    color = [-1] * t.n
-    for v in order:
-        used = {color[w] for w in nbr[ptr[v] : ptr[v + 1]]}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
+    order = np.argsort(-np.diff(_conflicts(t)[0]), kind="stable")
+    indptr, head, _ = t._half_edges
+    ptr, head = indptr.tolist(), head.tolist()
+    closed = ([v, *head[ptr[v] : ptr[v + 1]]] for v in order.tolist())
+    color = np.empty(t.n, dtype=np.intp)
+    color[order] = _greedy_colors(closed, t.n)
     return CollisionFreePartition(color)
 
 

@@ -11,6 +11,8 @@ from .graph import Topology, _connected, load_topology
 
 # Uniforms per block of rows in one er_topology draw.
 _DRAW_BLOCK = 2**16
+# Draws er_topology makes before it gives up on a connected graph.
+_MAX_TRIES = 100
 
 
 def path_topology(n: int) -> Topology:
@@ -45,8 +47,8 @@ def two_stars_topology(n1: int, n2: int) -> Topology:
     return Topology(n1 + n2, edges)
 
 
-def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
-    """Connected Erdos-Renyi graph, resampled up to max_tries times.
+def er_topology(n: int, p: float, seed: int) -> Topology:
+    """Connected Erdos-Renyi graph, resampled up to _MAX_TRIES times.
 
     Each attempt draws one uniform per node pair in lexicographic order, a
     block of whole rows i (the pairs (i, j > i)) at a time, so the result is
@@ -64,7 +66,7 @@ def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     step = max(1, _DRAW_BLOCK // n)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         blocks = []
         for lo in range(0, n, step):
             counts = n - 1 - np.arange(lo, min(n, lo + step))
@@ -77,7 +79,7 @@ def er_topology(n: int, p: float, seed: int, max_tries: int = 100) -> Topology:
         if not isolated and _connected(n, edges):
             return Topology(n, edges)
     raise ValueError(
-        f"no connected graph in {max_tries} draws of er(n={n}, p={p}); try a larger p"
+        f"no connected graph in {_MAX_TRIES} draws of er(n={n}, p={p}); try a larger p"
     )
 
 

@@ -1,6 +1,6 @@
-"""Helpers that only the tests read: dense and tuple views of a ``Topology``,
-a topology file writer, a collision-free partition checker and a
-slots-to-target reader of a training log.
+"""Helpers that only the tests read: a random connected graph, dense and
+tuple views of a ``Topology``, a topology file writer, a collision-free
+partition checker and a slots-to-target reader of a training log.
 
 The library keeps a graph as its ``edge_array``; these views rebuild the
 forms a hand-written oracle compares against.
@@ -10,8 +10,23 @@ from pathlib import Path
 
 import numpy as np
 
-from bass.graph import _conflicts
+from bass.graph import Topology, _conflicts
 from bass.partition import CollisionFreePartition
+
+
+def random_connected(rng, n, extra_edges=2):
+    """Random tree plus a few extra edges; connected by construction."""
+    nodes = rng.permutation(n)
+    edges = set()
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        a, b = int(nodes[i]), int(nodes[j])
+        edges.add((min(a, b), max(a, b)))
+    for _ in range(extra_edges):
+        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return Topology(n, edges)
 
 
 def edge_pairs(t) -> tuple:

@@ -17,21 +17,15 @@ from bass import (
     matcha_spectral_moments,
     matching_decomposition,
     optimize_epsilon,
+    path_topology,
+    ring_topology,
     sample_round,
+    star_topology,
     two_stars_topology,
 )
 from bass.graph import _incident_pairs, _pair_gram
 
-from .graph_helpers import adjacency, degrees, edge_pairs
-from .test_graph import p3, random_connected
-
-
-def ring6():
-    return Topology(6, [(i, (i + 1) % 6) for i in range(6)])
-
-
-def star5():
-    return Topology(5, [(0, i) for i in range(1, 5)])
+from .graph_helpers import adjacency, degrees, edge_pairs, random_connected
 
 
 def assert_valid_decomposition(t, md):
@@ -74,18 +68,18 @@ class TestMatchingDecomposition:
             assert md.r == max(set_greedy_coloring(t), default=-1) + 1
 
     def test_p3_two_matchings(self):
-        md = matching_decomposition(p3())
+        md = matching_decomposition(path_topology(3))
         assert md.r == 2
         assert md.matchings == (((0, 1),), ((1, 2),))
 
     def test_ring6_two_matchings_of_three(self):
-        md = matching_decomposition(ring6())
-        assert_valid_decomposition(ring6(), md)
+        md = matching_decomposition(ring_topology(6))
+        assert_valid_decomposition(ring_topology(6), md)
         assert md.r == 2
         assert sorted(len(m) for m in md.matchings) == [3, 3]
 
     def test_star_singletons(self):
-        md = matching_decomposition(star5())
+        md = matching_decomposition(star_topology(5))
         assert md.r == 4
         assert all(len(m) == 1 for m in md.matchings)
 
@@ -99,29 +93,29 @@ class TestMatchingDecomposition:
             assert md.r <= 2 * max_degree - 1
 
     def test_dump_format(self):
-        text = dump_matchings(matching_decomposition(p3()))
+        text = dump_matchings(matching_decomposition(path_topology(3)))
         assert text == "0-1\n1-2\n"
 
 
 class TestMatchaPolicy:
     def test_full_budget_always_active(self):
-        md = matching_decomposition(p3())
-        policy = matcha_policy(md, 4.0, p3()).with_epsilon(0.3)
+        md = matching_decomposition(path_topology(3))
+        policy = matcha_policy(md, 4.0, path_topology(3)).with_epsilon(0.3)
         assert np.allclose(policy.match_probs, 1.0)
         act = policy.sample_round(np.random.default_rng(0))
         assert act.active_edges.all()
-        assert np.array_equal(act.mixing_matrix, np.eye(3) - 0.3 * p3().laplacian())
+        assert np.array_equal(act.mixing_matrix, np.eye(3) - 0.3 * path_topology(3).laplacian())
         assert act.slots_used == 4
 
     def test_half_budget_probabilities(self):
-        md = matching_decomposition(p3())
-        policy = matcha_policy(md, 2.0, p3())
+        md = matching_decomposition(path_topology(3))
+        policy = matcha_policy(md, 2.0, path_topology(3))
         assert np.allclose(policy.match_probs, 0.5)
         assert policy.expected_slots == pytest.approx(2.0)
 
     def test_star_quarter_probabilities(self):
-        md = matching_decomposition(star5())
-        policy = matcha_policy(md, 2.0, star5())
+        md = matching_decomposition(star_topology(5))
+        policy = matcha_policy(md, 2.0, star_topology(5))
         assert np.allclose(policy.match_probs, 0.25)
 
     def test_star_slot_efficiency_regime(self):
@@ -138,7 +132,7 @@ class TestMatchaPolicy:
             subset_betweenness,
         )
 
-        t = star5()
+        t = star_topology(5)
         md = matching_decomposition(t)
         link_policy = matcha_policy(md, 2.0, t)
         assert np.allclose(link_policy.match_probs, 0.25)
@@ -152,16 +146,16 @@ class TestMatchaPolicy:
         assert probs.sum() == pytest.approx(1.0)  # leaves stay silent
 
     def test_infeasible_budget(self):
-        md = matching_decomposition(p3())
+        md = matching_decomposition(path_topology(3))
         with pytest.raises(ValueError):
-            matcha_policy(md, 5.0, p3())
+            matcha_policy(md, 5.0, path_topology(3))
         with pytest.raises(ValueError):
-            matcha_policy(md, 0.0, p3())
+            matcha_policy(md, 0.0, path_topology(3))
 
     def test_non_finite_budget_rejected(self):
-        md = matching_decomposition(p3())
+        md = matching_decomposition(path_topology(3))
         with pytest.raises(ValueError, match="budget nan infeasible"):
-            matcha_policy(md, np.nan, p3())
+            matcha_policy(md, np.nan, path_topology(3))
 
     @pytest.mark.parametrize("probs", [[2.0, -1.0, 0.5, 0.5, 0.5, 0.5], np.full((6, 1), 0.5),
                                        np.full(6, np.nan)], ids=["out-of-range", "2-D", "nan"])
@@ -173,8 +167,8 @@ class TestMatchaPolicy:
             MatchaPolicy(t, md.edge_matching, probs, 3.0)
 
     def test_requires_epsilon_to_sample(self):
-        md = matching_decomposition(p3())
-        policy = matcha_policy(md, 2.0, p3())
+        md = matching_decomposition(path_topology(3))
+        policy = matcha_policy(md, 2.0, path_topology(3))
         with pytest.raises(ValueError):
             policy.sample_round(np.random.default_rng(0))
 
@@ -205,7 +199,7 @@ class TestMatchaPolicy:
 
     def test_mean_slots_tracks_budget(self):
         rng = np.random.default_rng(97)
-        t = ring6()
+        t = ring_topology(6)
         md = matching_decomposition(t)
         budget = 2.4
         policy = matcha_policy(md, budget, t).with_epsilon(0.2)
@@ -216,7 +210,7 @@ class TestMatchaPolicy:
         assert abs(slots.mean() - budget) <= 3 * sem + 1e-12
 
     def test_consumes_r_uniforms_in_matching_order(self):
-        t = ring6()
+        t = ring_topology(6)
         md = matching_decomposition(t)
         policy = matcha_policy(md, 2.0, t).with_epsilon(0.2)
         seed = 31
@@ -227,7 +221,7 @@ class TestMatchaPolicy:
     def test_spectral_moments_match_independent_edges(self):
         # single-edge matchings on the star are independent Bernoullis, so
         # E[L~] has a closed form to compare against
-        t = star5()
+        t = star_topology(5)
         md = matching_decomposition(t)
         policy = matcha_policy(md, 2.0, t)
         e_lap, e_gram = matcha_spectral_moments(
@@ -319,7 +313,7 @@ class TestMatchaPolicy:
 
     def test_matchings_must_cover_the_base_edges_once(self):
         # one matching in 0..r-1 per row of edge_array
-        t = p3()
+        t = path_topology(3)
         MatchaPolicy(t, [0, 1], np.full(2, 0.5), 1.0)
         for edge_matching in ([0], [0, 1, 0], [0, 2], [-1, 0], [[0, 1]]):
             with pytest.raises(ValueError, match="edge_matching must give each of the 2"):
@@ -328,9 +322,9 @@ class TestMatchaPolicy:
 
 class TestFullCommPolicy:
     def test_p3_three_slots_every_round(self):
-        t = p3()
+        t = path_topology(3)
         part = greedy_partition(t)
-        policy = full_comm_policy(part, epsilon=0.25)
+        policy = full_comm_policy(part).with_epsilon(0.25)
         rng = np.random.default_rng(0)
         for _ in range(5):
             act = sample_round(policy, part, t, rng)
@@ -340,9 +334,9 @@ class TestFullCommPolicy:
             )
 
     def test_ring6_three_slots(self):
-        part = greedy_partition(ring6())
+        part = greedy_partition(ring_topology(6))
         assert full_comm_policy(part).budget == 3.0
 
     def test_star_five_slots(self):
-        part = greedy_partition(star5())
+        part = greedy_partition(star_topology(5))
         assert full_comm_policy(part).budget == 5.0

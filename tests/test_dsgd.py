@@ -18,18 +18,15 @@ from bass import (
     greedy_partition,
     node_probabilities,
     optimize_epsilon,
+    path_topology,
+    ring_topology,
     run_training,
     sample_round,
     solve_probabilities,
     subset_betweenness,
 )
 
-from .test_graph import p3
 from .test_properties import LogCoshObjective
-
-
-def ring6():
-    return Topology(6, [(i, (i + 1) % 6) for i in range(6)])
 
 
 def bass_policy(t, part, budget):
@@ -146,7 +143,7 @@ class TestConsensusStep:
             consensus_step(np.zeros((3, 1)), np.eye(2))
 
     def test_average_preserved_by_sampled_rounds(self):
-        t = ring6()
+        t = ring_topology(6)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 1.5)
         rng = np.random.default_rng(3)
@@ -160,18 +157,17 @@ class TestConsensusStep:
 
 class TestRunTraining:
     def test_fixed_point_stays_fixed(self):
-        t = p3()
+        t = path_topology(3)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 1.0)
-        obj = QuadraticObjective(np.full((3, 2), 1.5))
+        obj = QuadraticObjective(np.zeros((3, 2)))
         cfg = TrainConfig(rounds=20, lr=0.2, seed=0)
-        log = run_training(t, policy, part, obj, cfg,
-                           initial_state=np.full((3, 2), 1.5))
-        assert np.allclose(log.final_state, 1.5)
+        log = run_training(t, policy, part, obj, cfg)
+        assert np.allclose(log.final_state, 0.0)
         assert all(r.consensus_error < 1e-12 for r in log.records)
 
     def test_full_communication_quadratic_converges(self):
-        t = p3()
+        t = path_topology(3)
         part = greedy_partition(t)
         policy = SchedulingPolicy(np.ones(part.q), float(part.q))
         ms = expected_laplacian_gram(t, part, np.ones(3))
@@ -184,7 +180,7 @@ class TestRunTraining:
         assert np.abs(log.final_state - 3.0).max() < 1e-2
 
     def test_zero_budget_decouples_nodes(self):
-        t = p3()
+        t = path_topology(3)
         part = greedy_partition(t)
         policy = SchedulingPolicy(np.zeros(part.q), 1e-12, epsilon=0.5)
         centers = np.array([[0.0], [3.0], [6.0]])
@@ -196,7 +192,7 @@ class TestRunTraining:
         assert log.records[-1].consensus_error == pytest.approx(spread, rel=1e-6)
 
     def test_metrics_log_shape(self):
-        t = ring6()
+        t = ring_topology(6)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 2.0)
         obj = QuadraticObjective(np.zeros((6, 1)))
@@ -207,7 +203,7 @@ class TestRunTraining:
         assert log.records[-1].test_metric is not None
 
     def test_deterministic_given_seed(self):
-        t = ring6()
+        t = ring_topology(6)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 1.5)
         obj = QuadraticObjective(np.arange(6, dtype=float)[:, None])
@@ -218,7 +214,7 @@ class TestRunTraining:
         assert np.array_equal(a.final_state, b.final_state)
 
     def test_node_count_mismatch_rejected(self):
-        t = ring6()
+        t = ring_topology(6)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 1.5)
         obj = QuadraticObjective(np.zeros((4, 1)))
@@ -267,7 +263,7 @@ def test_block_consensus_errors_are_the_per_call_errors(n, dim):
 class TestConsensusContraction:
     def test_zero_gradient_contraction_tracks_s_star(self):
         # sharpest check: deviation along the top eigenvector of E[W^2] - J
-        t = ring6()
+        t = ring_topology(6)
         part = greedy_partition(t)
         policy, search = bass_policy(t, part, 1.5)
         assert search.value < 1.0
@@ -298,7 +294,7 @@ class TestConsensusContraction:
 
 class TestCsv:
     def test_header_and_rows(self):
-        t = p3()
+        t = path_topology(3)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 1.0)
         obj = QuadraticObjective(np.zeros((3, 1)))
@@ -308,7 +304,7 @@ class TestCsv:
         assert len(lines) == 3
 
     def test_zero_rounds_header_only(self):
-        t = p3()
+        t = path_topology(3)
         part = greedy_partition(t)
         policy, _ = bass_policy(t, part, 1.0)
         obj = QuadraticObjective(np.zeros((3, 1)))

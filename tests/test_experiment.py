@@ -140,6 +140,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text("rounds = 5\nbogus = 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("rounds = 5\nrounds = 7\n", "^line 2: rounds is already set on line 1$"),
+        ("policy = bass\n# full only\npolicies = full\n",
+         "^line 3: policies is already set on line 1$"),
+        ("min-subset-prob = 0.1\nmin_subset_prob = 0.2\n",
+         "^line 2: min_subset_prob is already set on line 1$"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
     def test_unconvertible_value_names_line_and_key(self):
         with pytest.raises(ValueError, match="^line 2: rounds: invalid literal"):
             parse_config_text("lr = 0.5\nrounds = abc\n")

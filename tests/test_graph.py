@@ -14,13 +14,9 @@ from bass import (
     make_topology,
 )
 from bass.graph import _conflicts, _incident_pairs, _pair_gram
-from bass.topologies import ring_topology, star_topology
+from bass.topologies import path_topology, ring_topology, star_topology
 
-from .graph_helpers import degrees, edge_pairs, save_topology
-
-
-def p3():
-    return Topology(3, [(0, 1), (1, 2)])
+from .graph_helpers import degrees, edge_pairs, random_connected, save_topology
 
 
 def neighbors(t):
@@ -38,21 +34,6 @@ def conflict_edges(t):
     indptr, nbr = _conflicts(t)
     tail = np.repeat(np.arange(t.n), np.diff(indptr))
     return [(i, j) for i, j in zip(tail.tolist(), nbr.tolist()) if i < j]
-
-
-def random_connected(rng, n, extra_edges=2):
-    """Random tree plus a few extra edges; connected by construction."""
-    nodes = rng.permutation(n)
-    edges = set()
-    for i in range(1, n):
-        j = int(rng.integers(0, i))
-        a, b = int(nodes[i]), int(nodes[j])
-        edges.add((min(a, b), max(a, b)))
-    for _ in range(extra_edges):
-        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Topology(n, edges)
 
 
 def brandes_betweenness(t):
@@ -155,7 +136,7 @@ def brute_force_betweenness(t):
 
 class TestTopology:
     def test_p3_degrees(self):
-        t = p3()
+        t = path_topology(3)
         assert list(degrees(t)) == [1, 2, 1]
         assert np.array_equal(degrees(Topology(3)), np.zeros(3))
         assert t.edge_array.tolist() == [[0, 1], [1, 2]]
@@ -198,7 +179,7 @@ class TestTopology:
     def test_integer_node_counts_accepted(self, n):
         t = Topology(n, [(0, 1), (1, 2)])
         assert t.n == 3 and type(t.n) is int
-        assert t == p3()
+        assert t == path_topology(3)
 
     def test_edge_array_is_readonly_and_sorted(self):
         t = Topology(4, [(3, 1), (0, 2), (1, 0)])
@@ -219,10 +200,10 @@ class TestTopology:
         assert peak < 0.25 * t.n**2 * 8
 
     def test_equality_and_hash(self):
-        assert p3() == Topology(3, [(2, 1), (1, 0)])
-        assert hash(p3()) == hash(Topology(3, [(1, 2), (0, 1)]))
-        assert p3() != Topology(4, [(0, 1), (1, 2)])
-        assert p3() != Topology(3, [(0, 1), (0, 2)])
+        assert path_topology(3) == Topology(3, [(2, 1), (1, 0)])
+        assert hash(path_topology(3)) == hash(Topology(3, [(1, 2), (0, 1)]))
+        assert path_topology(3) != Topology(4, [(0, 1), (1, 2)])
+        assert path_topology(3) != Topology(3, [(0, 1), (0, 2)])
 
     @settings(derandomize=True, deadline=None, max_examples=80, database=None)
     @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
@@ -275,14 +256,14 @@ class TestIncidentPairs:
 class TestLaplacian:
     def test_p3_matrix(self):
         expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
-        assert np.array_equal(p3().laplacian(), expected)
+        assert np.array_equal(path_topology(3).laplacian(), expected)
 
     def test_single_edge(self):
-        t = Topology(2, [(0, 1)])
+        t = path_topology(2)
         assert np.array_equal(t.laplacian(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_p3_eigenvalues(self):
-        eig = np.linalg.eigvalsh(p3().laplacian())
+        eig = np.linalg.eigvalsh(path_topology(3).laplacian())
         assert np.allclose(eig, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_weighted_edges(self):
@@ -305,7 +286,7 @@ class TestLaplacian:
 
     def test_wrong_weight_count_rejected(self):
         with pytest.raises(ValueError):
-            p3().laplacian(np.ones(3))
+            path_topology(3).laplacian(np.ones(3))
 
     def test_zero_row_sums_exact(self):
         rng = np.random.default_rng(11)
@@ -316,7 +297,7 @@ class TestLaplacian:
 
 class TestConnectivity:
     def test_p3_connected(self):
-        assert p3().is_connected()
+        assert path_topology(3).is_connected()
 
     def test_isolated_node(self):
         assert not Topology(3, [(0, 1)]).is_connected()
@@ -356,19 +337,19 @@ class TestAuxiliaryGraph:
         return pairs
 
     def test_p3_becomes_triangle(self):
-        aux = conflict_edges(p3())
-        assert set(aux) == self.enumerate_conflicts(p3())
+        aux = conflict_edges(path_topology(3))
+        assert set(aux) == self.enumerate_conflicts(path_topology(3))
         assert aux == [(0, 1), (0, 2), (1, 2)]
 
     def test_star_becomes_complete(self):
-        star = Topology(5, [(0, i) for i in range(1, 5)])
+        star = star_topology(5)
         aux = conflict_edges(star)
         assert set(aux) == {
             (i, j) for i in range(5) for j in range(i + 1, 5)
         }
 
     def test_ring6_chords(self):
-        ring = Topology(6, [(i, (i + 1) % 6) for i in range(6)])
+        ring = ring_topology(6)
         aux = conflict_edges(ring)
         assert set(aux) == self.enumerate_conflicts(ring)
         # distance-2 chords appear, antipodal pairs stay non-adjacent
@@ -389,10 +370,10 @@ class TestAuxiliaryGraph:
 
 class TestBetweenness:
     def test_p3(self):
-        assert np.allclose(betweenness_centrality(p3()), [0.0, 1.0, 0.0])
+        assert np.allclose(betweenness_centrality(path_topology(3)), [0.0, 1.0, 0.0])
 
     def test_ring6_uniform(self):
-        ring = Topology(6, [(i, (i + 1) % 6) for i in range(6)])
+        ring = ring_topology(6)
         assert np.allclose(betweenness_centrality(ring), np.full(6, 1 / 6))
 
     def test_k4_uniform_fallback(self):
@@ -470,7 +451,7 @@ class TestBetweenness:
         t = make_topology("er(30,0.2,1)")
         assert np.array_equal(t.betweenness, betweenness_centrality(t))
         assert t.betweenness is t.betweenness
-        for result in (t.betweenness, betweenness_centrality(p3())):
+        for result in (t.betweenness, betweenness_centrality(path_topology(3))):
             with pytest.raises(ValueError):
                 result[0] = 1.0
 
@@ -505,7 +486,7 @@ class TestFileFormat:
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# a path\n3\n\n0 1\n# middle\n1 2\n")
-        assert load_topology(path) == p3()
+        assert load_topology(path) == path_topology(3)
 
     def test_malformed_line(self, tmp_path):
         # the file and the line number are named

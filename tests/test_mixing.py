@@ -19,10 +19,15 @@ from bass import (
     subset_betweenness,
 )
 from bass import mixing
-from bass.topologies import er_topology, ring_topology, star_topology, two_stars_topology
+from bass.topologies import (
+    er_topology,
+    path_topology,
+    ring_topology,
+    star_topology,
+    two_stars_topology,
+)
 
-from .graph_helpers import adjacency
-from .test_graph import p3, random_connected
+from .graph_helpers import adjacency, random_connected
 
 
 def full_comm_objective(t):
@@ -44,20 +49,20 @@ def grid_minimum(obj, hi, points=10_001):
 
 class TestObjectiveValue:
     def test_eps_zero_is_one(self):
-        obj = full_comm_objective(p3())
+        obj = full_comm_objective(path_topology(3))
         assert obj.value(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_p3_full_comm_at_half(self):
         # Laplacian eigenvalues {0, 1, 3}: max((1-.5)^2, (1-1.5)^2) = 0.25
-        obj = full_comm_objective(p3())
+        obj = full_comm_objective(path_topology(3))
         assert obj.value(0.5) == pytest.approx(0.25, abs=1e-12)
 
     def test_k2_full_comm_at_one(self):
-        obj = full_comm_objective(Topology(2, [(0, 1)]))
+        obj = full_comm_objective(path_topology(2))
         assert obj.value(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_eps_rejected(self):
-        obj = full_comm_objective(p3())
+        obj = full_comm_objective(path_topology(3))
         with pytest.raises(ValueError):
             obj.value(-0.1)
 
@@ -150,13 +155,13 @@ def subset_objective(t, probs=None, seed=0):
 
 class TestOptimizeEpsilon:
     def test_p3_full_comm(self):
-        res = optimize_epsilon(full_comm_objective(p3()))
+        res = optimize_epsilon(full_comm_objective(path_topology(3)))
         assert res.epsilon == pytest.approx(0.5, abs=1e-4)
         assert res.value == pytest.approx(0.25, abs=1e-6)
         assert not res.degenerate
 
     def test_k2_exact_averaging(self):
-        res = optimize_epsilon(full_comm_objective(Topology(2, [(0, 1)])))
+        res = optimize_epsilon(full_comm_objective(path_topology(2)))
         assert res.epsilon == pytest.approx(0.5, abs=1e-4)
         assert res.value == pytest.approx(0.0, abs=1e-8)
 
@@ -191,14 +196,20 @@ class TestOptimizeEpsilon:
     def test_invalid_tolerance(self):
         for tol in (0.0, -1e-12, np.nan, np.inf):
             with pytest.raises(ValueError, match="^tol must be positive and finite$"):
-                optimize_epsilon(full_comm_objective(p3()), tol=tol)
+                optimize_epsilon(full_comm_objective(path_topology(3)), tol=tol)
 
-    def test_small_graphs_need_two_evaluations(self):
-        # up to 41 nodes the Ritz model is s itself
+    def test_small_graphs_need_two_evaluations(self, monkeypatch):
+        # up to 41 nodes the Ritz model is s itself, and its second point is
+        # certified by a Cholesky factor as above 41 nodes
         rng = np.random.default_rng(19)
+        cholesky, eigvalsh, calls = np.linalg.cholesky, np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("cholesky") or cholesky(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
         for n in (3, 12, 41):
             obj = subset_objective(random_connected(rng, n, extra_edges=n), seed=n)
+            calls.clear()
             assert optimize_epsilon(obj).evaluations == 2
+            assert calls == ["eigvalsh", "cholesky"]
 
     def test_growing_basis_needs_few_evaluations(self, monkeypatch):
         # the bass policy of the large-er benchmark: golden section needed 45,
@@ -358,22 +369,22 @@ class TestOptimizeEpsilon:
 def fixed_weight_matrix(t, eps):
     """A full-communication round: the fixed equal-weight matrix I - eps * L."""
     part = greedy_partition(t)
-    policy = full_comm_policy(part, epsilon=eps)
+    policy = full_comm_policy(part).with_epsilon(eps)
     return sample_round(policy, part, t, np.random.default_rng(0)).mixing_matrix
 
 
 class TestFixedWeightMatrix:
     def test_k2_half_is_exact_averaging(self):
-        w = fixed_weight_matrix(Topology(2, [(0, 1)]), 0.5)
+        w = fixed_weight_matrix(path_topology(2), 0.5)
         assert np.allclose(w, np.full((2, 2), 0.5))
 
     def test_p3_half(self):
-        w = fixed_weight_matrix(p3(), 0.5)
+        w = fixed_weight_matrix(path_topology(3), 0.5)
         expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
         assert np.allclose(w, expected)
 
     def test_eps_zero_is_identity(self):
-        assert np.array_equal(fixed_weight_matrix(p3(), 0.0), np.eye(3))
+        assert np.array_equal(fixed_weight_matrix(path_topology(3), 0.0), np.eye(3))
 
     def test_row_sums_and_support(self):
         rng = np.random.default_rng(17)

@@ -16,15 +16,12 @@ from bass import (
     matching_decomposition,
     monte_carlo_moments,
     node_probabilities,
+    path_topology,
+    ring_topology,
     two_stars_topology,
 )
 
-from .graph_helpers import adjacency
-from .test_graph import random_connected
-
-
-def k2():
-    return Topology(2, [(0, 1)])
+from .graph_helpers import adjacency, random_connected
 
 
 def k2_split():
@@ -32,7 +29,7 @@ def k2_split():
 
 
 def ring6_setup():
-    t = Topology(6, [(i, (i + 1) % 6) for i in range(6)])
+    t = ring_topology(6)
     return t, greedy_partition(t)
 
 
@@ -115,17 +112,17 @@ class TestExpectedLaplacian:
         )
 
     def test_k2_half_activation(self):
-        e_lap = expected_laplacian_gram(k2(), k2_split(), [0.5, 0.5]).e_laplacian
+        e_lap = expected_laplacian_gram(path_topology(2), k2_split(), [0.5, 0.5]).e_laplacian
         assert np.allclose(e_lap, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_k2_same_subset(self):
         part = CollisionFreePartition([0, 0])  # invalid physically, legal input
-        e_lap = expected_laplacian_gram(k2(), part, [0.5, 0.5]).e_laplacian
+        e_lap = expected_laplacian_gram(path_topology(2), part, [0.5, 0.5]).e_laplacian
         # perfectly correlated endpoints: the link is on iff the subset is
         assert np.allclose(e_lap, 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_silent_node_zeroes_row_and_column(self):
-        t = Topology(3, [(0, 1), (1, 2)])
+        t = path_topology(3)
         part = greedy_partition(t)
         node_p = node_probabilities([0.7, 0.0, 0.5], part)
         e_lap = expected_laplacian_gram(t, part, node_p).e_laplacian
@@ -157,7 +154,7 @@ class TestExpectedGram:
 
     def test_k2_half_activation_frozen(self):
         # enumeration over the 4 outcomes: only both-on contributes, w.p. 0.25
-        ms = expected_laplacian_gram(k2(), k2_split(), [0.5, 0.5])
+        ms = expected_laplacian_gram(path_topology(2), k2_split(), [0.5, 0.5])
         assert np.allclose(ms.e_gram, 0.25 * np.array([[2, -2], [-2, 2]]), atol=1e-15)
 
     def test_single_node_all_zero(self):
@@ -269,7 +266,7 @@ class TestClosedFormOverUnits:
 
 class TestEnumeratedMoments:
     def test_k2_by_hand(self):
-        ms = enumerated_moments(k2(), subset_units(k2(), k2_split(), [0.5, 0.5]))
+        ms = enumerated_moments(path_topology(2), subset_units(path_topology(2), k2_split(), [0.5, 0.5]))
         assert np.allclose(ms.e_laplacian, 0.25 * np.array([[1, -1], [-1, 1]]))
         assert np.allclose(ms.e_gram, 0.25 * np.array([[2, -2], [-2, 2]]))
 

@@ -9,19 +9,14 @@ from bass import (
     dump_partition,
     greedy_partition,
     make_topology,
+    path_topology,
+    ring_topology,
+    star_topology,
 )
 from bass.graph import _conflicts
 
-from .graph_helpers import adjacency, validate_partition
-from .test_graph import neighbors, p3, random_connected
-
-
-def ring6():
-    return Topology(6, [(i, (i + 1) % 6) for i in range(6)])
-
-
-def star5():
-    return Topology(5, [(0, i) for i in range(1, 5)])
+from .graph_helpers import adjacency, random_connected, validate_partition
+from .test_graph import neighbors
 
 
 def set_greedy_partition(t):
@@ -83,17 +78,17 @@ class TestCollisionFreePartition:
 
 class TestGreedyPartition:
     def test_p3_needs_three_slots(self):
-        p = greedy_partition(p3())
+        p = greedy_partition(path_topology(3))
         assert p.q == 3
         assert sorted(p.subsets) == [(0,), (1,), (2,)]
 
     def test_ring6_pairs_antipodal_nodes(self):
-        p = greedy_partition(ring6())
+        p = greedy_partition(ring_topology(6))
         assert p.q == 3
         assert p.subsets == ((0, 3), (1, 4), (2, 5))
 
     def test_star_is_fully_sequential(self):
-        p = greedy_partition(star5())
+        p = greedy_partition(star_topology(5))
         assert p.q == 5
         assert all(len(s) == 1 for s in p.subsets)
 
@@ -130,22 +125,22 @@ class TestGreedyPartition:
 
 class TestValidatePartition:
     def test_ring6_antipodal_is_valid(self):
-        assert validate_partition(ring6(), [[0, 3], [1, 4], [2, 5]])
+        assert validate_partition(ring_topology(6), [[0, 3], [1, 4], [2, 5]])
 
     def test_common_neighbor_invalid(self):
         # 0 and 2 share neighbor 1
-        assert not validate_partition(p3(), [[0, 2], [1]])
+        assert not validate_partition(path_topology(3), [[0, 2], [1]])
 
     def test_uncovered_node_invalid(self):
-        assert not validate_partition(p3(), [[0], [1]])
-        assert not validate_partition(p3(), CollisionFreePartition([0, 1]))
+        assert not validate_partition(path_topology(3), [[0], [1]])
+        assert not validate_partition(path_topology(3), CollisionFreePartition([0, 1]))
 
     def test_overlap_invalid(self):
         # 3 sits in two subsets that are otherwise collision-free
-        assert not validate_partition(ring6(), [[0, 3], [1, 4], [2, 5], [3]])
+        assert not validate_partition(ring_topology(6), [[0, 3], [1, 4], [2, 5], [3]])
 
     def test_adjacent_pair_invalid(self):
-        assert not validate_partition(p3(), [[0, 1], [2]])
+        assert not validate_partition(path_topology(3), [[0, 1], [2]])
 
     @settings(derandomize=True, deadline=None, max_examples=120, database=None)
     @given(st.integers(0, 2**16), st.sampled_from(
@@ -197,7 +192,7 @@ class TestValidatePartition:
 
 class TestDumpFormat:
     def test_round_trip(self):
-        p = greedy_partition(ring6())
+        p = greedy_partition(ring_topology(6))
         text = dump_partition(p)
         assert text == "0 3\n1 4\n2 5\n"
         owner = [0] * 6

@@ -46,6 +46,8 @@ from bass import (
 from bass.scheduling import RoundSampler
 
 from .graph_helpers import adjacency, degrees, validate_partition
+from .test_baselines import set_greedy_coloring
+from .test_partition import set_greedy_partition
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -60,7 +62,15 @@ graphs = st.builds(
 @PROPERTY
 @given(graphs)
 def test_greedy_partition_is_valid(t):
-    assert validate_partition(t, greedy_partition(t))
+    partition = greedy_partition(t)
+    assert validate_partition(t, partition)
+    assert [list(s) for s in partition.subsets] == set_greedy_partition(t)
+
+
+@PROPERTY
+@given(graphs)
+def test_matching_decomposition_is_the_set_based_coloring(t):
+    assert matching_decomposition(t).edge_matching.tolist() == set_greedy_coloring(t)
 
 
 @PROPERTY
@@ -492,7 +502,7 @@ def training_cases(draw, kind, objective):
         probs = solve_probabilities(scores, frac * part.q, min_prob=0.1 * frac)
         policy = SchedulingPolicy(probs, frac * part.q, epsilon)
     elif kind == "full":
-        policy = full_comm_policy(part, epsilon)
+        policy = full_comm_policy(part).with_epsilon(epsilon)
     else:
         md = matching_decomposition(t)
         policy = matcha_policy(md, frac * 2 * md.r, t).with_epsilon(epsilon)

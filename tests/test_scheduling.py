@@ -9,23 +9,19 @@ from hypothesis import strategies as st
 from bass import (
     CollisionFreePartition,
     SchedulingPolicy,
-    Topology,
     betweenness_centrality,
     er_topology,
     greedy_partition,
     node_probabilities,
+    path_topology,
+    ring_topology,
     sample_round,
     solve_probabilities,
     subset_betweenness,
 )
 from bass.scheduling import BUDGET_TOL
 
-from .graph_helpers import adjacency
-from .test_graph import p3, random_connected
-
-
-def k2():
-    return Topology(2, [(0, 1)])
+from .graph_helpers import adjacency, random_connected
 
 
 def cap_aware_probabilities(values, budget):
@@ -147,11 +143,11 @@ def probability_problems(draw):
 class TestSubsetBetweenness:
     def test_p3_mass_on_middle(self):
         part = CollisionFreePartition([1, 0, 2])
-        b = betweenness_centrality(p3())
+        b = betweenness_centrality(path_topology(3))
         assert np.allclose(subset_betweenness(b, part), [1.0, 0.0, 0.0])
 
     def test_ring_uniform_pairs(self):
-        ring = Topology(6, [(i, (i + 1) % 6) for i in range(6)])
+        ring = ring_topology(6)
         part = greedy_partition(ring)
         b = betweenness_centrality(ring)
         assert np.allclose(subset_betweenness(b, part), [1 / 3, 1 / 3, 1 / 3])
@@ -294,7 +290,7 @@ class TestSampleRound:
         return SchedulingPolicy(np.asarray(probs, float), float(np.sum(probs)), eps)
 
     def test_both_subsets_active(self):
-        t = k2()
+        t = path_topology(2)
         part = greedy_partition(t)
         policy = self.policy_for(part, [1.0, 1.0], eps=0.25)
         act = sample_round(policy, part, t, np.random.default_rng(0))
@@ -304,7 +300,7 @@ class TestSampleRound:
         assert act.slots_used == 2
 
     def test_one_sided_broadcast_drops_link(self):
-        t = k2()
+        t = path_topology(2)
         part = CollisionFreePartition([0, 1])
         policy = self.policy_for(part, [1.0, 0.0])
         act = sample_round(policy, part, t, np.random.default_rng(0))
@@ -325,7 +321,7 @@ class TestSampleRound:
             assert act.slots_used == part.q
 
     def test_requires_epsilon(self):
-        t = k2()
+        t = path_topology(2)
         part = greedy_partition(t)
         policy = SchedulingPolicy(np.ones(2), 2.0)
         with pytest.raises(ValueError):
@@ -370,7 +366,7 @@ class TestSampleRound:
                         assert adj[i, j] == 0 and walks2[i, j] == 0
 
     def test_consumes_q_uniforms_in_subset_order(self):
-        t = Topology(6, [(i, (i + 1) % 6) for i in range(6)])
+        t = ring_topology(6)
         part = greedy_partition(t)
         probs = np.array([0.2, 0.5, 0.8])
         policy = self.policy_for(part, probs)
