@@ -45,6 +45,7 @@ from .graph import (
     load_topology,
 )
 from .mixing import (
+    CompactObjective,
     EpsilonSearch,
     SpectralObjective,
     optimize_epsilon,

@@ -11,6 +11,8 @@ import numpy as np
 # (source, node) entries per block of sources in betweenness_centrality; the
 # block's temporaries stay within a small multiple of this whatever n is.
 _BFS_BLOCK_ELEMENTS = 2**15
+# Incident pairs per block of rows in _pair_cells.
+_PAIR_BLOCK = 2**15
 
 
 class Topology:
@@ -152,15 +154,20 @@ def _incident_pairs(topology: Topology):
     """Every ordered pair of edges e = (k, a), f = (k, b) meeting at a node k,
     a = b included, node-major: arrays k, a, b, e, f (e, f index rows of
     ``edge_array``) with sum_k deg_k^2 entries each."""
+    indptr, head, _ = topology._half_edges
+    tail = np.repeat(np.arange(topology.n), np.diff(indptr))
+    return _pairs_at(topology, np.arange(head.size), tail, head)
+
+
+def _pairs_at(topology: Topology, h, center, other):
+    """The incident pairs (k, a, b, e, f) whose edge e is that of half-edge
+    ``h``, k its endpoint ``center`` and a its endpoint ``other``: each
+    half-edge in turn, crossed with k's run of half-edges (b ascending)."""
     indptr, head, edge = topology._half_edges
-    deg = np.diff(indptr)
-    k = np.repeat(np.arange(topology.n), deg * deg)
-    # r runs over node k's run of half-edges crossed with itself, first
-    # half-edge major.
-    r = np.arange(k.size) - np.repeat(np.cumsum(deg * deg) - deg * deg, deg * deg)
-    start = indptr[k]
-    first, second = start + r // deg[k], start + r % deg[k]
-    return k, head[first], head[second], edge[first], edge[second]
+    count = np.diff(indptr)[center]
+    rep = np.repeat(np.arange(h.size), count)
+    second = np.repeat(indptr[center] - np.cumsum(count) + count, count) + np.arange(rep.size)
+    return center[rep], other[rep], head[second], edge[h][rep], edge[second]
 
 
 def _conflicts(topology: Topology):
@@ -198,17 +205,62 @@ def _greedy_colors(groups, n) -> list:
     return colors
 
 
-def _pair_gram(n, k, a, b, w) -> np.ndarray:
-    """sum_p w_p (u_k - u_a)(u_k - u_b)^T over incident pairs p, in one n x n
-    array: L_(k,a) L_(k,b) for a != b, and L_e^2 = 2 L_e from both ends of e."""
-    # The -(k, b), -(a, k) and +(a, b) terms share one scatter, so the
-    # result is the only n^2 array.
-    flat = np.bincount(
-        np.concatenate([k * n + b, a * n + k, a * n + b]),
-        np.concatenate([-w, -w, w]),
-        n * n,
-    )
-    flat[:: n + 1] += np.bincount(k, w, n)
+def _pair_cells(topology: Topology, weight):
+    """sum_p w_p (u_k - u_a)(u_k - u_b)^T over the incident pairs p of
+    ``_incident_pairs``, w_p = weight(e, f) of the pairs' edge arrays, as its
+    cells (the sorted flat indices i * n + j it scatters to) and its values
+    there: L_(k,a) L_(k,b) for a != b, and L_e^2 = 2 L_e from both ends of
+    e. The cells are the diagonal of every node with an edge, the edges and
+    the pairs two hops apart.
+
+    Pair p adds -w_p at (k, b), then -w_p at (a, k) and +w_p at (a, b),
+    the three terms in that order over all pairs, and each diagonal cell
+    (k, k) then adds the sum of w_p over the pairs at k. Rows are taken in
+    blocks of at most _PAIR_BLOCK pairs and _PAIR_BLOCK row entries (or one
+    row): the pairs at the block's nodes k for the first term, and those
+    whose a is one of them for the others, each a's in the order of its k.
+    So each cell sums its terms from +0.0 in the order one np.bincount onto
+    the n x n array does, and no temporary grows with the graph beyond one
+    block.
+    """
+    n = topology.n
+    indptr, head, _ = topology._half_edges
+    deg = np.diff(indptr)
+    tail = np.repeat(np.arange(n), deg)
+    load = deg * deg + np.bincount(tail, deg[head], n).astype(np.intp)
+    ends = np.cumsum(load)
+    rows = max(1, _PAIR_BLOCK // n)
+    cells, values = [], []
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(ends, ends[lo] - load[lo] + _PAIR_BLOCK, "right"))
+        hi = min(max(lo + 1, hi), lo + rows, n)
+        h = np.arange(indptr[lo], indptr[hi])
+        k, _, b, e, f = _pairs_at(topology, h, tail[h], head[h])
+        rk, ra, rb, re, rf = _pairs_at(topology, h, head[h], tail[h])
+        w, rw = weight(e, f), weight(re, rf)
+        # Each key's offset in the block's rows, and its rank among the
+        # cells there.
+        at = np.concatenate([k * n + b, ra * n + rk, ra * n + rb]) - lo * n
+        seen = np.zeros((hi - lo) * n, dtype=bool)
+        seen[at] = True
+        rank = np.cumsum(seen) - 1
+        block = np.flatnonzero(seen)
+        sums = np.bincount(rank[at], np.concatenate([-w, -rw, rw]), block.size)
+        on_diagonal = block % (n + 1) == lo % (n + 1)  # offsets (i - lo) (n + 1) + lo
+        sums[on_diagonal] += np.bincount(k - lo, w, hi - lo)[block[on_diagonal] // (n + 1)]
+        cells.append(block + lo * n)
+        values.append(sums)
+        lo = hi
+    return np.concatenate(cells), np.concatenate(values)
+
+
+def _pair_gram(topology: Topology, weight) -> np.ndarray:
+    """The n x n array of ``_pair_cells``, +0.0 off its cells."""
+    n = topology.n
+    cells, values = _pair_cells(topology, weight)
+    flat = np.zeros(n * n)
+    flat[cells] = values
     return flat.reshape(n, n)
 
 

@@ -16,7 +16,9 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
 `tol`. Its loop:
 
 1. Evaluates s exactly at the first eps: M is written into one reused
-   n x n buffer and `eigvalsh` gives its whole spectrum.
+   n x n buffer, from the moments in either form (dense matrices, or the
+   compact cells ``moments.closed_form_moments`` keeps), and `eigvalsh`
+   gives its whole spectrum.
 2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
    nodes U is all of the complement of the ones vector from the first step,
    so the model below is s itself and step 4's certificate normally ends the
@@ -32,23 +34,30 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    lower bound; the next eps is the model's best point.
 4. Tests the model's top Ritz pair at that point against M with one
    product: once its residual is small against the Ritz gap, one Cholesky
-   factor of (lower + tol) I - M, formed in the buffer, certifies
-   s(eps) < lower + tol and ends the search. The factor exists iff that
-   holds, up to its backward error of about n e (e the machine epsilon;
-   near the boundary the shifted matrix has norm at most lower + tol <=
-   1 + tol, as M is PSD): 9e-14 at n = 400 and 4e-13 at n = 2000. The level
-   is lowered by that estimate, and above about 4500 nodes, where it no
-   longer fits inside the default tol of 1e-12, every point gets its
-   spectrum as in step 1. A residual that fails the test grows the basis by
-   a Ritz-shaped filter while it shrinks; a factor that fails, or a
-   residual that stops shrinking, gets the exact spectrum there, as in
-   step 1.
+   factor of (lower + tol) I - M, formed in place in the buffer by blocks
+   (`_certifies`), certifies s(eps) < lower + tol and ends the search. The
+   factor exists iff that holds, up to its backward error of about n e (e
+   the machine epsilon; near the boundary the shifted matrix has norm at
+   most lower + tol <= 1 + tol, as M is PSD): 9e-14 at n = 400 and 4e-13 at
+   n = 2000. The level is lowered by that estimate, and above about 4500
+   nodes, where it no longer fits inside the default tol of 1e-12, every
+   point gets its spectrum as in step 1. A residual that fails the test
+   grows the basis by a Ritz-shaped filter while it shrinks; a factor that
+   fails, or a residual that stops shrinking, gets the exact spectrum
+   there, as in step 1.
 5. Stops once the best exact value minus the lower bound is at most `tol`.
 
 An evaluation is one dense factorization of the buffer: an `eigvalsh`
 spectrum or a Cholesky certificate. `_MAX_EVALUATIONS` caps the passes of the
 loop, each of which makes at most one factorization or one filter step. No
 bracket is needed, because the cuts grow without bound in eps.
+
+Memory: the buffer is the search's one n x n array. Once a filter is done
+with M, each moment is written into it in turn for the basis's projections,
+and the certificate overwrites it with its factor, holding beside it one
+panel of about n^2 / 8 entries. At the first point `eigvalsh` adds LAPACK's
+n x n copy, so the peak is two n x n arrays beside the moments, which the
+compact form keeps in about 0.2 n^2 entries on a sparse graph.
 """
 
 from __future__ import annotations
@@ -78,12 +87,45 @@ _FILTER_DAMPING = 1e-4
 _MAX_FILTER_DEGREE = 200
 # Seed of the filter's random start vectors.
 _FILTER_SEED = 0
+# The fewest columns per block of the in-place Cholesky certificate.
+_FACTOR_BLOCK = 64
+
+
+class _Moments:
+    """What the epsilon search reads of E[L~] and E[L~^2], in either form:
+    the fill ``contraction_matrix``, ``moment`` into a given buffer and the
+    ``trace_ratio``. Both forms write the same bits into a buffer."""
+
+    n: int
+
+    def value(self, eps: float) -> float:
+        """Largest eigenvalue of E[W^2] - J at the given step size."""
+        return float(np.linalg.eigvalsh(self.contraction_matrix(eps))[-1])
+
+
+def _shifted(gram, lap, eps: float, n: int, out: np.ndarray) -> np.ndarray:
+    """2 eps (eps/2 ``gram`` - ``lap``) - 1/n, written into ``out``: the
+    entries of E[W^2] - J off the diagonal, with no temporary."""
+    eps = float(eps)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
+    np.multiply(gram, 0.5 * eps, out=out)
+    out -= lap
+    out *= 2.0 * eps
+    # Every entry of J is 1/n, so J is subtracted as that scalar.
+    out -= 1.0 / n
+    return out
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralObjective:
-    """The two activation moments E[L~] and E[L~^T L~], and the expected
-    contraction factor they define."""
+class SpectralObjective(_Moments):
+    """The two activation moments E[L~] and E[L~^T L~] as dense n x n
+    arrays, and the expected contraction factor they define.
+
+    The form of the Monte Carlo and enumeration oracles and of any moments
+    given as matrices; ``moments.closed_form_moments``, which production
+    uses, returns the ``CompactObjective`` of the same matrices.
+    """
 
     e_laplacian: np.ndarray
     e_gram: np.ndarray
@@ -119,23 +161,115 @@ class SpectralObjective:
         The buffer is filled in place as 2 eps (eps/2 E[L~^2] - E[L~]) plus
         I - J, so no n x n temporary is made.
         """
-        eps = float(eps)
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
         n = self.n
         if out is None:
             out = np.empty((n, n))
-        np.multiply(self.e_gram, 0.5 * eps, out=out)
-        out -= self.e_laplacian
-        out *= 2.0 * eps
-        # Every entry of J is 1/n, so J is subtracted as that scalar.
-        out -= 1.0 / n
+        _shifted(self.e_gram, self.e_laplacian, eps, n, out)
         out.reshape(-1)[:: n + 1] += 1.0
         return out
 
-    def value(self, eps: float) -> float:
-        """Largest eigenvalue of E[W^2] - J at the given step size."""
-        return float(np.linalg.eigvalsh(self.contraction_matrix(eps))[-1])
+    def moment(self, power: int, out: np.ndarray) -> np.ndarray:
+        """E[L~] (``power`` 1) or E[L~^2] (2), copied into ``out``."""
+        np.copyto(out, self.e_laplacian if power == 1 else self.e_gram)
+        return out
+
+    def trace_ratio(self) -> float:
+        """trace(E[L~]) / trace(E[L~^2])."""
+        return float(np.trace(self.e_laplacian) / np.trace(self.e_gram))
+
+
+@dataclass(frozen=True, eq=False)
+class CompactObjective(_Moments):
+    """E[L~] and E[L~^T L~] kept as their values on one set of cells: the
+    flat indices i * n + j of the n x n matrices, sorted, outside which both
+    are +0.0. The form ``moments.closed_form_moments`` returns for
+    production: the cells of the moments of a graph are its diagonal, its
+    edges and its pairs of nodes two hops apart (0.07 n^2 at
+    er(400,0.012,1)).
+
+    It writes into a buffer the bits ``SpectralObjective`` writes for the
+    dense matrices, so the search does the same arithmetic on either, and
+    ``e_laplacian`` and ``e_gram`` are those matrices, made on each access.
+    It keeps the dense form's checks: values finite, and each within 1e-9
+    of its mirror cell's (0 where that cell is absent).
+    """
+
+    n: int
+    cells: np.ndarray
+    laplacian_values: np.ndarray
+    gram_values: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        cells = np.asarray(self.cells)
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if cells.ndim != 1 or cells.dtype.kind not in "iu":
+            raise ValueError("cells must be a 1-D integer array")
+        if cells.size and (cells[0] < 0 or cells[-1] >= n * n or (np.diff(cells) <= 0).any()):
+            raise ValueError(f"cells must be increasing flat indices below n^2 = {n * n}")
+        cells = cells.astype(np.intp, copy=False)
+        # Each cell's mirror j * n + i, in increasing order (so that the
+        # search runs as one merge), and where it sits among the cells.
+        mirror = cells % n * n + cells // n
+        order = np.argsort(mirror)
+        mirror = mirror[order]
+        at = np.minimum(np.searchsorted(cells, mirror), max(cells.size - 1, 0))
+        has_mirror = cells[at] == mirror
+        for name, field in (("e_laplacian", "laplacian_values"), ("e_gram", "gram_values")):
+            values = np.asarray(getattr(self, field), dtype=float)
+            if values.shape != cells.shape:
+                raise ValueError(f"{name} needs one value per cell, got shape {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if np.abs(values[order] - np.where(has_mirror, values[at], 0.0)).max(initial=0.0) > 1e-9:
+                raise ValueError(f"{name} is not symmetric")
+            object.__setattr__(self, field, values)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "cells", cells)
+
+    @property
+    def e_laplacian(self) -> np.ndarray:
+        """E[L~] as a new dense n x n array."""
+        return self.moment(1, np.empty((self.n, self.n)))
+
+    @property
+    def e_gram(self) -> np.ndarray:
+        """E[L~^2] as a new dense n x n array."""
+        return self.moment(2, np.empty((self.n, self.n)))
+
+    def contraction_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+        """E[W^2] - J at the given step size, written into ``out`` if given.
+
+        The cells take the dense form's arithmetic; every other entry is
+        what it gives for two +0.0 moments, -1/n, plus 1 on the diagonal.
+        """
+        n = self.n
+        if out is None:
+            out = np.empty((n, n))
+        values = np.empty(self.cells.size)
+        _shifted(self.gram_values, self.laplacian_values, eps, n, values)
+        out.fill(-1.0 / n)
+        out.reshape(-1)[self.cells] = values
+        out.reshape(-1)[:: n + 1] += 1.0
+        return out
+
+    def moment(self, power: int, out: np.ndarray) -> np.ndarray:
+        """E[L~] (``power`` 1) or E[L~^2] (2), written into ``out``."""
+        out.fill(0.0)
+        out.reshape(-1)[self.cells] = self.laplacian_values if power == 1 else self.gram_values
+        return out
+
+    def trace_ratio(self) -> float:
+        """trace(E[L~]) / trace(E[L~^2]), each summed over the whole
+        diagonal as ``np.trace`` sums it."""
+        n = self.n
+        on_diagonal = self.cells % (n + 1) == 0  # i * n + i = i (n + 1)
+        nodes = self.cells[on_diagonal] // (n + 1)
+        traces = np.zeros((2, n))
+        traces[0, nodes] = self.laplacian_values[on_diagonal]
+        traces[1, nodes] = self.gram_values[on_diagonal]
+        return float(traces[0].sum() / traces[1].sum())
 
 
 def contracts(value: float) -> bool:
@@ -213,9 +347,10 @@ class _Cuts:
 
 class _RitzBasis:
     """An orthonormal, mean-free basis U with R1 = U^T E[L~] U and
-    R2 = U^T E[L~^2] U."""
+    R2 = U^T E[L~^2] U. Each projection writes its moment into the search's
+    n x n buffer ``buf`` and multiplies by it there."""
 
-    def __init__(self, objective: SpectralObjective):
+    def __init__(self, objective: SpectralObjective | CompactObjective, buf: np.ndarray):
         self.objective = objective
         n = objective.n
         self.rng = np.random.default_rng(_FILTER_SEED)
@@ -225,10 +360,11 @@ class _RitzBasis:
             i = np.arange(1, n)
             u = np.triu(np.ones((n, n - 1))) - np.diag(i, -1)[:, : n - 1]
             self.u = u / np.sqrt(i * (i + 1.0))
+            self.r1 = self.u.T @ (objective.moment(1, buf) @ self.u)
+            self.r2 = self.u.T @ (objective.moment(2, buf) @ self.u)
         else:
             self.u = np.empty((n, 0))
-        self.r1 = self.u.T @ (objective.e_laplacian @ self.u)
-        self.r2 = self.u.T @ (objective.e_gram @ self.u)
+            self.r1 = self.r2 = np.empty((0, 0))
         # Degree of the last filter shaped by an exact spectrum: the cap of
         # the filters shaped by Ritz values.
         self.degree = _MAX_FILTER_DEGREE
@@ -259,7 +395,8 @@ class _RitzBasis:
 
     def extend(self, mat: np.ndarray, eps: float, spectrum: np.ndarray | None = None):
         """Add filtered approximations to the top eigenvectors of ``mat`` =
-        M(eps).
+        M(eps), the search's buffer: once the filter is done with M, each
+        moment is written there for its projection.
 
         Given the ascending eigenvalues ``spectrum`` of ``mat``, the filter
         is shaped by them. Without it, the model's Ritz values at eps stand
@@ -310,9 +447,8 @@ class _RitzBasis:
             diag = np.abs(np.diag(r))
             floor = math.sqrt(0.5) if second else 1e-8 * diag.max(initial=0.0)
             block = block[:, diag > floor]
-        e_lap, e_gram = self.objective.e_laplacian, self.objective.e_gram
-        self.r1 = _bordered(self.r1, self.u, block, e_lap @ block)
-        self.r2 = _bordered(self.r2, self.u, block, e_gram @ block)
+        self.r1 = _bordered(self.r1, self.u, block, self.objective.moment(1, mat) @ block)
+        self.r2 = _bordered(self.r2, self.u, block, self.objective.moment(2, mat) @ block)
         self.u = np.hstack([self.u, block])
 
     def minimize(self, cuts: _Cuts, eps: float, tol: float) -> tuple[float, float]:
@@ -422,18 +558,46 @@ def _chebyshev_filter(mat, block, low, cut, top, degree):
 
 def _certifies(mat: np.ndarray, level: float) -> bool:
     """True iff level * I - M has a Cholesky factor for ``mat`` = M(eps),
-    i.e. s < level up to the factor's backward error. The difference
-    overwrites ``mat``."""
+    i.e. s < level up to the factor's backward error.
+
+    The factor is taken in place, a block of columns at a time (see
+    ``_factor_block``): ``np.linalg.cholesky`` of the diagonal block of the
+    Schur complement, a solve for the panel below it, which overwrites that
+    panel, then the update of the trailing lower part, one chunk of as many
+    columns at a time (the factor reads only the lower triangle). Beside
+    ``mat``, which it overwrites, it holds one panel's solve or one chunk's
+    product. Like LAPACK's blocked factor it is backward stable (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10).
+    """
+    n = mat.shape[0]
+    block = _factor_block(n)
     np.negative(mat, out=mat)
-    mat.reshape(-1)[:: mat.shape[0] + 1] += level
+    mat.reshape(-1)[:: n + 1] += level
     try:
-        np.linalg.cholesky(mat)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            factor = np.linalg.cholesky(mat[lo:hi, lo:hi])
+            if hi == n:
+                break
+            # L21 = A21 L11^-T, in place of A21
+            mat[hi:, lo:hi] = np.linalg.solve(factor, mat[hi:, lo:hi].T).T
+            for c in range(hi, n, block):
+                mat[c:, c : c + block] -= mat[c:, lo:hi] @ mat[c : c + block, lo:hi].T
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> EpsilonSearch:
+def _factor_block(n: int) -> int:
+    """Columns per block of ``_certifies``: an eighth of the matrix, and at
+    least _FACTOR_BLOCK. Its temporaries then stay within about n^2 / 8
+    entries; wider blocks are faster at n = 2000, narrower ones at 400."""
+    return max(_FACTOR_BLOCK, n // 8)
+
+
+def optimize_epsilon(
+    objective: SpectralObjective | CompactObjective, tol: float = 1e-12
+) -> EpsilonSearch:
     """Minimize the expected contraction factor s over the step size, to a
     certified gap: s(epsilon) - lower <= tol, with lower <= min s.
 
@@ -450,14 +614,14 @@ def optimize_epsilon(objective: SpectralObjective, tol: float = 1e-12) -> Epsilo
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     buf = np.empty((objective.n, objective.n))
-    if not objective.e_laplacian.any():
+    if not objective.moment(1, buf).any():
         value = float(np.linalg.eigvalsh(objective.contraction_matrix(0.0, out=buf))[-1])
         return EpsilonSearch(
             epsilon=0.0, value=value, lower=value, evaluations=1, degenerate=True
         )
     # The minimizer of the average eigenvalue, trace(M(eps)) / (n - 1).
-    eps = float(np.trace(objective.e_laplacian) / np.trace(objective.e_gram))
-    basis = _RitzBasis(objective)
+    eps = objective.trace_ratio()
+    basis = _RitzBasis(objective, buf)
     cuts = _Cuts()
     best_value, best_eps = np.inf, eps
     lower = 0.0  # M is PSD

@@ -1,6 +1,6 @@
 """The two activation moments of the effective Laplacian, E[L~] and E[L~^2].
 
-They are all the epsilon search reads (``mixing.SpectralObjective``), and
+They are all the epsilon search reads (``mixing.optimize_epsilon``), and
 each of the three routes below returns them as one, for any policy stated as
 its ``scheduling.Units``: independent Bernoulli units, and for each base
 edge e the two units it needs, u0(e) and u1(e) (the subsets of its
@@ -10,18 +10,21 @@ A round keeps edge e iff x_e = 1, x_e being the product of the on
 indicators of its units, so E[L~] = sum_e E[x_e] L_e, and since L_e L_f
 vanishes unless e and f share a node, E[L~^2] = sum E[x_e x_f] L_e L_f runs
 over the O(sum_k deg_k^2) incident edge pairs e = (k, a), f = (k, b) of
-``graph._incident_pairs``, which ``graph._pair_gram`` scatters into one
-n x n array. The routes differ only in their weights:
+``graph._incident_pairs``, which ``graph._pair_cells`` sums onto the cells
+they touch: the diagonal, the edges and the pairs two hops apart. The routes
+differ in their weights and in the form they return:
 
 - ``closed_form_moments``, used in production, takes E[x_e] as the product
   of p over the distinct units of e, and E[x_e x_f] as the product over the
-  distinct units of e and f.
+  distinct units of e and f. It returns the ``mixing.CompactObjective`` of
+  those cells, 0.07 n^2 of them at er(400,0.012,1), whose dense views are
+  bit for bit the matrices a scatter onto n x n arrays gives.
 - ``monte_carlo_moments`` counts the sampled rounds in which each edge and
   each incident pair survives. It is the one estimator, behind the test
   oracle, ``moments-check`` and matcha's epsilon in
-  ``experiment.build_policy``.
+  ``experiment.build_policy``, and returns a dense ``SpectralObjective``.
 - ``enumerated_moments``, an exact test oracle independent of both, sums
-  w L~ and w L~^2 over the 2^units activation patterns.
+  w L~ and w L~^2 over the 2^units activation patterns, also dense.
 
 ``expected_laplacian_gram`` is the closed form of a subset policy given by
 per-node probabilities.
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Topology, _incident_pairs, _pair_gram
-from .mixing import SpectralObjective
+from .graph import Topology, _pair_cells, _pair_gram
+from .mixing import CompactObjective, SpectralObjective
 from .partition import CollisionFreePartition
 from .scheduling import SchedulingPolicy, Units, _unit_probs
 
@@ -41,8 +44,10 @@ from .scheduling import SchedulingPolicy, Units, _unit_probs
 _MC_BLOCK_ELEMENTS = 1 << 14
 
 
-def closed_form_moments(topology: Topology, units: Units) -> SpectralObjective:
-    """Closed-form E[L~] and E[L~^T L~] of a policy's units.
+def closed_form_moments(topology: Topology, units: Units) -> CompactObjective:
+    """Closed-form E[L~] and E[L~^T L~] of a policy's units, on the cells of
+    ``graph._pair_cells``: the compact form production searches, whose
+    dense views are the matrices the oracles return.
 
     E[x_e] is p[u0(e)], times p[u1(e)] if that is another unit. The weight
     E[x_e x_f] of an incident pair multiplies E[x_e] by p of each unit of f
@@ -50,13 +55,25 @@ def closed_form_moments(topology: Topology, units: Units) -> SpectralObjective:
     """
     p, (u0, u1) = units.probs, units.edge_units
     x = p[u0] * np.where(u1 != u0, p[u1], 1.0)
-    k, a, b, e, f = _incident_pairs(topology)
-    e0, e1, f0, f1 = u0[e], u1[e], u0[f], u1[f]
-    w = x[e] * np.where((f0 != e0) & (f0 != e1), p[f0], 1.0)
-    w *= np.where((f1 != e0) & (f1 != e1) & (f1 != f0), p[f1], 1.0)
-    # E[L~^2] first, so E[L~] is not held while the scatter's n x n terms are.
-    e_gram = _pair_gram(topology.n, k, a, b, w)
-    return SpectralObjective(topology.laplacian(x), e_gram)
+
+    def weight(e, f):
+        e0, e1, f0, f1 = u0[e], u1[e], u0[f], u1[f]
+        w = x[e] * np.where((f0 != e0) & (f0 != e1), p[f0], 1.0)
+        w *= np.where((f1 != e0) & (f1 != e1) & (f1 != f0), p[f1], 1.0)
+        return w
+
+    n = topology.n
+    cells, e_gram = _pair_cells(topology, weight)
+    # E[L~] = topology.laplacian(x) on the same cells: every edge (i, j) of
+    # a node's incident pair (i, j, j) is one, as is every non-isolated
+    # node's diagonal.
+    i, j = topology.edge_array.T
+    e_lap = np.zeros(cells.size)
+    e_lap[np.searchsorted(cells, i * n + j)] = e_lap[np.searchsorted(cells, j * n + i)] = -x
+    on_diagonal = cells % (n + 1) == 0
+    degree = np.bincount(i, x, n) + np.bincount(j, x, n)
+    e_lap[on_diagonal] = degree[cells[on_diagonal] // (n + 1)]
+    return CompactObjective(n, cells, e_lap, e_gram)
 
 
 def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
@@ -115,8 +132,7 @@ def monte_carlo_moments(
         np.less(on, p, out=on)
         x = on if x_is_on else on[:, first] * on[:, second]
         co += (x.T @ x).astype(np.int64)
-    k, a, b, e, f = _incident_pairs(topology)
-    e_gram = _pair_gram(topology.n, k, a, b, co[cls[e], cls[f]]) / samples
+    e_gram = _pair_gram(topology, lambda e, f: co[cls[e], cls[f]]) / samples
     return SpectralObjective(topology.laplacian(co.diagonal()[cls]) / samples, e_gram)
 
 

@@ -9,8 +9,8 @@ import numpy as np
 
 from .graph import Topology, _connected, load_topology
 
-# Uniforms per block of rows in one er_topology draw.
-_DRAW_BLOCK = 2**16
+# Uniforms per block of rows in one er_topology draw (81 rows at n = 400).
+_DRAW_BLOCK = 2**15
 # Draws er_topology makes before it gives up on a connected graph.
 _MAX_TRIES = 100
 
@@ -50,13 +50,15 @@ def two_stars_topology(n1: int, n2: int) -> Topology:
 def er_topology(n: int, p: float, seed: int) -> Topology:
     """Connected Erdos-Renyi graph, resampled up to _MAX_TRIES times.
 
-    Each attempt draws one uniform per node pair in lexicographic order, a
-    block of whole rows i (the pairs (i, j > i)) at a time, so the result is
-    deterministic given (n, p, seed) and a draw needs O(_DRAW_BLOCK + m)
-    memory. Connectivity is tested on the drawn edges, after a cheap test
-    that rejects a draw with an isolated node (every uniform of the attempt
-    is drawn by then, so the stream does not change), and only the accepted
-    draw is built into a Topology.
+    Each attempt stands for one uniform per node pair in lexicographic
+    order, drawn a block of whole rows i (the pairs (i, j > i)) at a time,
+    so the result is deterministic given (n, p, seed) and a draw needs
+    O(_DRAW_BLOCK + m) memory. Once row i is drawn, every pair of node i
+    is, so an attempt stops at the first block that leaves a node isolated
+    and advances the generator past its remaining uniforms (PCG64 takes one
+    64-bit output per double): the stream, and so every graph, is that of
+    drawing each attempt whole. Connectivity is tested on a complete draw,
+    and only the accepted draw is built into a Topology.
     """
     if n < 1:
         raise ValueError(f"node count n must be >= 1, got {n}")
@@ -66,18 +68,27 @@ def er_topology(n: int, p: float, seed: int) -> Topology:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     step = max(1, _DRAW_BLOCK // n)
+    pairs = n * (n - 1) // 2
     for _ in range(_MAX_TRIES):
         blocks = []
+        degree = np.zeros(n, dtype=np.intp)
+        drawn = 0
         for lo in range(0, n, step):
-            counts = n - 1 - np.arange(lo, min(n, lo + step))
+            hi = min(n, lo + step)
+            counts = n - 1 - np.arange(lo, hi)
             starts = np.cumsum(counts) - counts
             hits = np.flatnonzero(rng.random(counts.sum()) < p)
+            drawn += int(counts.sum())
             row = np.searchsorted(starts, hits, side="right") - 1
             blocks.append(np.column_stack([lo + row, lo + row + 1 + hits - starts[row]]))
-        edges = np.concatenate(blocks)
-        isolated = n > 1 and not np.bincount(edges.ravel(), minlength=n).all()
-        if not isolated and _connected(n, edges):
-            return Topology(n, edges)
+            degree += np.bincount(blocks[-1].ravel(), minlength=n)
+            if n > 1 and not degree[lo:hi].all():
+                rng.bit_generator.advance(pairs - drawn)
+                break
+        else:
+            edges = np.concatenate(blocks)
+            if _connected(n, edges):
+                return Topology(n, edges)
     raise ValueError(
         f"no connected graph in {_MAX_TRIES} draws of er(n={n}, p={p}); try a larger p"
     )

@@ -23,7 +23,7 @@ from bass import (
     star_topology,
     two_stars_topology,
 )
-from bass.graph import _incident_pairs, _pair_gram
+from bass.graph import _pair_gram
 
 from .graph_helpers import adjacency, degrees, edge_pairs, random_connected
 
@@ -288,9 +288,8 @@ class TestMatchaPolicy:
             counts += active.sum(axis=0)
             co_counts += active.T @ active
         m = policy.edge_matching
-        k, a, b, e, f = _incident_pairs(t)
         expected = (t.laplacian(counts[m]) / samples,
-                    _pair_gram(t.n, k, a, b, co_counts[m[e], m[f]]) / samples)
+                    _pair_gram(t, lambda e, f: co_counts[m[e], m[f]]) / samples)
         mc_rng = np.random.default_rng(5)
         with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", block * md.r):
             estimate = matcha_spectral_moments(policy, samples, mc_rng)

@@ -241,15 +241,14 @@ class TestIncidentPairs:
         # sum over incident pairs of w_ef L_e L_f; with unit weights, L^2
         rng = np.random.default_rng(17)
         t = random_connected(rng, 10, extra_edges=6)
-        k, a, b, e, f = _incident_pairs(t)
         lap = t.laplacian()
-        assert np.array_equal(_pair_gram(t.n, k, a, b, np.ones(k.size)), lap @ lap)
+        assert np.array_equal(_pair_gram(t, lambda e, f: np.ones(e.size)), lap @ lap)
         pair_w = rng.uniform(0.0, 1.0, (len(t.edge_array),) * 2)
         pair_w += pair_w.T
         laps = [t.laplacian(np.arange(len(t.edge_array)) == g) for g in range(len(t.edge_array))]
         expected = sum(pair_w[g, h] * laps[g] @ laps[h]
                        for g in range(len(t.edge_array)) for h in range(len(t.edge_array)))
-        got = _pair_gram(t.n, k, a, b, pair_w[e, f])
+        got = _pair_gram(t, lambda e, f: pair_w[e, f])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
 

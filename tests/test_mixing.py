@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,19 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bass import (
+    CompactObjective,
+    SchedulingPolicy,
     SpectralObjective,
     Topology,
     betweenness_centrality,
+    closed_form_moments,
     expected_laplacian_gram,
     full_comm_policy,
     greedy_partition,
+    make_topology,
     node_probabilities,
     optimize_epsilon,
     sample_round,
     solve_probabilities,
     subset_betweenness,
 )
-from bass import mixing
+from bass import experiment, mixing
+from bass.experiment import ExperimentConfig
 from bass.topologies import (
     er_topology,
     path_topology,
@@ -393,3 +399,185 @@ class TestFixedWeightMatrix:
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         off_support = (adjacency(t) == 0) & ~np.eye(t.n, dtype=bool)
         assert np.all(w[off_support] == 0.0)
+
+
+def compact_of(e_lap, e_gram):
+    """The compact form of two dense moments, on the cells where either is
+    nonzero (NaN included)."""
+    e_lap, e_gram = np.asarray(e_lap, float), np.asarray(e_gram, float)
+    cells = np.flatnonzero((e_lap != 0) | (e_gram != 0))
+    return CompactObjective(e_lap.shape[0], cells, e_lap.ravel()[cells], e_gram.ravel()[cells])
+
+
+def dense_of(obj):
+    return SpectralObjective(obj.e_laplacian, obj.e_gram)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# The policies the three benchmark workloads search epsilon for (matcha's
+# moments are a dense Monte Carlo estimate): headline, large-er and sweep.
+WORKLOAD_CONFIGS = [
+    dict(topology="two-stars(6,6)", policies=("bass", "full"), budget_frac=0.5, min_subset_prob=0.1),
+    dict(topology="er(400,0.012,1)", policies=("bass",), budget_frac=0.5, min_subset_prob=0.01),
+    dict(topology="er(100,0.05,3)", policies=("bass",), budget_sweep=(0.2, 0.4, 0.6, 0.8, 1.0),
+         min_subset_prob=0.01),
+]
+
+
+def workload_moments():
+    for config in WORKLOAD_CONFIGS:
+        cfg = ExperimentConfig(**config)
+        t, part, specs = experiment._setup(cfg)
+        for spec in specs:
+            policy = experiment._unresolved_policy(spec, t, part, cfg)
+            yield spec.label, closed_form_moments(t, policy.units(part, t))
+
+
+class TestCompactObjective:
+    def test_contraction_matrix_is_the_dense_one_bit_for_bit(self):
+        # zero-probability subsets leave -0.0 edge weights in E[L~]
+        rng = np.random.default_rng(41)
+        cases = list(workload_moments())
+        for n in (3, 8, 30):
+            t = random_connected(rng, n, extra_edges=n)
+            part = greedy_partition(t)
+            probs = rng.uniform(0.1, 1.0, part.q)
+            probs[rng.random(part.q) < 0.4] = 0.0
+            cases.append((f"n={n}", subset_objective(t, probs)))
+        for label, obj in cases:
+            dense = dense_of(obj)
+            buf = np.empty((obj.n, obj.n))
+            for eps in (0.0, 0.013, 0.24, 1.7):
+                assert same_bits(obj.contraction_matrix(eps), dense.contraction_matrix(eps)), label
+                assert obj.contraction_matrix(eps, out=buf) is buf
+                assert same_bits(buf, dense.contraction_matrix(eps)), label
+            for power, view in ((1, dense.e_laplacian), (2, dense.e_gram)):
+                assert same_bits(obj.moment(power, buf), view), label
+                assert same_bits(dense.moment(power, np.empty_like(buf)), view), label
+            assert obj.trace_ratio() == dense.trace_ratio(), label
+
+    def test_zero_probabilities_keep_negative_zero_weights(self):
+        t = ring_topology(6)
+        obj = subset_objective(t, np.zeros(greedy_partition(t).q))
+        lap = obj.e_laplacian
+        i, j = t.edge_array.T
+        assert np.signbit(lap[i, j]).all() and not lap.any()
+        assert same_bits(lap, t.laplacian(np.zeros(len(t.edge_array))))
+
+    def test_search_is_the_dense_search_on_the_workload_configs(self):
+        for label, obj in workload_moments():
+            assert optimize_epsilon(obj) == optimize_epsilon(dense_of(obj)), label
+
+    def test_search_holds_one_buffer(self):
+        # The moments keep their cells, and the search one n x n buffer
+        # beside them (eigvalsh's LAPACK copy is not traced): 2.0 and 4.1
+        # matrices when both moments were dense and the certificate called
+        # np.linalg.cholesky on the whole buffer.
+        t = make_topology("er(400,0.012,1)")
+        part = greedy_partition(t)
+        scores = subset_betweenness(betweenness_centrality(t), part)
+        probs = solve_probabilities(scores, 0.5 * part.q, 0.01)
+        units = SchedulingPolicy(probs, 0.5 * part.q).units(part, t)
+        matrix = t.n**2 * 8
+        tracemalloc.start()
+        try:
+            obj = closed_form_moments(t, units)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = optimize_epsilon(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == 2
+        assert held <= 0.25 * matrix
+        assert peak <= 1.75 * matrix
+
+    def test_rejections_are_the_dense_forms(self):
+        obj = compact_of(path_topology(3).laplacian(), np.eye(3))
+        with pytest.raises(ValueError, match="^eps must be nonnegative and finite$"):
+            obj.value(-0.1)
+        for form in (SpectralObjective, compact_of):
+            for eps in (-0.1, np.nan, np.inf):
+                with pytest.raises(ValueError, match="^eps must be nonnegative and finite$"):
+                    form(path_topology(3).laplacian(), np.eye(3)).contraction_matrix(eps)
+            with pytest.raises(ValueError, match="e_laplacian is not symmetric"):
+                form(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+            for stray in ((250, 10), (10, 250)):
+                big = np.eye(300)
+                big[stray] = 1e-6
+                with pytest.raises(ValueError, match="e_gram is not symmetric"):
+                    form(np.eye(300), big)
+            with pytest.raises(ValueError, match="e_laplacian has non-finite entries"):
+                form(np.full((3, 3), np.nan), np.eye(3))
+            big = np.eye(300)
+            big[250, 10] = big[10, 250] = np.inf
+            with pytest.raises(ValueError, match="e_gram has non-finite entries"):
+                form(np.eye(300), big)
+
+    def test_cells_must_be_increasing_and_in_range(self):
+        for cells in ([0, 0], [3, 1], [-1, 2], [0, 9]):
+            with pytest.raises(ValueError, match="cells must be increasing"):
+                CompactObjective(3, np.array(cells), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="one value per cell"):
+            CompactObjective(3, np.array([0, 4]), np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="1-D integer"):
+            CompactObjective(3, np.array([0.0, 4.0]), np.zeros(2), np.zeros(2))
+
+
+def level_cases(rng, n, margin=1e-6):
+    """A PSD M with spectrum in [0, 1] and top eigenvalue s, and the levels
+    s + margin (the factor exists) and s - margin (it does not), the margin
+    far above the certificate's slack n e."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = rng.uniform(0.0, 0.9, n)
+    spectrum[rng.integers(n)] = top = 0.95
+    mat = (q * spectrum) @ q.T
+    mat = 0.5 * (mat + mat.T)
+    return mat, ((top + margin, True), (top - margin, False))
+
+
+def numpy_certifies(mat, level):
+    try:
+        np.linalg.cholesky(level * np.eye(len(mat)) - mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestInPlaceCertificate:
+    @pytest.mark.parametrize("block, sizes", [
+        # below one block, at multiples of it, between them, and 1 x 1
+        (8, (1, 2, 7, 8, 9, 16, 21, 24, 64, 70)),
+        (None, (1, 63, 64, 65, 128, 150)),
+    ])
+    def test_accepts_and_rejects_as_numpy_cholesky(self, monkeypatch, block, sizes):
+        if block is not None:
+            monkeypatch.setattr(mixing, "_FACTOR_BLOCK", block)
+        rng = np.random.default_rng(43)
+        for n in sizes:
+            mat, levels = level_cases(rng, n)
+            for level, holds in levels:
+                if n == 1:
+                    holds = level > mat[0, 0]
+                assert numpy_certifies(mat, level) == holds, (n, level)
+                assert mixing._certifies(mat.copy(), level) == holds, (n, level)
+
+    def test_indefinite_with_definite_diagonal_blocks_is_rejected(self, monkeypatch):
+        # level I - M fails only through the coupling of its blocks: each
+        # diagonal block alone has a factor
+        monkeypatch.setattr(mixing, "_FACTOR_BLOCK", 8)
+        rng = np.random.default_rng(47)
+        for n in (16, 24, 30):
+            mat, levels = level_cases(rng, n)
+            level, holds = levels[1]
+            shifted = level * np.eye(n) - mat
+            blocks = [shifted[lo : lo + 8, lo : lo + 8] for lo in range(0, n, 8)]
+            assert all(np.linalg.eigvalsh(b)[0] > 0 for b in blocks)
+            assert not holds and not mixing._certifies(mat.copy(), level)
+
+    def test_factor_block_grows_with_n(self):
+        assert mixing._factor_block(1) == mixing._factor_block(400) == mixing._FACTOR_BLOCK
+        assert mixing._factor_block(2000) == 250

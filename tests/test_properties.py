@@ -20,6 +20,7 @@ from bass import (
     RoundActivation,
     RoundRecord,
     SchedulingPolicy,
+    SpectralObjective,
     TrainConfig,
     Units,
     betweenness_centrality,
@@ -37,6 +38,7 @@ from bass import (
     matcha_spectral_moments,
     matching_decomposition,
     monte_carlo_moments,
+    optimize_epsilon,
     run_training,
     sample_round,
     shard_data,
@@ -124,6 +126,21 @@ def test_closed_form_moments_match_enumeration(case):
     exact = enumerated_moments(t, units)
     for name in ("e_laplacian", "e_gram"):
         assert np.abs(getattr(closed, name) - getattr(exact, name)).max() <= 1e-12, name
+
+
+@PROPERTY
+@given(unit_policies(), st.floats(0.0, 2.0))
+def test_compact_moments_search_as_the_dense_moments(case, eps):
+    # the same bits in the buffer at any eps, so the same search
+    t, part, policy = case
+    compact = closed_form_moments(t, policy.units(part, t))
+    dense = SpectralObjective(compact.e_laplacian, compact.e_gram)
+    for at in (0.0, eps):
+        got, want = compact.contraction_matrix(at), dense.contraction_matrix(at)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # policies with probability-0 units do not contract
+        assert optimize_epsilon(compact) == optimize_epsilon(dense)
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -97,6 +98,51 @@ class TestPresets:
                             er_topology(n, p, seed)
                     else:
                         assert er_topology(n, p, seed) == expected, (n, p, seed)
+
+    @pytest.mark.parametrize("block", [40, 2**15])
+    def test_er_skips_the_rest_of_a_failed_attempt(self, monkeypatch, block):
+        # The full-draw loop as the oracle: the same graph or the same
+        # failure, the generator left where that loop leaves it, and an
+        # attempt with an isolated node stops drawing at that node's block.
+        class Counting(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
+                self.drawn += int(np.prod(size))
+                return super().random(size, *args, **kwargs)
+
+        made = []
+
+        def counting_rng(seed):
+            made.append(Counting(np.random.PCG64(seed)))
+            made[-1].drawn = 0
+            return made[-1]
+
+        def full_draws(n, p, seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(topologies._MAX_TRIES):
+                u = rng.random(n * (n - 1) // 2)
+                i, j = np.triu_indices(n, 1)
+                edges = np.column_stack([i, j])[u < p]
+                if _connected(n, edges):
+                    return Topology(n, edges), rng.bit_generator.state
+            return None, rng.bit_generator.state
+
+        monkeypatch.setattr(topologies, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(topologies.np.random, "default_rng", counting_rng)
+        cases = [(1, 0.0), (1, 0.5), (2, 0.0), (2, 1.0), (3, 0.5), (7, 0.3), (12, 0.2),
+                 (40, 0.08), (100, 0.05), (120, 1.0), (400, 0.012), (400, 0.0)]
+        for (n, p), seed in itertools.product(cases, (0, 1, 7, 23)):
+            expected, state = full_draws(n, p, seed)
+            if expected is None:
+                with pytest.raises(ValueError, match="no connected graph in 100 draws"):
+                    er_topology(n, p, seed)
+            else:
+                assert er_topology(n, p, seed) == expected, (n, p, seed)
+            assert made[-1].bit_generator.state == state, (n, p, seed)
+        # er(400, 0.012, 1) takes 24 attempts, and draws 55 % of their
+        # uniforms in blocks of 81 rows, 40 % row by row
+        made.clear()
+        er_topology(400, 0.012, 1)
+        assert made[-1].drawn < (0.6 if block > 400 else 0.45) * 24 * (400 * 399 // 2)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_er_needs_a_node(self, n):
