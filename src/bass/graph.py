@@ -236,19 +236,27 @@ def _pair_cells(topology: Topology, weight):
         hi = int(np.searchsorted(ends, ends[lo] - load[lo] + _PAIR_BLOCK, "right"))
         hi = min(max(lo + 1, hi), lo + rows, n)
         h = np.arange(indptr[lo], indptr[hi])
-        k, _, b, e, f = _pairs_at(topology, h, tail[h], head[h])
-        rk, ra, rb, re, rf = _pairs_at(topology, h, head[h], tail[h])
-        w, rw = weight(e, f), weight(re, rf)
-        # Each key's offset in the block's rows, and its rank among the
-        # cells there.
+        k, a, b, e, f = _pairs_at(topology, h, tail[h], head[h])
+        w = weight(e, f)
+        if hi - lo < n:
+            rk, ra, rb, re, rf = _pairs_at(topology, h, head[h], tail[h])
+            rw = weight(re, rf)
+        else:
+            # One block of every row: the pairs whose a is in it are all the
+            # pairs, and each cell meets its terms among them in this order.
+            rk, ra, rb, rw = k, a, b, w
+        # Each key's offset in the block's rows, and its cell's rank there.
         at = np.concatenate([k * n + b, ra * n + rk, ra * n + rb]) - lo * n
         seen = np.zeros((hi - lo) * n, dtype=bool)
         seen[at] = True
-        rank = np.cumsum(seen) - 1
         block = np.flatnonzero(seen)
+        rank = np.empty(seen.size, dtype=np.intp)
+        rank[block] = np.arange(block.size)
         sums = np.bincount(rank[at], np.concatenate([-w, -rw, rw]), block.size)
-        on_diagonal = block % (n + 1) == lo % (n + 1)  # offsets (i - lo) (n + 1) + lo
-        sums[on_diagonal] += np.bincount(k - lo, w, hi - lo)[block[on_diagonal] // (n + 1)]
+        # The diagonal cells (i, i) of the block's nodes with an edge.
+        diagonal = np.arange(hi - lo) * (n + 1) + lo
+        present = seen[diagonal]
+        sums[rank[diagonal[present]]] += np.bincount(k - lo, w, hi - lo)[present]
         cells.append(block + lo * n)
         values.append(sums)
         lo = hi

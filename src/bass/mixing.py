@@ -209,13 +209,18 @@ class CompactObjective(_Moments):
         if cells.size and (cells[0] < 0 or cells[-1] >= n * n or (np.diff(cells) <= 0).any()):
             raise ValueError(f"cells must be increasing flat indices below n^2 = {n * n}")
         cells = cells.astype(np.intp, copy=False)
-        # Each cell's mirror j * n + i, in increasing order (so that the
-        # search runs as one merge), and where it sits among the cells.
-        mirror = cells % n * n + cells // n
+        # Each cell's mirror j * n + i, in increasing order, and where it
+        # sits among the cells: at its own rank when the cells are a
+        # symmetric pattern, as those of closed_form_moments are.
+        row, col = np.divmod(cells, n)
+        mirror = col * n + row
         order = np.argsort(mirror)
         mirror = mirror[order]
-        at = np.minimum(np.searchsorted(cells, mirror), max(cells.size - 1, 0))
-        has_mirror = cells[at] == mirror
+        if np.array_equal(mirror, cells):
+            at, has_mirror = slice(None), True
+        else:
+            at = np.minimum(np.searchsorted(cells, mirror), max(cells.size - 1, 0))
+            has_mirror = cells[at] == mirror
         for name, field in (("e_laplacian", "laplacian_values"), ("e_gram", "gram_values")):
             values = np.asarray(getattr(self, field), dtype=float)
             if values.shape != cells.shape:

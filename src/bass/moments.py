@@ -70,9 +70,9 @@ def closed_form_moments(topology: Topology, units: Units) -> CompactObjective:
     i, j = topology.edge_array.T
     e_lap = np.zeros(cells.size)
     e_lap[np.searchsorted(cells, i * n + j)] = e_lap[np.searchsorted(cells, j * n + i)] = -x
-    on_diagonal = cells % (n + 1) == 0
+    nodes = np.flatnonzero(np.diff(topology._half_edges[0]))
     degree = np.bincount(i, x, n) + np.bincount(j, x, n)
-    e_lap[on_diagonal] = degree[cells[on_diagonal] // (n + 1)]
+    e_lap[np.searchsorted(cells, nodes * (n + 1))] = degree[nodes]
     return CompactObjective(n, cells, e_lap, e_gram)
 
 
@@ -94,7 +94,7 @@ def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
 
 def expected_laplacian_gram(
     topology: Topology, partition: CollisionFreePartition, node_probs
-) -> SpectralObjective:
+) -> CompactObjective:
     """``closed_form_moments`` of the subset policy whose nodes broadcast
     with probabilities ``node_probs``."""
     probs = _checked_probs(partition, node_probs)

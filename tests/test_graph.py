@@ -13,7 +13,8 @@ from bass import (
     load_topology,
     make_topology,
 )
-from bass.graph import _conflicts, _incident_pairs, _pair_gram
+from bass import graph
+from bass.graph import _conflicts, _incident_pairs, _pair_cells, _pair_gram
 from bass.topologies import path_topology, ring_topology, star_topology
 
 from .graph_helpers import degrees, edge_pairs, random_connected, save_topology
@@ -250,6 +251,30 @@ class TestIncidentPairs:
                        for g in range(len(t.edge_array)) for h in range(len(t.edge_array)))
         got = _pair_gram(t, lambda e, f: pair_w[e, f])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("block", [1, 16, 50, 2**15])
+    def test_cells_sum_as_one_scatter_onto_n_by_n(self, monkeypatch, block):
+        # Blocks of one row, of a few rows, and one block of every row: each
+        # cell sums its terms in the order of one np.bincount of all pairs
+        # onto the n x n array, -0.0 weights and isolated nodes included, and
+        # the cells are exactly the entries it scatters to.
+        monkeypatch.setattr(graph, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(19)
+        cases = [Topology(1, []), Topology(6, [(0, 1), (1, 2), (2, 3)])]
+        cases += [random_connected(rng, n, extra_edges=x) for n, x in ((2, 0), (9, 5), (30, 40), (60, 20))]
+        for t in cases:
+            n, m = t.n, len(t.edge_array)
+            pair_w = rng.uniform(-1.0, 1.0, (m, m))
+            pair_w[rng.random((m, m)) < 0.2] = -0.0
+            k, a, b, e, f = _incident_pairs(t)
+            w = pair_w[e, f]
+            keys = np.concatenate([k * n + b, a * n + k, a * n + b])
+            flat = np.bincount(keys, np.concatenate([-w, -w, w]), n * n)
+            flat[:: n + 1] += np.bincount(k, w, n)
+            cells, values = _pair_cells(t, lambda e, f: pair_w[e, f])
+            assert np.array_equal(cells, np.unique(keys)), n
+            assert np.array_equal(values, flat[cells]), n
+            assert np.array_equal(np.signbit(values), np.signbit(flat[cells])), n
 
 
 class TestLaplacian:

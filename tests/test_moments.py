@@ -216,8 +216,7 @@ class TestExpectedGram:
             assert np.abs(getattr(ms, name) - getattr(exact, name)).max() < 1e-12, name
 
     def test_er400_peak_memory_below_five_and_a_half_matrices(self):
-        # the pair scatter holds E[L~^2] and one n x n term at a time, and
-        # E[L~] follows it
+        # the cells are summed a bounded block of rows at a time
         t = make_topology("er(400,0.012,1)")
         part = greedy_partition(t)
         node_p = node_probabilities(np.random.default_rng(89).uniform(0.1, 0.9, part.q), part)
@@ -225,13 +224,14 @@ class TestExpectedGram:
         assert peak_mb * 2**20 < 5.5 * t.n**2 * 8
 
     def test_er400_symmetry_check_adds_no_matrix(self):
-        # The moment check compares row blocks, so the peak stays at the
-        # assembly's own: E[L~^2], one n x n scatter term and then E[L~].
+        # The check gathers each cell's mirror among the cells (7 % of n^2
+        # here), so neither it nor the row blocks before it make an n x n
+        # array: 0.78 of one at the peak (3.5 when both moments were dense).
         t = make_topology("er(400,0.012,1)")
         part = greedy_partition(t)
         node_p = node_probabilities(np.random.default_rng(89).uniform(0.1, 0.9, part.q), part)
         _, peak_mb = traced_peak_mb(expected_laplacian_gram, t, part, node_p)
-        assert peak_mb * 2**20 < 3.5 * t.n**2 * 8
+        assert peak_mb * 2**20 < 1.0 * t.n**2 * 8
 
 
 class TestClosedFormOverUnits:
