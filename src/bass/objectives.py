@@ -267,8 +267,8 @@ class LogisticObjective(LocalObjective):
             # np.mean of each round's node losses, to the bit
             losses += (np.add.reduce(node_losses, 1) / self.num_nodes).tolist()
             if self._test_labels is not None:
-                start = self._targets.size
-                accuracies += self._accuracies(expv[:, :, start:], total[:, start:])
+                test = self._targets.size  # the first test row
+                accuracies += self._accuracies(expv[:, :, test:], total[:, test:])
         if self._test_labels is None:
             accuracies = [None] * len(means)
         return losses, accuracies

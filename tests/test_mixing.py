@@ -549,9 +549,10 @@ def numpy_certifies(mat, level):
 
 class TestInPlaceCertificate:
     @pytest.mark.parametrize("block, sizes", [
-        # below one block, at multiples of it, between them, and 1 x 1
-        (8, (1, 2, 7, 8, 9, 16, 21, 24, 64, 70)),
-        (None, (1, 63, 64, 65, 128, 150)),
+        # one call up to two blocks (1 x 1 included), then blocks with a
+        # short last one, at exact multiples and between them
+        (8, (1, 2, 7, 8, 9, 16, 17, 21, 24, 32, 64, 70)),
+        (None, (1, 63, 64, 65, 128, 129, 150, 192)),
     ])
     def test_accepts_and_rejects_as_numpy_cholesky(self, monkeypatch, block, sizes):
         if block is not None:
@@ -570,7 +571,7 @@ class TestInPlaceCertificate:
         # diagonal block alone has a factor
         monkeypatch.setattr(mixing, "_FACTOR_BLOCK", 8)
         rng = np.random.default_rng(47)
-        for n in (16, 24, 30):
+        for n in (17, 24, 30, 40):
             mat, levels = level_cases(rng, n)
             level, holds = levels[1]
             shifted = level * np.eye(n) - mat
@@ -579,5 +580,6 @@ class TestInPlaceCertificate:
             assert not holds and not mixing._certifies(mat.copy(), level)
 
     def test_factor_block_grows_with_n(self):
-        assert mixing._factor_block(1) == mixing._factor_block(400) == mixing._FACTOR_BLOCK
-        assert mixing._factor_block(2000) == 250
+        # the whole matrix up to two blocks, then an eighth of it, at least one
+        sizes = (1, 128, 129, 400, 2000)
+        assert [mixing._factor_block(n) for n in sizes] == [1, 128, 64, 64, 250]
