@@ -53,12 +53,13 @@ loop, each of which makes at most one factorization or one filter step. No
 bracket is needed, because the cuts grow without bound in eps.
 
 Memory: the buffer is the search's one n x n array. Once a filter is done
-with M, each moment is written into it in turn for the basis's projections,
-and the certificate overwrites it with its factor, holding beside it one
-panel of about n^2 / 8 entries (up to 128 nodes, one np.linalg.cholesky
-call and its two small copies). At the first point `eigvalsh` adds LAPACK's
-n x n copy, so the peak is two n x n arrays beside the moments, which the
-compact form keeps in about 0.2 n^2 entries on a sparse graph.
+with M, the compact form writes each moment into it in turn for the basis's
+projections (the dense form's are held), and the certificate overwrites it
+with its factor, holding beside it one panel of about n^2 / 8 entries (up
+to 128 nodes, one np.linalg.cholesky call and its two small copies). At the
+first point `eigvalsh` adds LAPACK's n x n copy, so the peak is two n x n
+arrays beside the moments, which the compact form keeps in about 0.2 n^2
+entries on a sparse graph.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ _FACTOR_BLOCK = 64
 
 class _Moments:
     """What the epsilon search reads of E[L~] and E[L~^2], in either form:
-    the fill ``contraction_matrix``, ``moment`` into a given buffer and the
-    ``trace_ratio``. Both forms write the same bits into a buffer."""
+    the fill ``contraction_matrix``, ``moment`` (written into a given
+    buffer, or held) and the ``trace_ratio``. Both forms give the same
+    bits."""
 
     n: int
 
@@ -170,9 +172,9 @@ class SpectralObjective(_Moments):
         return out
 
     def moment(self, power: int, out: np.ndarray) -> np.ndarray:
-        """E[L~] (``power`` 1) or E[L~^2] (2), copied into ``out``."""
-        np.copyto(out, self.e_laplacian if power == 1 else self.e_gram)
-        return out
+        """E[L~] (``power`` 1) or E[L~^2] (2): the held array, so ``out``
+        is left as it is."""
+        return self.e_laplacian if power == 1 else self.e_gram
 
     def trace_ratio(self) -> float:
         """trace(E[L~]) / trace(E[L~^2])."""
@@ -191,8 +193,9 @@ class CompactObjective(_Moments):
     It writes into a buffer the bits ``SpectralObjective`` writes for the
     dense matrices, so the search does the same arithmetic on either, and
     ``e_laplacian`` and ``e_gram`` are those matrices, made on each access.
-    It keeps the dense form's checks: values finite, and each within 1e-9
-    of its mirror cell's (0 where that cell is absent).
+    The cells must be a symmetric pattern, as those of a graph's moments
+    are; on them it keeps the dense form's checks: values finite, and each
+    within 1e-9 of its mirror cell's.
     """
 
     n: int
@@ -210,25 +213,25 @@ class CompactObjective(_Moments):
         if cells.size and (cells[0] < 0 or cells[-1] >= n * n or (np.diff(cells) <= 0).any()):
             raise ValueError(f"cells must be increasing flat indices below n^2 = {n * n}")
         cells = cells.astype(np.intp, copy=False)
-        # Each cell's mirror j * n + i, in increasing order, and where it
-        # sits among the cells: at its own rank when the cells are a
-        # symmetric pattern, as those of closed_form_moments are.
-        row, col = np.divmod(cells, n)
+        # The mirrors j * n + i of the cells, in increasing order, are the
+        # cells themselves: the value at cell order[k] is checked against
+        # the value at cell k, its mirror. The cells are sorted by row, so a
+        # stable sort by column puts their mirrors in increasing order; on
+        # the smallest unsigned type that holds a column (16 bits up to
+        # 65536 nodes) numpy makes it a radix sort.
+        row = cells // n
+        col = cells - row * n
+        order = np.argsort(col.astype(np.min_scalar_type(n - 1)), kind="stable")
         mirror = col * n + row
-        order = np.argsort(mirror)
-        mirror = mirror[order]
-        if np.array_equal(mirror, cells):
-            at, has_mirror = slice(None), True
-        else:
-            at = np.minimum(np.searchsorted(cells, mirror), max(cells.size - 1, 0))
-            has_mirror = cells[at] == mirror
+        if not np.array_equal(mirror[order], cells):
+            raise ValueError("cells must be a symmetric pattern")
         for name, field in (("e_laplacian", "laplacian_values"), ("e_gram", "gram_values")):
             values = np.asarray(getattr(self, field), dtype=float)
             if values.shape != cells.shape:
                 raise ValueError(f"{name} needs one value per cell, got shape {values.shape}")
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} has non-finite entries")
-            if np.abs(values[order] - np.where(has_mirror, values[at], 0.0)).max(initial=0.0) > 1e-9:
+            if np.abs(values[order] - values).max(initial=0.0) > 1e-9:
                 raise ValueError(f"{name} is not symmetric")
             object.__setattr__(self, field, values)
         object.__setattr__(self, "n", int(n))
@@ -269,12 +272,15 @@ class CompactObjective(_Moments):
     def trace_ratio(self) -> float:
         """trace(E[L~]) / trace(E[L~^2]), each summed over the whole
         diagonal as ``np.trace`` sums it."""
-        n = self.n
-        on_diagonal = self.cells % (n + 1) == 0  # i * n + i = i (n + 1)
-        nodes = self.cells[on_diagonal] // (n + 1)
-        traces = np.zeros((2, n))
-        traces[0, nodes] = self.laplacian_values[on_diagonal]
-        traces[1, nodes] = self.gram_values[on_diagonal]
+        diagonal = np.arange(self.n) * (self.n + 1)  # i * n + i
+        at = np.searchsorted(self.cells, diagonal)
+        # A diagonal cell is present iff its insertion points differ (by
+        # one: the cells are distinct); no cells at all give 0 / 0 = nan,
+        # as np.trace does on two zero matrices.
+        on = np.searchsorted(self.cells, diagonal, side="right") > at
+        traces = np.zeros((2, self.n))
+        traces[0, on] = self.laplacian_values[at[on]]
+        traces[1, on] = self.gram_values[at[on]]
         return float(traces[0].sum() / traces[1].sum())
 
 
@@ -353,8 +359,8 @@ class _Cuts:
 
 class _RitzBasis:
     """An orthonormal, mean-free basis U with R1 = U^T E[L~] U and
-    R2 = U^T E[L~^2] U. Each projection writes its moment into the search's
-    n x n buffer ``buf`` and multiplies by it there."""
+    R2 = U^T E[L~^2] U. Each projection takes its moment by ``moment``,
+    given the search's n x n buffer ``buf`` to write it into."""
 
     def __init__(self, objective: SpectralObjective | CompactObjective, buf: np.ndarray):
         self.objective = objective
@@ -401,8 +407,8 @@ class _RitzBasis:
 
     def extend(self, mat: np.ndarray, eps: float, spectrum: np.ndarray | None = None):
         """Add filtered approximations to the top eigenvectors of ``mat`` =
-        M(eps), the search's buffer: once the filter is done with M, each
-        moment is written there for its projection.
+        M(eps), the search's buffer: once the filter is done with M, it is
+        given to ``moment`` for each projection.
 
         Given the ascending eigenvalues ``spectrum`` of ``mat``, the filter
         is shaped by them. Without it, the model's Ritz values at eps stand

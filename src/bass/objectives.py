@@ -205,8 +205,8 @@ class LogisticObjective(LocalObjective):
         self.n_features = features.shape[1]
         self.num_nodes = len(shards)
         self.dim = (self.n_features + 1) * self.n_classes
-        # The train rows, then the test rows: the block metrics read one
-        # softmax over both, the per-call test metric the test rows alone.
+        # The train rows, then the test rows: the losses and the test metric
+        # read one softmax over both, whichever of them asks for it.
         if test_features is not None:
             self._test_labels = test_labels
             features = np.vstack([features[rows], test_features])
@@ -215,7 +215,6 @@ class LogisticObjective(LocalObjective):
             features = features[rows]
         self._eval_rows = np.hstack([features, np.ones((features.shape[0], 1))])
         self._rows = self._eval_rows[: rows.size]
-        self._test_rows = self._eval_rows[rows.size :]
         # The flat index of each train row's target probability in a
         # class-major (n_classes, eval rows) array.
         self._pick = self._targets * self._eval_rows.shape[0] + np.arange(rows.size)
@@ -267,24 +266,16 @@ class LogisticObjective(LocalObjective):
             # np.mean of each round's node losses, to the bit
             losses += (np.add.reduce(node_losses, 1) / self.num_nodes).tolist()
             if self._test_labels is not None:
-                test = self._targets.size  # the first test row
-                accuracies += self._accuracies(expv[:, :, test:], total[:, test:])
+                accuracies += self._accuracies(expv, total)
         if self._test_labels is None:
             accuracies = [None] * len(means)
         return losses, accuracies
 
-    def test_metric(self, state):
-        """Held-out accuracy of the node-averaged model of ``state``, or
-        None, from a softmax of the test rows alone."""
-        if self._test_labels is None:
-            return None
-        return self._accuracies(*self._eval_terms(state.mean(axis=0)[None], self._test_rows))[0]
-
-    def _eval_terms(self, means, rows=None):
-        """The softmax of ``rows`` (by default the train rows stacked on the
-        test rows) under each model of ``means`` (T, dim), class-major:
-        numerators (T, n_classes, rows) and denominators (T, rows), the
-        probabilities being expv / total[:, None].
+    def _eval_terms(self, means):
+        """The softmax of the train rows stacked on the test rows under each
+        model of ``means`` (T, dim), class-major: numerators (T, n_classes,
+        rows) and denominators (T, rows), the probabilities being
+        expv / total[:, None].
 
         Each model keeps its own gemm of ``_softmax``'s shape (one fused gemm
         need not give the same bits), and ``_class_major_exp`` is the one
@@ -292,9 +283,8 @@ class LogisticObjective(LocalObjective):
         rows; the same block taken row-major is slower than one softmax per
         round.
         """
-        rows = self._eval_rows if rows is None else rows
         weights = means.reshape(len(means), self.n_features + 1, self.n_classes)
-        expv = np.ascontiguousarray((rows @ weights).transpose(0, 2, 1))
+        expv = np.ascontiguousarray((self._eval_rows @ weights).transpose(0, 2, 1))
         return expv, _class_major_exp(expv.transpose(1, 0, 2))
 
     def _node_losses(self, expv, total):
@@ -308,9 +298,9 @@ class LogisticObjective(LocalObjective):
         return losses
 
     def _accuracies(self, expv, total):
-        """The held-out accuracy under each model, as a list, from the
-        softmax terms of the test rows."""
-        probs = expv / total[:, None]
+        """The held-out accuracy under each model, as a list."""
+        start = self._targets.size
+        probs = expv[:, :, start:] / total[:, None, start:]
         # argmax takes the first of tied maxima, and class 0 for an all-NaN
         # row (a row of probabilities is either all NaN or all finite).
         predicted = probs.argmax(axis=1)

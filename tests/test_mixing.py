@@ -403,9 +403,10 @@ class TestFixedWeightMatrix:
 
 def compact_of(e_lap, e_gram):
     """The compact form of two dense moments, on the cells where either is
-    nonzero (NaN included)."""
+    nonzero (NaN included), or its mirror is."""
     e_lap, e_gram = np.asarray(e_lap, float), np.asarray(e_gram, float)
-    cells = np.flatnonzero((e_lap != 0) | (e_gram != 0))
+    nonzero = (e_lap != 0) | (e_gram != 0)
+    cells = np.flatnonzero(nonzero | nonzero.T)
     return CompactObjective(e_lap.shape[0], cells, e_lap.ravel()[cells], e_gram.ravel()[cells])
 
 
@@ -525,6 +526,30 @@ class TestCompactObjective:
             CompactObjective(3, np.array([0, 4]), np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError, match="1-D integer"):
             CompactObjective(3, np.array([0.0, 4.0]), np.zeros(2), np.zeros(2))
+        # (0, 1) without (1, 0), even with zero values
+        with pytest.raises(ValueError, match="cells must be a symmetric pattern"):
+            CompactObjective(3, np.array([0, 1, 4]), np.zeros(3), np.zeros(3))
+
+    def test_no_cells_are_two_zero_matrices(self):
+        obj = CompactObjective(2, np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
+        dense = dense_of(obj)
+        assert same_bits(dense.e_laplacian, np.zeros((2, 2)))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(obj.trace_ratio()) and np.isnan(dense.trace_ratio())
+        assert optimize_epsilon(obj) == optimize_epsilon(dense)
+
+    def test_mirror_check_at_every_column_type(self):
+        # Columns fit 8, 16 and 32 bits; no n x n array is made.
+        for n in (3, 300, 70000):
+            i, j = [0, 0, 1, n - 1, n - 1], [0, n - 1, 1, 0, n - 1]
+            cells = np.array(i) * n + np.array(j)
+            values = np.array([1.0, 2.0, 3.0, 2.0, 4.0])
+            obj = CompactObjective(n, cells, values, -values)
+            assert obj.cells.dtype == np.intp
+            with pytest.raises(ValueError, match="e_gram is not symmetric"):
+                CompactObjective(n, cells, values, values * [1, 1, 1, -1, 1])
+            with pytest.raises(ValueError, match="cells must be a symmetric pattern"):
+                CompactObjective(n, np.delete(cells, 3), values[:4], values[:4])
 
 
 def level_cases(rng, n, margin=1e-6):
