@@ -4,8 +4,9 @@ The matching baseline decomposes the edge set into matchings by greedy edge
 coloring and activates each matching independently per round. A matching
 needs two transmission slots for a bidirectional exchange, which is exactly
 where broadcast scheduling gains its per-slot advantage. Its moments, like
-every policy's, come from ``moments`` over its units;
-``matcha_spectral_moments`` returns the Monte Carlo estimate as a pair.
+every policy's, come from ``moments`` over its units, in the one compact
+form the search reads; ``matcha_spectral_moments`` returns the dense views
+of the Monte Carlo estimate as a pair.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def matcha_policy(md: MatchingDecomposition, budget_slots: float, topology: Topo
 
 
 def matcha_spectral_moments(policy: MatchaPolicy, samples: int, rng: np.random.Generator):
-    """``monte_carlo_moments`` of the matching policy's units, as a pair."""
+    """``monte_carlo_moments`` of the matching policy's units, as a pair of
+    dense n x n arrays."""
     ms = monte_carlo_moments(policy.topology, policy.units(), samples, rng)
     return ms.e_laplacian, ms.e_gram
 

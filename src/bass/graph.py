@@ -263,15 +263,6 @@ def _pair_cells(topology: Topology, weight):
     return np.concatenate(cells), np.concatenate(values)
 
 
-def _pair_gram(topology: Topology, weight) -> np.ndarray:
-    """The n x n array of ``_pair_cells``, +0.0 off its cells."""
-    n = topology.n
-    cells, values = _pair_cells(topology, weight)
-    flat = np.zeros(n * n)
-    flat[cells] = values
-    return flat.reshape(n, n)
-
-
 def _row_slots(tail, dim) -> np.ndarray:
     """The flat positions tail * dim + c, c < dim, of the rows ``tail`` of an
     (n, dim) array, on a new last axis."""

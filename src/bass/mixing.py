@@ -16,9 +16,8 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
 `tol`. Its loop:
 
 1. Evaluates s exactly at the first eps: M is written into one reused
-   n x n buffer, from the moments in either form (dense matrices, or the
-   compact cells ``moments.closed_form_moments`` keeps), and `eigvalsh`
-   gives its whole spectrum.
+   n x n buffer from the moments' cells, and `eigvalsh` gives its whole
+   spectrum.
 2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
    nodes U is all of the complement of the ones vector from the first step,
    so the model below is s itself and step 4's certificate normally ends the
@@ -53,13 +52,12 @@ loop, each of which makes at most one factorization or one filter step. No
 bracket is needed, because the cuts grow without bound in eps.
 
 Memory: the buffer is the search's one n x n array. Once a filter is done
-with M, the compact form writes each moment into it in turn for the basis's
-projections (the dense form's are held), and the certificate overwrites it
-with its factor, holding beside it one panel of about n^2 / 8 entries (up
-to 128 nodes, one np.linalg.cholesky call and its two small copies). At the
-first point `eigvalsh` adds LAPACK's n x n copy, so the peak is two n x n
-arrays beside the moments, which the compact form keeps in about 0.2 n^2
-entries on a sparse graph.
+with M, each moment is written into it in turn for the basis's projections,
+and the certificate overwrites it with its factor, holding beside it one
+panel of about n^2 / 8 entries (up to 128 nodes, one np.linalg.cholesky call
+and its two small copies). At the first point `eigvalsh` adds LAPACK's
+n x n copy, so the peak is two n x n arrays beside the moments' cells, about
+0.2 n^2 entries on a sparse graph.
 """
 
 from __future__ import annotations
@@ -70,7 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Entries per square tile of the moment symmetry check.
+from .graph import _is_int
+
+# Entries per row block of the Gershgorin bound `_row_bound`.
 _CHECK_BLOCK = 2**15
 # Columns of the Ritz basis: the model eigenproblems are at most this size,
 # and up to this many nodes plus one the basis is exact.
@@ -94,119 +94,21 @@ _FACTOR_BLOCK = 64
 
 
 class _Moments:
-    """What the epsilon search reads of E[L~] and E[L~^2], in either form:
-    the fill ``contraction_matrix``, ``moment`` (written into a given
-    buffer, or held) and the ``trace_ratio``. Both forms give the same
-    bits."""
+    """E[L~] and E[L~^T L~] as their values on one set of cells, the flat
+    indices i * n + j of the n x n matrices, sorted, outside which both are
+    +0.0; and all the epsilon search reads of them: the fill
+    ``contraction_matrix``, ``moment`` written into a given buffer, and the
+    ``trace_ratio``.
 
-    n: int
-
-    def value(self, eps: float) -> float:
-        """Largest eigenvalue of E[W^2] - J at the given step size."""
-        return float(np.linalg.eigvalsh(self.contraction_matrix(eps))[-1])
-
-
-def _shifted(gram, lap, eps: float, n: int, out: np.ndarray) -> np.ndarray:
-    """2 eps (eps/2 ``gram`` - ``lap``) - 1/n, written into ``out``: the
-    entries of E[W^2] - J off the diagonal, with no temporary."""
-    eps = float(eps)
-    if not 0.0 <= eps < math.inf:
-        raise ValueError("eps must be nonnegative and finite")
-    np.multiply(gram, 0.5 * eps, out=out)
-    out -= lap
-    out *= 2.0 * eps
-    # Every entry of J is 1/n, so J is subtracted as that scalar.
-    out -= 1.0 / n
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralObjective(_Moments):
-    """The two activation moments E[L~] and E[L~^T L~] as dense n x n
-    arrays, and the expected contraction factor they define.
-
-    The form of the Monte Carlo and enumeration oracles and of any moments
-    given as matrices; ``moments.closed_form_moments``, which production
-    uses, returns the ``CompactObjective`` of the same matrices.
+    The cells must be a symmetric pattern, as those of a graph's moments are
+    (its diagonal, its edges and its pairs of nodes two hops apart), and the
+    values finite, each within 1e-9 of its mirror cell's.
     """
 
-    e_laplacian: np.ndarray
-    e_gram: np.ndarray
-
-    def __post_init__(self):
-        for name in ("e_laplacian", "e_gram"):
-            mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square")
-            # Tile (r, c) on or above the diagonal is checked against tile
-            # (c, r) transposed: each temporary holds at most _CHECK_BLOCK
-            # entries, and both reads stay within step rows.
-            step = math.isqrt(_CHECK_BLOCK)
-            for r in range(0, mat.shape[0], step):
-                for c in range(r, mat.shape[0], step):
-                    tile = mat[r : r + step, c : c + step]
-                    mirror = mat[c : c + step, r : r + step]
-                    if not (np.isfinite(tile).all() and np.isfinite(mirror).all()):
-                        raise ValueError(f"{name} has non-finite entries")
-                    if np.abs(tile - mirror.T).max() > 1e-9:
-                        raise ValueError(f"{name} is not symmetric")
-            object.__setattr__(self, name, mat)
-        if self.e_laplacian.shape != self.e_gram.shape:
-            raise ValueError("moment matrices must share a shape")
-
-    @property
-    def n(self) -> int:
-        return self.e_laplacian.shape[0]
-
-    def contraction_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray:
-        """E[W^2] - J at the given step size, written into ``out`` if given.
-
-        The buffer is filled in place as 2 eps (eps/2 E[L~^2] - E[L~]) plus
-        I - J, so no n x n temporary is made.
-        """
-        n = self.n
-        if out is None:
-            out = np.empty((n, n))
-        _shifted(self.e_gram, self.e_laplacian, eps, n, out)
-        out.reshape(-1)[:: n + 1] += 1.0
-        return out
-
-    def moment(self, power: int, out: np.ndarray) -> np.ndarray:
-        """E[L~] (``power`` 1) or E[L~^2] (2): the held array, so ``out``
-        is left as it is."""
-        return self.e_laplacian if power == 1 else self.e_gram
-
-    def trace_ratio(self) -> float:
-        """trace(E[L~]) / trace(E[L~^2])."""
-        return float(np.trace(self.e_laplacian) / np.trace(self.e_gram))
-
-
-@dataclass(frozen=True, eq=False)
-class CompactObjective(_Moments):
-    """E[L~] and E[L~^T L~] kept as their values on one set of cells: the
-    flat indices i * n + j of the n x n matrices, sorted, outside which both
-    are +0.0. The form ``moments.closed_form_moments`` returns for
-    production: the cells of the moments of a graph are its diagonal, its
-    edges and its pairs of nodes two hops apart (0.07 n^2 at
-    er(400,0.012,1)).
-
-    It writes into a buffer the bits ``SpectralObjective`` writes for the
-    dense matrices, so the search does the same arithmetic on either, and
-    ``e_laplacian`` and ``e_gram`` are those matrices, made on each access.
-    The cells must be a symmetric pattern, as those of a graph's moments
-    are; on them it keeps the dense form's checks: values finite, and each
-    within 1e-9 of its mirror cell's.
-    """
-
-    n: int
-    cells: np.ndarray
-    laplacian_values: np.ndarray
-    gram_values: np.ndarray
-
-    def __post_init__(self):
-        n = self.n
-        cells = np.asarray(self.cells)
-        if not isinstance(n, (int, np.integer)) or n < 1:
+    def _set_cells(self, n, cells, laplacian_values, gram_values):
+        """Check the cells and values as the class states, and set them."""
+        cells = np.asarray(cells)
+        if not _is_int(n) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         if cells.ndim != 1 or cells.dtype.kind not in "iu":
             raise ValueError("cells must be a 1-D integer array")
@@ -225,8 +127,11 @@ class CompactObjective(_Moments):
         mirror = col * n + row
         if not np.array_equal(mirror[order], cells):
             raise ValueError("cells must be a symmetric pattern")
-        for name, field in (("e_laplacian", "laplacian_values"), ("e_gram", "gram_values")):
-            values = np.asarray(getattr(self, field), dtype=float)
+        for name, field, values in (
+            ("e_laplacian", "laplacian_values", laplacian_values),
+            ("e_gram", "gram_values", gram_values),
+        ):
+            values = np.asarray(values, dtype=float)
             if values.shape != cells.shape:
                 raise ValueError(f"{name} needs one value per cell, got shape {values.shape}")
             if not np.isfinite(values).all():
@@ -237,27 +142,27 @@ class CompactObjective(_Moments):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "cells", cells)
 
-    @property
-    def e_laplacian(self) -> np.ndarray:
-        """E[L~] as a new dense n x n array."""
-        return self.moment(1, np.empty((self.n, self.n)))
-
-    @property
-    def e_gram(self) -> np.ndarray:
-        """E[L~^2] as a new dense n x n array."""
-        return self.moment(2, np.empty((self.n, self.n)))
+    def value(self, eps: float) -> float:
+        """Largest eigenvalue of E[W^2] - J at the given step size."""
+        return float(np.linalg.eigvalsh(self.contraction_matrix(eps))[-1])
 
     def contraction_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray:
         """E[W^2] - J at the given step size, written into ``out`` if given.
 
-        The cells take the dense form's arithmetic; every other entry is
-        what it gives for two +0.0 moments, -1/n, plus 1 on the diagonal.
+        The cells take 2 eps (eps/2 E[L~^2] - E[L~]) - 1/n, every other
+        entry what that gives for two +0.0 moments, -1/n (every entry of J
+        is 1/n), and 1 is added on the diagonal.
         """
+        eps = float(eps)
+        if not 0.0 <= eps < math.inf:
+            raise ValueError("eps must be nonnegative and finite")
         n = self.n
         if out is None:
             out = np.empty((n, n))
-        values = np.empty(self.cells.size)
-        _shifted(self.gram_values, self.laplacian_values, eps, n, values)
+        values = np.multiply(self.gram_values, 0.5 * eps)
+        values -= self.laplacian_values
+        values *= 2.0 * eps
+        values -= 1.0 / n
         out.fill(-1.0 / n)
         out.reshape(-1)[self.cells] = values
         out.reshape(-1)[:: n + 1] += 1.0
@@ -282,6 +187,61 @@ class CompactObjective(_Moments):
         traces[0, on] = self.laplacian_values[at[on]]
         traces[1, on] = self.gram_values[at[on]]
         return float(traces[0].sum() / traces[1].sum())
+
+
+@dataclass(frozen=True, eq=False)
+class CompactObjective(_Moments):
+    """The moments as their cells and values: the form production searches.
+    ``moments.closed_form_moments`` and ``moments.monte_carlo_moments``
+    return it (0.07 n^2 cells at er(400,0.012,1)), and ``e_laplacian`` and
+    ``e_gram`` are its dense matrices, made on each access.
+    """
+
+    n: int
+    cells: np.ndarray
+    laplacian_values: np.ndarray
+    gram_values: np.ndarray
+
+    def __post_init__(self):
+        self._set_cells(self.n, self.cells, self.laplacian_values, self.gram_values)
+
+    @property
+    def e_laplacian(self) -> np.ndarray:
+        """E[L~] as a new dense n x n array."""
+        return self.moment(1, np.empty((self.n, self.n)))
+
+    @property
+    def e_gram(self) -> np.ndarray:
+        """E[L~^2] as a new dense n x n array."""
+        return self.moment(2, np.empty((self.n, self.n)))
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralObjective(_Moments):
+    """The moments given as dense n x n arrays, which it holds: the
+    constructor of the enumeration oracle and of any moments given as
+    matrices.
+
+    It searches on the cells where either matrix, or its mirror, has any
+    bit set, so an entry of -0.0 is a cell and ``moment`` writes the
+    matrices' own bits.
+    """
+
+    e_laplacian: np.ndarray
+    e_gram: np.ndarray
+
+    def __post_init__(self):
+        lap, gram = (np.asarray(m, dtype=float) for m in (self.e_laplacian, self.e_gram))
+        for name, mat in (("e_laplacian", lap), ("e_gram", gram)):
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ValueError(f"{name} must be square")
+        if lap.shape != gram.shape:
+            raise ValueError("moment matrices must share a shape")
+        on = (lap != 0) | np.signbit(lap) | (gram != 0) | np.signbit(gram)
+        cells = np.flatnonzero(on | on.T)
+        self._set_cells(lap.shape[0], cells, lap.take(cells), gram.take(cells))
+        object.__setattr__(self, "e_laplacian", lap)
+        object.__setattr__(self, "e_gram", gram)
 
 
 def contracts(value: float) -> bool:
@@ -362,7 +322,7 @@ class _RitzBasis:
     R2 = U^T E[L~^2] U. Each projection takes its moment by ``moment``,
     given the search's n x n buffer ``buf`` to write it into."""
 
-    def __init__(self, objective: SpectralObjective | CompactObjective, buf: np.ndarray):
+    def __init__(self, objective: _Moments, buf: np.ndarray):
         self.objective = objective
         n = objective.n
         self.rng = np.random.default_rng(_FILTER_SEED)
@@ -610,9 +570,7 @@ def _factor_block(n: int) -> int:
     return n if n <= 2 * _FACTOR_BLOCK else max(_FACTOR_BLOCK, n // 8)
 
 
-def optimize_epsilon(
-    objective: SpectralObjective | CompactObjective, tol: float = 1e-12
-) -> EpsilonSearch:
+def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
     """Minimize the expected contraction factor s over the step size, to a
     certified gap: s(epsilon) - lower <= tol, with lower <= min s.
 

@@ -16,15 +16,18 @@ differ in their weights and in the form they return:
 
 - ``closed_form_moments``, used in production, takes E[x_e] as the product
   of p over the distinct units of e, and E[x_e x_f] as the product over the
-  distinct units of e and f. It returns the ``mixing.CompactObjective`` of
-  those cells, 0.07 n^2 of them at er(400,0.012,1), whose dense views are
-  bit for bit the matrices a scatter onto n x n arrays gives.
+  distinct units of e and f.
 - ``monte_carlo_moments`` counts the sampled rounds in which each edge and
   each incident pair survives. It is the one estimator, behind the test
   oracle, ``moments-check`` and matcha's epsilon in
-  ``experiment.build_policy``, and returns a dense ``SpectralObjective``.
+  ``experiment.build_policy``.
 - ``enumerated_moments``, an exact test oracle independent of both, sums
-  w L~ and w L~^2 over the 2^units activation patterns, also dense.
+  w L~ and w L~^2 over the 2^units activation patterns as n x n arrays.
+
+The first two return the ``mixing.CompactObjective`` of those cells, 0.07
+n^2 of them at er(400,0.012,1), whose dense views are bit for bit the
+matrices a scatter onto n x n arrays gives; the third returns its arrays as
+a ``mixing.SpectralObjective``.
 
 ``expected_laplacian_gram`` is the closed form of a subset policy given by
 per-node probabilities.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Topology, _pair_cells, _pair_gram
+from .graph import Topology, _is_int, _pair_cells
 from .mixing import CompactObjective, SpectralObjective
 from .partition import CollisionFreePartition
 from .scheduling import SchedulingPolicy, Units, _unit_probs
@@ -45,9 +48,7 @@ _MC_BLOCK_ELEMENTS = 1 << 14
 
 
 def closed_form_moments(topology: Topology, units: Units) -> CompactObjective:
-    """Closed-form E[L~] and E[L~^T L~] of a policy's units, on the cells of
-    ``graph._pair_cells``: the compact form production searches, whose
-    dense views are the matrices the oracles return.
+    """Closed-form E[L~] and E[L~^T L~] of a policy's units.
 
     E[x_e] is p[u0(e)], times p[u1(e)] if that is another unit. The weight
     E[x_e x_f] of an incident pair multiplies E[x_e] by p of each unit of f
@@ -62,18 +63,26 @@ def closed_form_moments(topology: Topology, units: Units) -> CompactObjective:
         w *= np.where((f1 != e0) & (f1 != e1) & (f1 != f0), p[f1], 1.0)
         return w
 
-    n = topology.n
+    return _edge_moments(topology, x, weight)
+
+
+def _edge_moments(topology: Topology, x, weight, scale=1) -> CompactObjective:
+    """sum_e x_e L_e and the ``graph._pair_cells`` sum of ``weight``, both
+    divided by ``scale``. The first is ``topology.laplacian(x)`` on cells of
+    the second: every edge (i, j) of a node's incident pair (i, j, j), and
+    every non-isolated node's diagonal."""
+    # x as floats, as topology.laplacian takes it: a weight of 0 gives -0.0.
+    n, x = topology.n, np.asarray(x, dtype=float)
     cells, e_gram = _pair_cells(topology, weight)
-    # E[L~] = topology.laplacian(x) on the same cells: every edge (i, j) of
-    # a node's incident pair (i, j, j) is one, as is every non-isolated
-    # node's diagonal.
     i, j = topology.edge_array.T
     e_lap = np.zeros(cells.size)
     e_lap[np.searchsorted(cells, i * n + j)] = e_lap[np.searchsorted(cells, j * n + i)] = -x
     nodes = np.flatnonzero(np.diff(topology._half_edges[0]))
     degree = np.bincount(i, x, n) + np.bincount(j, x, n)
     e_lap[np.searchsorted(cells, nodes * (n + 1))] = degree[nodes]
-    return CompactObjective(n, cells, e_lap, e_gram)
+    e_lap /= scale
+    # (with no incident pairs, e_gram is integer zeros)
+    return CompactObjective(n, cells, e_lap, e_gram / scale)
 
 
 def _checked_probs(partition: CollisionFreePartition, node_probs) -> np.ndarray:
@@ -103,7 +112,7 @@ def expected_laplacian_gram(
 
 def monte_carlo_moments(
     topology: Topology, units: Units, samples: int, rng: np.random.Generator
-) -> SpectralObjective:
+) -> CompactObjective:
     """Empirical moments over ``samples`` i.i.d. rounds.
 
     Draws what ``scheduling.RoundSampler`` draws, one uniform per unit per
@@ -115,8 +124,8 @@ def monte_carlo_moments(
     product x^T x of its 0/1 class columns to int64 C; its entries are
     integers of at most the block's rounds, hence exact in any BLAS order.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not _is_int(samples) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     p, (u0, u1) = units.probs, units.edge_units
     keys, cls = np.unique(np.minimum(u0, u1) * p.size + np.maximum(u0, u1), return_inverse=True)
     first, second = np.divmod(keys, p.size)
@@ -132,8 +141,7 @@ def monte_carlo_moments(
         np.less(on, p, out=on)
         x = on if x_is_on else on[:, first] * on[:, second]
         co += (x.T @ x).astype(np.int64)
-    e_gram = _pair_gram(topology, lambda e, f: co[cls[e], cls[f]]) / samples
-    return SpectralObjective(topology.laplacian(co.diagonal()[cls]) / samples, e_gram)
+    return _edge_moments(topology, co.diagonal()[cls], lambda e, f: co[cls[e], cls[f]], samples)
 
 
 def enumerated_moments(topology: Topology, units: Units) -> SpectralObjective:

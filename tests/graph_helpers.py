@@ -1,6 +1,7 @@
 """Helpers that only the tests read: a random connected graph, dense and
-tuple views of a ``Topology``, a topology file writer, a collision-free
-partition checker and a slots-to-target reader of a training log.
+tuple views of a ``Topology``, the dense sum over its incident pairs, a
+topology file writer, a collision-free partition checker and a
+slots-to-target reader of a training log.
 
 The library keeps a graph as its ``edge_array``; these views rebuild the
 forms a hand-written oracle compares against.
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bass.graph import Topology, _conflicts
+from bass.graph import Topology, _conflicts, _pair_cells
 from bass.partition import CollisionFreePartition
 
 
@@ -45,6 +46,14 @@ def adjacency(t) -> np.ndarray:
 def degrees(t) -> np.ndarray:
     """Node degrees as floats."""
     return np.bincount(t.edge_array.ravel(), minlength=t.n).astype(float)
+
+
+def pair_gram(t, weight) -> np.ndarray:
+    """The n x n array of ``_pair_cells``, +0.0 off its cells."""
+    cells, values = _pair_cells(t, weight)
+    flat = np.zeros(t.n * t.n)
+    flat[cells] = values
+    return flat.reshape(t.n, t.n)
 
 
 def save_topology(t, path) -> None:

@@ -23,9 +23,8 @@ from bass import (
     star_topology,
     two_stars_topology,
 )
-from bass.graph import _pair_gram
 
-from .graph_helpers import adjacency, degrees, edge_pairs, random_connected
+from .graph_helpers import adjacency, degrees, edge_pairs, pair_gram, random_connected
 
 
 def assert_valid_decomposition(t, md):
@@ -268,15 +267,21 @@ class TestMatchaPolicy:
                 assert np.array_equal(e_gram, s_gram / done), done
                 assert mc_rng.bit_generator.state == rng.bit_generator.state, done
 
-    @pytest.mark.parametrize("budget_frac", [0.3, 1.0])
-    def test_spectral_moments_equal_an_int64_counter(self, budget_frac):
+    @pytest.mark.parametrize("budget_frac, silent", [(0.3, False), (1.0, False), (0.3, True)],
+                             ids=["0.3", "1.0", "0.3-silent"])
+    def test_spectral_moments_equal_an_int64_counter(self, budget_frac, silent):
         # The co-activation counts of a product of 0/1 int64 arrays per block,
         # over r = 12 matchings and six blocks; at budget_frac 1 every
         # matching is active every round, so each block adds its full size.
+        # Silent matchings (every other one, at probability 0) never
+        # survive, so their edges keep a count of 0 and -0.0 in E[L~].
         t = make_topology("er(30,0.2,1)")
         md = matching_decomposition(t)
         assert md.r >= 12 and np.unique(md.edge_matching).size == md.r
         policy = matcha_policy(md, budget_frac * 2 * md.r, t)
+        if silent:
+            probs = np.where(np.arange(md.r) % 2, policy.match_probs, 0.0)
+            policy = MatchaPolicy(t, md.edge_matching, probs, policy.budget)
         block = 1024
         samples = 5 * block + 300
         rng = np.random.default_rng(5)
@@ -289,7 +294,7 @@ class TestMatchaPolicy:
             co_counts += active.T @ active
         m = policy.edge_matching
         expected = (t.laplacian(counts[m]) / samples,
-                    _pair_gram(t, lambda e, f: co_counts[m[e], m[f]]) / samples)
+                    pair_gram(t, lambda e, f: co_counts[m[e], m[f]]) / samples)
         mc_rng = np.random.default_rng(5)
         with mock.patch.object(moments, "_MC_BLOCK_ELEMENTS", block * md.r):
             estimate = matcha_spectral_moments(policy, samples, mc_rng)

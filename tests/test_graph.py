@@ -14,10 +14,10 @@ from bass import (
     make_topology,
 )
 from bass import graph
-from bass.graph import _conflicts, _incident_pairs, _pair_cells, _pair_gram
+from bass.graph import _conflicts, _incident_pairs, _pair_cells
 from bass.topologies import path_topology, ring_topology, star_topology
 
-from .graph_helpers import degrees, edge_pairs, random_connected, save_topology
+from .graph_helpers import degrees, edge_pairs, pair_gram, random_connected, save_topology
 
 
 def neighbors(t):
@@ -243,13 +243,13 @@ class TestIncidentPairs:
         rng = np.random.default_rng(17)
         t = random_connected(rng, 10, extra_edges=6)
         lap = t.laplacian()
-        assert np.array_equal(_pair_gram(t, lambda e, f: np.ones(e.size)), lap @ lap)
+        assert np.array_equal(pair_gram(t, lambda e, f: np.ones(e.size)), lap @ lap)
         pair_w = rng.uniform(0.0, 1.0, (len(t.edge_array),) * 2)
         pair_w += pair_w.T
         laps = [t.laplacian(np.arange(len(t.edge_array)) == g) for g in range(len(t.edge_array))]
         expected = sum(pair_w[g, h] * laps[g] @ laps[h]
                        for g in range(len(t.edge_array)) for h in range(len(t.edge_array)))
-        got = _pair_gram(t, lambda e, f: pair_w[e, f])
+        got = pair_gram(t, lambda e, f: pair_w[e, f])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("block", [1, 16, 50, 2**15])

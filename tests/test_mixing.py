@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from bass import (
     full_comm_policy,
     greedy_partition,
     make_topology,
+    matcha_policy,
+    monte_carlo_moments,
     node_probabilities,
     optimize_epsilon,
     sample_round,
@@ -418,10 +421,23 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-# The policies the three benchmark workloads search epsilon for (matcha's
-# moments are a dense Monte Carlo estimate): headline, large-er and sweep.
+def dense_fill(e_lap, e_gram, eps):
+    """E[W^2] - J by the arithmetic of the cells on every entry of the
+    dense moments: 2 eps (eps/2 E[L~^2] - E[L~]) - 1/n, plus 1 on the
+    diagonal."""
+    out = np.multiply(e_gram, 0.5 * eps)
+    out -= e_lap
+    out *= 2.0 * eps
+    out -= 1.0 / len(out)
+    out.reshape(-1)[:: len(out) + 1] += 1.0
+    return out
+
+
+# The policies the three benchmark workloads search epsilon for: headline,
+# large-er and sweep.
 WORKLOAD_CONFIGS = [
-    dict(topology="two-stars(6,6)", policies=("bass", "full"), budget_frac=0.5, min_subset_prob=0.1),
+    dict(topology="two-stars(6,6)", policies=("bass", "matcha", "full"), budget_frac=0.5,
+         min_subset_prob=0.1),
     dict(topology="er(400,0.012,1)", policies=("bass",), budget_frac=0.5, min_subset_prob=0.01),
     dict(topology="er(100,0.05,3)", policies=("bass",), budget_sweep=(0.2, 0.4, 0.6, 0.8, 1.0),
          min_subset_prob=0.01),
@@ -429,12 +445,18 @@ WORKLOAD_CONFIGS = [
 
 
 def workload_moments():
+    """The moments ``build_policy`` searches: the closed form, and matcha's
+    Monte Carlo estimate."""
     for config in WORKLOAD_CONFIGS:
         cfg = ExperimentConfig(**config)
         t, part, specs = experiment._setup(cfg)
         for spec in specs:
-            policy = experiment._unresolved_policy(spec, t, part, cfg)
-            yield spec.label, closed_form_moments(t, policy.units(part, t))
+            units = experiment._unresolved_policy(spec, t, part, cfg).units(part, t)
+            if spec.kind == "matcha":
+                rng = np.random.default_rng(experiment._EPS_MC_SEED)
+                yield spec.label, monte_carlo_moments(t, units, cfg.eps_mc_samples, rng)
+            else:
+                yield spec.label, closed_form_moments(t, units)
 
 
 class TestCompactObjective:
@@ -452,13 +474,16 @@ class TestCompactObjective:
             dense = dense_of(obj)
             buf = np.empty((obj.n, obj.n))
             for eps in (0.0, 0.013, 0.24, 1.7):
-                assert same_bits(obj.contraction_matrix(eps), dense.contraction_matrix(eps)), label
+                want = dense_fill(dense.e_laplacian, dense.e_gram, eps)
+                assert same_bits(obj.contraction_matrix(eps), want), label
+                assert same_bits(dense.contraction_matrix(eps), want), label
                 assert obj.contraction_matrix(eps, out=buf) is buf
                 assert same_bits(buf, dense.contraction_matrix(eps)), label
             for power, view in ((1, dense.e_laplacian), (2, dense.e_gram)):
                 assert same_bits(obj.moment(power, buf), view), label
                 assert same_bits(dense.moment(power, np.empty_like(buf)), view), label
-            assert obj.trace_ratio() == dense.trace_ratio(), label
+            ratio = np.trace(dense.e_laplacian) / np.trace(dense.e_gram)
+            assert obj.trace_ratio() == dense.trace_ratio() == ratio, label
 
     def test_zero_probabilities_keep_negative_zero_weights(self):
         t = ring_topology(6)
@@ -472,20 +497,28 @@ class TestCompactObjective:
         for label, obj in workload_moments():
             assert optimize_epsilon(obj) == optimize_epsilon(dense_of(obj)), label
 
-    def test_search_holds_one_buffer(self):
+    @pytest.mark.parametrize("route", ["closed form", "matcha monte carlo"])
+    def test_search_holds_one_buffer(self, route):
         # The moments keep their cells, and the search one n x n buffer
         # beside them (eigvalsh's LAPACK copy is not traced): 2.0 and 4.1
         # matrices when both moments were dense and the certificate called
-        # np.linalg.cholesky on the whole buffer.
+        # np.linalg.cholesky on the whole buffer, and 2.03 and 3.37 for
+        # matcha's dense Monte Carlo moments beside the compact search.
         t = make_topology("er(400,0.012,1)")
-        part = greedy_partition(t)
-        scores = subset_betweenness(betweenness_centrality(t), part)
-        probs = solve_probabilities(scores, 0.5 * part.q, 0.01)
-        units = SchedulingPolicy(probs, 0.5 * part.q).units(part, t)
+        if route == "closed form":
+            part = greedy_partition(t)
+            scores = subset_betweenness(betweenness_centrality(t), part)
+            probs = solve_probabilities(scores, 0.5 * part.q, 0.01)
+            units = SchedulingPolicy(probs, 0.5 * part.q).units(part, t)
+            build = partial(closed_form_moments, t, units)
+        else:
+            md = t.matching_decomposition
+            units = matcha_policy(md, md.r, t).units()  # half of the 2 r slots
+            build = partial(monte_carlo_moments, t, units, 2000, np.random.default_rng(0))
         matrix = t.n**2 * 8
         tracemalloc.start()
         try:
-            obj = closed_form_moments(t, units)
+            obj = build()
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             res = optimize_epsilon(obj)
@@ -519,6 +552,9 @@ class TestCompactObjective:
                 form(np.eye(300), big)
 
     def test_cells_must_be_increasing_and_in_range(self):
+        for n in (0, True, 2.0, "3"):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                CompactObjective(n, np.array([0]), np.zeros(1), np.zeros(1))
         for cells in ([0, 0], [3, 1], [-1, 2], [0, 9]):
             with pytest.raises(ValueError, match="cells must be increasing"):
                 CompactObjective(3, np.array(cells), np.zeros(2), np.zeros(2))

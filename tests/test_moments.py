@@ -317,5 +317,7 @@ class TestMonteCarloMoments:
 
     def test_requires_positive_samples(self):
         t, part = ring6_setup()
-        with pytest.raises(ValueError):
-            monte_carlo_moments(t, subset_units(t, part, np.ones(part.q)), 0, np.random.default_rng(0))
+        units = subset_units(t, part, np.ones(part.q))
+        for samples in (0, -3, 2.5, True, "10"):
+            with pytest.raises(ValueError, match="samples must be a positive integer"):
+                monte_carlo_moments(t, units, samples, np.random.default_rng(0))
