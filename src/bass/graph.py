@@ -11,8 +11,6 @@ import numpy as np
 # (source, node) entries per block of sources in betweenness_centrality; the
 # block's temporaries stay within a small multiple of this whatever n is.
 _BFS_BLOCK_ELEMENTS = 2**15
-# Incident pairs per block of rows in _pair_cells.
-_PAIR_BLOCK = 2**15
 
 
 class Topology:
@@ -20,9 +18,9 @@ class Topology:
 
     The graph is its read-only ``(m, 2)`` ``edge_array``: one row (i, j) with
     i < j per edge, rows in lexicographic order. The CSR half-edges, the
-    betweenness and the matching decomposition are derived read-only on
-    first access (threads that race there build equal copies), so instances
-    can be shared freely across threads.
+    two-hop pattern, the betweenness and the matching decomposition are
+    derived read-only on first access (threads that race there build equal
+    copies), so instances can be shared freely across threads.
     """
 
     def __init__(self, n, edges=()):
@@ -51,6 +49,24 @@ class Topology:
         for arr in arrays:
             arr.setflags(write=False)
         return arrays
+
+    @cached_property
+    def _two_hop_cells(self) -> np.ndarray:
+        """The sorted flat cells i * n + j of the two-hop pattern (read-only):
+        the diagonal of every node with an edge, the edges in both directions
+        and every pair of distinct nodes with a common neighbor. Off the
+        diagonal it is the conflict graph, the pairs whose packets would
+        collide if both broadcast in one slot, and it is the support of
+        E[L~^2] (``_pair_cells``)."""
+        n = self.n
+        indptr, head, _ = self._half_edges
+        tail = np.repeat(np.arange(n), np.diff(indptr))
+        _, a, b, _, _ = _incident_pairs(self)
+        cells = np.sort(np.concatenate([tail * n + head, a * n + b]))
+        # Deduplicated by hand: np.unique is many times slower than a sort here.
+        cells = cells[np.flatnonzero(np.diff(cells, prepend=-1))]
+        cells.setflags(write=False)
+        return cells
 
     @cached_property
     def betweenness(self) -> np.ndarray:
@@ -153,39 +169,15 @@ def _connected(n, edges) -> bool:
 def _incident_pairs(topology: Topology):
     """Every ordered pair of edges e = (k, a), f = (k, b) meeting at a node k,
     a = b included, node-major: arrays k, a, b, e, f (e, f index rows of
-    ``edge_array``) with sum_k deg_k^2 entries each."""
-    indptr, head, _ = topology._half_edges
-    tail = np.repeat(np.arange(topology.n), np.diff(indptr))
-    return _pairs_at(topology, np.arange(head.size), tail, head)
-
-
-def _pairs_at(topology: Topology, h, center, other):
-    """The incident pairs (k, a, b, e, f) whose edge e is that of half-edge
-    ``h``, k its endpoint ``center`` and a its endpoint ``other``: each
-    half-edge in turn, crossed with k's run of half-edges (b ascending)."""
+    ``edge_array``) with sum_k deg_k^2 entries each. Each half-edge k -> a
+    in turn is crossed with k's run of half-edges (b ascending)."""
     indptr, head, edge = topology._half_edges
-    count = np.diff(indptr)[center]
-    rep = np.repeat(np.arange(h.size), count)
-    second = np.repeat(indptr[center] - np.cumsum(count) + count, count) + np.arange(rep.size)
-    return center[rep], other[rep], head[second], edge[h][rep], edge[second]
-
-
-def _conflicts(topology: Topology):
-    """CSR neighbor arrays (indptr, nbr) of the conflict graph, each run
-    sorted: base edges plus every pair of distinct nodes with a common
-    neighbor, whose packets would collide there if both broadcast in one
-    slot."""
-    n = topology.n
-    indptr, head, _ = topology._half_edges
-    _, a, b, _, _ = _incident_pairs(topology)
-    tail = np.repeat(np.arange(n), np.diff(indptr))
-    shared = np.flatnonzero(a != b)
-    keys = np.sort(np.concatenate([tail * n + head, a[shared] * n + b[shared]]))
-    # Deduplicated by hand: np.unique is many times slower than a sort here.
-    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
-    out = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=out[1:])
-    return out, keys % n
+    deg = np.diff(indptr)
+    tail = np.repeat(np.arange(topology.n), deg)
+    count = deg[tail]
+    first = np.repeat(np.arange(head.size), count)
+    second = np.repeat(indptr[tail] - np.cumsum(count) + count, count) + np.arange(first.size)
+    return tail[first], head[first], head[second], edge[first], edge[second]
 
 
 def _greedy_colors(groups, n) -> list:
@@ -208,59 +200,26 @@ def _greedy_colors(groups, n) -> list:
 def _pair_cells(topology: Topology, weight):
     """sum_p w_p (u_k - u_a)(u_k - u_b)^T over the incident pairs p of
     ``_incident_pairs``, w_p = weight(e, f) of the pairs' edge arrays, as its
-    cells (the sorted flat indices i * n + j it scatters to) and its values
-    there: L_(k,a) L_(k,b) for a != b, and L_e^2 = 2 L_e from both ends of
-    e. The cells are the diagonal of every node with an edge, the edges and
-    the pairs two hops apart.
+    cells and its values there: L_(k,a) L_(k,b) for a != b, and L_e^2 =
+    2 L_e from both ends of e. The cells are the topology's two-hop pattern
+    (``Topology._two_hop_cells``, the same read-only array), the conflict
+    graph plus the diagonal.
 
     Pair p adds -w_p at (k, b), then -w_p at (a, k) and +w_p at (a, b),
-    the three terms in that order over all pairs, and each diagonal cell
-    (k, k) then adds the sum of w_p over the pairs at k. Rows are taken in
-    blocks of at most _PAIR_BLOCK pairs and _PAIR_BLOCK row entries (or one
-    row): the pairs at the block's nodes k for the first term, and those
-    whose a is one of them for the others, each a's in the order of its k.
-    So each cell sums its terms from +0.0 in the order one np.bincount onto
-    the n x n array does, and no temporary grows with the graph beyond one
-    block.
+    the three terms in that order over all pairs, each ranked among the
+    cells, and each diagonal cell (k, k) then adds the sum of w_p over the
+    pairs at k. So each cell sums its terms from +0.0 in the order one
+    np.bincount onto the n x n array does. The temporaries grow as
+    O(sum_k deg_k^2), with no n x n array.
     """
-    n = topology.n
-    indptr, head, _ = topology._half_edges
-    deg = np.diff(indptr)
-    tail = np.repeat(np.arange(n), deg)
-    load = deg * deg + np.bincount(tail, deg[head], n).astype(np.intp)
-    ends = np.cumsum(load)
-    rows = max(1, _PAIR_BLOCK // n)
-    cells, values = [], []
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(ends, ends[lo] - load[lo] + _PAIR_BLOCK, "right"))
-        hi = min(max(lo + 1, hi), lo + rows, n)
-        h = np.arange(indptr[lo], indptr[hi])
-        k, a, b, e, f = _pairs_at(topology, h, tail[h], head[h])
-        w = weight(e, f)
-        if hi - lo < n:
-            rk, ra, rb, re, rf = _pairs_at(topology, h, head[h], tail[h])
-            rw = weight(re, rf)
-        else:
-            # One block of every row: the pairs whose a is in it are all the
-            # pairs, and each cell meets its terms among them in this order.
-            rk, ra, rb, rw = k, a, b, w
-        # Each key's offset in the block's rows, and its cell's rank there.
-        at = np.concatenate([k * n + b, ra * n + rk, ra * n + rb]) - lo * n
-        seen = np.zeros((hi - lo) * n, dtype=bool)
-        seen[at] = True
-        block = np.flatnonzero(seen)
-        rank = np.empty(seen.size, dtype=np.intp)
-        rank[block] = np.arange(block.size)
-        sums = np.bincount(rank[at], np.concatenate([-w, -rw, rw]), block.size)
-        # The diagonal cells (i, i) of the block's nodes with an edge.
-        diagonal = np.arange(hi - lo) * (n + 1) + lo
-        present = seen[diagonal]
-        sums[rank[diagonal[present]]] += np.bincount(k - lo, w, hi - lo)[present]
-        cells.append(block + lo * n)
-        values.append(sums)
-        lo = hi
-    return np.concatenate(cells), np.concatenate(values)
+    n, cells = topology.n, topology._two_hop_cells
+    k, a, b, e, f = _incident_pairs(topology)
+    w = weight(e, f)
+    rank = np.searchsorted(cells, np.concatenate([k * n + b, a * n + k, a * n + b]))
+    values = np.bincount(rank, np.concatenate([-w, -w, w]), cells.size)
+    nodes = np.flatnonzero(np.diff(topology._half_edges[0]))
+    values[np.searchsorted(cells, nodes * (n + 1))] += np.bincount(k, w, n)[nodes]
+    return cells, values
 
 
 def _row_slots(tail, dim) -> np.ndarray:
@@ -362,9 +321,11 @@ def load_topology(path) -> Topology:
     """Read a topology file: first line ``n``, then one ``i j`` edge per line.
 
     Lines starting with ``#`` and blank lines are ignored. A line that does
-    not parse is reported with the file name and its line number.
+    not parse, an invalid node count and an invalid edge (a self-loop, or
+    a node outside 0..n-1) are reported with the file name and the line
+    number.
     """
-    values = []
+    values, numbers = [], []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -375,6 +336,21 @@ def load_topology(path) -> Topology:
             raise ValueError(f"{path}:{number}: non-integer token in line {line!r}") from None
         if len(values[-1]) != (2 if len(values) > 1 else 1):
             raise ValueError(f"{path}:{number}: malformed line {line!r}")
+        numbers.append(number)
     if not values:
         raise ValueError(f"no content in topology file {path}")
-    return Topology(values[0][0], np.array(values[1:], dtype=np.intp).reshape(-1, 2))
+    n, edges = values[0][0], np.array(values[1:], dtype=np.intp).reshape(-1, 2)
+    try:
+        return Topology(n, edges)
+    except ValueError as err:
+        fault = numbers[0], err
+    # The line at fault is the node count's, unless that is valid: then it
+    # is the first edge that is invalid on its own.
+    if n >= 1:
+        for number, row in zip(numbers[1:], edges):
+            try:
+                _endpoints(n, row[None])
+            except ValueError as err:
+                fault = number, err
+                break
+    raise ValueError(f"{path}:{fault[0]}: {fault[1]}")

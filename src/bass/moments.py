@@ -11,8 +11,11 @@ indicators of its units, so E[L~] = sum_e E[x_e] L_e, and since L_e L_f
 vanishes unless e and f share a node, E[L~^2] = sum E[x_e x_f] L_e L_f runs
 over the O(sum_k deg_k^2) incident edge pairs e = (k, a), f = (k, b) of
 ``graph._incident_pairs``, which ``graph._pair_cells`` sums onto the cells
-they touch: the diagonal, the edges and the pairs two hops apart. The routes
-differ in their weights and in the form they return:
+they touch: the diagonal, the edges and the pairs two hops apart. Those
+cells are the topology's two-hop pattern (``Topology._two_hop_cells``),
+derived once per topology: the same array is the conflict graph that
+``partition.greedy_partition`` colors. The routes differ in their weights
+and in the form they return:
 
 - ``closed_form_moments``, used in production, takes E[x_e] as the product
   of p over the distinct units of e, and E[x_e x_f] as the product over the

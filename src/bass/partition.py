@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Topology, _conflicts, _greedy_colors
+from .graph import Topology, _greedy_colors
 
 
 class CollisionFreePartition:
@@ -46,7 +46,10 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
     """Group nodes by greedy coloring of the conflict graph.
 
     Nodes are processed by descending conflict degree, ties broken by
-    ascending index; each takes the smallest color absent among its
+    ascending index: the count of a node's cells in the topology's two-hop
+    pattern (``Topology._two_hop_cells``, the one array that is both the
+    conflict graph and the cells of the moments), its conflict degree plus
+    its diagonal. Each takes the smallest color absent among its
     already-colored conflict neighbors, the nodes whose closed neighborhoods
     meet its own (``_greedy_colors`` of the closed neighborhoods). So the
     colors in use are 0..q-1, the color array is the partition's owner
@@ -57,7 +60,8 @@ def greedy_partition(t: Topology) -> CollisionFreePartition:
     """
     if not t.is_connected():
         raise ValueError("greedy_partition requires a connected topology")
-    order = np.argsort(-np.diff(_conflicts(t)[0]), kind="stable")
+    rows = np.searchsorted(t._two_hop_cells, np.arange(t.n + 1) * t.n)
+    order = np.argsort(-np.diff(rows), kind="stable")
     indptr, head, _ = t._half_edges
     ptr, head = indptr.tolist(), head.tolist()
     closed = ([v, *head[ptr[v] : ptr[v + 1]]] for v in order.tolist())

@@ -1,7 +1,7 @@
-"""Helpers that only the tests read: a random connected graph, dense and
-tuple views of a ``Topology``, the dense sum over its incident pairs, a
-topology file writer, a collision-free partition checker and a
-slots-to-target reader of a training log.
+"""Helpers that only the tests read: random connected graphs, dense and
+tuple views of a ``Topology``, the dense sum over its incident pairs, its
+conflict degrees, a topology file writer, a collision-free partition
+checker and a slots-to-target reader of a training log.
 
 The library keeps a graph as its ``edge_array``; these views rebuild the
 forms a hand-written oracle compares against.
@@ -10,9 +10,19 @@ forms a hand-written oracle compares against.
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from bass.graph import Topology, _conflicts, _pair_cells
+from bass.graph import Topology, _pair_cells
 from bass.partition import CollisionFreePartition
+from bass.topologies import er_topology
+
+# Random connected Erdos-Renyi graphs with 2 to 10 nodes.
+graphs = st.builds(
+    er_topology,
+    n=st.integers(2, 10),
+    p=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**16),
+)
 
 
 def random_connected(rng, n, extra_edges=2):
@@ -56,6 +66,13 @@ def pair_gram(t, weight) -> np.ndarray:
     return flat.reshape(t.n, t.n)
 
 
+def conflict_degrees(t) -> np.ndarray:
+    """Each node's conflict degree: its off-diagonal cells in the topology's
+    two-hop pattern."""
+    i, j = np.divmod(t._two_hop_cells, t.n)
+    return np.bincount(i[i != j], minlength=t.n)
+
+
 def save_topology(t, path) -> None:
     """Write the plain-text format understood by ``bass.load_topology``."""
     lines = [str(t.n)]
@@ -82,8 +99,8 @@ def validate_partition(t, partition) -> bool:
             return False
         owner = np.empty(t.n, dtype=np.intp)
         owner[nodes] = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
-    indptr, nbr = _conflicts(t)
-    return not np.any(np.repeat(owner, np.diff(indptr)) == owner[nbr])
+    i, j = np.divmod(t._two_hop_cells, t.n)
+    return not np.any((owner[i] == owner[j]) & (i != j))
 
 
 def slots_to_reach(log, target_loss: float):

@@ -13,11 +13,10 @@ from bass import (
     load_topology,
     make_topology,
 )
-from bass import graph
-from bass.graph import _conflicts, _incident_pairs, _pair_cells
+from bass.graph import _incident_pairs, _pair_cells
 from bass.topologies import path_topology, ring_topology, star_topology
 
-from .graph_helpers import degrees, edge_pairs, pair_gram, random_connected, save_topology
+from .graph_helpers import degrees, edge_pairs, graphs, pair_gram, random_connected, save_topology
 
 
 def neighbors(t):
@@ -30,11 +29,10 @@ def neighbors(t):
 
 
 def conflict_edges(t):
-    """The conflict graph's edges (i, j), i < j, in ``graph._conflicts``'
-    CSR order."""
-    indptr, nbr = _conflicts(t)
-    tail = np.repeat(np.arange(t.n), np.diff(indptr))
-    return [(i, j) for i, j in zip(tail.tolist(), nbr.tolist()) if i < j]
+    """The conflict graph's edges (i, j), i < j, in the order of the
+    topology's two-hop pattern."""
+    i, j = np.divmod(t._two_hop_cells, t.n)
+    return [(a, b) for a, b in zip(i.tolist(), j.tolist()) if a < b]
 
 
 def brandes_betweenness(t):
@@ -252,13 +250,11 @@ class TestIncidentPairs:
         got = pair_gram(t, lambda e, f: pair_w[e, f])
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("block", [1, 16, 50, 2**15])
-    def test_cells_sum_as_one_scatter_onto_n_by_n(self, monkeypatch, block):
-        # Blocks of one row, of a few rows, and one block of every row: each
-        # cell sums its terms in the order of one np.bincount of all pairs
-        # onto the n x n array, -0.0 weights and isolated nodes included, and
-        # the cells are exactly the entries it scatters to.
-        monkeypatch.setattr(graph, "_PAIR_BLOCK", block)
+    def test_cells_sum_as_one_scatter_onto_n_by_n(self):
+        # Each cell sums its terms in the order of one np.bincount of all
+        # pairs onto the n x n array, -0.0 weights and isolated nodes
+        # included, and the cells are exactly the entries it scatters to:
+        # the topology's own two-hop pattern.
         rng = np.random.default_rng(19)
         cases = [Topology(1, []), Topology(6, [(0, 1), (1, 2), (2, 3)])]
         cases += [random_connected(rng, n, extra_edges=x) for n, x in ((2, 0), (9, 5), (30, 40), (60, 20))]
@@ -272,6 +268,7 @@ class TestIncidentPairs:
             flat = np.bincount(keys, np.concatenate([-w, -w, w]), n * n)
             flat[:: n + 1] += np.bincount(k, w, n)
             cells, values = _pair_cells(t, lambda e, f: pair_w[e, f])
+            assert cells is t._two_hop_cells
             assert np.array_equal(cells, np.unique(keys)), n
             assert np.array_equal(values, flat[cells]), n
             assert np.array_equal(np.signbit(values), np.signbit(flat[cells])), n
@@ -359,6 +356,30 @@ class TestAuxiliaryGraph:
             if set(nbrs[i]) & set(nbrs[j]):
                 pairs.add((i, j))
         return pairs
+
+    def enumerate_pattern(self, t):
+        """Oracle: the conflicts both ways round, as flat cells i * n + j,
+        and the diagonal of every node with an edge, ascending."""
+        cells = {v * (t.n + 1) for v in t.edge_array.ravel().tolist()}
+        for i, j in self.enumerate_conflicts(t):
+            cells |= {i * t.n + j, j * t.n + i}
+        return sorted(cells)
+
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(graphs)
+    def test_two_hop_cells_are_the_conflicts_and_the_diagonal(self, t):
+        assert t._two_hop_cells.tolist() == self.enumerate_pattern(t)
+
+    @pytest.mark.parametrize("n,edges", [
+        (1, []),
+        (2, []),
+        (7, [(0, 1), (1, 2), (4, 5)]),  # nodes 3 and 6 isolated
+    ])
+    def test_two_hop_cells_skip_isolated_nodes(self, n, edges):
+        t = Topology(n, edges)
+        assert t._two_hop_cells.tolist() == self.enumerate_pattern(t)
+        assert t._two_hop_cells is t._two_hop_cells
+        assert not t._two_hop_cells.flags.writeable
 
     def test_p3_becomes_triangle(self):
         aux = conflict_edges(path_topology(3))
@@ -526,3 +547,18 @@ class TestFileFormat:
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 load_topology(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("3\n0 1\n1 1\n", r"^.*bad\.txt:3: self-loop at node 1$"),
+        ("# a path\n3\n0 1\n\n1 5\n", r"^.*bad\.txt:5: edge \(1, 5\) out of range for n=3$"),
+        ("3\n0 1\n-1 2\n0 1\n", r"^.*bad\.txt:3: edge \(-1, 2\) out of range for n=3$"),
+        ("3\n0 3\n2 2\n", r"^.*bad\.txt:2: edge \(0, 3\) out of range for n=3$"),
+        ("# empty\n0\n", r"^.*bad\.txt:2: node count must be a positive integer, got 0$"),
+    ])
+    def test_invalid_edge_names_its_line(self, tmp_path, text, message):
+        # edges that parse but are invalid name the file and the first
+        # invalid line, as an invalid node count does
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_topology(path)

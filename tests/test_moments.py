@@ -216,7 +216,7 @@ class TestExpectedGram:
             assert np.abs(getattr(ms, name) - getattr(exact, name)).max() < 1e-12, name
 
     def test_er400_peak_memory_below_five_and_a_half_matrices(self):
-        # the cells are summed a bounded block of rows at a time
+        # the cells' terms grow as sum_k deg_k^2, with no n x n array
         t = make_topology("er(400,0.012,1)")
         part = greedy_partition(t)
         node_p = node_probabilities(np.random.default_rng(89).uniform(0.1, 0.9, part.q), part)
@@ -225,7 +225,7 @@ class TestExpectedGram:
 
     def test_er400_symmetry_check_adds_no_matrix(self):
         # The check gathers each cell's mirror among the cells (7 % of n^2
-        # here), so neither it nor the row blocks before it make an n x n
+        # here), so neither it nor the cell sums before it make an n x n
         # array: 0.78 of one at the peak (3.5 when both moments were dense).
         t = make_topology("er(400,0.012,1)")
         part = greedy_partition(t)

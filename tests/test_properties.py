@@ -47,18 +47,11 @@ from bass import (
 )
 from bass.scheduling import RoundSampler
 
-from .graph_helpers import adjacency, degrees, validate_partition
+from .graph_helpers import adjacency, degrees, graphs, validate_partition
 from .test_baselines import set_greedy_coloring
 from .test_partition import set_greedy_partition
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30, database=None)
-
-graphs = st.builds(
-    er_topology,
-    n=st.integers(2, 10),
-    p=st.floats(0.3, 1.0),
-    seed=st.integers(0, 2**16),
-)
 
 
 @PROPERTY
