@@ -61,8 +61,8 @@ class Topology:
         n = self.n
         indptr, head, _ = self._half_edges
         tail = np.repeat(np.arange(n), np.diff(indptr))
-        _, a, b, _, _ = _incident_pairs(self)
-        cells = np.sort(np.concatenate([tail * n + head, a * n + b]))
+        first, second = _incident_pairs(self)
+        cells = np.sort(np.concatenate([tail * n + head, head[first] * n + head[second]]))
         # Deduplicated by hand: np.unique is many times slower than a sort here.
         cells = cells[np.flatnonzero(np.diff(cells, prepend=-1))]
         cells.setflags(write=False)
@@ -167,17 +167,18 @@ def _connected(n, edges) -> bool:
 
 
 def _incident_pairs(topology: Topology):
-    """Every ordered pair of edges e = (k, a), f = (k, b) meeting at a node k,
-    a = b included, node-major: arrays k, a, b, e, f (e, f index rows of
-    ``edge_array``) with sum_k deg_k^2 entries each. Each half-edge k -> a
-    in turn is crossed with k's run of half-edges (b ascending)."""
-    indptr, head, edge = topology._half_edges
+    """Every ordered pair of half-edges k -> a, k -> b leaving one node k,
+    a = b included, node-major, as two arrays ``first`` and ``second`` of
+    indices into ``Topology._half_edges``, sum_k deg_k^2 entries each. Each
+    half-edge k -> a in turn is crossed with k's run of half-edges (b
+    ascending)."""
+    indptr = topology._half_edges[0]
     deg = np.diff(indptr)
-    tail = np.repeat(np.arange(topology.n), deg)
-    count = deg[tail]
-    first = np.repeat(np.arange(head.size), count)
-    second = np.repeat(indptr[tail] - np.cumsum(count) + count, count) + np.arange(first.size)
-    return tail[first], head[first], head[second], edge[first], edge[second]
+    count = np.repeat(deg, deg)  # the degree of each half-edge's tail
+    first = np.repeat(np.arange(count.size), count)
+    second = np.repeat(np.repeat(indptr[:-1], deg) - np.cumsum(count) + count, count)
+    second += np.arange(first.size)
+    return first, second
 
 
 def _greedy_colors(groups, n) -> list:
@@ -199,7 +200,8 @@ def _greedy_colors(groups, n) -> list:
 
 def _pair_cells(topology: Topology, weight):
     """sum_p w_p (u_k - u_a)(u_k - u_b)^T over the incident pairs p of
-    ``_incident_pairs``, w_p = weight(e, f) of the pairs' edge arrays, as its
+    ``_incident_pairs``, half-edges k -> a and k -> b of edges e and f (rows
+    of ``edge_array``), w_p = weight(e, f) of the pairs' edge arrays, as its
     cells and its values there: L_(k,a) L_(k,b) for a != b, and L_e^2 =
     2 L_e from both ends of e. The cells are the topology's two-hop pattern
     (``Topology._two_hop_cells``, the same read-only array), the conflict
@@ -209,16 +211,41 @@ def _pair_cells(topology: Topology, weight):
     the three terms in that order over all pairs, each ranked among the
     cells, and each diagonal cell (k, k) then adds the sum of w_p over the
     pairs at k. So each cell sums its terms from +0.0 in the order one
-    np.bincount onto the n x n array does. The temporaries grow as
-    O(sum_k deg_k^2), with no n x n array.
+    np.bincount onto the n x n array does. The first two terms are the
+    cells of the half-edge k -> b and of the reverse of k -> a, so one
+    search ranks both directions of the 2m half-edges and the pairs gather
+    their ranks; only the (a, b) terms are searched pair by pair. The
+    temporaries grow as O(sum_k deg_k^2), with no n x n array: at most
+    seven arrays of that length at once, beside what ``weight`` makes.
     """
     n, cells = topology.n, topology._two_hop_cells
-    k, a, b, e, f = _incident_pairs(topology)
-    w = weight(e, f)
-    rank = np.searchsorted(cells, np.concatenate([k * n + b, a * n + k, a * n + b]))
-    values = np.bincount(rank, np.concatenate([-w, -w, w]), cells.size)
-    nodes = np.flatnonzero(np.diff(topology._half_edges[0]))
-    values[np.searchsorted(cells, nodes * (n + 1))] += np.bincount(k, w, n)[nodes]
+    indptr, head, edge = topology._half_edges
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    first, second = _incident_pairs(topology)
+    w = weight(edge[first], edge[second])
+    diagonal = np.bincount(tail.take(first), w, n)
+    pairs = w.size
+    both_ways = np.concatenate([tail * n + head, head * n + tail])
+    forward, backward = np.searchsorted(cells, both_ways).reshape(2, -1)
+    del both_ways
+    rank = np.empty(3 * pairs, dtype=np.intp)
+    np.take(forward, second, out=rank[:pairs])
+    np.take(backward, first, out=rank[pairs : 2 * pairs])
+    keys = head.take(first)
+    del first
+    keys *= n
+    keys += head.take(second)
+    del second
+    rank[2 * pairs :] = np.searchsorted(cells, keys)
+    del keys
+    terms = np.empty(3 * pairs)
+    np.negative(w, out=terms[:pairs])
+    terms[pairs : 2 * pairs] = terms[:pairs]
+    terms[2 * pairs :] = w
+    del w
+    values = np.bincount(rank, terms, cells.size)
+    nodes = np.flatnonzero(np.diff(indptr))
+    values[np.searchsorted(cells, nodes * (n + 1))] += diagonal[nodes]
     return cells, values
 
 

@@ -15,18 +15,23 @@ makes the search certified: `optimize_epsilon` returns, beside eps* and
 s* = s(eps*), a lower bound on min s, and stops when the two are within
 `tol`. Its loop:
 
-1. Evaluates s exactly at the first eps: M is written into one reused
-   n x n buffer from the moments' cells, and `eigvalsh` gives its whole
-   spectrum.
+1. Writes M at the first eps into one reused n x n buffer from the
+   moments' cells. Above `_LANCZOS_NODES` nodes (where the certificate of
+   step 4 fits inside tol), a Lanczos run on the buffer (`_lanczos`: full
+   reorthogonalization, a mean-free random start) gives Ritz pairs there.
+   A Ritz value is only a lower bound on s(eps), so it is never taken as a
+   value of s. Below that size, or when the run ends on an invariant
+   subspace, `eigvalsh` gives the whole spectrum, an exact value of s.
 2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
    nodes U is all of the complement of the ones vector from the first step,
    so the model below is s itself and step 4's certificate normally ends the
    search at the second evaluation. Otherwise a Chebyshev filter of the
    buffer (matmuls only) adds a block of approximate top eigenvectors, and a
    thick restart keeps U at most `_BASIS_CAP` columns wide. An exact
-   spectrum places the filter's cut-off in a gap; without one, the model's
-   Ritz values stand in, the floor is 0 (M is PSD) and the top a Gershgorin
-   bound.
+   spectrum places the filter's cut-off in a gap; without one, Ritz values
+   stand in (the Lanczos run's for the first filter, whose block starts
+   from its top Ritz vectors, and the model's after that), the floor is 0
+   (M is PSD) and the top a Gershgorin bound.
 3. Minimizes the Ritz model m_U(eps) = lambda_max(U^T M(eps) U) <= s(eps), a
    problem of at most `_BASIS_CAP` columns, by the cuts q_v of its top
    eigenvectors v. The least maximum of all cuts so far is the certified
@@ -45,19 +50,25 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    fails, or a residual that stops shrinking, gets the exact spectrum
    there, as in step 1.
 5. Stops once the best exact value minus the lower bound is at most `tol`.
+   A search that reaches its cap without any exact value takes the
+   spectrum at its last point.
 
 An evaluation is one dense factorization of the buffer: an `eigvalsh`
-spectrum or a Cholesky certificate. `_MAX_EVALUATIONS` caps the passes of the
-loop, each of which makes at most one factorization or one filter step. No
-bracket is needed, because the cuts grow without bound in eps.
+spectrum or a Cholesky certificate; a Lanczos run is none. `_MAX_EVALUATIONS`
+caps the passes of the loop, each of which makes at most one factorization,
+one Lanczos run or one filter step. No bracket is needed, because the cuts
+grow without bound in eps.
 
 Memory: the buffer is the search's one n x n array. Once a filter is done
 with M, each moment is written into it in turn for the basis's projections,
 and the certificate overwrites it with its factor, holding beside it one
 panel of about n^2 / 8 entries (up to 128 nodes, one np.linalg.cholesky call
-and its two small copies). At the first point `eigvalsh` adds LAPACK's
-n x n copy, so the peak is two n x n arrays beside the moments' cells, about
-0.2 n^2 entries on a sparse graph.
+and its two small copies). The Lanczos run holds `_LANCZOS_STEPS` vectors
+of n entries beside it. An `eigvalsh` spectrum adds LAPACK's n x n
+copy, so a search that takes one (every search up to `_LANCZOS_NODES` nodes,
+and above that only at a fallback point) peaks at two n x n arrays beside
+the moments' cells, about 0.2 n^2 entries on a sparse graph; one that takes
+none holds one.
 """
 
 from __future__ import annotations
@@ -87,10 +98,20 @@ _MODEL_STEPS = 60
 _BLOCK_SIZES = range(4, 13)
 _FILTER_DAMPING = 1e-4
 _MAX_FILTER_DEGREE = 200
-# Seed of the filter's random start vectors.
+# Seeds of the filter's random start vectors and of the Lanczos start.
 _FILTER_SEED = 0
+_LANCZOS_SEED = 1
 # The fewest columns per block of the in-place Cholesky certificate.
 _FACTOR_BLOCK = 64
+# Above this many nodes, while the certificate fits inside tol, the first
+# point is a Lanczos run of _LANCZOS_STEPS steps in place of an eigvalsh
+# spectrum. The crossover was measured on the whole search (2 vCPUs, numpy
+# 2.4, OpenBLAS 0.3; 200 random graphs with full, random and equal subset
+# probabilities, best of 3 each): summed over the graphs, the Lanczos
+# search took 1.25x the time of the spectrum's for 42-99 nodes and 1.05x
+# for 100-199, and 0.89x, 0.87x and 0.92x for 200-299, 300-399 and 400-499.
+_LANCZOS_NODES = 200
+_LANCZOS_STEPS = 60
 
 
 class _Moments:
@@ -256,7 +277,9 @@ class EpsilonSearch:
     """Result of the 1-D mixing-parameter optimization: eps*, s* = s(eps*),
     a certified lower bound on min s, and the number of dense
     factorizations the search made (``eigvalsh`` spectra plus Cholesky
-    certificates).
+    certificates). A first point taken by a Lanczos run counts none, so
+    above ``_LANCZOS_NODES`` nodes a search that the first certificate
+    ends reports 1.
 
     A search that ends on a certificate knows s(eps*) only to within tol:
     s* is then the top Ritz value clipped to [lower, lower + tol]."""
@@ -337,8 +360,8 @@ class _RitzBasis:
         else:
             self.u = np.empty((n, 0))
             self.r1 = self.r2 = np.empty((0, 0))
-        # Degree of the last filter shaped by an exact spectrum: the cap of
-        # the filters shaped by Ritz values.
+        # Degree of the last filter shaped by an exact spectrum or a Lanczos
+        # run: the cap of the filters shaped by the model's Ritz values.
         self.degree = _MAX_FILTER_DEGREE
 
     def model(self, eps: float) -> np.ndarray:
@@ -365,23 +388,34 @@ class _RitzBasis:
         below = vals[vals < theta - math.sqrt(residual)]
         return theta, residual, theta - below[-1] if below.size else theta
 
-    def extend(self, mat: np.ndarray, eps: float, spectrum: np.ndarray | None = None):
+    def extend(self, mat: np.ndarray, eps: float, spectrum: np.ndarray | None = None,
+               lanczos: tuple[np.ndarray, np.ndarray] | None = None):
         """Add filtered approximations to the top eigenvectors of ``mat`` =
         M(eps), the search's buffer: once the filter is done with M, it is
         given to ``moment`` for each projection.
 
         Given the ascending eigenvalues ``spectrum`` of ``mat``, the filter
-        is shaped by them. Without it, the model's Ritz values at eps stand
-        in: the floor is 0 (M is PSD), the top a Gershgorin bound of
-        ``mat``, and the degree at most that of the last exact-shaped filter.
+        is shaped by them. Without it, Ritz values stand in: the model's at
+        eps, or, while the basis is empty, those of a Lanczos run on
+        ``mat``, ``lanczos`` (``_lanczos``'s pair). The floor is then 0 (M
+        is PSD), the top a Gershgorin bound of ``mat``, and the degree at
+        most that of the last filter shaped by a spectrum or a Lanczos run.
         A lone Ritz value theta shapes a one-vector filter that damps
         [0, theta].
+
+        For a block of p, the filter starts from the model's top p - 1 Ritz
+        vectors plus one random vector; on an empty basis, from the top p
+        Lanczos Ritz vectors plus one random vector, or from p random
+        vectors given only a spectrum.
         """
         n = self.objective.n
         k = self.u.shape[1]
         if k == n - 1:
             return
-        vals, y = np.linalg.eigh(self.model(eps)) if k else (None, None)
+        if k:
+            vals, y = np.linalg.eigh(self.model(eps))
+        elif lanczos is not None:
+            vals, ritz = lanczos
         if spectrum is None:
             # Scaled at the Gershgorin bound: the top Ritz value can lie below
             # s(eps), and scaled there the filter overflowed on two-stars(40,40)
@@ -391,11 +425,12 @@ class _RitzBasis:
             low, cut, top = 0.0, vals[-p - 1], _row_bound(mat)
         else:
             p, degree = _filter_shape(spectrum[0], spectrum, _MAX_FILTER_DEGREE)
-            self.degree = degree
             low, cut, top = spectrum[0], spectrum[-p - 1], spectrum[-1]
+        if spectrum is not None or not k:
+            self.degree = degree
         if k:
-            # Start from the model's top Ritz vectors plus one random vector;
-            # restart to the top ones when the block would overflow the cap.
+            # Restart to the model's top Ritz vectors when the block would
+            # overflow the cap.
             ritz = self.u @ y
             if k + p > _BASIS_CAP:
                 y = y[:, k + p - _BASIS_CAP :]
@@ -403,6 +438,8 @@ class _RitzBasis:
                 self.r1 = y.T @ self.r1 @ y
                 self.r2 = y.T @ self.r2 @ y
             start = np.hstack([ritz[:, max(k + 1 - p, 0) :], self.rng.standard_normal((n, 1))])
+        elif lanczos is not None:
+            start = np.hstack([ritz[:, -p:], self.rng.standard_normal((n, 1))])
         else:
             start = self.rng.standard_normal((n, p))
         block = _chebyshev_filter(mat, start, low, cut, top, degree)
@@ -415,10 +452,14 @@ class _RitzBasis:
         for second in (False, True):
             block -= block.mean(axis=0)
             block -= self.u @ (self.u.T @ block)
-            block, r = np.linalg.qr(block)
+            q, r = np.linalg.qr(block)
             diag = np.abs(np.diag(r))
             floor = math.sqrt(0.5) if second else 1e-8 * diag.max(initial=0.0)
-            block = block[:, diag > floor]
+            keep = diag > floor
+            # A dropped column is dropped from the block, not only from Q:
+            # Q's column of a column that is rounding alone points anywhere,
+            # and the kept columns after it lose their parts along it.
+            block = q[:, keep] if keep.all() else np.linalg.qr(block[:, keep])[0]
         self.r1 = _bordered(self.r1, self.u, block, self.objective.moment(1, mat) @ block)
         self.r2 = _bordered(self.r2, self.u, block, self.objective.moment(2, mat) @ block)
         self.u = np.hstack([self.u, block])
@@ -528,6 +569,47 @@ def _chebyshev_filter(mat, block, low, cut, top, degree):
     return block
 
 
+def _lanczos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ritz pairs of ``mat`` = M(eps) from _LANCZOS_STEPS Lanczos steps with
+    full reorthogonalization: the ascending Ritz values, and as columns the
+    unit, mean-free Ritz vectors of the top _BLOCK_SIZES[-1] of them, the
+    most a filter starts from. None if the run ends on an invariant
+    subspace: at its first step on a spectrum of one eigenvalue (a complete
+    graph's), and at every size up to _LANCZOS_STEPS nodes.
+
+    The start is a mean-free random vector of the run's own generator, so
+    that a search whose run ends early draws the same filter vectors as a
+    search without it.
+
+    Every Ritz value is at most s(eps), and from a random start the top one
+    approaches s with high probability (Kuczynski and Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 13(4), 1992). Beside ``mat`` it holds the
+    _LANCZOS_STEPS Lanczos vectors.
+    """
+    n, steps = mat.shape[0], _LANCZOS_STEPS
+    q = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps - 1)
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    start -= start.mean()
+    q[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = mat @ q[j]
+        alpha[j] = q[j] @ w
+        if j == steps - 1:
+            break
+        # Against all earlier vectors, twice, and against the ones vector,
+        # which M annihilates only up to rounding.
+        for _ in range(2):
+            w -= q[: j + 1].T @ (q[: j + 1] @ w)
+        w -= w.mean()
+        beta[j] = np.linalg.norm(w)
+        if beta[j] <= 1e-10:
+            return None
+        q[j + 1] = w / beta[j]
+    vals, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    return vals, q.T @ y[:, -_BLOCK_SIZES[-1] :]
+
+
 def _certifies(mat: np.ndarray, level: float) -> bool:
     """True iff level * I - M has a Cholesky factor for ``mat`` = M(eps),
     i.e. s < level up to the factor's backward error.
@@ -576,13 +658,15 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
 
     Each evaluation is one dense factorization of M(eps): an ``eigvalsh``
     spectrum, or a Cholesky factor of (lower + tol) I - M that certifies
-    s(eps) < lower + tol (see the module docstring).
+    s(eps) < lower + tol. Above ``_LANCZOS_NODES`` nodes the first point is
+    a Lanczos run instead, which is no evaluation (see the module
+    docstring).
 
     A degenerate result (eps = 0) is returned when E[L~] vanishes, i.e. no
     link is ever activated bidirectionally. A result with value >= 1 warns:
     no step size contracts. So does a search that reaches its cap
-    (`_MAX_EVALUATIONS` passes, each at most one factorization or one filter
-    step) with the gap still above tol.
+    (`_MAX_EVALUATIONS` passes, each at most one factorization, one Lanczos
+    run or one filter step) with the gap still above tol.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -606,7 +690,7 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
     # tol) every point gets its spectrum again.
     slack = objective.n * np.finfo(float).eps * (1.0 + tol)
     ritz_steps = slack < tol
-    take_spectrum = True
+    take_spectrum = not (ritz_steps and objective.n > _LANCZOS_NODES)
     evaluations = 0
     for _ in range(_MAX_EVALUATIONS):
         objective.contraction_matrix(eps, out=buf)
@@ -618,6 +702,16 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
             if best_value - lower <= tol:
                 break
             basis.extend(buf, eps, spectrum)
+            last_residual = math.inf
+        elif not basis.u.shape[1]:
+            # The first point without a spectrum: a Lanczos run shapes the
+            # first filter. Its Ritz values are only lower bounds on s, so
+            # none is taken as a value.
+            lanczos = _lanczos(buf)
+            if lanczos is None:
+                take_spectrum = True
+                continue
+            basis.extend(buf, eps, lanczos=lanczos)
             last_residual = math.inf
         else:
             theta, residual, gap = basis.top_pair(buf, eps)
@@ -641,6 +735,11 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
             break
         take_spectrum = not ritz_steps
     else:
+        if best_value == math.inf:
+            # The cap came before any exact value: the spectrum at the last point.
+            spectrum = np.linalg.eigvalsh(objective.contraction_matrix(eps, out=buf))
+            best_value, best_eps = float(spectrum[-1]), eps
+            evaluations += 1
         warnings.warn(
             f"epsilon search stopped after {evaluations} evaluations with "
             f"s(eps) - lower bound = {best_value - lower:.3g} > tol = {tol:g}"

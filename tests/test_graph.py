@@ -28,6 +28,16 @@ def neighbors(t):
     return [sorted(v) for v in nbrs]
 
 
+def pair_ends(t):
+    """k, a, b, e, f of every incident pair of ``_incident_pairs``: the
+    shared node, the far ends of its half-edges k -> a and k -> b, and their
+    rows e and f of ``edge_array``."""
+    indptr, head, edge = t._half_edges
+    tail = np.repeat(np.arange(t.n), np.diff(indptr))
+    first, second = _incident_pairs(t)
+    return tail[first], head[first], head[second], edge[first], edge[second]
+
+
 def conflict_edges(t):
     """The conflict graph's edges (i, j), i < j, in the order of the
     topology's two-hop pattern."""
@@ -227,7 +237,7 @@ class TestIncidentPairs:
     @pytest.mark.parametrize("n,extra", [(1, 0), (2, 0), (7, 3), (12, 9)])
     def test_every_pair_of_edges_meeting_at_a_node(self, n, extra):
         t = random_connected(np.random.default_rng(n), n, extra_edges=extra)
-        k, a, b, e, f = _incident_pairs(t)
+        k, a, b, e, f = pair_ends(t)
         pairs = edge_pairs(t)
         expected = [
             (v, x, y, pairs.index(tuple(sorted((v, x)))), pairs.index(tuple(sorted((v, y)))))
@@ -262,7 +272,7 @@ class TestIncidentPairs:
             n, m = t.n, len(t.edge_array)
             pair_w = rng.uniform(-1.0, 1.0, (m, m))
             pair_w[rng.random((m, m)) < 0.2] = -0.0
-            k, a, b, e, f = _incident_pairs(t)
+            k, a, b, e, f = pair_ends(t)
             w = pair_w[e, f]
             keys = np.concatenate([k * n + b, a * n + k, a * n + b])
             flat = np.bincount(keys, np.concatenate([-w, -w, w]), n * n)
@@ -272,6 +282,22 @@ class TestIncidentPairs:
             assert np.array_equal(cells, np.unique(keys)), n
             assert np.array_equal(values, flat[cells]), n
             assert np.array_equal(np.signbit(values), np.signbit(flat[cells])), n
+
+
+    def test_pair_sum_holds_few_arrays_of_pairs(self):
+        # At most seven arrays of sum_k deg_k^2 entries at once beside the
+        # weights' own (7.2 at er(2000,0.006,1); 14.0 when every pair's
+        # keys, ranks and terms were made at once), and no n x n array.
+        t = make_topology("er(2000,0.006,1)")
+        t._two_hop_cells  # built first, as a partition does
+        pairs = int((np.diff(t._half_edges[0]) ** 2).sum())
+        tracemalloc.start()
+        try:
+            _pair_cells(t, lambda e, f: np.ones(e.size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * pairs
 
 
 class TestLaplacian:
