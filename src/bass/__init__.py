@@ -45,12 +45,12 @@ from .graph import (
     load_topology,
 )
 from .mixing import (
-    CompactObjective,
     EpsilonSearch,
-    SpectralObjective,
     optimize_epsilon,
 )
 from .moments import (
+    CompactObjective,
+    SpectralObjective,
     closed_form_moments,
     enumerated_moments,
     expected_laplacian_gram,

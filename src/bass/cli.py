@@ -1,4 +1,17 @@
-"""Command-line front end: run experiments, check moments, inspect partitions."""
+"""Command-line front end: run experiments, check moments, inspect partitions.
+
+``run`` takes one flag per ``ExperimentConfig`` key, spelled with dashes
+(``--policy`` for ``policies``), merged over ``--config``: a flag given on
+the command line wins, even at the default's value. ``moments-check`` and
+``optimize-eps`` take only the keys of one policy (``_POLICY_KEYS``).
+``moments-check`` compares the closed form with Monte Carlo (``--samples``,
+``--seed``) and, while 2^units * n^3 <= 2^32, with enumeration; otherwise it
+says that enumeration was skipped. ``optimize-eps`` prints eps*, s*, the
+certified lower bound and the evaluations, and the run report's budget line
+when the policy cannot spend its budget. Every command labels a policy as a
+run's report does (``bass@0.5``, ``uniform@B2``, ``full``). An error prints
+``error: ...`` and exits 1.
+"""
 
 from __future__ import annotations
 

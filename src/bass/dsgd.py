@@ -24,7 +24,10 @@ the public functions: ``sample_round`` (or the matching policy's
 ``sample_round``), then ``gradient_step``, ``consensus_step(state,
 act.mixing_matrix)``, ``global_train_loss``, ``obj.test_metric`` and
 ``consensus_error``, and the generator ends in the same state. The tests
-check that contract.
+check that contract. Each round draws from the run's one generator first
+the policy's units (one uniform per subset, or per matching, in order),
+then the objective's mini-batch indices; the quadratic objective draws
+none.
 """
 
 from __future__ import annotations

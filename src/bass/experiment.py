@@ -4,6 +4,10 @@ Budgets are primarily expressed as an activation fraction: for subset
 policies a fraction f targets f * q expected slots per round; for the
 matching baseline it activates each matching with probability f, i.e.
 f * 2r expected slots. Absolute slot budgets are supported too.
+
+Run seed s trains from ``default_rng(s)``, and its data (the quadratic
+targets, or the logistic blobs and their shards) come from
+``SeedSequence([s, 1])``, so every policy sees the same data at one seed.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
 `tol`. Its loop:
 
 1. Writes M at the first eps into one reused n x n buffer from the
-   moments' cells. Above `_LANCZOS_NODES` nodes (where the certificate of
-   step 4 fits inside tol), a Lanczos run on the buffer (`_lanczos`: full
-   reorthogonalization, a mean-free random start) gives Ritz pairs there.
+   moments' cells (``moments._Moments.contraction_matrix``). Above
+   `_LANCZOS_NODES` nodes (where the certificate of step 4 fits inside
+   tol), a Lanczos run on the buffer (`_lanczos`: full reorthogonalization,
+   a mean-free random start) gives Ritz pairs there.
    A Ritz value is only a lower bound on s(eps), so it is never taken as a
    value of s. Below that size, or when the run ends on an invariant
    subspace, `eigvalsh` gives the whole spectrum, an exact value of s.
@@ -46,9 +47,10 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    n = 2000. The level is lowered by that estimate, and above about 4500
    nodes, where it no longer fits inside the default tol of 1e-12, every
    point gets its spectrum as in step 1. A residual that fails the test
-   grows the basis by a Ritz-shaped filter while it shrinks; a factor that
-   fails, or a residual that stops shrinking, gets the exact spectrum
-   there, as in step 1.
+   grows the basis by a Ritz-shaped filter while it shrinks and the top
+   Ritz value is above 0; a factor that fails, a residual that stops
+   shrinking, or a top Ritz value of 0 (a filter has nothing to damp below
+   it) gets the exact spectrum there, as in step 1.
 5. Stops once the best exact value minus the lower bound is at most `tol`.
    A search that reaches its cap without any exact value takes the
    spectrum at its last point.
@@ -79,7 +81,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _is_int
+# SpectralObjective stays importable from here: bench/harness.py imports it
+# from this module.
+from .moments import SpectralObjective, _Moments  # noqa: F401
 
 # Entries per row block of the Gershgorin bound `_row_bound`.
 _CHECK_BLOCK = 2**15
@@ -112,157 +116,6 @@ _FACTOR_BLOCK = 64
 # for 100-199, and 0.89x, 0.87x and 0.92x for 200-299, 300-399 and 400-499.
 _LANCZOS_NODES = 200
 _LANCZOS_STEPS = 60
-
-
-class _Moments:
-    """E[L~] and E[L~^T L~] as their values on one set of cells, the flat
-    indices i * n + j of the n x n matrices, sorted, outside which both are
-    +0.0; and all the epsilon search reads of them: the fill
-    ``contraction_matrix``, ``moment`` written into a given buffer, and the
-    ``trace_ratio``.
-
-    The cells must be a symmetric pattern, as those of a graph's moments are
-    (its diagonal, its edges and its pairs of nodes two hops apart), and the
-    values finite, each within 1e-9 of its mirror cell's.
-    """
-
-    def _set_cells(self, n, cells, laplacian_values, gram_values):
-        """Check the cells and values as the class states, and set them."""
-        cells = np.asarray(cells)
-        if not _is_int(n) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        if cells.ndim != 1 or cells.dtype.kind not in "iu":
-            raise ValueError("cells must be a 1-D integer array")
-        if cells.size and (cells[0] < 0 or cells[-1] >= n * n or (np.diff(cells) <= 0).any()):
-            raise ValueError(f"cells must be increasing flat indices below n^2 = {n * n}")
-        cells = cells.astype(np.intp, copy=False)
-        # The mirrors j * n + i of the cells, in increasing order, are the
-        # cells themselves: the value at cell order[k] is checked against
-        # the value at cell k, its mirror. The cells are sorted by row, so a
-        # stable sort by column puts their mirrors in increasing order; on
-        # the smallest unsigned type that holds a column (16 bits up to
-        # 65536 nodes) numpy makes it a radix sort.
-        row = cells // n
-        col = cells - row * n
-        order = np.argsort(col.astype(np.min_scalar_type(n - 1)), kind="stable")
-        mirror = col * n + row
-        if not np.array_equal(mirror[order], cells):
-            raise ValueError("cells must be a symmetric pattern")
-        for name, field, values in (
-            ("e_laplacian", "laplacian_values", laplacian_values),
-            ("e_gram", "gram_values", gram_values),
-        ):
-            values = np.asarray(values, dtype=float)
-            if values.shape != cells.shape:
-                raise ValueError(f"{name} needs one value per cell, got shape {values.shape}")
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} has non-finite entries")
-            if np.abs(values[order] - values).max(initial=0.0) > 1e-9:
-                raise ValueError(f"{name} is not symmetric")
-            object.__setattr__(self, field, values)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "cells", cells)
-
-    def value(self, eps: float) -> float:
-        """Largest eigenvalue of E[W^2] - J at the given step size."""
-        return float(np.linalg.eigvalsh(self.contraction_matrix(eps))[-1])
-
-    def contraction_matrix(self, eps: float, out: np.ndarray | None = None) -> np.ndarray:
-        """E[W^2] - J at the given step size, written into ``out`` if given.
-
-        The cells take 2 eps (eps/2 E[L~^2] - E[L~]) - 1/n, every other
-        entry what that gives for two +0.0 moments, -1/n (every entry of J
-        is 1/n), and 1 is added on the diagonal.
-        """
-        eps = float(eps)
-        if not 0.0 <= eps < math.inf:
-            raise ValueError("eps must be nonnegative and finite")
-        n = self.n
-        if out is None:
-            out = np.empty((n, n))
-        values = np.multiply(self.gram_values, 0.5 * eps)
-        values -= self.laplacian_values
-        values *= 2.0 * eps
-        values -= 1.0 / n
-        out.fill(-1.0 / n)
-        out.reshape(-1)[self.cells] = values
-        out.reshape(-1)[:: n + 1] += 1.0
-        return out
-
-    def moment(self, power: int, out: np.ndarray) -> np.ndarray:
-        """E[L~] (``power`` 1) or E[L~^2] (2), written into ``out``."""
-        out.fill(0.0)
-        out.reshape(-1)[self.cells] = self.laplacian_values if power == 1 else self.gram_values
-        return out
-
-    def trace_ratio(self) -> float:
-        """trace(E[L~]) / trace(E[L~^2]), each summed over the whole
-        diagonal as ``np.trace`` sums it."""
-        diagonal = np.arange(self.n) * (self.n + 1)  # i * n + i
-        at = np.searchsorted(self.cells, diagonal)
-        # A diagonal cell is present iff its insertion points differ (by
-        # one: the cells are distinct); no cells at all give 0 / 0 = nan,
-        # as np.trace does on two zero matrices.
-        on = np.searchsorted(self.cells, diagonal, side="right") > at
-        traces = np.zeros((2, self.n))
-        traces[0, on] = self.laplacian_values[at[on]]
-        traces[1, on] = self.gram_values[at[on]]
-        return float(traces[0].sum() / traces[1].sum())
-
-
-@dataclass(frozen=True, eq=False)
-class CompactObjective(_Moments):
-    """The moments as their cells and values: the form production searches.
-    ``moments.closed_form_moments`` and ``moments.monte_carlo_moments``
-    return it (0.07 n^2 cells at er(400,0.012,1)), and ``e_laplacian`` and
-    ``e_gram`` are its dense matrices, made on each access.
-    """
-
-    n: int
-    cells: np.ndarray
-    laplacian_values: np.ndarray
-    gram_values: np.ndarray
-
-    def __post_init__(self):
-        self._set_cells(self.n, self.cells, self.laplacian_values, self.gram_values)
-
-    @property
-    def e_laplacian(self) -> np.ndarray:
-        """E[L~] as a new dense n x n array."""
-        return self.moment(1, np.empty((self.n, self.n)))
-
-    @property
-    def e_gram(self) -> np.ndarray:
-        """E[L~^2] as a new dense n x n array."""
-        return self.moment(2, np.empty((self.n, self.n)))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralObjective(_Moments):
-    """The moments given as dense n x n arrays, which it holds: the
-    constructor of the enumeration oracle and of any moments given as
-    matrices.
-
-    It searches on the cells where either matrix, or its mirror, has any
-    bit set, so an entry of -0.0 is a cell and ``moment`` writes the
-    matrices' own bits.
-    """
-
-    e_laplacian: np.ndarray
-    e_gram: np.ndarray
-
-    def __post_init__(self):
-        lap, gram = (np.asarray(m, dtype=float) for m in (self.e_laplacian, self.e_gram))
-        for name, mat in (("e_laplacian", lap), ("e_gram", gram)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square")
-        if lap.shape != gram.shape:
-            raise ValueError("moment matrices must share a shape")
-        on = (lap != 0) | np.signbit(lap) | (gram != 0) | np.signbit(gram)
-        cells = np.flatnonzero(on | on.T)
-        self._set_cells(lap.shape[0], cells, lap.take(cells), gram.take(cells))
-        object.__setattr__(self, "e_laplacian", lap)
-        object.__setattr__(self, "e_gram", gram)
 
 
 def contracts(value: float) -> bool:
@@ -400,8 +253,9 @@ class _RitzBasis:
         ``mat``, ``lanczos`` (``_lanczos``'s pair). The floor is then 0 (M
         is PSD), the top a Gershgorin bound of ``mat``, and the degree at
         most that of the last filter shaped by a spectrum or a Lanczos run.
-        A lone Ritz value theta shapes a one-vector filter that damps
-        [0, theta].
+        A lone Ritz value theta > 0 shapes a one-vector filter that damps
+        [0, theta]; the search takes the spectrum rather than pass a top
+        Ritz value of 0.
 
         For a block of p, the filter starts from the model's top p - 1 Ritz
         vectors plus one random vector; on an empty basis, from the top p
@@ -519,8 +373,9 @@ def _filter_shape(low: float, values: np.ndarray, max_degree: int) -> tuple[int,
     the Chebyshev variable, capped at ``max_degree``; p minimizes the matmul
     columns p * degree, which puts the cut-off in a gap of the values, never
     inside a degenerate cluster. Block sizes run up to one less than the
-    number of values, so that every cut-off is one of them; a single value
-    gives p = 0, a cut-off at that value and the degree ``max_degree``.
+    number of values, so that every cut-off is one of them; a single value,
+    which must lie above ``low``, gives p = 0, a cut-off at that value and
+    the degree ``max_degree``.
     """
     sizes = range(min(_BLOCK_SIZES[0], values.size - 1), min(_BLOCK_SIZES[-1] + 1, values.size))
     best = (sizes[0], max_degree)
@@ -722,9 +577,10 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
                     break
                 take_spectrum = True
                 continue
-            # A Ritz-shaped filter step only while the residual shrinks; the
-            # spectrum at this point otherwise.
-            if residual >= last_residual:
+            # A Ritz-shaped filter step only while the residual shrinks, and
+            # only from a top Ritz value above M's floor 0, which is all a
+            # filter damps below it; the spectrum at this point otherwise.
+            if residual >= last_residual or theta <= 0.0:
                 take_spectrum = True
                 continue
             basis.extend(buf, eps)

@@ -74,9 +74,10 @@ class QuadraticObjective(LocalObjective):
     model: mean_i ½‖x - c_i‖² = ½‖x - c̄‖² - (x - c̄)·r + K, with K = mean_i
     ½‖c_i - c̄‖² and r = mean_i(c_i - c̄) taken once. The drift r is what the
     rounded c̄ misses of the exact mean; without it the form loses digits
-    when the centers cluster far from the origin. The test metric is the
-    distance ‖x - c̄‖; both share the offset x - c̄ and take one stacked dot
-    each over a block of models.
+    when the centers cluster far from the origin, and with it the loss is
+    within (dim + n + 2) machine epsilons, relative, of the mean node loss.
+    The test metric is the distance ‖x - c̄‖; both share the offset x - c̄
+    and take one stacked dot each over a block of models.
     """
 
     def __init__(self, centers):
@@ -238,7 +239,10 @@ class LogisticObjective(LocalObjective):
 
     def gradients(self, state, batch_size, rng):
         """One draw of every node's batch indices, node-major, then one
-        stacked softmax and one stacked rows^T @ (P - Y)."""
+        stacked softmax and one stacked rows^T @ (P - Y). The one
+        ``rng.integers`` call gives the indices, and leaves the generator
+        in the state, of a loop drawing each node's ``batch_size`` indices
+        in turn."""
         draws = rng.integers(0, self._high, size=(self.num_nodes, batch_size))
         idx = self._starts[:, None] + draws
         # take() gathers whole rows, several times faster than [idx] here.

@@ -241,6 +241,11 @@ class TestMatchaPolicy:
     @pytest.mark.parametrize("t", [Topology(7, [(i, (i + 1) % 7) for i in range(7)]),
                                    two_stars_topology(4, 5), make_topology("er(30,0.2,1)")])
     def test_spectral_moments_equal_a_loop_over_rounds(self, t):
+        """CI runs this on both numpy versions of its matrix: it pins
+        Generator.random(out=), the float-output np.less and the gather of each
+        edge class's two unit columns to the per-round draws and the
+        generator's end state, and the compact route (counts summed on the
+        cells, then divided by the samples) to the dense sums."""
         # Sample counts on both sides of each block edge: the moments and the
         # generator's end state are the per-round loop's after that many rounds.
         # The r matchings are r edge classes, so a block holds `block` rounds.
@@ -270,6 +275,9 @@ class TestMatchaPolicy:
     @pytest.mark.parametrize("budget_frac, silent", [(0.3, False), (1.0, False), (0.3, True)],
                              ids=["0.3", "1.0", "0.3-silent"])
     def test_spectral_moments_equal_an_int64_counter(self, budget_frac, silent):
+        """CI runs this on both numpy versions of its matrix: it pins the BLAS
+        product of the 0/1 class columns to an int64 counter, sign bits
+        included."""
         # The co-activation counts of a product of 0/1 int64 arrays per block,
         # over r = 12 matchings and six blocks; at budget_frac 1 every
         # matching is active every round, so each block adds its full size.

@@ -1,11 +1,13 @@
 import dataclasses
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bass import ExperimentConfig, build_policy, greedy_partition, load_config, make_topology
 from bass.cli import _build_parser, _config, main
-from bass.experiment import POLICY_KINDS, _policy_specs
+from bass.experiment import _CONFIG_PARSERS, POLICY_KINDS, _policy_specs
 
 # Every ExperimentConfig key set to a value other than its default, written
 # the same way in a config file and on the command line. budget, budget_frac
@@ -34,6 +36,7 @@ EVERY_KEY = {
     "eps_mc_samples": "500",
 }
 BUDGET_KEYS = ("budget", "budget_frac", "budget_sweep")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_flags(values):
@@ -347,3 +350,39 @@ class TestRun:
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--seed", "3", "--out-dir", str(tmp_path)])
+
+
+def readme_section(heading):
+    """The lines of README.md under ``heading`` up to the next ``##`` or
+    ``###`` heading."""
+    lines = README.read_text().splitlines()
+    start = lines.index(heading) + 1
+    ends = [i for i in range(start, len(lines)) if lines[i].startswith(("## ", "### "))]
+    return lines[start : ends[0] if ends else len(lines)]
+
+
+class TestReadme:
+    def test_quick_start_commands_exit_zero(self, tmp_path, monkeypatch):
+        section = "\n".join(readme_section("## Quick start"))
+        script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in script.splitlines()
+                    if line.strip() and not line.lstrip().startswith("#")]
+        assert len(commands) == 5
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert argv[0] == "bass"
+            assert main(argv[1:]) == 0, argv
+
+    def test_config_table_lists_every_key_with_its_default(self):
+        rows = [line.split("|")[1:3] for line in readme_section("## Configuration")
+                if line.startswith("| `")]
+        table = {key.strip().strip("`"): default.strip() for key, default in rows}
+        fields = dataclasses.fields(ExperimentConfig)
+        assert list(table) == [f.name for f in fields]
+        for f in fields:
+            cell = table[f.name]
+            if f.default is None:
+                assert cell == "unset", f.name
+            else:
+                assert cell[0] == cell[-1] == "`", f.name
+                assert _CONFIG_PARSERS[f.name][0](cell[1:-1]) == f.default, f.name

@@ -252,7 +252,8 @@ class TestRunTraining:
 def test_block_consensus_errors_are_the_per_call_errors(n, dim):
     """Below 8 coordinates the block sums them column by column, from 8 up
     with np.add.reduce; either way each error is consensus_error's, to the
-    bit, with magnitudes spread so that the summation order shows."""
+    bit, with magnitudes spread so that the summation order shows.
+    CI runs this on both numpy versions of its matrix."""
     rng = np.random.default_rng(dim)
     states = rng.normal(size=(6, n, dim)) * 10.0 ** rng.integers(-4, 5, size=(6, n, dim))
     obj = QuadraticObjective(np.zeros((n, dim)))

@@ -261,6 +261,11 @@ class TestIncidentPairs:
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
     def test_cells_sum_as_one_scatter_onto_n_by_n(self):
+        """CI runs this on both numpy versions of its matrix: it pins the cell
+        ranks (one np.searchsorted of the half-edges both ways, which the
+        incident pairs gather, and one of the pairs' far ends, on the two-hop
+        pattern) and the np.bincount cell sums to one n x n np.bincount
+        scatter."""
         # Each cell sums its terms in the order of one np.bincount of all
         # pairs onto the n x n array, -0.0 weights and isolated nodes
         # included, and the cells are exactly the entries it scatters to:

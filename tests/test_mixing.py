@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -295,6 +296,29 @@ class TestOptimizeEpsilon:
         assert res.evaluations == 1
         monkeypatch.undo()
         assert res.lower <= optimize_epsilon(obj).value
+
+    def test_no_filter_from_a_zero_top_ritz_value(self, monkeypatch):
+        # The first filter's block keeps one column here, whose Ritz value at
+        # the next point is 0: a filter shaped by that value alone would damp
+        # [0, 0] and divide by zero at every step. That point takes its
+        # spectrum instead.
+        obj = full_comm_objective(random_connected(np.random.default_rng(54548), 131, 79))
+        top_pair, thetas = mixing._RitzBasis.top_pair, []
+
+        def seen(*args):
+            pair = top_pair(*args)
+            thetas.append(pair[0])
+            return pair
+
+        monkeypatch.setattr(mixing._RitzBasis, "top_pair", seen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_epsilon(obj)
+        assert 0.0 in thetas
+        assert res.value - res.lower <= 1e-12
+        assert res.evaluations <= 7
+        monkeypatch.undo()
+        assert_certified(obj, res)
 
     def test_no_certificate_below_its_rounding(self, monkeypatch):
         # at n = 100 the Cholesky factor's backward error, about 100 e, does
@@ -618,6 +642,9 @@ def workload_moments():
 
 class TestCompactObjective:
     def test_contraction_matrix_is_the_dense_one_bit_for_bit(self):
+        """CI runs this on both numpy versions of its matrix: it pins the
+        compact fill's flat fancy assignment and flat subtraction, and its
+        diagonal trace, to the dense arithmetic and numpy's trace."""
         # zero-probability subsets leave -0.0 edge weights in E[L~]
         rng = np.random.default_rng(41)
         cases = list(workload_moments())
@@ -643,6 +670,7 @@ class TestCompactObjective:
             assert obj.trace_ratio() == dense.trace_ratio() == ratio, label
 
     def test_zero_probabilities_keep_negative_zero_weights(self):
+        """CI runs this on both numpy versions of its matrix."""
         t = ring_topology(6)
         obj = subset_objective(t, np.zeros(greedy_partition(t).q))
         lap = obj.e_laplacian
@@ -651,6 +679,8 @@ class TestCompactObjective:
         assert same_bits(lap, t.laplacian(np.zeros(len(t.edge_array))))
 
     def test_search_is_the_dense_search_on_the_workload_configs(self):
+        """The workloads include headline's matcha Monte Carlo moments. CI runs
+        this on both numpy versions of its matrix."""
         for label, obj in workload_moments():
             assert optimize_epsilon(obj) == optimize_epsilon(dense_of(obj)), label
 
@@ -775,6 +805,9 @@ class TestInPlaceCertificate:
         (None, (1, 63, 64, 65, 128, 129, 150, 192)),
     ])
     def test_accepts_and_rejects_as_numpy_cholesky(self, monkeypatch, block, sizes):
+        """CI runs this on both numpy versions of its matrix: it pins the
+        blocked factor's np.linalg.cholesky and np.linalg.solve on blocks to
+        np.linalg.cholesky's verdict on the whole matrix."""
         if block is not None:
             monkeypatch.setattr(mixing, "_FACTOR_BLOCK", block)
         rng = np.random.default_rng(43)
@@ -787,6 +820,7 @@ class TestInPlaceCertificate:
                 assert mixing._certifies(mat.copy(), level) == holds, (n, level)
 
     def test_indefinite_with_definite_diagonal_blocks_is_rejected(self, monkeypatch):
+        """CI runs this on both numpy versions of its matrix."""
         # level I - M fails only through the coupling of its blocks: each
         # diagonal block alone has a factor
         monkeypatch.setattr(mixing, "_FACTOR_BLOCK", 8)

@@ -320,7 +320,9 @@ class TestBatchedLogisticAgainstPerNodeLoop:
     seed=st.integers(0, 2**16),
 )
 def test_batched_logistic_matches_per_node_loop(sizes, batch_size, seed):
-    """Random shard sizes, shards drawn with overlap from a shared pool."""
+    """Random shard sizes, shards drawn with overlap from a shared pool.
+    CI runs this on both numpy versions of its matrix: it pins the one
+    integers() call per round to the per-node loop."""
     rng = np.random.default_rng(seed)
     x, y = make_blobs(40, 3, 2, rng)
     shards = [rng.integers(0, 40, size=k) for k in sizes]
@@ -344,7 +346,8 @@ def test_batched_logistic_matches_per_node_loop(sizes, batch_size, seed):
 def test_scalar_bound_draws_as_the_per_node_loop(size, batch_size):
     """Equal shards: one integers() call under a scalar bound gives the
     indices, and leaves the generator in the state, of per-node bounds and of
-    a loop with one call per node."""
+    a loop with one call per node.
+    CI runs this on both numpy versions of its matrix."""
     nodes = 6
     rngs = [np.random.default_rng(5) for _ in range(3)]
     scalar = rngs[0].integers(0, size, size=(nodes, batch_size))
@@ -408,7 +411,9 @@ def random_logistic(rng, sizes, classes, features, n_test=25):
 )
 def test_class_columns_equal_rowwise_reductions(classes, features, sizes, batch_size, scale, seed):
     """Below 8 classes the class-column kernels are bit-identical to the
-    row-wise .max/.sum(axis=-1), == np.arange and argmax formulas."""
+    row-wise .max/.sum(axis=-1), == np.arange and argmax formulas.
+    CI runs this on both numpy versions of its matrix: it pins the softmax's
+    column sums to numpy's .sum(axis=-1)."""
     rng = np.random.default_rng(seed)
     obj = random_logistic(rng, sizes, classes, features)
     state = rng.normal(0, scale, (len(sizes), obj.dim))
@@ -462,7 +467,8 @@ def test_gradient_softmax_is_the_row_major_class_columns(
 ):
     """The class-major softmax and the gradient read through its row-major
     view give the bits of the row-major class columns, equal and unequal
-    shards, a NaN model row included."""
+    shards, a NaN model row included.
+    CI runs this on both numpy versions of its matrix."""
     rng = np.random.default_rng(seed)
     sizes = [7] * nodes if equal else list(rng.integers(1, 30, nodes))
     obj = random_logistic(rng, sizes, classes, features)

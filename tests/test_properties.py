@@ -124,6 +124,8 @@ def test_closed_form_moments_match_enumeration(case):
 @PROPERTY
 @given(unit_policies(), st.floats(0.0, 2.0))
 def test_compact_moments_search_as_the_dense_moments(case, eps):
+    """CI runs this on both numpy versions of its matrix: it pins the compact
+    fill to the dense one."""
     # the same bits in the buffer at any eps, so the same search
     t, part, policy = case
     compact = closed_form_moments(t, policy.units(part, t))
@@ -139,6 +141,8 @@ def test_compact_moments_search_as_the_dense_moments(case, eps):
 @PROPERTY
 @given(unit_policies(maps=("matchings",)), st.integers(1, 2500), st.integers(0, 2**16))
 def test_monte_carlo_oracle_on_matchings_is_matcha_spectral_moments(case, samples, seed):
+    """The oracle over the matchings is matcha's estimate, bit for bit. CI runs
+    this on both numpy versions of its matrix."""
     t, part, policy = case
     oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     oracle = monte_carlo_moments(t, policy.units(part, t), samples, oracle_rng)
@@ -205,7 +209,8 @@ def test_monte_carlo_oracle_counts_shared_edge_classes(case, offset, seed):
     """Edges of one class survive together: over a map mixing u0 = u1 with
     u0 != u1, at 1 sample and at a block's rounds - 1, + 0 and + 1, the
     oracle's moments are the round sampler's sums and the generator ends in
-    the same state."""
+    the same state.
+    CI runs this on both numpy versions of its matrix."""
     t, units = case
     classes = {tuple(sorted(pair)) for pair in units.edge_units.T.tolist()}
     block = 1000 // max(units.probs.size, len(classes))
@@ -305,7 +310,9 @@ def test_mix_is_consensus_step_with_the_dense_mixing_matrix_bit_for_bit(t, epsil
     mixing(kept))``, signs of zero included, for subset and matching units
     and all, no, random and sampled masks. The states hold zeros of both
     signs and, if ``blown``, one infinite coordinate: at epsilon +-0.0
-    neither side has an off-diagonal term, so 0 * inf never arises."""
+    neither side has an off-diagonal term, so 0 * inf never arises.
+    CI runs this on both numpy versions of its matrix: it pins np.bincount's
+    in-order sums per node."""
     rng = np.random.default_rng(seed)
     part = greedy_partition(t)
     md = matching_decomposition(t)
@@ -415,7 +422,11 @@ def test_block_metrics_are_the_per_call_metrics(objective, seed, data):
     softmax is taken over chunks of 1 to 4 rounds. A NaN model row makes its
     round's softmax all NaN, and its accuracy is that of predicting class 0;
     the quadratic and outside objectives also take a NaN or ±inf in one
-    coordinate or in the whole row of a node."""
+    coordinate or in the whole row of a node.
+    CI runs this on both numpy versions of its matrix: it pins the reductions
+    over stacked axes (means, consensus errors, shard losses, argmax), the
+    column-by-column coordinate sums below 8 coordinates and the contiguous
+    node-axis reduction of the network averages to the per-round calls."""
     rng = np.random.default_rng(seed)
     n = data.draw(st.integers(2 if objective == "unequal" else 1, 8))
     if objective == "quadratic":
@@ -555,7 +566,9 @@ def test_run_training_is_the_per_call_loop_bit_for_bit(kind, objective, data):
     one with its own held-out metric. The metric blocks are
     cut to 1 to 3 states, and the runs take 0 rounds, 1, one block, one
     block + 1 and the drawn count; with a cap below one state every block
-    holds one round."""
+    holds one round.
+    CI runs this on both numpy versions of its matrix: it pins the block
+    metrics and np.bincount's in-order sums per node to the per-call functions."""
     t, part, policy, obj, cfg = data.draw(training_cases(kind, objective))
     size = t.n * obj.dim
     per_block = data.draw(st.integers(1, 3))
