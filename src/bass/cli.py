@@ -170,7 +170,7 @@ def _cmd_optimize_eps(args) -> int:
     print(f"eps_star = {search.epsilon:.8g}")
     print(f"s_star   = {search.value:.8g}  (largest eigenvalue of E[W^2] - J, to within tol)")
     print(f"s_lower  = {search.lower:.8g}  (certified lower bound on min s)")
-    print(f"evaluations = {search.evaluations}  (dense factorizations: eigvalsh spectra "
+    print(f"evaluations = {search.evaluations}  (dense factorizations: dense spectra "
           "and Cholesky certificates; a Lanczos first point is none)")
     if search.degenerate:
         print("warning: E[L~] = 0, no expected communication; eps set to 0")

@@ -21,18 +21,21 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    tol), a Lanczos run on the buffer (`_lanczos`: full reorthogonalization,
    a mean-free random start) gives Ritz pairs there.
    A Ritz value is only a lower bound on s(eps), so it is never taken as a
-   value of s. Below that size, or when the run ends on an invariant
-   subspace, `eigvalsh` gives the whole spectrum, an exact value of s.
+   value of s. Otherwise a dense spectrum gives an exact value of s: `eigh`,
+   with its eigenvectors, up to `_LANCZOS_NODES` nodes, and `eigvalsh`
+   above.
 2. Extends an orthonormal, mean-free Ritz basis U. Up to `_BASIS_CAP` + 1
    nodes U is all of the complement of the ones vector from the first step,
    so the model below is s itself and step 4's certificate normally ends the
-   search at the second evaluation. Otherwise a Chebyshev filter of the
-   buffer (matmuls only) adds a block of approximate top eigenvectors, and a
-   thick restart keeps U at most `_BASIS_CAP` columns wide. An exact
-   spectrum places the filter's cut-off in a gap; without one, Ritz values
-   stand in (the Lanczos run's for the first filter, whose block starts
-   from its top Ritz vectors, and the model's after that), the floor is 0
-   (M is PSD) and the top a Gershgorin bound.
+   search at the second evaluation. Otherwise eigenvectors in hand join U
+   as they are: an `eigh` spectrum's top `_BLOCK_SIZES[0]`, and while U is
+   empty a Lanczos run's top `_BLOCK_SIZES[-1]` (a run follows an
+   `eigvalsh` spectrum for them). At any other point a Chebyshev filter of
+   the buffer (matmuls only), shaped by the model's Ritz values, adds a
+   block of approximate top eigenvectors: it damps [0, cut-off] (M is PSD),
+   is scaled at a Gershgorin bound, and its degree is at most that of a
+   filter shaped by the Lanczos run's values. A thick restart keeps U at
+   most `_BASIS_CAP` columns wide.
 3. Minimizes the Ritz model m_U(eps) = lambda_max(U^T M(eps) U) <= s(eps), a
    problem of at most `_BASIS_CAP` columns, by the cuts q_v of its top
    eigenvectors v. The least maximum of all cuts so far is the certified
@@ -47,30 +50,32 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    n = 2000. The level is lowered by that estimate, and above about 4500
    nodes, where it no longer fits inside the default tol of 1e-12, every
    point gets its spectrum as in step 1. A residual that fails the test
-   grows the basis by a Ritz-shaped filter while it shrinks and the top
-   Ritz value is above 0; a factor that fails, a residual that stops
-   shrinking, or a top Ritz value of 0 (a filter has nothing to damp below
-   it) gets the exact spectrum there, as in step 1.
+   grows the basis by a filter while it shrinks and the top Ritz value is
+   above 0; a factor that fails, a residual that stops shrinking, or a top
+   Ritz value of 0 (a filter has nothing to damp below it) gets the dense
+   spectrum there, as in step 1.
 5. Stops once the best exact value minus the lower bound is at most `tol`.
    A search that reaches its cap without any exact value takes the
    spectrum at its last point.
 
-An evaluation is one dense factorization of the buffer: an `eigvalsh`
-spectrum or a Cholesky certificate; a Lanczos run is none. `_MAX_EVALUATIONS`
-caps the passes of the loop, each of which makes at most one factorization,
-one Lanczos run or one filter step. No bracket is needed, because the cuts
-grow without bound in eps.
+An evaluation is one dense factorization of the buffer: an `eigh` or
+`eigvalsh` spectrum or a Cholesky certificate; a Lanczos run is none.
+`_MAX_EVALUATIONS` caps the passes of the loop, each of which makes at most
+one factorization, one Lanczos run or one filter step. No bracket is needed,
+because the cuts grow without bound in eps.
 
-Memory: the buffer is the search's one n x n array. Once a filter is done
-with M, each moment is written into it in turn for the basis's projections,
-and the certificate overwrites it with its factor, holding beside it one
-panel of about n^2 / 8 entries (up to 128 nodes, one np.linalg.cholesky call
-and its two small copies). The Lanczos run holds `_LANCZOS_STEPS` vectors
-of n entries beside it. An `eigvalsh` spectrum adds LAPACK's n x n
-copy, so a search that takes one (every search up to `_LANCZOS_NODES` nodes,
-and above that only at a fallback point) peaks at two n x n arrays beside
-the moments' cells, about 0.2 n^2 entries on a sparse graph; one that takes
-none holds one.
+Memory: the buffer is the search's one n x n array. Once a spectrum, a
+Lanczos run or a filter is done with M, each moment is written into it in
+turn for the basis's projections, and the certificate overwrites it with its
+factor, holding beside it one panel of about n^2 / 8 entries (up to 128
+nodes, one np.linalg.cholesky call and its two small copies). The Lanczos
+run holds `_LANCZOS_STEPS` vectors of n entries beside it. An `eigh`
+spectrum, taken only up to `_LANCZOS_NODES` nodes, holds its eigenvectors
+plus LAPACK's workspace, about 3 n^2 doubles and under 1 MB. Above that, an
+`eigvalsh` spectrum adds LAPACK's n x n copy, so a search that takes one
+(only at a fallback point while the certificate fits inside tol) peaks at
+two n x n arrays beside the moments' cells, about 0.2 n^2 entries on a
+sparse graph; one that takes none holds one.
 """
 
 from __future__ import annotations
@@ -92,13 +97,14 @@ _CHECK_BLOCK = 2**15
 _BASIS_CAP = 40
 # Passes of the search before it gives up and warns with its gap. A pass
 # makes at most one dense factorization (a spectrum or a Cholesky
-# certificate) or one Ritz-shaped filter step, so this caps both.
+# certificate), one Lanczos run or one filter step, so this caps all three.
 _MAX_EVALUATIONS = 30
 # Model eigenproblems per exact evaluation.
 _MODEL_STEPS = 60
 # Chebyshev filter: the block sizes it may choose from, the damping of the
 # unwanted spectrum relative to the weakest wanted eigenvalue, and the
-# degree cap.
+# degree cap. An eigh spectrum gives the fewest vectors, a Lanczos run the
+# most.
 _BLOCK_SIZES = range(4, 13)
 _FILTER_DAMPING = 1e-4
 _MAX_FILTER_DEGREE = 200
@@ -108,8 +114,9 @@ _LANCZOS_SEED = 1
 # The fewest columns per block of the in-place Cholesky certificate.
 _FACTOR_BLOCK = 64
 # Above this many nodes, while the certificate fits inside tol, the first
-# point is a Lanczos run of _LANCZOS_STEPS steps in place of an eigvalsh
-# spectrum. The crossover was measured on the whole search (2 vCPUs, numpy
+# point is a Lanczos run of _LANCZOS_STEPS steps in place of a spectrum;
+# up to it, a spectrum is eigh's and gives its eigenvectors, above it
+# eigvalsh's. The crossover was measured on the whole search (2 vCPUs, numpy
 # 2.4, OpenBLAS 0.3; 200 random graphs with full, random and equal subset
 # probabilities, best of 3 each): summed over the graphs, the Lanczos
 # search took 1.25x the time of the spectrum's for 42-99 nodes and 1.05x
@@ -129,7 +136,7 @@ def contracts(value: float) -> bool:
 class EpsilonSearch:
     """Result of the 1-D mixing-parameter optimization: eps*, s* = s(eps*),
     a certified lower bound on min s, and the number of dense
-    factorizations the search made (``eigvalsh`` spectra plus Cholesky
+    factorizations the search made (dense spectra plus Cholesky
     certificates). A first point taken by a Lanczos run counts none, so
     above ``_LANCZOS_NODES`` nodes a search that the first certificate
     ends reports 1.
@@ -195,8 +202,10 @@ class _Cuts:
 
 class _RitzBasis:
     """An orthonormal, mean-free basis U with R1 = U^T E[L~] U and
-    R2 = U^T E[L~^2] U. Each projection takes its moment by ``moment``,
-    given the search's n x n buffer ``buf`` to write it into."""
+    R2 = U^T E[L~^2] U. Blocks join it by ``add``: a spectrum's or a
+    Lanczos run's eigenvectors as they are, and ``extend``'s filtered ones.
+    Each projection takes its moment by ``moment``, given the search's
+    n x n buffer ``buf`` to write it into."""
 
     def __init__(self, objective: _Moments, buf: np.ndarray):
         self.objective = objective
@@ -213,8 +222,8 @@ class _RitzBasis:
         else:
             self.u = np.empty((n, 0))
             self.r1 = self.r2 = np.empty((0, 0))
-        # Degree of the last filter shaped by an exact spectrum or a Lanczos
-        # run: the cap of the filters shaped by the model's Ritz values.
+        # Degree of a filter shaped by a Lanczos run's Ritz values
+        # (``_filter_shape``): the cap of ``extend``'s filters.
         self.degree = _MAX_FILTER_DEGREE
 
     def model(self, eps: float) -> np.ndarray:
@@ -241,62 +250,46 @@ class _RitzBasis:
         below = vals[vals < theta - math.sqrt(residual)]
         return theta, residual, theta - below[-1] if below.size else theta
 
-    def extend(self, mat: np.ndarray, eps: float, spectrum: np.ndarray | None = None,
-               lanczos: tuple[np.ndarray, np.ndarray] | None = None):
+    def extend(self, mat: np.ndarray, eps: float):
         """Add filtered approximations to the top eigenvectors of ``mat`` =
-        M(eps), the search's buffer: once the filter is done with M, it is
-        given to ``moment`` for each projection.
+        M(eps), the search's buffer, by ``add``.
 
-        Given the ascending eigenvalues ``spectrum`` of ``mat``, the filter
-        is shaped by them. Without it, Ritz values stand in: the model's at
-        eps, or, while the basis is empty, those of a Lanczos run on
-        ``mat``, ``lanczos`` (``_lanczos``'s pair). The floor is then 0 (M
-        is PSD), the top a Gershgorin bound of ``mat``, and the degree at
-        most that of the last filter shaped by a spectrum or a Lanczos run.
-        A lone Ritz value theta > 0 shapes a one-vector filter that damps
-        [0, theta]; the search takes the spectrum rather than pass a top
-        Ritz value of 0.
-
-        For a block of p, the filter starts from the model's top p - 1 Ritz
-        vectors plus one random vector; on an empty basis, from the top p
-        Lanczos Ritz vectors plus one random vector, or from p random
-        vectors given only a spectrum.
+        The filter damps [0, cut-off] (M is PSD), the cut-off being one of
+        the model's Ritz values at eps (``_filter_shape``), and is scaled to
+        1 at a Gershgorin bound of ``mat``; its degree is at most
+        ``degree``. A lone Ritz value theta > 0 shapes a one-vector filter
+        that damps [0, theta]; the search takes the spectrum rather than
+        pass a top Ritz value of 0. For a block of p, the filter starts from
+        the model's top p - 1 Ritz vectors plus one random vector.
         """
-        n = self.objective.n
-        k = self.u.shape[1]
-        if k == n - 1:
+        n, k = self.objective.n, self.u.shape[1]
+        vals, y = np.linalg.eigh(self.model(eps))
+        p, degree = _filter_shape(vals, self.degree)
+        start = np.hstack([self.u @ y[:, max(k + 1 - p, 0) :], self.rng.standard_normal((n, 1))])
+        # Scaled at the Gershgorin bound: the top Ritz value can lie below
+        # s(eps), and scaled there the filter overflowed on two-stars(40,40)
+        # and put the lower bound above min s on er(100,0.05,3). Scaled at
+        # the bound, it shrinks the block by its value at s: over 200 random
+        # searches (42-420 nodes, subset probabilities all one or uniform on
+        # [0.01, 1]) the smallest column maximum of a filtered block was
+        # 1e-168, still far above the underflow at about 1e-308.
+        block = _chebyshev_filter(mat, start, vals[-p - 1], _row_bound(mat), degree)
+        self.add(mat, block, eps)
+
+    def add(self, mat: np.ndarray, block: np.ndarray, eps: float):
+        """Join ``block``'s columns to U, made mean-free and orthonormal to U
+        and to each other, and border R1 and R2 with their projections: the
+        search's buffer ``mat`` is given to ``moment`` for them. A block
+        that would overflow _BASIS_CAP first restarts U to the model's top
+        Ritz vectors at eps; nothing joins an exact basis."""
+        k, p = self.u.shape[1], block.shape[1]
+        if k == self.objective.n - 1:
             return
-        if k:
-            vals, y = np.linalg.eigh(self.model(eps))
-        elif lanczos is not None:
-            vals, ritz = lanczos
-        if spectrum is None:
-            # Scaled at the Gershgorin bound: the top Ritz value can lie below
-            # s(eps), and scaled there the filter overflowed on two-stars(40,40)
-            # and put the lower bound above min s on er(100,0.05,3). At the
-            # degree cap the block there still reads >= 1e-47, far from 0.
-            p, degree = _filter_shape(0.0, vals, self.degree)
-            low, cut, top = 0.0, vals[-p - 1], _row_bound(mat)
-        else:
-            p, degree = _filter_shape(spectrum[0], spectrum, _MAX_FILTER_DEGREE)
-            low, cut, top = spectrum[0], spectrum[-p - 1], spectrum[-1]
-        if spectrum is not None or not k:
-            self.degree = degree
-        if k:
-            # Restart to the model's top Ritz vectors when the block would
-            # overflow the cap.
-            ritz = self.u @ y
-            if k + p > _BASIS_CAP:
-                y = y[:, k + p - _BASIS_CAP :]
-                self.u = ritz[:, k + p - _BASIS_CAP :]
-                self.r1 = y.T @ self.r1 @ y
-                self.r2 = y.T @ self.r2 @ y
-            start = np.hstack([ritz[:, max(k + 1 - p, 0) :], self.rng.standard_normal((n, 1))])
-        elif lanczos is not None:
-            start = np.hstack([ritz[:, -p:], self.rng.standard_normal((n, 1))])
-        else:
-            start = self.rng.standard_normal((n, p))
-        block = _chebyshev_filter(mat, start, low, cut, top, degree)
+        if k + p > _BASIS_CAP:
+            y = np.linalg.eigh(self.model(eps))[1][:, k + p - _BASIS_CAP :]
+            self.u = self.u @ y
+            self.r1 = y.T @ self.r1 @ y
+            self.r2 = y.T @ self.r2 @ y
         # Two passes of projection and QR keep U orthonormal and mean-free to
         # rounding. The first drops columns dependent on the block's others.
         # The second, whose input columns are unit, drops those that shrink
@@ -363,25 +356,25 @@ def _bordered(r: np.ndarray, u: np.ndarray, block: np.ndarray, image: np.ndarray
     return np.block([[r, side], [side.T, corner]])
 
 
-def _filter_shape(low: float, values: np.ndarray, max_degree: int) -> tuple[int, int]:
+def _filter_shape(values: np.ndarray, max_degree: int) -> tuple[int, int]:
     """Block size p and degree of the Chebyshev filter for ascending
-    eigenvalue estimates ``values`` above a floor ``low`` of the spectrum.
+    eigenvalue estimates ``values`` of M, whose floor is 0 (M is PSD).
 
-    The filter damps [low, cut-off], the cut-off being the (p+1)-th largest
+    The filter damps [0, cut-off], the cut-off being the (p+1)-th largest
     value. The degree that damps it by _FILTER_DAMPING relative to the p-th
     largest is acosh(1 / damping) / acosh(t_p), t_p that value mapped onto
     the Chebyshev variable, capped at ``max_degree``; p minimizes the matmul
     columns p * degree, which puts the cut-off in a gap of the values, never
     inside a degenerate cluster. Block sizes run up to one less than the
     number of values, so that every cut-off is one of them; a single value,
-    which must lie above ``low``, gives p = 0, a cut-off at that value and
-    the degree ``max_degree``.
+    which must lie above 0, gives p = 0, a cut-off at that value and the
+    degree ``max_degree``.
     """
     sizes = range(min(_BLOCK_SIZES[0], values.size - 1), min(_BLOCK_SIZES[-1] + 1, values.size))
     best = (sizes[0], max_degree)
     for p in sizes:
         cut, weakest = values[-p - 1], values[-p]
-        half = 0.5 * (cut - low)
+        half = 0.5 * cut
         if half <= 0.0:
             # Only the block's eigenvalues are above the bottom of the
             # spectrum, so one product with M removes the rest.
@@ -389,7 +382,7 @@ def _filter_shape(low: float, values: np.ndarray, max_degree: int) -> tuple[int,
         elif weakest <= cut:
             continue
         else:
-            t = (weakest - 0.5 * (cut + low)) / half
+            t = (weakest - half) / half
             degree = math.ceil(math.acosh(1.0 / _FILTER_DAMPING) / math.acosh(t))
             degree = min(degree, max_degree)
         if p * degree < best[0] * best[1]:
@@ -406,35 +399,36 @@ def _row_bound(mat: np.ndarray) -> float:
     )
 
 
-def _chebyshev_filter(mat, block, low, cut, top, degree):
+def _chebyshev_filter(mat, block, cut, top, degree):
     """Chebyshev polynomial of ``mat`` applied to ``block``: it damps the
-    eigenvalues in [low, cut] and is scaled to 1 at ``top`` (Zhou & Saad's
-    scaled three-term recurrence)."""
-    center, half = 0.5 * (cut + low), 0.5 * (cut - low)
-    sigma = first = half / (top - center)
+    eigenvalues in [0, cut] and is scaled to 1 at ``top`` (Zhou & Saad's
+    scaled three-term recurrence). The interval's center is its half-width."""
+    half = 0.5 * cut
+    sigma = first = half / (top - half)
     prev = block
-    block = (mat @ block - center * block) / (top - center)
+    block = (mat @ block - half * block) / (top - half)
     for _ in range(degree - 1):
         sigma_next = 1.0 / (2.0 / first - sigma)
         nxt = mat @ block
-        nxt -= center * block
+        nxt -= half * block
         nxt *= 2.0 * sigma_next / half
         nxt -= (sigma * sigma_next) * prev
         prev, block, sigma = block, nxt, sigma_next
     return block
 
 
-def _lanczos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ritz pairs of ``mat`` = M(eps) from _LANCZOS_STEPS Lanczos steps with
-    full reorthogonalization: the ascending Ritz values, and as columns the
-    unit, mean-free Ritz vectors of the top _BLOCK_SIZES[-1] of them, the
-    most a filter starts from. None if the run ends on an invariant
-    subspace: at its first step on a spectrum of one eigenvalue (a complete
-    graph's), and at every size up to _LANCZOS_STEPS nodes.
+def _lanczos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz pairs of ``mat`` = M(eps) from at most _LANCZOS_STEPS Lanczos
+    steps with full reorthogonalization: the ascending Ritz values, and as
+    columns the unit, mean-free Ritz vectors of the top _BLOCK_SIZES[-1] of
+    them. A run that ends on an invariant subspace (at its first step on a
+    spectrum of one eigenvalue, a complete graph's, and at every size up to
+    _LANCZOS_STEPS nodes) returns that subspace's pairs, which are
+    eigenpairs.
 
     The start is a mean-free random vector of the run's own generator, so
-    that a search whose run ends early draws the same filter vectors as a
-    search without it.
+    that the filters draw the same vectors whether or not a run took the
+    first point.
 
     Every Ritz value is at most s(eps), and from a random start the top one
     approaches s with high probability (Kuczynski and Wozniakowski, SIAM J.
@@ -459,10 +453,10 @@ def _lanczos(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         w -= w.mean()
         beta[j] = np.linalg.norm(w)
         if beta[j] <= 1e-10:
-            return None
+            break
         q[j + 1] = w / beta[j]
-    vals, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-    return vals, q.T @ y[:, -_BLOCK_SIZES[-1] :]
+    vals, y = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
+    return vals, q[: j + 1].T @ y[:, -_BLOCK_SIZES[-1] :]
 
 
 def _certifies(mat: np.ndarray, level: float) -> bool:
@@ -511,11 +505,13 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
     """Minimize the expected contraction factor s over the step size, to a
     certified gap: s(epsilon) - lower <= tol, with lower <= min s.
 
-    Each evaluation is one dense factorization of M(eps): an ``eigvalsh``
-    spectrum, or a Cholesky factor of (lower + tol) I - M that certifies
-    s(eps) < lower + tol. Above ``_LANCZOS_NODES`` nodes the first point is
-    a Lanczos run instead, which is no evaluation (see the module
-    docstring).
+    Each evaluation is one dense factorization of M(eps): a spectrum
+    (``eigh`` up to ``_LANCZOS_NODES`` nodes, whose top eigenvectors join
+    the Ritz basis, ``eigvalsh`` above), or a Cholesky factor of
+    (lower + tol) I - M that certifies s(eps) < lower + tol. Above
+    ``_LANCZOS_NODES`` nodes the first point is a Lanczos run instead,
+    which is no evaluation; a run also gives the vectors of an empty basis
+    after an ``eigvalsh`` spectrum (see the module docstring).
 
     A degenerate result (eps = 0) is returned when E[L~] vanishes, i.e. no
     link is ever activated bidirectionally. A result with value >= 1 warns:
@@ -547,28 +543,23 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
     ritz_steps = slack < tol
     take_spectrum = not (ritz_steps and objective.n > _LANCZOS_NODES)
     evaluations = 0
+    last_residual = math.inf
     for _ in range(_MAX_EVALUATIONS):
         objective.contraction_matrix(eps, out=buf)
+        vectors = None
         if take_spectrum:
-            spectrum = np.linalg.eigvalsh(buf)
+            if objective.n <= _LANCZOS_NODES:
+                values, vectors = np.linalg.eigh(buf)
+                vectors = vectors[:, -_BLOCK_SIZES[0] :]
+            else:
+                values = np.linalg.eigvalsh(buf)
             evaluations += 1
-            if spectrum[-1] < best_value:
-                best_value, best_eps = float(spectrum[-1]), eps
+            if values[-1] < best_value:
+                best_value, best_eps = float(values[-1]), eps
             if best_value - lower <= tol:
                 break
-            basis.extend(buf, eps, spectrum)
             last_residual = math.inf
-        elif not basis.u.shape[1]:
-            # The first point without a spectrum: a Lanczos run shapes the
-            # first filter. Its Ritz values are only lower bounds on s, so
-            # none is taken as a value.
-            lanczos = _lanczos(buf)
-            if lanczos is None:
-                take_spectrum = True
-                continue
-            basis.extend(buf, eps, lanczos=lanczos)
-            last_residual = math.inf
-        else:
+        elif basis.u.shape[1]:
             theta, residual, gap = basis.top_pair(buf, eps)
             if residual <= tol * gap:
                 evaluations += 1
@@ -577,14 +568,23 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
                     break
                 take_spectrum = True
                 continue
-            # A Ritz-shaped filter step only while the residual shrinks, and
-            # only from a top Ritz value above M's floor 0, which is all a
-            # filter damps below it; the spectrum at this point otherwise.
+            # A filter step only while the residual shrinks, and only from a
+            # top Ritz value above M's floor 0, which is all a filter damps
+            # below it; the spectrum at this point otherwise.
             if residual >= last_residual or theta <= 0.0:
                 take_spectrum = True
                 continue
-            basis.extend(buf, eps)
             last_residual = residual
+        if vectors is None and not basis.u.shape[1]:
+            # An empty basis without a spectrum's vectors takes a Lanczos
+            # run's. Its Ritz values are only lower bounds on s, so none is
+            # taken as a value.
+            values, vectors = _lanczos(buf)
+            basis.degree = _filter_shape(values, _MAX_FILTER_DEGREE)[1]
+        if vectors is None:
+            basis.extend(buf, eps)
+        else:
+            basis.add(buf, vectors, eps)
         eps, model_lower = basis.minimize(cuts, eps, 0.5 * tol)
         lower = max(lower, model_lower)
         if best_value - lower <= tol:

@@ -211,16 +211,21 @@ class TestOptimizeEpsilon:
 
     def test_small_graphs_need_two_evaluations(self, monkeypatch):
         # up to 41 nodes the Ritz model is s itself, and its second point is
-        # certified by a Cholesky factor as above 41 nodes
+        # certified by a Cholesky factor as above 41 nodes; every other call
+        # is one of the model's (n - 1) x (n - 1) eigenproblems
         rng = np.random.default_rng(19)
-        cholesky, eigvalsh, calls = np.linalg.cholesky, np.linalg.eigvalsh, []
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("cholesky") or cholesky(a))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+        calls = []
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, f=f, name=name: calls.append((name, a.shape)) or f(a)
+            )
         for n in (3, 12, 41):
             obj = subset_objective(random_connected(rng, n, extra_edges=n), seed=n)
             calls.clear()
             assert optimize_epsilon(obj).evaluations == 2
-            assert calls == ["eigvalsh", "cholesky"]
+            dense = [name for name, shape in calls if shape != (n - 1, n - 1)]
+            assert dense == ["eigh", "cholesky"]
 
     def test_growing_basis_needs_few_evaluations(self, monkeypatch):
         # the bass policy of the large-er benchmark: golden section needed 45,
@@ -242,26 +247,40 @@ class TestOptimizeEpsilon:
         assert res.evaluations == 1
         assert_certified(obj, res)
 
-    @pytest.mark.parametrize("topology, tol", [("er(100,0.05,3)", 1e-12), ("er(400,0.012,1)", 1e-14)])
-    def test_first_point_is_a_spectrum_up_to_the_crossover(self, monkeypatch, topology, tol):
-        # up to _LANCZOS_NODES nodes (the sweep's graph), and wherever the
-        # certificate does not fit inside tol, the first point is eigvalsh's
+    @pytest.mark.parametrize(
+        "topology, tol, first",
+        [("er(100,0.05,3)", 1e-12, ["eigh"]), ("er(400,0.012,1)", 1e-14, ["eigvalsh", "lanczos"])],
+    )
+    def test_first_point_is_a_spectrum_up_to_the_crossover(self, monkeypatch, topology, tol, first):
+        # up to _LANCZOS_NODES nodes (the sweep's graph) the first point is
+        # eigh's spectrum and vectors; above, where the certificate does not
+        # fit inside tol, it is eigvalsh's spectrum, and a Lanczos run gives
+        # the empty basis its vectors. Every later spectrum is of the first
+        # kind, and there is no other run.
         t = make_topology(topology)
         part = greedy_partition(t)
         scores = subset_betweenness(t.betweenness, part)
         obj = subset_objective(t, solve_probabilities(scores, 0.5 * part.q, 0.01))
-        eigvalsh, lanczos, calls = np.linalg.eigvalsh, mixing._lanczos, []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda a, f=f, name=name: (a.shape == (t.n, t.n) and calls.append(name)) or f(a),
+            )
+        lanczos = mixing._lanczos
         monkeypatch.setattr(mixing, "_lanczos", lambda *a: calls.append("lanczos") or lanczos(*a))
         res = optimize_epsilon(obj, tol=tol)
         monkeypatch.undo()
-        assert calls[0] == (t.n, t.n) and "lanczos" not in calls
+        assert calls[: len(first)] == first
+        assert set(calls[len(first) :]) <= {first[0]}
         assert res.value - res.lower <= tol
 
     def test_failed_certificate_falls_back_to_the_spectrum(self, monkeypatch):
-        # a Cholesky factor that fails once hands its point to eigvalsh
+        # a Cholesky factor that fails once hands its point to eigh (the
+        # model's eigenproblems are at most _BASIS_CAP wide)
         obj = subset_objective(er_topology(100, 0.05, 3), seed=3)
-        cholesky, eigvalsh, calls = np.linalg.cholesky, np.linalg.eigvalsh, []
+        cholesky, eigh, calls = np.linalg.cholesky, np.linalg.eigh, []
 
         def fails_once(a):
             calls.append("cholesky")
@@ -270,10 +289,12 @@ class TestOptimizeEpsilon:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", fails_once)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: (len(a) == obj.n and calls.append("eigh")) or eigh(a)
+        )
         res = optimize_epsilon(obj)
         monkeypatch.undo()
-        assert calls[calls.index("cholesky") + 1] == "eigvalsh"
+        assert calls[calls.index("cholesky") + 1] == "eigh"
         assert res.evaluations == len(calls)
         assert_certified(obj, res)
 
@@ -297,28 +318,38 @@ class TestOptimizeEpsilon:
         monkeypatch.undo()
         assert res.lower <= optimize_epsilon(obj).value
 
-    def test_no_filter_from_a_zero_top_ritz_value(self, monkeypatch):
-        # The first filter's block keeps one column here, whose Ritz value at
-        # the next point is 0: a filter shaped by that value alone would damp
-        # [0, 0] and divide by zero at every step. That point takes its
-        # spectrum instead.
+    def test_first_spectrum_gives_the_basis_its_eigenvectors(self):
+        # A first filter shaped by the spectrum kept one column of its block
+        # here, whose Ritz value at the model's next point was 0, and the
+        # search took 5 evaluations; the spectrum's own top eigenvectors
+        # join the basis instead.
         obj = full_comm_objective(random_connected(np.random.default_rng(54548), 131, 79))
-        top_pair, thetas = mixing._RitzBasis.top_pair, []
-
-        def seen(*args):
-            pair = top_pair(*args)
-            thetas.append(pair[0])
-            return pair
-
-        monkeypatch.setattr(mixing._RitzBasis, "top_pair", seen)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = optimize_epsilon(obj)
-        assert 0.0 in thetas
-        assert res.value - res.lower <= 1e-12
-        assert res.evaluations <= 7
-        monkeypatch.undo()
+        assert res.evaluations <= 2
         assert_certified(obj, res)
+
+    def test_filtered_blocks_stay_far_from_underflow(self, monkeypatch):
+        # a filter is scaled to 1 at a Gershgorin bound of M, above s, so it
+        # shrinks its block by its value at s; over 200 such searches the
+        # smallest column maximum of a filtered block was about 1e-168
+        rng = np.random.default_rng(7)
+        chebyshev_filter, smallest = mixing._chebyshev_filter, []
+
+        def seen(*args):
+            block = chebyshev_filter(*args)
+            smallest.append(np.abs(block).max(axis=0).min())
+            return block
+
+        monkeypatch.setattr(mixing, "_chebyshev_filter", seen)
+        for i in range(24):
+            n = int(rng.integers(42, 421))
+            t = random_connected(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
+            q = greedy_partition(t).q
+            obj = subset_objective(t, np.ones(q) if i % 2 == 0 else rng.uniform(0.01, 1.0, q))
+            assert_certified(obj, optimize_epsilon(obj))
+        assert smallest and min(smallest) > 1e-250
 
     def test_no_certificate_below_its_rounding(self, monkeypatch):
         # at n = 100 the Cholesky factor's backward error, about 100 e, does
@@ -364,8 +395,9 @@ class TestOptimizeEpsilon:
     def test_full_communication_closed_form(self, topology):
         # ring(200)'s spectrum is degenerate pairs; a complete graph's is one
         # eigenvalue of multiplicity n - 1, and s* = 0; two-stars(40,40)'s
-        # first filter keeps one column, and its lone Ritz value shapes a
-        # one-vector filter
+        # first spectrum gives eigenvectors of one end of L's spectrum only,
+        # so the model's first point fails its certificate and takes a
+        # second spectrum
         res = optimize_epsilon(full_comm_objective(topology))
         eigs = np.linalg.eigvalsh(topology.laplacian())
         lam2, lam_n = eigs[1], eigs[-1]
@@ -452,7 +484,7 @@ def random_policy_objective(n, extra, seed, probs):
 def search_both_ways(obj):
     """The search of ``obj`` with its first point taken by a Lanczos run
     wherever the Helmert basis is not exact (above 41 nodes), and with it
-    taken by eigvalsh at every size."""
+    taken by eigh at every size."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mixing, "_LANCZOS_NODES", mixing._BASIS_CAP + 1)
         lanczos = optimize_epsilon(obj)
@@ -504,17 +536,25 @@ class TestLanczosFirstPoint:
 
     def test_invariant_subspace_takes_the_spectrum(self, monkeypatch):
         # complete(50) under full communication: M(eps) is a multiple of
-        # I - J, so the run ends at its first step and eigvalsh takes the point
-        # (the run draws its start from its own generator, so the search is
-        # then the search without it)
+        # I - J, so the run ends at its first step, and its one Ritz vector,
+        # an eigenvector, joins the basis. The model's best point is the
+        # exact search's first, where M vanishes: its top Ritz value is 0 to
+        # rounding, so eigvalsh takes the point rather than a filter
         obj = policy_objective(complete_topology(50), "full")
         monkeypatch.setattr(mixing, "_LANCZOS_NODES", mixing._BASIS_CAP + 1)
-        eigvalsh, lanczos, calls = np.linalg.eigvalsh, mixing._lanczos, []
+        eigvalsh, lanczos, top_pair, calls = (
+            np.linalg.eigvalsh, mixing._lanczos, mixing._RitzBasis.top_pair, []
+        )
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         monkeypatch.setattr(mixing, "_lanczos", lambda *a: calls.append(lanczos(*a)) or calls[-1])
+        monkeypatch.setattr(
+            mixing._RitzBasis, "top_pair", lambda *a: calls.append(top_pair(*a)) or calls[-1]
+        )
         res = optimize_epsilon(obj)
         monkeypatch.undo()
-        assert calls[:2] == [None, (50, 50)]
+        (values, vectors), (theta, _, _), spectrum = calls
+        assert values.size == 1 and vectors.shape == (50, 1)
+        assert theta <= 0.0 and spectrum == (50, 50)
         assert res == search_both_ways(obj)[1]
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert_certified(obj, res)
