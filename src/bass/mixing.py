@@ -33,7 +33,7 @@ s* = s(eps*), a lower bound on min s, and stops when the two are within
    `eigvalsh` spectrum for them). At any other point a Chebyshev filter of
    the buffer (matmuls only), shaped by the model's Ritz values, adds a
    block of approximate top eigenvectors: it damps [0, cut-off] (M is PSD),
-   is scaled at a Gershgorin bound, and its degree is at most that of a
+   rescales its terms at every step, and its degree is at most that of a
    filter shaped by the Lanczos run's values. A thick restart keeps U at
    most `_BASIS_CAP` columns wide.
 3. Minimizes the Ritz model m_U(eps) = lambda_max(U^T M(eps) U) <= s(eps), a
@@ -64,18 +64,19 @@ An evaluation is one dense factorization of the buffer: an `eigh` or
 one factorization, one Lanczos run or one filter step. No bracket is needed,
 because the cuts grow without bound in eps.
 
-Memory: the buffer is the search's one n x n array. Once a spectrum, a
-Lanczos run or a filter is done with M, each moment is written into it in
-turn for the basis's projections, and the certificate overwrites it with its
-factor, holding beside it one panel of about n^2 / 8 entries (up to 128
-nodes, one np.linalg.cholesky call and its two small copies). The Lanczos
-run holds `_LANCZOS_STEPS` vectors of n entries beside it. An `eigh`
-spectrum, taken only up to `_LANCZOS_NODES` nodes, holds its eigenvectors
-plus LAPACK's workspace, about 3 n^2 doubles and under 1 MB. Above that, an
-`eigvalsh` spectrum adds LAPACK's n x n copy, so a search that takes one
-(only at a fallback point while the certificate fits inside tol) peaks at
-two n x n arrays beside the moments' cells, about 0.2 n^2 entries on a
-sparse graph; one that takes none holds one.
+Memory: the buffer is the search's one n x n array, and the search only
+fills it, multiplies by it and factors it. Once a spectrum, a Lanczos run or
+a filter is done with M, each moment is written into it in turn for the
+basis's projections, and the certificate overwrites it with its factor,
+holding beside it one panel of about n^2 / 8 entries (up to 128 nodes, one
+np.linalg.cholesky call and its two small copies). The Lanczos run holds
+`_LANCZOS_STEPS` vectors of n entries beside it. An `eigh` spectrum, taken
+only up to `_LANCZOS_NODES` nodes, holds its eigenvectors plus LAPACK's
+workspace, about 3 n^2 doubles and under 1 MB. Above that, an `eigvalsh`
+spectrum adds LAPACK's n x n copy, so a search that takes one (only at a
+fallback point while the certificate fits inside tol) peaks at two n x n
+arrays beside the moments' cells, about 0.2 n^2 entries on a sparse graph;
+one that takes none holds one.
 """
 
 from __future__ import annotations
@@ -90,8 +91,6 @@ import numpy as np
 # from this module.
 from .moments import SpectralObjective, _Moments  # noqa: F401
 
-# Entries per row block of the Gershgorin bound `_row_bound`.
-_CHECK_BLOCK = 2**15
 # Columns of the Ritz basis: the model eigenproblems are at most this size,
 # and up to this many nodes plus one the basis is exact.
 _BASIS_CAP = 40
@@ -173,7 +172,14 @@ class _Cuts:
         self.gamma = np.concatenate([self.gamma, gamma])
 
     def minimum(self) -> tuple[float, float]:
-        """(argmin, min) over eps >= 0 of the maximum of the cuts."""
+        """(argmin, lower) over eps >= 0 of the maximum of the cuts, lower at
+        most their exact minimum. A candidate c is a vertex or crossing x
+        rounded at most three times; where the computed maximum 1 + top at
+        c is cut j's, q_j(x) >= 1 + top - e (1 + 4 (|top| + c^2 |gamma_j|)),
+        e the machine epsilon: c's rounding moves q_j by 1.5 e (|top| +
+        c^2 |gamma_j|), its evaluation errs by 0.5 e c^2 |gamma_j| + e |top|
+        and the final sums by about e (|top| + 0.5). The exact minimum is
+        q_j at its own x or above, so the least of these bounds is lower."""
         beta, gamma = self.beta, self.gamma
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = beta / gamma
@@ -183,11 +189,13 @@ class _Cuts:
         if cand.size == 0:  # every cut is the constant 1
             return 0.0, 1.0
         lines = cand[:, None] * (cand[:, None] * gamma - 2.0 * beta)
-        top = lines.max(axis=1)
-        i = int(np.argmin(top))
+        at = lines.argmax(axis=1)
+        top = lines[np.arange(cand.size), at]
         keep = (lines >= top[:, None]).any(axis=0)
+        magnitude = np.abs(top) + cand * cand * np.abs(gamma[at])
+        lower = (top - np.finfo(float).eps * (1.0 + 4.0 * magnitude)).min()
         self.beta, self.gamma = beta[keep], gamma[keep]
-        return float(cand[i]), 1.0 + float(top[i])
+        return float(cand[top.argmin()]), 1.0 + float(lower)
 
     def sublevel(self, level: float) -> tuple[float, float]:
         """The interval of eps >= 0 on which every cut is at most ``level``."""
@@ -255,25 +263,18 @@ class _RitzBasis:
         M(eps), the search's buffer, by ``add``.
 
         The filter damps [0, cut-off] (M is PSD), the cut-off being one of
-        the model's Ritz values at eps (``_filter_shape``), and is scaled to
-        1 at a Gershgorin bound of ``mat``; its degree is at most
-        ``degree``. A lone Ritz value theta > 0 shapes a one-vector filter
-        that damps [0, theta]; the search takes the spectrum rather than
-        pass a top Ritz value of 0. For a block of p, the filter starts from
-        the model's top p - 1 Ritz vectors plus one random vector.
+        the model's Ritz values at eps (``_filter_shape``), and keeps its
+        own scale; its degree is at most ``degree``. A lone Ritz value
+        theta > 0 shapes a one-vector filter that damps [0, theta]; the
+        search takes the spectrum rather than pass a top Ritz value of 0.
+        For a block of p, the filter starts from the model's top p - 1 Ritz
+        vectors plus one random vector.
         """
         n, k = self.objective.n, self.u.shape[1]
         vals, y = np.linalg.eigh(self.model(eps))
         p, degree = _filter_shape(vals, self.degree)
         start = np.hstack([self.u @ y[:, max(k + 1 - p, 0) :], self.rng.standard_normal((n, 1))])
-        # Scaled at the Gershgorin bound: the top Ritz value can lie below
-        # s(eps), and scaled there the filter overflowed on two-stars(40,40)
-        # and put the lower bound above min s on er(100,0.05,3). Scaled at
-        # the bound, it shrinks the block by its value at s: over 200 random
-        # searches (42-420 nodes, subset probabilities all one or uniform on
-        # [0.01, 1]) the smallest column maximum of a filtered block was
-        # 1e-168, still far above the underflow at about 1e-308.
-        block = _chebyshev_filter(mat, start, vals[-p - 1], _row_bound(mat), degree)
+        block = _chebyshev_filter(mat, start, vals[-p - 1], degree)
         self.add(mat, block, eps)
 
     def add(self, mat: np.ndarray, block: np.ndarray, eps: float):
@@ -390,30 +391,26 @@ def _filter_shape(values: np.ndarray, max_degree: int) -> tuple[int, int]:
     return best
 
 
-def _row_bound(mat: np.ndarray) -> float:
-    """Gershgorin bound max_i sum_j |mat_ij| on the spectrum of ``mat``, in
-    row blocks of at most _CHECK_BLOCK entries."""
-    rows = max(1, _CHECK_BLOCK // mat.shape[1])
-    return max(
-        float(np.abs(mat[r : r + rows]).sum(axis=1).max()) for r in range(0, mat.shape[0], rows)
-    )
-
-
-def _chebyshev_filter(mat, block, cut, top, degree):
-    """Chebyshev polynomial of ``mat`` applied to ``block``: it damps the
-    eigenvalues in [0, cut] and is scaled to 1 at ``top`` (Zhou & Saad's
-    scaled three-term recurrence). The interval's center is its half-width."""
+def _chebyshev_filter(mat, block, cut, degree):
+    """Chebyshev polynomial of ``mat`` applied to ``block``, up to one
+    positive factor: c T_degree((mat - c) / c) block for c = cut / 2, which
+    damps the eigenvalues in [0, cut] (Zhou & Saad's three-term recurrence,
+    its first two terms taken times c, so that degree 1 at cut 0 is
+    ``mat @ block``). Each step divides the recurrence's two latest terms by
+    the newer one's largest magnitude, so after every step the block's
+    largest entry is 1, whatever the spectrum of ``mat``."""
     half = 0.5 * cut
-    sigma = first = half / (top - half)
-    prev = block
-    block = (mat @ block - half * block) / (top - half)
+    prev = half * block
+    block = mat @ block - prev
     for _ in range(degree - 1):
-        sigma_next = 1.0 / (2.0 / first - sigma)
         nxt = mat @ block
         nxt -= half * block
-        nxt *= 2.0 * sigma_next / half
-        nxt -= (sigma * sigma_next) * prev
-        prev, block, sigma = block, nxt, sigma_next
+        nxt *= 2.0 / half
+        nxt -= prev
+        scale = 1.0 / np.abs(nxt).max()
+        block *= scale
+        nxt *= scale
+        prev, block = block, nxt
     return block
 
 
@@ -522,7 +519,7 @@ def optimize_epsilon(objective: _Moments, tol: float = 1e-12) -> EpsilonSearch:
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     buf = np.empty((objective.n, objective.n))
-    if not objective.moment(1, buf).any():
+    if not objective.laplacian_values.any():
         value = float(np.linalg.eigvalsh(objective.contraction_matrix(0.0, out=buf))[-1])
         return EpsilonSearch(
             epsilon=0.0, value=value, lower=value, evaluations=1, degenerate=True

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -331,9 +332,9 @@ class TestOptimizeEpsilon:
         assert_certified(obj, res)
 
     def test_filtered_blocks_stay_far_from_underflow(self, monkeypatch):
-        # a filter is scaled to 1 at a Gershgorin bound of M, above s, so it
-        # shrinks its block by its value at s; over 200 such searches the
-        # smallest column maximum of a filtered block was about 1e-168
+        # the filter divides its latest terms by their largest magnitude at
+        # every step, so no column of a filtered block shrinks towards
+        # underflow: here the smallest column maximum is about 1.5e-4
         rng = np.random.default_rng(7)
         chebyshev_filter, smallest = mixing._chebyshev_filter, []
 
@@ -349,7 +350,7 @@ class TestOptimizeEpsilon:
             q = greedy_partition(t).q
             obj = subset_objective(t, np.ones(q) if i % 2 == 0 else rng.uniform(0.01, 1.0, q))
             assert_certified(obj, optimize_epsilon(obj))
-        assert smallest and min(smallest) > 1e-250
+        assert smallest and min(smallest) > 1e-8
 
     def test_no_certificate_below_its_rounding(self, monkeypatch):
         # at n = 100 the Cholesky factor's backward error, about 100 e, does
@@ -450,6 +451,74 @@ class TestOptimizeEpsilon:
             values.append(optimize_epsilon(ms).value)
         if not all(a >= b - 1e-9 for a, b in zip(values, values[1:])):
             print(f"note: contraction factor not monotone in activation: {values}")
+
+
+def scaled_chebyshev(values, cut, degree):
+    """c T_degree((values - c) / c) for c = cut / 2, computed exactly from the
+    floats: its values divided by their largest magnitude, and that
+    magnitude."""
+    c = Fraction(cut) / 2
+    x = [Fraction(v) for v in values]
+    prev, cur = [c] * len(x), [v - c for v in x]
+    for _ in range(degree - 1):
+        prev, cur = cur, [2 * (v - c) / c * t - p for v, t, p in zip(x, cur, prev)]
+    top = max(abs(t) for t in cur)
+    return np.array([float(t / top) for t in cur]), top
+
+
+class TestChebyshevFilter:
+    # M = V diag(values) V^T with V a seeded orthogonal matrix
+    values = np.array([0.0, 0.02, 0.05, 0.1, 0.5, 0.97, 0.99, 1.0])
+
+    def matrix_and_block(self):
+        rng = np.random.default_rng(3)
+        v = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        return v, (v * self.values) @ v.T, rng.standard_normal((8, 3))
+
+    def test_degree_one_at_cut_zero_is_the_product(self):
+        _, mat, block = self.matrix_and_block()
+        assert np.array_equal(mixing._chebyshev_filter(mat, block, 0.0, 1), mat @ block)
+
+    @pytest.mark.parametrize("degree, cut", [(2, 0.3), (7, 0.5), (200, 0.1)])
+    def test_is_the_polynomial_up_to_a_positive_factor(self, degree, cut):
+        v, mat, block = self.matrix_and_block()
+        scaled, top = scaled_chebyshev(self.values, cut, degree)
+        if degree == 200:
+            # unscaled, T_200 at the top eigenvalue does not fit in a double
+            assert top / (Fraction(cut) / 2) > 1e308
+        expected = (v * scaled) @ (v.T @ block)
+        out = mixing._chebyshev_filter(mat, block, cut, degree)
+        assert np.isfinite(out).all()
+        factor = np.sum(out * expected) / np.sum(expected * expected)
+        assert factor > 0.0
+        assert np.abs(out - factor * expected).max() <= 1e-10 * np.abs(out).max()
+
+
+def exact_cut_minimum(beta, gamma):
+    """min over eps > 0 of max_j 1 - 2 eps beta_j + eps^2 gamma_j, exactly:
+    the least maximum over the vertices and crossings of the floats."""
+    b, g = [Fraction(x) for x in beta], [Fraction(x) for x in gamma]
+    points = [bi / gi for bi, gi in zip(b, g)]
+    points += [
+        2 * (b[i] - b[j]) / (g[i] - g[j])
+        for i, j in itertools.combinations(range(len(b)), 2)
+        if g[i] != g[j]
+    ]
+    return min(max(1 + x * (x * gj - 2 * bj) for bj, gj in zip(b, g)) for x in points if x > 0)
+
+
+class TestCuts:
+    def test_lower_bound_is_at_most_the_exact_minimum(self):
+        # the maximum at a rounded vertex or crossing can exceed the exact
+        # minimum by a few units in the last place; the lower bound must not
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            beta = rng.uniform(0.1, 2.0, k)
+            gamma = beta**2 / rng.uniform(0.05, 1.0, k)
+            cuts = mixing._Cuts()
+            cuts.add(beta, gamma)
+            assert cuts.minimum()[1] <= exact_cut_minimum(beta, gamma)
 
 
 def complete_topology(n):
